@@ -21,7 +21,6 @@ from .engine import (
     apply_noisy_sequence,
     diagonal_momentum_evolution,
     gate_to_generator,
-    tensor_product,
 )
 from .protocol import (
     MomentumModel,
@@ -52,5 +51,4 @@ __all__ = [
     "sequence_from_json",
     "sequence_to_json",
     "sequence_to_unitary",
-    "tensor_product",
 ]

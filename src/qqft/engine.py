@@ -55,6 +55,8 @@ class NoiseModel:
     stream_id: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
 
@@ -161,39 +163,30 @@ def apply_noisy_sequence(seq: CircuitSequence, noise: NoiseModel = None,
     return U
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with row-major composite indexing."""
-    dim = a.shape[0] * b.shape[0]
-    if dim > MAX_DIM:
-        raise ValueError(f"tensor product dimension {dim} exceeds {MAX_DIM}")
-    return np.kron(a, b)
+def diagonal_momentum_blocks(model, T: float = None,
+                             scale: float = 1.0) -> np.ndarray:
+    """Blocks exp(-i H(m) T) of the diagonal step, shape (grid**d, l, l).
+
+    `model` provides T and `eigensystem`, the per-point eigenvalues and
+    eigenvectors of its Hermitian sampler blocks (see
+    `protocol.MomentumModel`), which are computed once per model.  Blocks are
+    ordered row-major in the grid coordinates; `scale` multiplies every
+    generator (used for noise on the diagonal step), so it only rescales the
+    cached phases.
+    """
+    if T is None:
+        T = model.T
+    w, Q = model.eigensystem
+    return (Q * np.exp(-1j * w * T * scale)[:, None, :]) @ Q.conj().swapaxes(1, 2)
 
 
 def diagonal_momentum_evolution(model, T: float = None,
                                 scale: float = 1.0) -> np.ndarray:
-    """Block-diagonal evolution exp(-i H(m) T) over the momentum grid.
+    """Dense block-diagonal evolution exp(-i H(m) T) over the momentum grid.
 
-    `model` provides d, l, grid and a sampler mapping grid coordinates to an
-    l x l Hermitian block; blocks are laid out row-major in the grid
-    coordinates with the orbital index fastest, matching `tensor_product`.
-    `scale` multiplies every generator (used for noise on the diagonal step).
+    The blocks of `diagonal_momentum_blocks` on the diagonal, with the
+    orbital index fastest in the composite state index.
     """
-    if T is None:
-        T = model.T
-    N, l = model.grid, model.l
-    npts = N ** model.d
-    dim = npts * l
-    if dim > MAX_DIM:
-        raise ValueError(f"evolution dimension {dim} exceeds {MAX_DIM}")
-    U = np.zeros((dim, dim), dtype=complex)
-    for idx in range(npts):
-        coords = np.unravel_index(idx, (N,) * model.d)
-        H = np.asarray(model.sampler(*coords), dtype=complex)
-        if H.shape != (l, l):
-            raise ValueError(f"sampler block at {coords} has shape {H.shape}")
-        if np.abs(H - H.conj().T).max() > 1e-10 * max(1.0, np.abs(H).max()):
-            raise ValueError(f"sampler block at {coords} is not Hermitian")
-        w, Q = np.linalg.eigh(H)
-        blk = (Q * np.exp(-1j * w * T * scale)) @ Q.conj().T
-        U[idx * l: (idx + 1) * l, idx * l: (idx + 1) * l] = blk
-    return U
+    if model.dim > MAX_DIM:
+        raise ValueError(f"evolution dimension {model.dim} exceeds {MAX_DIM}")
+    return scipy.linalg.block_diag(*diagonal_momentum_blocks(model, T, scale))

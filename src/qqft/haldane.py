@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .engine import NoiseModel
-from .protocol import T_DEFAULT, MomentumModel, build_protocol_unitary, extract_spectrum
+from .protocol import (T_DEFAULT, MomentumModel, _cayley_phases,
+                       build_protocol_unitary, extract_spectrum)
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -170,14 +170,16 @@ def chern_fhs(model: MomentumModel) -> int:
 
 
 def bott_index(U: np.ndarray, T: float, l: int, n_occ: int = None,
-               min_gap: float = 1e-8) -> float:
+               min_gap: float = 1e-8, wrap_margin: float = 1e-6) -> float:
     """Real-space topological invariant of the lower-band projector.
 
     B = Im tr log(Vy Vx Vy^dag Vx^dag) / (2 pi) with Vx, Vy the
     position-phase operators exp(2 pi i X / N), exp(2 pi i Y / N) compressed
     to the occupied subspace (X = column coordinate, Y = row coordinate of
     the square embedding).  Returns the real value before rounding; refuses
-    when the spectrum has no gap at the requested filling.
+    when the spectrum has no gap at the requested filling, and raises
+    PhaseWrapError, like `extract_spectrum`, when an eigenphase sits within
+    `wrap_margin` of the branch cut.
     """
     dim = U.shape[0]
     N = round(np.sqrt(dim / l))
@@ -185,8 +187,8 @@ def bott_index(U: np.ndarray, T: float, l: int, n_occ: int = None,
         raise ValueError(f"dimension {dim} is not an N x N x {l} layout")
     if n_occ is None:
         n_occ = dim // 2
-    Tmat, Z = scipy.linalg.schur(np.asarray(U, dtype=complex), output="complex")
-    energies = -np.angle(np.diag(Tmat)) / T
+    theta, Z = _cayley_phases(U, wrap_margin, vectors=True)
+    energies = -theta / T
     order = np.argsort(energies, kind="stable")
     gap = energies[order[n_occ]] - energies[order[n_occ - 1]]
     if gap < min_gap:

@@ -7,17 +7,37 @@ energies; with the default evolution time T = 1/(2 pi) ms and band norms of
 2 pi rad/ms (i.e. 2 pi x 1 kHz) all phases stay safely inside the principal
 branch.
 
+Assembly never forms a dim x dim Kronecker product.  The noisy evolution is
+U = V_f U_d V_i with V_f = F_1 (x) ... (x) F_d (x) I_l and V_i likewise from
+the inverted sequences (grid x grid factors).  U_d is block diagonal, so the
+product U_d V_i is built entry by entry in O(dim^2), and V_f is applied one
+factor at a time on a reshaped array.  U is similar to the core
+C = U_d (V_i V_f) = V_f^-1 U V_f, whose Fourier part is the product of
+per-dimension grid x grid factors (the identity without noise).  Spectra
+are taken from U itself: applying V_f costs a few ms of a 512-dim
+realization whose eigensolve takes about a hundred.
+
+Eigenphases come from the Cayley map: for unitary U without eigenvalue -1,
+K = i (I + U)^-1 (I - U) is Hermitian with eigenvalues tan(theta / 2), so
+theta = 2 arctan(eigvalsh(K)) and eigh(K) gives an orthonormal eigenbasis
+even for the degenerate flat bands.  The map is one-to-one on theta in
+(-pi, pi) and blows up at the branch cut theta = +-pi, where I + U is
+singular; eigenphases within `wrap_margin` of the cut raise PhaseWrapError,
+since energies there are ambiguous mod 2 pi / T.
+
 Energies are in angular frequency units of rad/ms throughout (2 pi rad/ms
 corresponds to 2 pi x 1 kHz); times are in ms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from . import circuit, engine
 
@@ -37,7 +57,7 @@ class PhaseWrapError(ValueError):
     """Eigenphases reached the branch cut; the evolution time is too long."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentumModel:
     """Sampler of the momentum-space Hamiltonian on a uniform grid.
 
@@ -59,6 +79,28 @@ class MomentumModel:
     @property
     def dim(self) -> int:
         return self.grid ** self.d * self.l
+
+    @functools.cached_property
+    def eigensystem(self):
+        """(w, Q): eigenvalues, shape (grid**d, l), and eigenvectors, shape
+        (grid**d, l, l), of the sampler blocks, row-major in the grid
+        coordinates.
+
+        Computed on first use and kept (the model is frozen, so the cache
+        cannot go stale): the sampler runs once per model.  Rejects blocks
+        of the wrong shape or that are not Hermitian.
+        """
+        npts, l = self.grid ** self.d, self.l
+        H = np.empty((npts, l, l), dtype=complex)
+        for idx in range(npts):
+            coords = np.unravel_index(idx, (self.grid,) * self.d)
+            block = np.asarray(self.sampler(*coords), dtype=complex)
+            if block.shape != (l, l):
+                raise ValueError(f"sampler block at {coords} has shape {block.shape}")
+            if np.abs(block - block.conj().T).max() > 1e-10 * max(1.0, np.abs(block).max()):
+                raise ValueError(f"sampler block at {coords} is not Hermitian")
+            H[idx] = block
+        return np.linalg.eigh(H)
 
 
 @dataclass
@@ -96,6 +138,19 @@ def _compile_for_grid(N: int) -> circuit.CircuitSequence:
     return circuit.build_generic_qqft(N)
 
 
+def _apply_kron(factors, X: np.ndarray) -> np.ndarray:
+    """(F_0 (x) ... (x) F_{d-1} (x) I) X without forming the Kronecker product.
+
+    Rows of X are composite indices, row-major with the factor-0 coordinate
+    slowest; the identity acts on whatever row index is left (the orbital).
+    """
+    rows, lead = X.shape[0], 1
+    for F in factors:
+        X = np.matmul(F, X.reshape(lead, F.shape[0], -1))
+        lead *= F.shape[0]
+    return X.reshape(rows, -1)
+
+
 def build_protocol_unitary(model: MomentumModel, noise: engine.NoiseModel = None,
                            noise_on_diagonal: bool = False) -> np.ndarray:
     """Compose (noisy) per-dimension Fourier sequences around the diagonal step.
@@ -107,42 +162,81 @@ def build_protocol_unitary(model: MomentumModel, noise: engine.NoiseModel = None
     """
     if model.d not in (1, 2):
         raise ValueError(f"unsupported dimension d={model.d}")
+    if model.dim > engine.MAX_DIM:
+        raise ValueError(f"evolution dimension {model.dim} exceeds {engine.MAX_DIM}")
     seq = _compile_for_grid(model.grid)
 
     def compiled(salt, invert):
         sub = noise.substream(salt) if noise is not None else None
         return engine.apply_noisy_sequence(seq, sub, invert=invert)
 
-    V_f = compiled(_SALT_FORWARD[0], False)
-    V_i = compiled(_SALT_INVERSE[0], True)
-    for k in range(1, model.d):
-        V_f = engine.tensor_product(V_f, compiled(_SALT_FORWARD[k], False))
-        V_i = engine.tensor_product(V_i, compiled(_SALT_INVERSE[k], True))
-    if model.l > 1:
-        eye = np.eye(model.l)
-        V_f = engine.tensor_product(V_f, eye)
-        V_i = engine.tensor_product(V_i, eye)
+    forward = [compiled(_SALT_FORWARD[k], False) for k in range(model.d)]
+    inverse = functools.reduce(
+        np.kron, [compiled(_SALT_INVERSE[k], True) for k in range(model.d)])
 
     scale = 1.0
     if noise_on_diagonal and noise is not None and noise.sigma > 0:
         scale = 1.0 + noise.substream(_SALT_DIAGONAL).delta(0)
-    U_d = engine.diagonal_momentum_evolution(model, scale=scale)
-    return V_f @ U_d @ V_i
+    blocks = engine.diagonal_momentum_blocks(model, scale=scale)
+    # U_d V_i: entry ((p, a), (q, b)) is blocks[p, a, b] * inverse[p, q]
+    ud_vi = np.einsum("pab,pq->paqb", blocks, inverse)
+    return _apply_kron(forward, ud_vi.reshape(model.dim, model.dim))
+
+
+def _hermiticity_defect(K: np.ndarray) -> float:
+    """max |K - K^dag|, 64 rows at a time to keep temporaries small."""
+    return max(float(np.abs(K[i: i + 64] - K[:, i: i + 64].conj().T).max())
+               for i in range(0, K.shape[0], 64))
+
+
+def _cayley_phases(U: np.ndarray, wrap_margin: float, vectors: bool = False):
+    """Eigenphases theta (ascending) of a unitary U = Z diag(exp(i theta)) Z^dag.
+
+    Solves (I + U) K = i (I - U) by one LU factorization; K is Hermitian with
+    eigenvalues tan(theta / 2), so `eigvalsh`/`eigh` replace a general
+    eigensolver.  Returns (theta, Z) with Z None unless `vectors`.  Raises
+    PhaseWrapError when I + U is singular or not finite, or when any
+    |theta| >= pi - wrap_margin; ValueError when U is not unitary.
+    """
+    n = U.shape[0]
+    diag = np.diag_indices(n)
+    A = np.array(U, dtype=complex, order="F")   # becomes I + U, then its LU
+    K = -A                                      # becomes I - U, then K
+    K[diag] += 1.0
+    A[diag] += 1.0
+    _, _, K, info = scipy.linalg.lapack.zgesv(A, K, overwrite_a=True,
+                                              overwrite_b=True)
+    del A  # release the LU before the eigensolver allocates its workspace
+    if info != 0 or not np.isfinite(K).all():
+        raise PhaseWrapError(
+            "I + U is singular: eigenphase at the branch cut; choose a "
+            "shorter evolution time")
+    K *= 1j
+    # K's error grows like (1 + |K|^2) times U's unitarity defect
+    if _hermiticity_defect(K) > 1e-10 * (1.0 + np.linalg.norm(K)) ** 2:
+        raise ValueError("matrix is not unitary")
+    if vectors:
+        t, Z = scipy.linalg.eigh(K, overwrite_a=True, check_finite=False)
+    else:
+        t, Z = scipy.linalg.eigvalsh(K, overwrite_a=True, check_finite=False), None
+    theta = 2.0 * np.arctan(t)
+    if np.any(np.abs(theta) >= np.pi - wrap_margin):
+        raise PhaseWrapError(
+            "eigenphase at the branch cut; choose a shorter evolution time"
+        )
+    return theta, Z
 
 
 def extract_spectrum(U: np.ndarray, T: float, l: int,
                      wrap_margin: float = 1e-6) -> SpectrumResult:
-    """Energies E = -arg(eigenvalue)/T with arg on the principal branch.
+    """Energies E = -theta/T from the eigenphases theta of a unitary U.
 
     Raises PhaseWrapError when any eigenphase sits within `wrap_margin` of
-    the branch cut, since energies would then be ambiguous mod 2 pi / T.
+    the branch cut, since energies would then be ambiguous mod 2 pi / T,
+    and ValueError when U is not unitary.
     """
-    ang = np.angle(np.linalg.eigvals(U))
-    if np.any(np.abs(ang) >= np.pi - wrap_margin):
-        raise PhaseWrapError(
-            "eigenphase at the branch cut; choose a shorter evolution time"
-        )
-    return SpectrumResult(energies=np.sort(-ang / T), n_bands=l, T=T)
+    theta, _ = _cayley_phases(U, wrap_margin)
+    return SpectrumResult(energies=np.sort(-theta / T), n_bands=l, T=T)
 
 
 def gate_time(j_over_recoil: float) -> float:

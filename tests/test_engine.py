@@ -8,8 +8,8 @@ from qqft.engine import (
     apply_noisy_sequence,
     diagonal_momentum_evolution,
     gate_to_generator,
+    diagonal_momentum_blocks,
     hermitian_log_unitary,
-    tensor_product,
     unitarity_defect,
 )
 from qqft.protocol import MomentumModel
@@ -54,6 +54,11 @@ class TestNoiseModel:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             NoiseModel(-0.1, seed=1)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(sigma, seed=1)
 
 
 class TestGateToGenerator:
@@ -164,32 +169,6 @@ class TestApplyNoisySequence:
         assert norms[1e-3] / 1e-3 < 50.0  # finite slope
 
 
-class TestTensorProduct:
-    def test_identity(self):
-        assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_two_point_pair_matches_2d_dft(self):
-        # row-major composite (x, y): brute-force 2D transform on a 2x2 grid
-        F = dft2_oracle()
-        got = tensor_product(F, F)
-        oracle = np.zeros((4, 4), dtype=complex)
-        for x in range(2):
-            for y in range(2):
-                for xp in range(2):
-                    for yp in range(2):
-                        oracle[2 * x + y, 2 * xp + yp] = (
-                            (-1) ** (x * xp) * (-1) ** (y * yp) / 2
-                        )
-        assert np.abs(got - oracle).max() < 1e-12
-
-    def test_dimensions_multiply(self):
-        assert tensor_product(np.eye(3), np.eye(2)).shape == (6, 6)
-
-    def test_max_dimension_guard(self):
-        with pytest.raises(ValueError):
-            tensor_product(np.eye(engine.MAX_DIM), np.eye(2))
-
-
 class TestDiagonalMomentumEvolution:
     def test_zero_hamiltonian(self):
         model = MomentumModel(d=1, l=1, grid=4,
@@ -224,3 +203,30 @@ class TestDiagonalMomentumEvolution:
                                                          dtype=complex))
         with pytest.raises(ValueError):
             diagonal_momentum_evolution(model)
+
+    def test_cached_matches_fresh_bit_for_bit(self):
+        # reference: each block's eigendecomposition redone on every call
+        rng = np.random.default_rng(4)
+        blocks = rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))
+        blocks = blocks + blocks.conj().swapaxes(1, 2)
+        model = MomentumModel(d=2, l=2, grid=3, T=0.4,
+                              sampler=lambda a, b: blocks[3 * a + b])
+        for scale in (1.0, 1.03, 1.0):
+            fresh = []
+            for H in blocks:
+                w, Q = np.linalg.eigh(H)
+                fresh.append((Q * np.exp(-1j * w * 0.4 * scale)) @ Q.conj().T)
+            got = diagonal_momentum_blocks(model, scale=scale)
+            assert np.array_equal(got, np.array(fresh))
+
+    def test_sampler_runs_once_per_model(self):
+        calls = []
+
+        def sampler(m):
+            calls.append(m)
+            return np.array([[float(m)]])
+
+        model = MomentumModel(d=1, l=1, grid=4, sampler=sampler)
+        for scale in (1.0, 1.1, 0.9):
+            diagonal_momentum_blocks(model, scale=scale)
+        assert calls == [0, 1, 2, 3]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from qqft.engine import NoiseModel
 from qqft.haldane import (
@@ -22,7 +24,7 @@ from qqft.haldane import (
     noise_sweep_gap_width,
     phase_diagram,
 )
-from qqft.protocol import build_protocol_unitary
+from qqft.protocol import PhaseWrapError, build_protocol_unitary, extract_spectrum
 
 
 def params(phi, M):
@@ -122,6 +124,29 @@ class TestChernFhs:
         assert chern_fhs(momentum_model(p)) == chern_analytic(p)
 
 
+def schur_bott_reference(U, T, l):
+    """Bott index from a complex Schur decomposition of U."""
+    dim = U.shape[0]
+    N = round(np.sqrt(dim / l))
+    Tmat, Z = scipy.linalg.schur(U, output="complex")
+    order = np.argsort(-np.angle(np.diag(Tmat)) / T, kind="stable")
+    occ = Z[:, order[:dim // 2]]
+    cell = np.arange(dim) // l
+    px = np.exp(2j * np.pi * (cell % N) / N)
+    py = np.exp(2j * np.pi * (cell // N) / N)
+    Vx = occ.conj().T @ (px[:, None] * occ)
+    Vy = occ.conj().T @ (py[:, None] * occ)
+    loop = Vy @ Vx @ Vy.conj().T @ Vx.conj().T
+    return float(np.angle(np.linalg.eigvals(loop)).sum() / (2.0 * np.pi))
+
+
+def unitary_with_phases(phases, seed=0):
+    rng = np.random.default_rng(seed)
+    n = len(phases)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (Q * np.exp(1j * np.asarray(phases))) @ Q.conj().T
+
+
 class TestBottIndex:
     def grid(self):
         return 8
@@ -162,6 +187,30 @@ class TestBottIndex:
     def test_bad_layout_rejected(self):
         with pytest.raises(ValueError):
             bott_index(np.eye(6, dtype=complex), T=1.0, l=2)
+
+    def test_branch_cut_rejected(self):
+        # phases at +-(pi - 1e-9): both the spectrum and the Bott index refuse
+        phases = [np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3, 0.5, -0.5, 0.7, -0.7]
+        U = unitary_with_phases(phases)
+        with pytest.raises(PhaseWrapError):
+            extract_spectrum(U, T=1.0, l=2)
+        with pytest.raises(PhaseWrapError):
+            bott_index(U, T=1.0, l=2)
+
+    def test_non_unitary_rejected(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            bott_index(0.5 * unitary_with_phases([0.1, -0.1] * 4), T=1.0, l=2)
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           lobe=st.sampled_from([(-np.pi / 2, 0.0), (np.pi / 3, 0.5),
+                                 (np.pi / 2, 10.0)]))
+    def test_matches_schur_reference(self, seed, lobe):
+        model = momentum_model(params(*lobe), grid=self.grid())
+        U = build_protocol_unitary(model, NoiseModel(3e-2, seed=seed))
+        b = bott_index(U, model.T, model.l)
+        assert b == pytest.approx(schur_bott_reference(U, model.T, model.l),
+                                  abs=1e-9)
 
 
 class TestNoiseSweep:

@@ -1,8 +1,17 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qqft import haldane
-from qqft.engine import NoiseModel, diagonal_momentum_evolution, unitarity_defect
+from qqft import haldane, protocol
+from qqft.engine import (
+    MAX_DIM,
+    NoiseModel,
+    apply_noisy_sequence,
+    diagonal_momentum_evolution,
+    unitarity_defect,
+)
 from qqft.protocol import (
     MomentumModel,
     PhaseWrapError,
@@ -12,6 +21,9 @@ from qqft.protocol import (
     extract_spectrum,
     gate_time,
 )
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+SIGMAS = st.sampled_from([0.0, 1e-3, 2.5e-3, 5e-3, 3e-2])
 
 
 def plane_wave_oracle(energies, T):
@@ -94,6 +106,74 @@ class TestBuildProtocolUnitary:
             build_protocol_unitary(model)
 
 
+def random_hermitian_model(d, l, grid, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = (grid ** d, l, l)
+    blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    blocks = blocks + blocks.conj().swapaxes(1, 2)
+    return MomentumModel(
+        d=d, l=l, grid=grid, T=0.2,
+        sampler=lambda *m: blocks[np.ravel_multi_index(m, (grid,) * d)])
+
+
+def dense_kron_reference(model, noise, noise_on_diagonal):
+    """V_f U_d V_i from dense Kronecker products of the same noisy factors."""
+    seq = protocol._compile_for_grid(model.grid)
+
+    def factors(salts, invert):
+        mats = [apply_noisy_sequence(seq, noise.substream(salts[k]), invert=invert)
+                for k in range(model.d)]
+        return reduce(np.kron, mats + [np.eye(model.l)])
+
+    scale = 1.0
+    if noise_on_diagonal and noise.sigma > 0:
+        scale = 1.0 + noise.substream(protocol._SALT_DIAGONAL).delta(0)
+    U_d = diagonal_momentum_evolution(model, scale=scale)
+    return (factors(protocol._SALT_FORWARD, False) @ U_d
+            @ factors(protocol._SALT_INVERSE, True))
+
+
+class TestKroneckerAssembly:
+    def test_two_point_pair_matches_2d_dft(self):
+        # row-major composite (x, y): brute-force 2D transform on a 2x2 grid
+        energies = np.array([[0.9, -0.3], [1.7, 0.2]])
+        model = MomentumModel(d=2, l=1, grid=2, T=0.5,
+                              sampler=lambda a, b: np.array([[energies[a, b]]]))
+        oracle = np.zeros((4, 4), dtype=complex)
+        for x in range(2):
+            for y in range(2):
+                for xp in range(2):
+                    for yp in range(2):
+                        oracle[2 * x + y, 2 * xp + yp] = (
+                            (-1) ** (x * xp) * (-1) ** (y * yp) / 2
+                        )
+        phases = np.exp(-1j * 0.5 * energies.ravel())
+        expected = (oracle * phases) @ oracle.conj().T
+        assert np.abs(build_protocol_unitary(model) - expected).max() < 1e-12
+
+    def test_max_dimension_guard(self):
+        def sampler(*m):
+            raise AssertionError("sampler called for an oversized model")
+
+        model = MomentumModel(d=2, l=2, grid=46, sampler=sampler)
+        assert model.dim > MAX_DIM
+        with pytest.raises(ValueError, match="exceeds"):
+            build_protocol_unitary(model)
+
+    @pytest.mark.parametrize("d,l,grid", [(1, 1, 8), (1, 2, 3), (2, 1, 4),
+                                          (2, 2, 4)])
+    @pytest.mark.parametrize("noise_on_diagonal", [False, True])
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(seed=SEEDS, sigma=SIGMAS)
+    def test_matches_dense_kron_reference(self, d, l, grid, noise_on_diagonal,
+                                          seed, sigma):
+        model = random_hermitian_model(d, l, grid)
+        noise = NoiseModel(sigma, seed, stream_id=seed % 7)
+        got = build_protocol_unitary(model, noise, noise_on_diagonal)
+        ref = dense_kron_reference(model, noise, noise_on_diagonal)
+        assert np.abs(got - ref).max() < 1e-12
+
+
 class TestExtractSpectrum:
     def test_identity_all_zero(self):
         spec = extract_spectrum(np.eye(6), T=0.5, l=2)
@@ -131,6 +211,33 @@ class TestExtractSpectrum:
         U = np.diag([np.exp(1j * np.pi), 1.0])
         with pytest.raises(PhaseWrapError):
             extract_spectrum(U, T=1.0, l=1)
+
+    def test_exact_branch_cut_rejected(self):
+        # I + U exactly singular
+        with pytest.raises(PhaseWrapError):
+            extract_spectrum(np.diag([-1.0, 1.0]), T=1.0, l=1)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(PhaseWrapError):
+            extract_spectrum(np.diag([np.nan, 1.0]), T=1.0, l=1)
+
+    @pytest.mark.parametrize("U", [0.5 * np.eye(4),
+                                   np.array([[1.0, 0.1], [0.0, 1.0]]),
+                                   np.diag([1.0, np.exp(0.3j) * (1 + 1e-6)])])
+    def test_non_unitary_rejected(self, U):
+        with pytest.raises(ValueError, match="not unitary"):
+            extract_spectrum(U, T=1.0, l=1)
+
+    @pytest.mark.parametrize("grid", [4, 16])
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(seed=SEEDS, sigma=SIGMAS)
+    def test_matches_general_eigensolver(self, grid, seed, sigma):
+        model = haldane.momentum_model(
+            haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=grid)
+        U = build_protocol_unitary(model, NoiseModel(sigma, seed))
+        spec = extract_spectrum(U, model.T, model.l)
+        ref = np.sort(-np.angle(np.linalg.eigvals(U)) / model.T)
+        assert np.abs(spec.energies - ref).max() < 1e-12
 
     def test_band_gap_needs_two_bands(self):
         spec = extract_spectrum(np.eye(4), T=1.0, l=1)
