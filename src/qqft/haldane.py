@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import NoiseModel
-from .protocol import (T_DEFAULT, MomentumModel, _cayley_phases,
+from .protocol import (T_DEFAULT, WRAP_MARGIN, MomentumModel, _cayley_phases,
                        build_protocol_unitary, extract_spectrum)
 
 PAULI = (
@@ -170,7 +170,7 @@ def chern_fhs(model: MomentumModel) -> int:
 
 
 def bott_index(U: np.ndarray, T: float, l: int, n_occ: int = None,
-               min_gap: float = 1e-8, wrap_margin: float = 1e-6) -> float:
+               min_gap: float = 1e-8) -> float:
     """Real-space topological invariant of the lower-band projector.
 
     B = Im tr log(Vy Vx Vy^dag Vx^dag) / (2 pi) with Vx, Vy the
@@ -179,7 +179,7 @@ def bott_index(U: np.ndarray, T: float, l: int, n_occ: int = None,
     the square embedding).  Returns the real value before rounding; refuses
     when the spectrum has no gap at the requested filling, and raises
     PhaseWrapError, like `extract_spectrum`, when an eigenphase sits within
-    `wrap_margin` of the branch cut.
+    `protocol.WRAP_MARGIN` of the branch cut.
     """
     dim = U.shape[0]
     N = round(np.sqrt(dim / l))
@@ -187,7 +187,7 @@ def bott_index(U: np.ndarray, T: float, l: int, n_occ: int = None,
         raise ValueError(f"dimension {dim} is not an N x N x {l} layout")
     if n_occ is None:
         n_occ = dim // 2
-    theta, Z = _cayley_phases(U, wrap_margin, vectors=True)
+    theta, Z = _cayley_phases(U, WRAP_MARGIN, vectors=True)
     energies = -theta / T
     order = np.argsort(energies, kind="stable")
     gap = energies[order[n_occ]] - energies[order[n_occ - 1]]

@@ -22,7 +22,7 @@ K = i (I + U)^-1 (I - U) is Hermitian with eigenvalues tan(theta / 2), so
 theta = 2 arctan(eigvalsh(K)) and eigh(K) gives an orthonormal eigenbasis
 even for the degenerate flat bands.  The map is one-to-one on theta in
 (-pi, pi) and blows up at the branch cut theta = +-pi, where I + U is
-singular; eigenphases within `wrap_margin` of the cut raise PhaseWrapError,
+singular; eigenphases within `WRAP_MARGIN` of the cut raise PhaseWrapError,
 since energies there are ambiguous mod 2 pi / T.
 
 Energies are in angular frequency units of rad/ms throughout (2 pi rad/ms
@@ -43,6 +43,9 @@ from . import circuit, engine
 
 #: default evolution time, ms
 T_DEFAULT = 1.0 / (2.0 * np.pi)
+
+#: eigenphases closer than this to the branch cut +-pi raise PhaseWrapError
+WRAP_MARGIN = 1e-6
 
 #: recoil energy of the reference lithium setup, angular frequency in rad/ms
 RECOIL_RAD_PER_MS = 2.0 * np.pi * 25.12
@@ -80,16 +83,23 @@ class MomentumModel:
     def dim(self) -> int:
         return self.grid ** self.d * self.l
 
-    @functools.cached_property
+    @property
     def eigensystem(self):
         """(w, Q): eigenvalues, shape (grid**d, l), and eigenvectors, shape
         (grid**d, l, l), of the sampler blocks, row-major in the grid
         coordinates.
 
         Computed on first use and kept (the model is frozen, so the cache
-        cannot go stale): the sampler runs once per model.  Rejects blocks
-        of the wrong shape or that are not Hermitian.
+        cannot go stale): the sampler runs once per model.  The cache is a
+        plain instance attribute, not a `functools.cached_property`, which
+        on Python < 3.12 serializes first calls on different models behind
+        one class-wide lock; two threads racing on the same model only
+        repeat deterministic work.  Rejects blocks of the wrong shape or
+        that are not Hermitian.
         """
+        cached = self.__dict__.get("_eigensystem")
+        if cached is not None:
+            return cached
         npts, l = self.grid ** self.d, self.l
         H = np.empty((npts, l, l), dtype=complex)
         for idx in range(npts):
@@ -100,7 +110,9 @@ class MomentumModel:
             if np.abs(block - block.conj().T).max() > 1e-10 * max(1.0, np.abs(block).max()):
                 raise ValueError(f"sampler block at {coords} is not Hermitian")
             H[idx] = block
-        return np.linalg.eigh(H)
+        cached = np.linalg.eigh(H)
+        object.__setattr__(self, "_eigensystem", cached)
+        return cached
 
 
 @dataclass
@@ -183,12 +195,6 @@ def build_protocol_unitary(model: MomentumModel, noise: engine.NoiseModel = None
     return _apply_kron(forward, ud_vi.reshape(model.dim, model.dim))
 
 
-def _hermiticity_defect(K: np.ndarray) -> float:
-    """max |K - K^dag|, 64 rows at a time to keep temporaries small."""
-    return max(float(np.abs(K[i: i + 64] - K[:, i: i + 64].conj().T).max())
-               for i in range(0, K.shape[0], 64))
-
-
 def _cayley_phases(U: np.ndarray, wrap_margin: float, vectors: bool = False):
     """Eigenphases theta (ascending) of a unitary U = Z diag(exp(i theta)) Z^dag.
 
@@ -213,7 +219,7 @@ def _cayley_phases(U: np.ndarray, wrap_margin: float, vectors: bool = False):
             "shorter evolution time")
     K *= 1j
     # K's error grows like (1 + |K|^2) times U's unitarity defect
-    if _hermiticity_defect(K) > 1e-10 * (1.0 + np.linalg.norm(K)) ** 2:
+    if np.abs(K - K.conj().T).max() > 1e-10 * (1.0 + np.linalg.norm(K)) ** 2:
         raise ValueError("matrix is not unitary")
     if vectors:
         t, Z = scipy.linalg.eigh(K, overwrite_a=True, check_finite=False)
@@ -228,7 +234,7 @@ def _cayley_phases(U: np.ndarray, wrap_margin: float, vectors: bool = False):
 
 
 def extract_spectrum(U: np.ndarray, T: float, l: int,
-                     wrap_margin: float = 1e-6) -> SpectrumResult:
+                     wrap_margin: float = WRAP_MARGIN) -> SpectrumResult:
     """Energies E = -theta/T from the eigenphases theta of a unitary U.
 
     Raises PhaseWrapError when any eigenphase sits within `wrap_margin` of
