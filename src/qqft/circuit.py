@@ -61,6 +61,12 @@ class GateSpec:
     lam: float = 0.0
     layer: int = 0
 
+    def __post_init__(self):
+        for name in ("theta", "phi", "lam"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"gate {name} must be finite, got {value}")
+
     def span(self) -> int:
         """Number of sites the gate touches (1 or 2)."""
         return 1 if self.kind == PHASE else 2
@@ -92,7 +98,8 @@ class CircuitSequence:
     `gates` are applied first-element-first.  `depth` counts parallelizable
     Hamiltonian steps (distinct layer tags), which is the quantity the
     closed-form depth expressions refer to; the raw gate count is
-    ``len(gates)``.
+    ``len(gates)``.  Gates sharing a layer must act on disjoint sites: the
+    noise model gives each layer one draw, as one strictly-local step.
     """
 
     n_sites: int
@@ -102,11 +109,18 @@ class CircuitSequence:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("n_sites must be positive")
+        occupied = set()
         for g in self.gates:
             if not 0 <= g.site <= self.n_sites - g.span():
                 raise ValueError(
                     f"gate {g} does not fit on {self.n_sites} sites"
                 )
+            for site in range(g.site, g.site + g.span()):
+                if (g.layer, site) in occupied:
+                    raise ValueError(
+                        f"layer {g.layer}: two gates act on site {site}"
+                    )
+                occupied.add((g.layer, site))
         n_layers = 1 + max((g.layer for g in self.gates), default=-1)
         if self.depth != n_layers:
             raise ValueError(
@@ -285,6 +299,15 @@ def build_generic_qqft(N: int) -> CircuitSequence:
                                       layer=layer))
             layer += 1
     return CircuitSequence(n_sites=N, gates=tuple(gates), depth=layer)
+
+
+def compile_for_size(N: int) -> CircuitSequence:
+    """The N-site Fourier sequence: radix-2 when N is a power of two,
+    the generic route otherwise."""
+    n = N.bit_length() - 1
+    if 1 << n == N:
+        return build_radix2_qqft(n)
+    return build_generic_qqft(N)
 
 
 def sequence_to_unitary(seq: CircuitSequence) -> np.ndarray:

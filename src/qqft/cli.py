@@ -112,7 +112,15 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _require_positive(args, *names):
+    for name in names:
+        if getattr(args, name) < 1:
+            flag = "--" + name.replace("_", "-")
+            raise SystemExit(f"error: {flag} must be >= 1")
+
+
 def cmd_flatband(args) -> int:
+    _require_positive(args, "realizations", "phase_realizations")
     sigmas = _sigma_list(args.sigma)
     config = {
         "command": "flatband", "phi": args.phi, "M": args.M,
@@ -132,15 +140,16 @@ def cmd_flatband(args) -> int:
         params, sigmas, args.realizations, args.seed, grid=args.grid,
         workers=args.workers, noise_on_diagonal=args.noise_on_diagonal,
     )
-    rows = [(p.sigma, p.mean_gap, p.mean_width, p.stderr_gap, p.stderr_width)
-            for p in points]
+    rows = [(p.sigma, p.mean("gap"), p.mean("width"), p.stderr("gap"),
+             p.stderr("width")) for p in points]
     _write_csv(out / "gap_width.csv", digest,
                ["sigma", "mean_gap", "mean_width", "stderr_gap", "stderr_width"],
                rows)
     outputs.append("gap_width.csv")
     for p in points:
-        print(f"sigma={p.sigma:g}: G={p.mean_gap:.6g} W={p.mean_width:.6g} "
-              f"W/G={p.mean_width / p.mean_gap:.4f}")
+        gap, width = p.mean("gap"), p.mean("width")
+        print(f"sigma={p.sigma:g}: G={gap:.6g} W={width:.6g} "
+              f"W/G={width / gap:.4f}")
 
     if args.phase_grid > 0:
         phis = np.linspace(args.phi_range[0], args.phi_range[1],
@@ -161,6 +170,7 @@ def cmd_flatband(args) -> int:
 
 
 def cmd_poincare(args) -> int:
+    _require_positive(args, "realizations")
     sigmas = _sigma_list(args.sigma)
     config = {
         "command": "poincare", "N": args.N, "gamma": args.gamma,
@@ -202,13 +212,14 @@ def cmd_poincare(args) -> int:
         args.N, args.gamma, sigmas, args.realizations, args.seed,
         workers=args.workers,
     )
-    rows = [(p.sigma, p.mean_sl, p.stderr_sl, p.mean_sp, p.stderr_sp)
-            for p in points]
+    rows = [(p.sigma, p.mean("sl"), p.stderr("sl"), p.mean("sp"),
+             p.stderr("sp")) for p in points]
     _write_csv(out / "symmetry.csv", digest,
                ["sigma", "mean_SL", "stderr_SL", "mean_SP", "stderr_SP"], rows)
     outputs.append("symmetry.csv")
     for p in points:
-        print(f"sigma={p.sigma:g}: S_L={p.mean_sl:.6g} S_P={p.mean_sp:.6g}")
+        print(f"sigma={p.sigma:g}: S_L={p.mean('sl'):.6g} "
+              f"S_P={p.mean('sp'):.6g}")
 
     _write_manifest(out, "poincare", config, outputs)
     print(f"wrote {out}")

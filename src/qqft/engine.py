@@ -7,20 +7,31 @@ deviation sigma.  Each gate is exponentiated through its Hermitian generator
 stays exactly unitary.  Draws come from a counter-based stream keyed on
 (seed, stream_id, step): a realization is reproducible bit-exactly regardless
 of evaluation order or worker count.
+
+One realization's noise reaches a composite evolution only through the salt
+table below: the forward Fourier sequence along axis k draws from substream
+`_SALT_FORWARD[k]`, the inverse one from `_SALT_INVERSE[k]`, and the single
+draw on the diagonal step from `_SALT_DIAGONAL`.  The flat band uses axes 0
+and 1, the spacetime crystal axis 0.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
-from .circuit import PHASE, CircuitSequence, gate_matrix
+from .circuit import PHASE, CircuitSequence, compile_for_size, gate_matrix
 
 MAX_DIM = 4096
+
+_SALT_FORWARD = (1, 2)
+_SALT_INVERSE = (3, 4)
+_SALT_DIAGONAL = 5
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -163,8 +174,30 @@ def apply_noisy_sequence(seq: CircuitSequence, noise: NoiseModel = None,
     return U
 
 
-def diagonal_momentum_blocks(model, T: float = None,
-                             scale: float = 1.0) -> np.ndarray:
+def fourier_pair(N: int, noise: NoiseModel, axis: int) -> tuple:
+    """(V_f, V_i): the compiled N-site Fourier transform and its inverse.
+
+    Each composes with its own draws, from the `axis` entries of the salt
+    table; `noise` None gives the noiseless pair.
+    """
+    seq = compile_for_size(N)
+
+    def compose(salt, invert):
+        sub = noise.substream(salt) if noise is not None else None
+        return apply_noisy_sequence(seq, sub, invert=invert)
+
+    return compose(_SALT_FORWARD[axis], False), compose(_SALT_INVERSE[axis], True)
+
+
+def diagonal_scale(noise: NoiseModel, enabled: bool) -> float:
+    """Factor 1 + delta on the diagonal generator, from one draw of the
+    diagonal substream; exactly 1.0 unless `enabled` and sigma > 0."""
+    if enabled and noise is not None and noise.sigma > 0:
+        return 1.0 + noise.substream(_SALT_DIAGONAL).delta(0)
+    return 1.0
+
+
+def diagonal_momentum_blocks(model, scale: float = 1.0) -> np.ndarray:
     """Blocks exp(-i H(m) T) of the diagonal step, shape (grid**d, l, l).
 
     `model` provides T and `eigensystem`, the per-point eigenvalues and
@@ -174,14 +207,11 @@ def diagonal_momentum_blocks(model, T: float = None,
     generator (used for noise on the diagonal step), so it only rescales the
     cached phases.
     """
-    if T is None:
-        T = model.T
     w, Q = model.eigensystem
-    return (Q * np.exp(-1j * w * T * scale)[:, None, :]) @ Q.conj().swapaxes(1, 2)
+    return (Q * np.exp(-1j * w * model.T * scale)[:, None, :]) @ Q.conj().swapaxes(1, 2)
 
 
-def diagonal_momentum_evolution(model, T: float = None,
-                                scale: float = 1.0) -> np.ndarray:
+def diagonal_momentum_evolution(model, scale: float = 1.0) -> np.ndarray:
     """Dense block-diagonal evolution exp(-i H(m) T) over the momentum grid.
 
     The blocks of `diagonal_momentum_blocks` on the diagonal, with the
@@ -189,4 +219,48 @@ def diagonal_momentum_evolution(model, T: float = None,
     """
     if model.dim > MAX_DIM:
         raise ValueError(f"evolution dimension {model.dim} exceeds {MAX_DIM}")
-    return scipy.linalg.block_diag(*diagonal_momentum_blocks(model, T, scale))
+    return scipy.linalg.block_diag(*diagonal_momentum_blocks(model, scale))
+
+
+@dataclass
+class SweepPoint:
+    """Named per-realization samples (realization order) at one sigma."""
+
+    sigma: float
+    samples: dict
+
+    def mean(self, name: str) -> float:
+        return float(self.samples[name].mean())
+
+    def stderr(self, name: str) -> float:
+        x = self.samples[name]
+        if len(x) < 2:
+            return 0.0
+        return float(x.std(ddof=1) / np.sqrt(len(x)))
+
+
+def _map_ordered(fn, count: int, workers: int) -> list:
+    """[fn(0), ..., fn(count - 1)], in index order for any worker count."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if workers <= 1:
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(count)))
+
+
+def _noise_sweep(measure, names, sigmas, n: int, seed: int, workers: int) -> list:
+    """One SweepPoint per sigma from n realizations of `measure(noise)`.
+
+    `measure` returns one value per entry of `names`.  Realization r draws
+    from `NoiseModel(sigma, seed, stream_id=r)`, so it reuses the same
+    Gaussian draws, scaled, at every sigma, which keeps sweeps smooth.
+    """
+    points = []
+    for sigma in sigmas:
+        def one(r, sigma=sigma):
+            return measure(NoiseModel(sigma, seed, stream_id=r))
+        rows = _map_ordered(one, n, workers)
+        samples = dict(zip(names, map(np.array, zip(*rows))))
+        points.append(SweepPoint(sigma=sigma, samples=samples))
+    return points

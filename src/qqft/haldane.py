@@ -25,14 +25,13 @@ under gate noise.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .engine import NoiseModel
-from .protocol import (T_DEFAULT, WRAP_MARGIN, MomentumModel, _cayley_phases,
+from .engine import NoiseModel, _map_ordered, _noise_sweep
+from .protocol import (T_DEFAULT, MomentumModel, _cayley_phases,
                        build_protocol_unitary, extract_spectrum)
 
 PAULI = (
@@ -169,15 +168,15 @@ def chern_fhs(model: MomentumModel) -> int:
     return int(round(c))
 
 
-def bott_index(U: np.ndarray, T: float, l: int, n_occ: int = None,
-               min_gap: float = 1e-8) -> float:
+def bott_index(U: np.ndarray, T: float, l: int) -> float:
     """Real-space topological invariant of the lower-band projector.
 
     B = Im tr log(Vy Vx Vy^dag Vx^dag) / (2 pi) with Vx, Vy the
     position-phase operators exp(2 pi i X / N), exp(2 pi i Y / N) compressed
     to the occupied subspace (X = column coordinate, Y = row coordinate of
-    the square embedding).  Returns the real value before rounding; refuses
-    when the spectrum has no gap at the requested filling, and raises
+    the square embedding), the occupied subspace being the lower half of the
+    spectrum.  Returns the real value before rounding; refuses when the
+    spectrum has no gap (below 1e-8) at half filling, and raises
     PhaseWrapError, like `extract_spectrum`, when an eigenphase sits within
     `protocol.WRAP_MARGIN` of the branch cut.
     """
@@ -185,13 +184,12 @@ def bott_index(U: np.ndarray, T: float, l: int, n_occ: int = None,
     N = round(np.sqrt(dim / l))
     if N * N * l != dim:
         raise ValueError(f"dimension {dim} is not an N x N x {l} layout")
-    if n_occ is None:
-        n_occ = dim // 2
-    theta, Z = _cayley_phases(U, WRAP_MARGIN, vectors=True)
+    n_occ = dim // 2
+    theta, Z = _cayley_phases(U, vectors=True)
     energies = -theta / T
     order = np.argsort(energies, kind="stable")
     gap = energies[order[n_occ]] - energies[order[n_occ - 1]]
-    if gap < min_gap:
+    if gap < 1e-8:
         raise GapClosedError(f"no spectral gap at filling {n_occ}: gap={gap:g}")
     occ = Z[:, order[:n_occ]]
     cell = np.arange(dim) // l
@@ -208,99 +206,38 @@ def bott_index(U: np.ndarray, T: float, l: int, n_occ: int = None,
     return float(np.angle(eig).sum() / (2.0 * np.pi))
 
 
-@dataclass
-class SweepPoint:
-    """Gap/width statistics at one noise strength."""
-
-    sigma: float
-    gaps: np.ndarray
-    widths: np.ndarray
-
-    @property
-    def mean_gap(self) -> float:
-        return float(self.gaps.mean())
-
-    @property
-    def mean_width(self) -> float:
-        return float(self.widths.mean())
-
-    @property
-    def stderr_gap(self) -> float:
-        return _stderr(self.gaps)
-
-    @property
-    def stderr_width(self) -> float:
-        return _stderr(self.widths)
-
-    @property
-    def ratios(self) -> np.ndarray:
-        return self.widths / self.gaps
-
-
-def _stderr(x: np.ndarray) -> float:
-    if len(x) < 2:
-        return 0.0
-    return float(x.std(ddof=1) / np.sqrt(len(x)))
-
-
-def _run_indexed(worker, count: int, workers: int):
-    """Map worker over range(count), preserving index order for reductions."""
-    if workers <= 1:
-        return [worker(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(count)))
-
-
 def noise_sweep_gap_width(p: HaldaneParams, sigmas: Sequence[float],
                           n_realizations: int, seed: int, grid: int = 16,
                           workers: int = 1,
                           noise_on_diagonal: bool = False) -> list:
-    """Mean band gap and width versus noise strength.
-
-    Realizations use per-index noise streams and a fixed-order reduction, so
-    results do not depend on the worker count.  Realization r uses the same
-    underlying Gaussian draws at every sigma (the draws scale with sigma),
-    which keeps the sweep smooth in sigma.
-    """
+    """Band gap and width versus noise strength: one `engine.SweepPoint` per
+    sigma with samples "gap" and "width", independent of the worker count."""
     model = momentum_model(p, grid)
-    points = []
-    for sigma in sigmas:
-        def one(r, _sigma=sigma):
-            noise = NoiseModel(_sigma, seed, stream_id=r)
-            U = build_protocol_unitary(model, noise, noise_on_diagonal)
-            spec = extract_spectrum(U, model.T, model.l)
-            return spec.band_gap, spec.band_width
-        results = _run_indexed(one, n_realizations, workers)
-        gaps = np.array([g for g, _ in results])
-        widths = np.array([w for _, w in results])
-        points.append(SweepPoint(sigma=sigma, gaps=gaps, widths=widths))
-    return points
 
+    def measure(noise):
+        U = build_protocol_unitary(model, noise, noise_on_diagonal)
+        spec = extract_spectrum(U, model.T, model.l)
+        return spec.band_gap, spec.band_width
 
-def bott_at(p: HaldaneParams, sigma: float, seed: int, realization: int,
-            grid: int = 16, noise_on_diagonal: bool = False) -> float:
-    """Bott index of one noisy realization of the engineered evolution."""
-    model = momentum_model(p, grid)
-    noise = NoiseModel(sigma, seed, stream_id=realization)
-    U = build_protocol_unitary(model, noise, noise_on_diagonal)
-    return bott_index(U, model.T, model.l)
+    return _noise_sweep(measure, ("gap", "width"), sigmas, n_realizations,
+                        seed, workers)
 
 
 def phase_diagram(phis: Sequence[float], ms: Sequence[float], sigma: float,
                   seed: int, grid: int = 16, realizations: int = 1,
-                  workers: int = 1, params: HaldaneParams = None) -> list:
+                  workers: int = 1) -> list:
     """(phi, M, mean Bott, analytic Chern) over a parameter grid.
 
     The Chern entry is None on phase boundaries.  Bott values are averaged
     over `realizations` noisy runs with per-cell substreams.
     """
-    base = params or HaldaneParams(phi=0.0, M=0.0)
+    if realizations < 1:
+        raise ValueError(f"realizations must be >= 1, got {realizations}")
     cells = [(phi, m) for phi in phis for m in ms]
 
     def one(index):
         phi, m = cells[index]
-        p = HaldaneParams(phi=phi, M=m, t1=base.t1, t2=base.t2,
-                          target_norm=base.target_norm)
+        p = HaldaneParams(phi=phi, M=m)
         try:
             chern = chern_analytic(p)
         except PhaseBoundaryError:
@@ -316,4 +253,4 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], sigma: float,
                 vals.append(float("nan"))
         return phi, m, float(np.mean(vals)), chern
 
-    return _run_indexed(one, len(cells), workers)
+    return _map_ordered(one, len(cells), workers)

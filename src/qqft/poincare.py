@@ -19,18 +19,13 @@ class-variance statistic `s_lorentz` and the clean-vs-noisy RMS `s_total`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import circuit, engine
-from .engine import NoiseModel
-
-_SALT_FORWARD = 1
-_SALT_INVERSE = 3
-_SALT_DIAGONAL = 5
+from .engine import NoiseModel, _noise_sweep
 
 
 class DispersionError(ValueError):
@@ -199,19 +194,11 @@ def greens_function(disp: Dispersion, noise: NoiseModel = None,
         V_f = circuit.dft_matrix(N)
         V_i = V_f.conj().T
     elif route == "qqft":
-        n = N.bit_length() - 1
-        seq = (circuit.build_radix2_qqft(n) if 1 << n == N
-               else circuit.build_generic_qqft(N))
-        sub_f = noise.substream(_SALT_FORWARD) if noise is not None else None
-        sub_i = noise.substream(_SALT_INVERSE) if noise is not None else None
-        V_f = engine.apply_noisy_sequence(seq, sub_f)
-        V_i = engine.apply_noisy_sequence(seq, sub_i, invert=True)
+        V_f, V_i = engine.fourier_pair(N, noise, 0)
     else:
         raise ValueError(f"unknown route {route!r}")
 
-    scale = 1.0
-    if noise_on_diagonal and noise is not None and noise.sigma > 0:
-        scale = 1.0 + noise.substream(_SALT_DIAGONAL).delta(0)
+    scale = engine.diagonal_scale(noise, noise_on_diagonal)
 
     G = np.zeros((N, N), dtype=complex)
     P = np.zeros((N, N, N))
@@ -256,58 +243,18 @@ def s_total(P_noisy: np.ndarray, P_clean: np.ndarray) -> float:
     return float(np.sqrt(np.mean((P_noisy - P_clean) ** 2)))
 
 
-@dataclass
-class SymmetryPoint:
-    """S_L / S_P statistics at one noise strength."""
-
-    sigma: float
-    sl: np.ndarray
-    sp: np.ndarray
-
-    @property
-    def mean_sl(self) -> float:
-        return float(self.sl.mean())
-
-    @property
-    def mean_sp(self) -> float:
-        return float(self.sp.mean())
-
-    @property
-    def stderr_sl(self) -> float:
-        return _stderr(self.sl)
-
-    @property
-    def stderr_sp(self) -> float:
-        return _stderr(self.sp)
-
-
-def _stderr(x: np.ndarray) -> float:
-    if len(x) < 2:
-        return 0.0
-    return float(x.std(ddof=1) / np.sqrt(len(x)))
-
-
 def noise_sweep_symmetry(N: int, gamma: int, sigmas: Sequence[float],
                          n_realizations: int, seed: int,
                          workers: int = 1) -> list:
-    """Mean S_L and S_P versus noise strength, fixed-order reduction."""
+    """S_L and S_P versus noise strength: one `engine.SweepPoint` per sigma
+    with samples "sl" and "sp", independent of the worker count."""
     disp = build_dispersion(N, gamma)
     lattice = equivalence_classes(N, gamma)
     P_clean = greens_function(disp).p_tensor
-    points = []
-    for sigma in sigmas:
-        def one(r, _sigma=sigma):
-            noise = NoiseModel(_sigma, seed, stream_id=r)
-            P = greens_function(disp, noise).p_tensor
-            return s_lorentz(P, lattice), s_total(P, P_clean)
-        if workers <= 1:
-            results = [one(r) for r in range(n_realizations)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one, range(n_realizations)))
-        points.append(SymmetryPoint(
-            sigma=sigma,
-            sl=np.array([a for a, _ in results]),
-            sp=np.array([b for _, b in results]),
-        ))
-    return points
+
+    def measure(noise):
+        P = greens_function(disp, noise).p_tensor
+        return s_lorentz(P, lattice), s_total(P, P_clean)
+
+    return _noise_sweep(measure, ("sl", "sp"), sigmas, n_realizations, seed,
+                        workers)

@@ -50,11 +50,6 @@ WRAP_MARGIN = 1e-6
 #: recoil energy of the reference lithium setup, angular frequency in rad/ms
 RECOIL_RAD_PER_MS = 2.0 * np.pi * 25.12
 
-# substream salts for the independent noise streams of one protocol assembly
-_SALT_FORWARD = (1, 2)
-_SALT_INVERSE = (3, 4)
-_SALT_DIAGONAL = 5
-
 
 class PhaseWrapError(ValueError):
     """Eigenphases reached the branch cut; the evolution time is too long."""
@@ -143,13 +138,6 @@ class SpectrumResult:
         return float(self.band(0).max() - self.band(0).min())
 
 
-def _compile_for_grid(N: int) -> circuit.CircuitSequence:
-    n = N.bit_length() - 1
-    if 1 << n == N:
-        return circuit.build_radix2_qqft(n)
-    return circuit.build_generic_qqft(N)
-
-
 def _apply_kron(factors, X: np.ndarray) -> np.ndarray:
     """(F_0 (x) ... (x) F_{d-1} (x) I) X without forming the Kronecker product.
 
@@ -176,33 +164,24 @@ def build_protocol_unitary(model: MomentumModel, noise: engine.NoiseModel = None
         raise ValueError(f"unsupported dimension d={model.d}")
     if model.dim > engine.MAX_DIM:
         raise ValueError(f"evolution dimension {model.dim} exceeds {engine.MAX_DIM}")
-    seq = _compile_for_grid(model.grid)
-
-    def compiled(salt, invert):
-        sub = noise.substream(salt) if noise is not None else None
-        return engine.apply_noisy_sequence(seq, sub, invert=invert)
-
-    forward = [compiled(_SALT_FORWARD[k], False) for k in range(model.d)]
-    inverse = functools.reduce(
-        np.kron, [compiled(_SALT_INVERSE[k], True) for k in range(model.d)])
-
-    scale = 1.0
-    if noise_on_diagonal and noise is not None and noise.sigma > 0:
-        scale = 1.0 + noise.substream(_SALT_DIAGONAL).delta(0)
+    forward, inverse = zip(*(engine.fourier_pair(model.grid, noise, k)
+                             for k in range(model.d)))
+    inverse = functools.reduce(np.kron, inverse)
+    scale = engine.diagonal_scale(noise, noise_on_diagonal)
     blocks = engine.diagonal_momentum_blocks(model, scale=scale)
     # U_d V_i: entry ((p, a), (q, b)) is blocks[p, a, b] * inverse[p, q]
     ud_vi = np.einsum("pab,pq->paqb", blocks, inverse)
     return _apply_kron(forward, ud_vi.reshape(model.dim, model.dim))
 
 
-def _cayley_phases(U: np.ndarray, wrap_margin: float, vectors: bool = False):
+def _cayley_phases(U: np.ndarray, vectors: bool = False):
     """Eigenphases theta (ascending) of a unitary U = Z diag(exp(i theta)) Z^dag.
 
     Solves (I + U) K = i (I - U) by one LU factorization; K is Hermitian with
     eigenvalues tan(theta / 2), so `eigvalsh`/`eigh` replace a general
     eigensolver.  Returns (theta, Z) with Z None unless `vectors`.  Raises
     PhaseWrapError when I + U is singular or not finite, or when any
-    |theta| >= pi - wrap_margin; ValueError when U is not unitary.
+    |theta| >= pi - WRAP_MARGIN; ValueError when U is not unitary.
     """
     n = U.shape[0]
     diag = np.diag_indices(n)
@@ -226,22 +205,21 @@ def _cayley_phases(U: np.ndarray, wrap_margin: float, vectors: bool = False):
     else:
         t, Z = scipy.linalg.eigvalsh(K, overwrite_a=True, check_finite=False), None
     theta = 2.0 * np.arctan(t)
-    if np.any(np.abs(theta) >= np.pi - wrap_margin):
+    if np.any(np.abs(theta) >= np.pi - WRAP_MARGIN):
         raise PhaseWrapError(
             "eigenphase at the branch cut; choose a shorter evolution time"
         )
     return theta, Z
 
 
-def extract_spectrum(U: np.ndarray, T: float, l: int,
-                     wrap_margin: float = WRAP_MARGIN) -> SpectrumResult:
+def extract_spectrum(U: np.ndarray, T: float, l: int) -> SpectrumResult:
     """Energies E = -theta/T from the eigenphases theta of a unitary U.
 
-    Raises PhaseWrapError when any eigenphase sits within `wrap_margin` of
+    Raises PhaseWrapError when any eigenphase sits within `WRAP_MARGIN` of
     the branch cut, since energies would then be ambiguous mod 2 pi / T,
     and ValueError when U is not unitary.
     """
-    theta, _ = _cayley_phases(U, wrap_margin)
+    theta, _ = _cayley_phases(U)
     return SpectrumResult(energies=np.sort(-theta / T), n_bands=l, T=T)
 
 

@@ -89,7 +89,7 @@ def test_criterion_4_flat_band_noisy():
     [point] = haldane.noise_sweep_gap_width(
         p, [2.5e-3], n_realizations=100, seed=20240814, grid=16,
         workers=WORKERS)
-    ratios = point.ratios
+    ratios = point.samples["width"] / point.samples["gap"]
     mean = ratios.mean()
     ci_upper = mean + 1.96 * ratios.std(ddof=1) / np.sqrt(len(ratios))
     elapsed = time.perf_counter() - start
@@ -168,8 +168,8 @@ def test_criterion_7_poincare_noise_trend():
     points = poincare.noise_sweep_symmetry(33, 2, sigmas, 100, seed=5,
                                            workers=WORKERS)
     for label, means, errs in (
-        ("S_L", [p.mean_sl for p in points], [p.stderr_sl for p in points]),
-        ("S_P", [p.mean_sp for p in points], [p.stderr_sp for p in points]),
+        ("S_L", [p.mean("sl") for p in points], [p.stderr("sl") for p in points]),
+        ("S_P", [p.mean("sp") for p in points], [p.stderr("sp") for p in points]),
     ):
         inversions = 0
         for i in range(len(sigmas) - 1):
@@ -182,10 +182,10 @@ def test_criterion_7_poincare_noise_trend():
         assert last <= 0.9 * first, (label, first, last)
     report(7, "spacetime-crystal noise trend",
            "monotone within error; growth exponent "
-           f"S_L {_loglog_slope(sigmas, [p.mean_sl for p in points], 1, 2):.2f}"
-           f" -> {_loglog_slope(sigmas, [p.mean_sl for p in points], 4, 5):.2f}, "
-           f"S_P {_loglog_slope(sigmas, [p.mean_sp for p in points], 1, 2):.2f}"
-           f" -> {_loglog_slope(sigmas, [p.mean_sp for p in points], 4, 5):.2f}")
+           f"S_L {_loglog_slope(sigmas, [p.mean('sl') for p in points], 1, 2):.2f}"
+           f" -> {_loglog_slope(sigmas, [p.mean('sl') for p in points], 4, 5):.2f}, "
+           f"S_P {_loglog_slope(sigmas, [p.mean('sp') for p in points], 1, 2):.2f}"
+           f" -> {_loglog_slope(sigmas, [p.mean('sp') for p in points], 4, 5):.2f}")
 
 
 def test_criterion_8_property_suites():
@@ -220,12 +220,12 @@ def test_criterion_8_property_suites():
     a = haldane.noise_sweep_gap_width(p, [2e-3], 6, seed=13, grid=4)
     b = haldane.noise_sweep_gap_width(p, [2e-3], 6, seed=13, grid=4,
                                       workers=3)
-    assert np.array_equal(a[0].gaps, b[0].gaps)
-    assert np.array_equal(a[0].widths, b[0].widths)
+    assert np.array_equal(a[0].samples["gap"], b[0].samples["gap"])
+    assert np.array_equal(a[0].samples["width"], b[0].samples["width"])
     sa = poincare.noise_sweep_symmetry(6, 2, [1e-2], 5, seed=13)
     sb = poincare.noise_sweep_symmetry(6, 2, [1e-2], 5, seed=13, workers=3)
-    assert np.array_equal(sa[0].sl, sb[0].sl)
-    assert np.array_equal(sa[0].sp, sb[0].sp)
+    assert np.array_equal(sa[0].samples["sl"], sb[0].samples["sl"])
+    assert np.array_equal(sa[0].samples["sp"], sb[0].samples["sp"])
 
     report(8, "property suites",
            f"max unitarity defect {worst_defect:.2e}; generator round trips, "

@@ -195,6 +195,18 @@ class TestSequenceToUnitary:
         with pytest.raises(ValueError):
             CircuitSequence(n_sites=2, gates=(GateSpec("swap", 1),), depth=1)
 
+    def test_overlapping_gates_in_one_layer_rejected(self):
+        # mix on (0, 1) and mix on (1, 2) share site 1 in layer 0
+        gates = (GateSpec("mix", 0, theta=0.3), GateSpec("mix", 1, theta=0.5))
+        with pytest.raises(ValueError, match="layer 0.*site 1"):
+            CircuitSequence(n_sites=3, gates=gates, depth=1)
+
+    @pytest.mark.parametrize("field", ["theta", "phi", "lam"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GateSpec("mix", 0, **{field: value})
+
 
 class TestGlobalPhaseAlignment:
     def test_distance_ignores_global_phase(self):
@@ -236,3 +248,20 @@ class TestJson:
         doc["gates"][0]["kind"] = "teleport"
         with pytest.raises(ValueError):
             sequence_from_json(json.dumps(doc))
+
+    def test_overlapping_layer_rejected(self):
+        doc = {"schema": "qqft-seq/1", "n_sites": 3, "gates": [
+            {"kind": "mix", "site": 0, "theta": 0.3, "phi": 0.0, "layer": 0},
+            {"kind": "mix", "site": 1, "theta": 0.5, "phi": 0.0, "layer": 0}]}
+        with pytest.raises(ValueError, match="layer 0.*site 1"):
+            sequence_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key,field", [("theta", "theta"), ("phi", "phi"),
+                                           ("lambda", "lam")])
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_angle_rejected(self, key, field, value):
+        kind = "phase" if key == "lambda" else "mix"
+        text = ('{"schema": "qqft-seq/1", "n_sites": 2, "gates": '
+                f'[{{"kind": "{kind}", "site": 0, "{key}": {value}}}]}}')
+        with pytest.raises(ValueError, match=field):
+            sequence_from_json(text)

@@ -103,8 +103,23 @@ class TestFlatband:
         a, b = tmp_path / "a", tmp_path / "b"
         main(FLAT_ARGS + ["--out", str(a), "--workers", "1"])
         main(FLAT_ARGS + ["--out", str(b), "--workers", "4"])
-        assert (a / "gap_width.csv").read_bytes() == \
-            (b / "gap_width.csv").read_bytes()
+        for name in ("gap_width.csv", "phase_diagram.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--realizations", "--phase-realizations"])
+    def test_zero_realizations_is_usage_error(self, tmp_path, flag):
+        with pytest.raises(SystemExit, match=f"error: {flag}"):
+            main(FLAT_ARGS + ["--out", str(tmp_path), flag, "0"])
+        assert not (tmp_path / "run_manifest.json").exists()
+
+    def test_empty_sigma_list_runs(self, tmp_path):
+        args = ["flatband", "--grid", "4", "--sigma", "", "--phase-grid", "2",
+                "--seed", "7", "--out", str(tmp_path)]
+        assert main(args) == 0
+        _, rows = read_rows(tmp_path / "gap_width.csv")
+        assert rows == []
+        _, cells = read_rows(tmp_path / "phase_diagram.csv")
+        assert len(cells) == 4
 
     def test_noise_on_diagonal_flag(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -146,6 +161,17 @@ class TestPoincare:
         for name in ("symmetry.csv", "greens_im_sigma0p02.csv",
                      "dispersion.json", "run_manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_workers_do_not_change_output(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        main(POIN_ARGS + ["--out", str(a), "--workers", "1"])
+        main(POIN_ARGS + ["--out", str(b), "--workers", "3"])
+        assert (a / "symmetry.csv").read_bytes() == \
+            (b / "symmetry.csv").read_bytes()
+
+    def test_zero_realizations_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit, match="error: --realizations"):
+            main(POIN_ARGS + ["--out", str(tmp_path), "--realizations", "0"])
 
 
 class TestEntryPoint:

@@ -218,8 +218,8 @@ class TestNoiseSweep:
         p = params(-np.pi / 2, 0.0)
         [point] = noise_sweep_gap_width(p, [0.0], n_realizations=2, seed=1,
                                         grid=4)
-        assert point.mean_width < 1e-9
-        assert point.mean_gap == pytest.approx(2 * p.target_norm, abs=1e-9)
+        assert point.mean("width") < 1e-9
+        assert point.mean("gap") == pytest.approx(2 * p.target_norm, abs=1e-9)
 
     def test_trend_and_worker_invariance(self):
         p = params(-np.pi / 2, 0.0)
@@ -228,10 +228,10 @@ class TestNoiseSweep:
         threaded = noise_sweep_gap_width(p, sigmas, 6, seed=42, grid=4,
                                          workers=3)
         for a, b in zip(serial, threaded):
-            assert np.array_equal(a.gaps, b.gaps)
-            assert np.array_equal(a.widths, b.widths)
-        widths = [pt.mean_width for pt in serial]
-        gaps = [pt.mean_gap for pt in serial]
+            assert np.array_equal(a.samples["gap"], b.samples["gap"])
+            assert np.array_equal(a.samples["width"], b.samples["width"])
+        widths = [pt.mean("width") for pt in serial]
+        gaps = [pt.mean("gap") for pt in serial]
         assert widths[0] < widths[1] < widths[2]
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -239,7 +239,12 @@ class TestNoiseSweep:
         p = params(-np.pi / 2, 0.0)
         [point] = noise_sweep_gap_width(p, [5e-3], n_realizations=3, seed=9,
                                         grid=4)
-        assert len(set(point.widths.tolist())) == 3
+        assert len(set(point.samples["width"].tolist())) == 3
+
+    def test_zero_realizations_rejected(self):
+        with pytest.raises(ValueError):
+            noise_sweep_gap_width(params(-np.pi / 2, 0.0), [1e-3],
+                                  n_realizations=0, seed=1, grid=4)
 
 
 class TestPhaseDiagram:
@@ -255,3 +260,8 @@ class TestPhaseDiagram:
     def test_boundary_cell_has_no_chern(self):
         cells = phase_diagram([np.pi / 2], [3.0], sigma=0.0, seed=1, grid=4)
         assert cells[0][3] is None
+
+    def test_zero_realizations_rejected(self):
+        with pytest.raises(ValueError):
+            phase_diagram([-np.pi / 2], [0.0], sigma=1e-3, seed=1, grid=4,
+                          realizations=0)

@@ -214,8 +214,8 @@ class TestSymmetryMetrics:
 class TestNoiseSweep:
     def test_monotone_trend_small_case(self):
         points = noise_sweep_symmetry(6, 2, [0.0, 5e-3, 5e-2], 8, seed=3)
-        sls = [p.mean_sl for p in points]
-        sps = [p.mean_sp for p in points]
+        sls = [p.mean("sl") for p in points]
+        sps = [p.mean("sp") for p in points]
         assert sls[0] < 1e-10 and sps[0] == 0.0
         assert sls[0] < sls[1] < sls[2]
         assert sps[0] < sps[1] < sps[2]
@@ -223,5 +223,11 @@ class TestNoiseSweep:
     def test_worker_invariance(self):
         serial = noise_sweep_symmetry(6, 2, [1e-2], 6, seed=11)
         threaded = noise_sweep_symmetry(6, 2, [1e-2], 6, seed=11, workers=3)
-        assert np.array_equal(serial[0].sl, threaded[0].sl)
-        assert np.array_equal(serial[0].sp, threaded[0].sp)
+        assert np.array_equal(serial[0].samples["sl"],
+                              threaded[0].samples["sl"])
+        assert np.array_equal(serial[0].samples["sp"],
+                              threaded[0].samples["sp"])
+
+    def test_zero_realizations_rejected(self):
+        with pytest.raises(ValueError):
+            noise_sweep_symmetry(6, 2, [1e-2], 0, seed=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qqft import haldane, protocol
+from qqft import circuit, engine, haldane, protocol
 from qqft.engine import (
     MAX_DIM,
     NoiseModel,
@@ -118,7 +118,7 @@ def random_hermitian_model(d, l, grid, seed=0):
 
 def dense_kron_reference(model, noise, noise_on_diagonal):
     """V_f U_d V_i from dense Kronecker products of the same noisy factors."""
-    seq = protocol._compile_for_grid(model.grid)
+    seq = circuit.compile_for_size(model.grid)
 
     def factors(salts, invert):
         mats = [apply_noisy_sequence(seq, noise.substream(salts[k]), invert=invert)
@@ -127,10 +127,10 @@ def dense_kron_reference(model, noise, noise_on_diagonal):
 
     scale = 1.0
     if noise_on_diagonal and noise.sigma > 0:
-        scale = 1.0 + noise.substream(protocol._SALT_DIAGONAL).delta(0)
+        scale = 1.0 + noise.substream(engine._SALT_DIAGONAL).delta(0)
     U_d = diagonal_momentum_evolution(model, scale=scale)
-    return (factors(protocol._SALT_FORWARD, False) @ U_d
-            @ factors(protocol._SALT_INVERSE, True))
+    return (factors(engine._SALT_FORWARD, False) @ U_d
+            @ factors(engine._SALT_INVERSE, True))
 
 
 class TestKroneckerAssembly:
