@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,6 +127,14 @@ class CircuitSequence:
             raise ValueError(
                 f"depth {self.depth} inconsistent with {n_layers} layers"
             )
+        # hashed once: the per-sequence caches look a sequence up on every
+        # composition, and hashing all its gates again each time costs about
+        # 0.4 ms at N = 33
+        object.__setattr__(self, "_hash",
+                           hash((self.n_sites, self.gates, self.depth)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def depth_formula(n: int) -> int:
@@ -310,25 +319,83 @@ def compile_for_size(N: int) -> CircuitSequence:
     return build_generic_qqft(N)
 
 
-def sequence_to_unitary(seq: CircuitSequence) -> np.ndarray:
-    """Dense product of all gates in application order (first gate first)."""
-    U = np.eye(seq.n_sites, dtype=complex)
-    for g in seq.gates:
-        apply_gate(U, g)
+class _WavePlan(NamedTuple):
+    """The gates of one sequence direction grouped into waves.
+
+    `phase` and `pair` index `seq.gates`: the single-site and the two-site
+    gates, wave by wave and in application order within a wave.  Wave w
+    covers `phase[ph]` on rows `sites` and `pair[pr]` on row pairs `rows`
+    (shape (k, 2)), for `(ph, sites, pr, rows) = waves[w]`.  `factors` and
+    `blocks` are those gates' exact phases and 2 x 2 blocks in the same
+    order, adjoint for the inverse direction.
+    """
+
+    phase: np.ndarray
+    pair: np.ndarray
+    waves: tuple
+    factors: np.ndarray
+    blocks: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _wave_plan(seq: CircuitSequence, invert: bool) -> _WavePlan:
+    """Wave schedule of `seq`, or of its inverse (reversed gate order).
+
+    A gate joins wave 1 + (the latest wave of an earlier gate on any of its
+    sites).  Gates in one wave therefore act on disjoint sites, and every
+    gate follows each earlier gate it shares a site with, so composing wave
+    by wave only reorders row updates on disjoint data: the product is the
+    per-gate one bit for bit.  Layer tags are untouched.
+    """
+    order = range(len(seq.gates))
+    last = [-1] * seq.n_sites
+    waves = []
+    for i in (reversed(order) if invert else order):
+        g = seq.gates[i]
+        sites = range(g.site, g.site + g.span())
+        w = 1 + max(last[s] for s in sites)
+        for s in sites:
+            last[s] = w
+        if w == len(waves):
+            waves.append(([], []))
+        waves[w][g.kind != PHASE].append(i)
+    phase = np.array([i for ph, _ in waves for i in ph], dtype=int)
+    pair = np.array([i for _, pr in waves for i in pr], dtype=int)
+    site = np.array([g.site for g in seq.gates], dtype=int)
+    spans, n_ph, n_pr = [], 0, 0
+    for ph, pr in waves:
+        spans.append((slice(n_ph, n_ph + len(ph)), site[ph],
+                      slice(n_pr, n_pr + len(pr)),
+                      site[pr][:, None] + np.arange(2)))
+        n_ph += len(ph)
+        n_pr += len(pr)
+    factors = np.array([gate_matrix(seq.gates[i])[0, 0] for i in phase],
+                       dtype=complex)
+    blocks = np.array([gate_matrix(seq.gates[i]) for i in pair],
+                      dtype=complex).reshape(-1, 2, 2)
+    if invert:
+        factors = factors.conj()
+        blocks = np.ascontiguousarray(blocks.conj().swapaxes(1, 2))
+    return _WavePlan(phase, pair, tuple(spans), factors, blocks)
+
+
+def _apply_waves(n_sites: int, plan: _WavePlan, factors: np.ndarray,
+                 blocks: np.ndarray) -> np.ndarray:
+    """Product of the gates of `plan`, first wave first, with `factors` and
+    `blocks` (in plan order) standing in for the phase and two-site gates."""
+    U = np.eye(n_sites, dtype=complex)
+    for ph, sites, pr, rows in plan.waves:
+        if len(sites):
+            U[sites] *= factors[ph, None]
+        if len(rows):
+            U[rows] = blocks[pr] @ U[rows]
     return U
 
 
-def apply_gate(U: np.ndarray, gate: GateSpec, block: np.ndarray = None):
-    """Left-multiply `U` in place by the gate (or an override `block`)."""
-    if gate.site + gate.span() > U.shape[0]:
-        raise ValueError(f"gate {gate} exceeds dimension {U.shape[0]}")
-    if block is None:
-        block = gate_matrix(gate)
-    j = gate.site
-    if gate.kind == PHASE:
-        U[j, :] *= block[0, 0]
-    else:
-        U[j: j + 2, :] = block @ U[j: j + 2, :]
+def sequence_to_unitary(seq: CircuitSequence) -> np.ndarray:
+    """Dense product of all gates in application order (first gate first)."""
+    plan = _wave_plan(seq, False)
+    return _apply_waves(seq.n_sites, plan, plan.factors, plan.blocks)
 
 
 def align_global_phase(U: np.ndarray, target: np.ndarray) -> np.ndarray:

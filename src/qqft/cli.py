@@ -210,7 +210,7 @@ def cmd_poincare(args) -> int:
 
     points = poincare.noise_sweep_symmetry(
         args.N, args.gamma, sigmas, args.realizations, args.seed,
-        workers=args.workers,
+        workers=args.workers, noise_on_diagonal=args.noise_on_diagonal,
     )
     rows = [(p.sigma, p.mean("sl"), p.stderr("sl"), p.mean("sp"),
              p.stderr("sp")) for p in points]

@@ -25,7 +25,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .circuit import PHASE, CircuitSequence, compile_for_size, gate_matrix
+from . import circuit
+from .circuit import CircuitSequence, compile_for_size, gate_matrix
 
 MAX_DIM = 4096
 
@@ -37,7 +38,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):
+    # on Python integers, or on uint64 arrays, whose arithmetic wraps
+    # mod 2**64 as the masks do
     x = (x + _GOLDEN) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -71,14 +74,30 @@ class NoiseModel:
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
 
-    def delta(self, step: int) -> float:
-        """Gaussian draw for Hamiltonian step `step` (Box-Muller transform)."""
+    def delta(self, step):
+        """Gaussian draw for Hamiltonian step `step` (Box-Muller transform).
+
+        An integer ndarray of steps gives the array of their draws, each
+        the same as drawing its step alone.
+        """
+        steps = np.asarray(step)
+        if steps.dtype.kind not in "iu":
+            raise TypeError(f"steps must be integers, got {steps.dtype}")
         if self.sigma == 0.0:
-            return 0.0
-        x = _mix64(self.seed, self.stream_id, step)
-        u1 = ((x >> 11) + 1) / (1 << 53)       # in (0, 1]
-        u2 = (_splitmix64(x) >> 11) / (1 << 53)
-        return self.sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+            draws = np.zeros(steps.shape)
+        else:
+            # = _mix64(seed, stream_id, step), one uint64 lane per step
+            x = _splitmix64(np.uint64(_mix64(self.seed, self.stream_id))
+                            ^ steps.astype(np.uint64).reshape(-1))
+            u1 = ((x >> 11) + 1) / (1 << 53)       # in (0, 1]
+            u2 = (_splitmix64(x) >> 11) / (1 << 53)
+            # the last step element by element in `math`: numpy's log
+            # differs from it in the last bit for some arguments
+            draws = np.array([
+                self.sigma * math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b)
+                for a, b in zip(u1.tolist(), u2.tolist())
+            ]).reshape(steps.shape)
+        return draws if isinstance(step, np.ndarray) else float(draws)
 
     def substream(self, salt: int) -> "NoiseModel":
         return NoiseModel(self.sigma, self.seed, _mix64(self.stream_id, salt))
@@ -121,20 +140,21 @@ def gate_to_generator(gate) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _sequence_spectral(seq: CircuitSequence):
-    """Per-gate spectral data: (layer, site, kind, block, E, Z)."""
-    out = []
-    for g in seq.gates:
-        block = gate_matrix(g)
-        if g.kind == PHASE:
+def _gate_spectra(seq: CircuitSequence):
+    """(layers, E, Z) of the gates in `seq.gates` order: layer tags, the
+    eigenphases (n, 2) and eigenbases (n, 2, 2) of each gate.  A phase
+    gate's eigenphase is E[:, 0]; its other entries are unused."""
+    E = np.zeros((len(seq.gates), 2))
+    Z = np.zeros((len(seq.gates), 2, 2), dtype=complex)
+    for i, g in enumerate(seq.gates):
+        if g.kind == circuit.PHASE:
             w = -g.lam
-            w -= 2 * np.pi * np.round(w / (2 * np.pi))
-            E = _fold_phases(np.array([w]))
-            out.append((g.layer, g.site, g.kind, block, E, None))
+            E[i, 0] = w - 2 * np.pi * np.round(w / (2 * np.pi))
         else:
-            E, Z = unitary_eig(block)
-            out.append((g.layer, g.site, g.kind, block, E, Z))
-    return tuple(out)
+            E[i], Z[i] = unitary_eig(gate_matrix(g))
+    layers = np.array([g.layer for g in seq.gates], dtype=int)
+    # folds the phase gates; the two-site eigenphases are folded already
+    return layers, _fold_phases(E), Z
 
 
 def apply_noisy_sequence(seq: CircuitSequence, noise: NoiseModel = None,
@@ -143,35 +163,26 @@ def apply_noisy_sequence(seq: CircuitSequence, noise: NoiseModel = None,
 
     One delta per Hamiltonian step: all gates sharing a layer tag are scaled
     by the same draw, since they constitute a single strictly-local step.
-    With sigma = 0 (or `noise` None) the result is bit-identical to
-    `sequence_to_unitary`.  `invert=True` composes the inverse sequence
-    (reversed order, adjoint gates, each with its own principal-branch
-    generator and its own draws).
+    A draw of exactly 0 leaves the gate exact, so with sigma = 0 (or `noise`
+    None) the result is bit-identical to `sequence_to_unitary`.
+    `invert=True` composes the inverse sequence (reversed order, adjoint
+    gates, each with its own principal-branch generator and its own draws).
     """
-    N = seq.n_sites
-    U = np.eye(N, dtype=complex)
-    sigma = 0.0 if noise is None else noise.sigma
-    spectral = _sequence_spectral(seq)
-    if invert:
-        spectral = tuple(reversed(spectral))
-    for layer, site, kind, block, E, Z in spectral:
-        step = seq.depth - 1 - layer if invert else layer
-        delta = noise.delta(step) if sigma != 0.0 else 0.0
-        if kind == PHASE:
-            if delta == 0.0:
-                factor = np.conj(block[0, 0]) if invert else block[0, 0]
-            else:
-                w = _fold_phases(-E) if invert else E
-                factor = np.exp(-1j * (1.0 + delta) * w[0])
-            U[site, :] *= factor
-            continue
-        if delta == 0.0:
-            blk = block.conj().T if invert else block
-        else:
-            w = _fold_phases(-E) if invert else E
-            blk = (Z * np.exp(-1j * (1.0 + delta) * w)) @ Z.conj().T
-        U[site: site + 2, :] = blk @ U[site: site + 2, :]
-    return U
+    plan = circuit._wave_plan(seq, invert)
+    factors, blocks = plan.factors, plan.blocks
+    if noise is not None and noise.sigma != 0.0:
+        layers, E, Z = _gate_spectra(seq)
+        if invert:
+            layers, E = seq.depth - 1 - layers, _fold_phases(-E)
+        draws = noise.delta(np.arange(seq.depth))[layers]
+        d = draws[plan.phase]
+        factors = np.where(d == 0.0, factors,
+                           np.exp(-1j * (1.0 + d) * E[plan.phase, 0]))
+        d, Z = draws[plan.pair], Z[plan.pair]
+        phases = np.exp(-1j * (1.0 + d)[:, None] * E[plan.pair])
+        noisy = (Z * phases[:, None, :]) @ Z.conj().swapaxes(1, 2)
+        blocks = np.where((d == 0.0)[:, None, None], blocks, noisy)
+    return circuit._apply_waves(seq.n_sites, plan, factors, blocks)
 
 
 def fourier_pair(N: int, noise: NoiseModel, axis: int) -> tuple:

@@ -200,21 +200,18 @@ def greens_function(disp: Dispersion, noise: NoiseModel = None,
 
     scale = engine.diagonal_scale(noise, noise_on_diagonal)
 
-    G = np.zeros((N, N), dtype=complex)
-    P = np.zeros((N, N, N))
-    for m in range(N):
-        if m == 0:
-            U = np.eye(N, dtype=complex)
-        else:
-            if scale == 1.0:
-                phases = np.exp(-2j * np.pi * ((j * m) % N) / N)
-            else:
-                phases = np.exp(-2j * np.pi * scale * j * m / N)
-            U = V_i @ (phases[:, None] * V_f)
-        G[:, m] = -1j * U[:, 0]
-        prob = np.abs(U) ** 2
-        for n1 in range(N):
-            P[n1, m, :] = np.roll(prob[:, n1], -n1)
+    m = np.arange(N)[:, None]
+    if scale == 1.0:
+        phases = np.exp(-2j * np.pi * ((j * m) % N) / N)
+    else:
+        phases = np.exp(-2j * np.pi * scale * j * m / N)
+    U = V_i @ (phases[:, :, None] * V_f)      # U[m] = U(m tau)
+    U[0] = np.eye(N)
+    G = -1j * U[:, :, 0].T
+    # P[n1, m, n] = |U(m tau)[(n1 + n) mod N, n1]|^2
+    prob = np.abs(U) ** 2
+    n1 = np.arange(N)[:, None, None]
+    P = prob[m[None], (n1 + np.arange(N)) % N, n1]
     return GreensResult(matrix=G, p_tensor=P)
 
 
@@ -245,15 +242,18 @@ def s_total(P_noisy: np.ndarray, P_clean: np.ndarray) -> float:
 
 def noise_sweep_symmetry(N: int, gamma: int, sigmas: Sequence[float],
                          n_realizations: int, seed: int,
-                         workers: int = 1) -> list:
+                         workers: int = 1,
+                         noise_on_diagonal: bool = False) -> list:
     """S_L and S_P versus noise strength: one `engine.SweepPoint` per sigma
-    with samples "sl" and "sp", independent of the worker count."""
+    with samples "sl" and "sp", independent of the worker count.
+    `noise_on_diagonal` is passed to every noisy `greens_function`."""
     disp = build_dispersion(N, gamma)
     lattice = equivalence_classes(N, gamma)
     P_clean = greens_function(disp).p_tensor
 
     def measure(noise):
-        P = greens_function(disp, noise).p_tensor
+        P = greens_function(disp, noise,
+                            noise_on_diagonal=noise_on_diagonal).p_tensor
         return s_lorentz(P, lattice), s_total(P, P_clean)
 
     return _noise_sweep(measure, ("sl", "sp"), sigmas, n_realizations, seed,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qqft import circuit
 from qqft.circuit import (
@@ -46,9 +47,14 @@ def rotation_perm_oracle(p, n):
 
 
 def compose(gates, N):
+    """Per-gate product, first gate first: the reference for the wave kernel."""
     U = np.eye(N, dtype=complex)
     for g in gates:
-        circuit.apply_gate(U, g)
+        block, j = circuit.gate_matrix(g), g.site
+        if g.kind == circuit.PHASE:
+            U[j, :] *= block[0, 0]
+        else:
+            U[j: j + 2, :] = block @ U[j: j + 2, :]
     return U
 
 
@@ -206,6 +212,61 @@ class TestSequenceToUnitary:
     def test_non_finite_angle_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             GateSpec("mix", 0, **{field: value})
+
+
+ROUTES = st.one_of(st.builds(build_generic_qqft, st.integers(2, 40)),
+                   st.builds(build_radix2_qqft, st.integers(1, 5)))
+
+
+class TestWavePlan:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seq=ROUTES, invert=st.booleans())
+    def test_invariants(self, seq, invert):
+        plan = circuit._wave_plan(seq, invert)
+        wave_of = {}
+        for w, (ph, sites, pr, rows) in enumerate(plan.waves):
+            members = list(plan.phase[ph]) + list(plan.pair[pr])
+            assert members
+            touched = [s for i in members for s in
+                       range(seq.gates[i].site,
+                             seq.gates[i].site + seq.gates[i].span())]
+            assert len(touched) == len(set(touched))       # disjoint sites
+            assert list(sites) == [seq.gates[i].site for i in plan.phase[ph]]
+            assert rows.tolist() == [[seq.gates[i].site, seq.gates[i].site + 1]
+                                     for i in plan.pair[pr]]
+            for i in members:
+                assert i not in wave_of
+                wave_of[i] = w
+        assert sorted(wave_of) == list(range(len(seq.gates)))
+        order = sorted(wave_of, reverse=invert)
+        last = {}
+        for i in order:                 # each gate after every earlier gate
+            g = seq.gates[i]            # that shares one of its sites
+            for s in range(g.site, g.site + g.span()):
+                if s in last:
+                    assert wave_of[last[s]] < wave_of[i]
+                last[s] = i
+
+    @pytest.mark.parametrize("seq,gates,waves", [
+        (build_generic_qqft(33), 1040, 95),
+        (build_radix2_qqft(4), 188, 39),
+    ])
+    def test_wave_counts(self, seq, gates, waves):
+        assert len(seq.gates) == gates
+        assert len(circuit._wave_plan(seq, False).waves) == waves
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seq=ROUTES)
+    def test_kernel_matches_per_gate_product(self, seq):
+        U = sequence_to_unitary(seq)
+        assert U.tobytes() == compose(seq.gates, seq.n_sites).tobytes()
+
+    def test_equal_sequences_share_hash_and_cache_entry(self):
+        seq = build_generic_qqft(7)
+        again = sequence_from_json(sequence_to_json(seq))
+        assert again == seq and again is not seq
+        assert hash(again) == hash(seq)
+        assert circuit._wave_plan(again, True) is circuit._wave_plan(seq, True)
 
 
 class TestGlobalPhaseAlignment:

@@ -169,6 +169,15 @@ class TestPoincare:
         assert (a / "symmetry.csv").read_bytes() == \
             (b / "symmetry.csv").read_bytes()
 
+    def test_noise_on_diagonal_reaches_symmetry(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        main(POIN_ARGS + ["--out", str(a)])
+        main(POIN_ARGS + ["--out", str(b), "--noise-on-diagonal"])
+        ra = read_rows(a / "symmetry.csv")[1]
+        rb = read_rows(b / "symmetry.csv")[1]
+        assert ra[0] == rb[0]          # sigma = 0 row unaffected
+        assert ra[1] != rb[1] and ra[2] != rb[2]
+
     def test_zero_realizations_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit, match="error: --realizations"):
             main(POIN_ARGS + ["--out", str(tmp_path), "--realizations", "0"])

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qqft import circuit, engine
 from qqft.circuit import GateSpec, gate_matrix, sequence_to_unitary
@@ -11,8 +14,53 @@ from qqft.engine import (
     diagonal_momentum_blocks,
     hermitian_log_unitary,
     unitarity_defect,
+    unitary_eig,
 )
 from qqft.protocol import MomentumModel
+
+
+WORDS = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def scalar_draw_reference(noise, step):
+    """Box-Muller draw of one step on Python integers: the reference for
+    the uint64 lanes of NoiseModel.delta."""
+    if noise.sigma == 0.0:
+        return 0.0
+    x = engine._mix64(noise.seed, noise.stream_id, step)
+    u1 = ((x >> 11) + 1) / (1 << 53)
+    u2 = (engine._splitmix64(x) >> 11) / (1 << 53)
+    return noise.sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def per_gate_reference(seq, noise=None, invert=False):
+    """prod_s exp(-i (1 + delta_s) H[s]) one gate at a time, each with its
+    own scalar draw: the reference for the wave kernel."""
+    U = np.eye(seq.n_sites, dtype=complex)
+    sigma = 0.0 if noise is None else noise.sigma
+    for g in (reversed(seq.gates) if invert else seq.gates):
+        block, j = gate_matrix(g), g.site
+        step = seq.depth - 1 - g.layer if invert else g.layer
+        delta = scalar_draw_reference(noise, step) if sigma != 0.0 else 0.0
+        if g.kind == circuit.PHASE:
+            if delta == 0.0:
+                factor = np.conj(block[0, 0]) if invert else block[0, 0]
+            else:
+                w = -g.lam
+                w -= 2 * np.pi * np.round(w / (2 * np.pi))
+                E = engine._fold_phases(np.array([w]))
+                w = engine._fold_phases(-E) if invert else E
+                factor = np.exp(-1j * (1.0 + delta) * w[0])
+            U[j, :] *= factor
+            continue
+        if delta == 0.0:
+            blk = block.conj().T if invert else block
+        else:
+            E, Z = unitary_eig(block)
+            w = engine._fold_phases(-E) if invert else E
+            blk = (Z * np.exp(-1j * (1.0 + delta) * w)) @ Z.conj().T
+        U[j: j + 2, :] = blk @ U[j: j + 2, :]
+    return U
 
 
 def dft2_oracle():
@@ -47,9 +95,30 @@ class TestNoiseModel:
 
     def test_moments(self):
         noise = NoiseModel(1.0, seed=2024)
-        draws = np.array([noise.delta(s) for s in range(20000)])
+        draws = noise.delta(np.arange(20000))
         assert abs(draws.mean()) < 0.02
         assert abs(draws.std() - 1.0) < 0.02
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=WORDS, stream=WORDS,
+           sigma=st.sampled_from([0.0, 5e-324, 1e-3, 5e-2, 1.0, 7.25]),
+           steps=st.lists(st.integers(min_value=0, max_value=2**63 - 1),
+                          max_size=40))
+    def test_array_of_steps_matches_scalar_draws(self, seed, stream, sigma,
+                                                  steps):
+        noise = NoiseModel(sigma, seed=seed, stream_id=stream)
+        draws = noise.delta(np.array(steps, dtype=np.int64))
+        expected = [scalar_draw_reference(noise, s) for s in steps]
+        assert draws.shape == (len(steps),)
+        assert draws.tobytes() == np.array(expected, dtype=float).tobytes()
+        singles = [noise.delta(s) for s in steps]
+        assert all(type(d) is float for d in singles)
+        assert np.array(singles, dtype=float).tobytes() == draws.tobytes()
+
+    @pytest.mark.parametrize("step", [1.5, np.array([0.0, 1.0])])
+    def test_rejects_non_integer_steps(self, step):
+        with pytest.raises(TypeError, match="integers"):
+            NoiseModel(0.1, seed=1).delta(step)
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
@@ -122,6 +191,29 @@ class TestApplyNoisySequence:
         for r in range(3):
             U = apply_noisy_sequence(seq, NoiseModel(sigma, seed=11, stream_id=r))
             assert unitarity_defect(U) < 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seq=st.one_of(
+               st.builds(circuit.build_generic_qqft, st.integers(2, 40)),
+               st.builds(circuit.build_radix2_qqft, st.integers(1, 5))),
+           # 5e-324 underflows most draws to exactly 0, which keeps a gate exact
+           sigma=st.sampled_from([0.0, 5e-324, 1e-3, 2e-2, 0.3]),
+           seed=WORDS, stream=WORDS, invert=st.booleans())
+    def test_wave_kernel_matches_per_gate_reference(self, seq, sigma, seed,
+                                                    stream, invert):
+        noise = NoiseModel(sigma, seed=seed, stream_id=stream)
+        U = apply_noisy_sequence(seq, noise, invert=invert)
+        assert U.tobytes() == per_gate_reference(seq, noise, invert).tobytes()
+
+    def test_one_draw_call_per_sequence(self, monkeypatch):
+        calls = []
+        delta = NoiseModel.delta
+        monkeypatch.setattr(NoiseModel, "delta",
+                            lambda self, step: calls.append(step) or delta(self, step))
+        seq = circuit.build_radix2_qqft(4)
+        apply_noisy_sequence(seq, NoiseModel(1e-2, seed=1), invert=True)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.arange(seq.depth))
 
     def test_bit_identical_repeats(self):
         seq = circuit.build_radix2_qqft(2)

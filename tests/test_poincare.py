@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qqft import engine
 from qqft.engine import NoiseModel
 from qqft.poincare import (
     Dispersion,
@@ -14,6 +16,31 @@ from qqft.poincare import (
     s_lorentz,
     s_total,
 )
+
+
+def greens_reference(disp, noise=None, noise_on_diagonal=False):
+    """G and P one stroboscopic time m at a time, P by np.roll: the
+    reference for the batched greens_function."""
+    N = disp.n_sites
+    j = np.array(disp.j_table)
+    V_f, V_i = engine.fourier_pair(N, noise, 0)
+    scale = engine.diagonal_scale(noise, noise_on_diagonal)
+    G = np.zeros((N, N), dtype=complex)
+    P = np.zeros((N, N, N))
+    for m in range(N):
+        if m == 0:
+            U = np.eye(N, dtype=complex)
+        else:
+            if scale == 1.0:
+                phases = np.exp(-2j * np.pi * ((j * m) % N) / N)
+            else:
+                phases = np.exp(-2j * np.pi * scale * j * m / N)
+            U = V_i @ (phases[:, None] * V_f)
+        G[:, m] = -1j * U[:, 0]
+        prob = np.abs(U) ** 2
+        for n1 in range(N):
+            P[n1, m, :] = np.roll(prob[:, n1], -n1)
+    return G, P
 
 
 def brute_force_orbits(N, gamma):
@@ -178,6 +205,20 @@ class TestGreensFunction:
             vals = np.array([G[n, m] for m, n in orbit])
             assert np.abs(vals - vals[0]).max() < 1e-10
 
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from([(33, 2), (16, 3), (6, 3)]),
+           sigma=st.sampled_from([0.0, 1e-3, 5e-2]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           on_diagonal=st.booleans())
+    def test_batched_matches_m_loop_reference(self, case, sigma, seed,
+                                              on_diagonal):
+        disp = build_dispersion(*case)
+        noise = NoiseModel(sigma, seed=seed) if sigma > 0 else None
+        result = greens_function(disp, noise, noise_on_diagonal=on_diagonal)
+        G, P = greens_reference(disp, noise, on_diagonal)
+        assert result.matrix.tobytes() == G.tobytes()
+        assert result.p_tensor.tobytes() == P.tobytes()
+
     def test_unknown_route(self, disp):
         with pytest.raises(ValueError):
             greens_function(disp, route="telepathy")
@@ -231,3 +272,12 @@ class TestNoiseSweep:
     def test_zero_realizations_rejected(self):
         with pytest.raises(ValueError):
             noise_sweep_symmetry(6, 2, [1e-2], 0, seed=1)
+
+    def test_noise_on_diagonal_reaches_samples(self):
+        plain, diag = (noise_sweep_symmetry(6, 2, [0.0, 1e-2], 3, seed=5,
+                                            noise_on_diagonal=flag)
+                       for flag in (False, True))
+        for name in ("sl", "sp"):
+            assert np.array_equal(plain[0].samples[name], diag[0].samples[name])
+            assert not np.array_equal(plain[1].samples[name],
+                                      diag[1].samples[name])
