@@ -19,7 +19,6 @@ from .circuit import (
 from .engine import (
     NoiseModel,
     apply_noisy_sequence,
-    diagonal_momentum_evolution,
     gate_to_generator,
 )
 from .protocol import (
@@ -43,7 +42,6 @@ __all__ = [
     "build_radix2_qqft",
     "depth_formula",
     "dft_matrix",
-    "diagonal_momentum_evolution",
     "estimate_runtime",
     "extract_spectrum",
     "gate_to_generator",

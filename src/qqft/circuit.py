@@ -113,20 +113,14 @@ class CircuitSequence:
         occupied = set()
         for g in self.gates:
             if not 0 <= g.site <= self.n_sites - g.span():
-                raise ValueError(
-                    f"gate {g} does not fit on {self.n_sites} sites"
-                )
+                raise ValueError(f"gate {g} does not fit on {self.n_sites} sites")
             for site in range(g.site, g.site + g.span()):
                 if (g.layer, site) in occupied:
-                    raise ValueError(
-                        f"layer {g.layer}: two gates act on site {site}"
-                    )
+                    raise ValueError(f"layer {g.layer}: two gates act on site {site}")
                 occupied.add((g.layer, site))
         n_layers = 1 + max((g.layer for g in self.gates), default=-1)
         if self.depth != n_layers:
-            raise ValueError(
-                f"depth {self.depth} inconsistent with {n_layers} layers"
-            )
+            raise ValueError(f"depth {self.depth} inconsistent with {n_layers} layers")
         # hashed once: the per-sequence caches look a sequence up on every
         # composition, and hashing all its gates again each time costs about
         # 0.4 ms at N = 33
@@ -166,15 +160,10 @@ def _swap_layers(p: int, n: int) -> list:
     """
     if not 0 <= p <= n - 1:
         raise ValueError(f"p must lie in [0, {n - 1}]")
-    layers = []
     block = 1 << (p + 1)
-    for u in range(1, 1 << p):
-        sites = []
-        for g in range(1 << (n - p - 1)):
-            base = g * block
-            sites.extend(range(base + u, base + block - 1 - u, 2))
-        layers.append(sites)
-    return layers
+    return [[s for base in range(0, 1 << n, block)
+             for s in range(base + u, base + block - 1 - u, 2)]
+            for u in range(1, 1 << p)]
 
 
 def reorder_permutation(p: int, n: int) -> list:
@@ -194,10 +183,8 @@ def reorder_permutation(p: int, n: int) -> list:
 def _mix_phase_exponent(r: int, q: int, n: int) -> int:
     # relative-phase exponent of the stage-q mixing block on pair r, built
     # from bits 0..q-1 of r: sum_t 2**(n-2-q+t) * bit_{t-1}(r)
-    ph = 0
-    for t in range(1, q + 1):
-        ph += (1 << (n - 2 - q + t)) * ((r >> (t - 1)) & 1)
-    return ph
+    return sum((1 << (n - 2 - q + t)) * ((r >> (t - 1)) & 1)
+               for t in range(1, q + 1))
 
 
 @lru_cache(maxsize=None)
@@ -256,12 +243,11 @@ def _two_site_factor(W: np.ndarray, tol: float = 1e-12) -> list:
         top = np.angle(W[0, 0])
         bot = np.angle(W[1, 0])
         parts = [(MIX, theta, float(np.angle(W[0, 1]) - top))]
-    out = list(parts)
     if abs(top) > tol:
-        out.append((PHASE, 0, float(top)))
+        parts.append((PHASE, 0, float(top)))
     if abs(bot) > tol:
-        out.append((PHASE, 1, float(bot)))
-    return out
+        parts.append((PHASE, 1, float(bot)))
+    return parts
 
 
 @lru_cache(maxsize=None)
@@ -299,13 +285,10 @@ def build_generic_qqft(N: int) -> CircuitSequence:
             gates.append(GateSpec(PHASE, j, lam=lam, layer=layer))
             layer += 1
     for j, G in reversed(rotations):
-        for part in _two_site_factor(G.conj().T):
-            if part[0] == MIX:
-                gates.append(GateSpec(MIX, j, theta=part[1], phi=part[2],
-                                      layer=layer))
-            else:
-                gates.append(GateSpec(PHASE, j + part[1], lam=part[2],
-                                      layer=layer))
+        for kind, x, y in _two_site_factor(G.conj().T):
+            gates.append(GateSpec(MIX, j, theta=x, phi=y, layer=layer)
+                         if kind == MIX else
+                         GateSpec(PHASE, j + x, lam=y, layer=layer))
             layer += 1
     return CircuitSequence(n_sites=N, gates=tuple(gates), depth=layer)
 
@@ -398,21 +381,15 @@ def sequence_to_unitary(seq: CircuitSequence) -> np.ndarray:
     return _apply_waves(seq.n_sites, plan, plan.factors, plan.blocks)
 
 
-def align_global_phase(U: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Rephase `U` so its largest-magnitude target entry matches `target`."""
+def dft_distance(U: np.ndarray, N: int = None) -> float:
+    """Max entrywise distance of `U` from the DFT after rephasing `U` so
+    that it matches the DFT at the DFT's largest-magnitude entry."""
+    target = dft_matrix(U.shape[0] if N is None else N)
     idx = np.unravel_index(np.argmax(np.abs(target)), target.shape)
     ref = U[idx]
-    if abs(ref) < 1e-30:
-        return U
-    return U * (target[idx] / ref) * (abs(ref) / abs(target[idx]))
-
-
-def dft_distance(U: np.ndarray, N: int = None) -> float:
-    """Max entrywise distance of `U` from the DFT after phase alignment."""
-    if N is None:
-        N = U.shape[0]
-    target = dft_matrix(N)
-    return float(np.abs(align_global_phase(U, target) - target).max())
+    if abs(ref) >= 1e-30:
+        U = U * (target[idx] / ref) * (abs(ref) / abs(target[idx]))
+    return float(np.abs(U - target).max())
 
 
 # ---------------------------------------------------------------------------

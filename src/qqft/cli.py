@@ -55,7 +55,6 @@ def _write_manifest(outdir: Path, command: str, config: dict, outputs):
     }
     path = outdir / "run_manifest.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return digest
 
 
 def _sigma_list(text: str):
@@ -277,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out", default="qqft-out")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel realizations; never changes results")
+                       help="parallel worker processes; never changes results")
         p.add_argument("--noise-on-diagonal", action="store_true",
                        help="also apply one noise draw to the diagonal step")
     return parser

@@ -17,8 +17,13 @@ and 1, the spacetime crystal axis 0.
 
 from __future__ import annotations
 
+import ctypes
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import signal
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -222,17 +227,6 @@ def diagonal_momentum_blocks(model, scale: float = 1.0) -> np.ndarray:
     return (Q * np.exp(-1j * w * model.T * scale)[:, None, :]) @ Q.conj().swapaxes(1, 2)
 
 
-def diagonal_momentum_evolution(model, scale: float = 1.0) -> np.ndarray:
-    """Dense block-diagonal evolution exp(-i H(m) T) over the momentum grid.
-
-    The blocks of `diagonal_momentum_blocks` on the diagonal, with the
-    orbital index fastest in the composite state index.
-    """
-    if model.dim > MAX_DIM:
-        raise ValueError(f"evolution dimension {model.dim} exceeds {MAX_DIM}")
-    return scipy.linalg.block_diag(*diagonal_momentum_blocks(model, scale))
-
-
 @dataclass
 class SweepPoint:
     """Named per-realization samples (realization order) at one sigma."""
@@ -250,14 +244,68 @@ class SweepPoint:
         return float(x.std(ddof=1) / np.sqrt(len(x)))
 
 
+@lru_cache(maxsize=None)
+def _blas_thread_setters() -> tuple:
+    """`openblas_set_num_threads_local` of each OpenBLAS mapped into this
+    process (numpy and scipy bundle one each), looked up once per process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        paths = []
+    found = (getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
+             for path in paths)
+    setters = tuple(fn for fn in found if fn is not None)
+    for fn in setters:
+        fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+    if not setters:
+        print("qqft: no OpenBLAS exports openblas_set_num_threads_local; "
+              "BLAS threads are not pinned", file=sys.stderr)
+    return setters
+
+
+_worker_fn = None  # the sweep's task, set in each worker by _init_worker
+
+
+def _init_worker(fn, parent_pid: int):
+    # prctl(PR_SET_PDEATHSIG, SIGKILL): die with the parent, and exit now if
+    # the parent died before that took effect
+    global _worker_fn
+    ctypes.CDLL(None).prctl(ctypes.c_int(1), ctypes.c_ulong(signal.SIGKILL))
+    if os.getppid() != parent_pid:
+        os._exit(1)
+    for set_local in _blas_thread_setters():
+        set_local(1)
+    _worker_fn = fn
+
+
+def _run(i):
+    return _worker_fn(i)
+
+
 def _map_ordered(fn, count: int, workers: int) -> list:
-    """[fn(0), ..., fn(count - 1)], in index order for any worker count."""
+    """[fn(0), ..., fn(count - 1)] in index order, each call on one BLAS
+    thread, so results never depend on `workers`.  On Linux, `workers > 1`
+    runs the calls in forked processes, which inherit `fn` and die with this
+    one; all are joined before the results return.  Elsewhere calls run
+    serially."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if workers <= 1:
+    linux = sys.platform.startswith("linux")
+    workers = min(workers, count, len(os.sched_getaffinity(0))) if linux else 1
+    if workers > 1:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 initializer=_init_worker,
+                                 initargs=(fn, os.getpid())) as pool:
+            return list(pool.map(_run, range(count)))
+    setters = _blas_thread_setters()
+    previous = [set_local(1) for set_local in setters]
+    try:
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+    finally:
+        for set_local, n in zip(setters, previous):
+            set_local(n)
 
 
 def _noise_sweep(measure, names, sigmas, n: int, seed: int, workers: int) -> list:
@@ -265,13 +313,15 @@ def _noise_sweep(measure, names, sigmas, n: int, seed: int, workers: int) -> lis
 
     `measure` returns one value per entry of `names`.  Realization r draws
     from `NoiseModel(sigma, seed, stream_id=r)`, so it reuses the same
-    Gaussian draws, scaled, at every sigma, which keeps sweeps smooth.
+    Gaussian draws, scaled, at every sigma, which keeps sweeps smooth.  All
+    sigma x realization pairs go through one pool.
     """
-    points = []
-    for sigma in sigmas:
-        def one(r, sigma=sigma):
-            return measure(NoiseModel(sigma, seed, stream_id=r))
-        rows = _map_ordered(one, n, workers)
-        samples = dict(zip(names, map(np.array, zip(*rows))))
-        points.append(SweepPoint(sigma=sigma, samples=samples))
-    return points
+    sigmas = list(sigmas)
+
+    def one(i):
+        return measure(NoiseModel(sigmas[i // n], seed, stream_id=i % n))
+
+    rows = _map_ordered(one, len(sigmas) * n, workers) if sigmas else []
+    return [SweepPoint(sigma=sigma, samples=dict(zip(
+                names, map(np.array, zip(*rows[k * n:(k + 1) * n])))))
+            for k, sigma in enumerate(sigmas)]

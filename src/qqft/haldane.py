@@ -25,6 +25,7 @@ under gate noise.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,11 +107,8 @@ def bloch_matrix(d, d0: float = 0.0) -> np.ndarray:
 
 def bz_grid(N: int) -> np.ndarray:
     """Cartesian momenta k[row, col] with k.g2 = 2 pi row / N, k.g3 = 2 pi col / N."""
-    grid = np.zeros((N, N, 2))
-    for a in range(N):
-        for b in range(N):
-            grid[a, b] = (a * B_ROW + b * B_COL) / N
-    return grid
+    a, b = np.arange(N)[:, None, None], np.arange(N)[None, :, None]
+    return (a * B_ROW + b * B_COL) / N
 
 
 def momentum_model(p: HaldaneParams, grid: int = 16, T: float = T_DEFAULT,
@@ -139,30 +137,21 @@ def chern_analytic(p: HaldaneParams) -> int:
 def chern_fhs(model: MomentumModel) -> int:
     """Lattice field-strength Chern number of the lower band.
 
-    Plaquette products of normalized link overlaps of the lower-band
-    eigenvectors; the total flux is quantized for a gapped sampler and is
-    independent of the formula behind `chern_analytic`.
+    Plaquette products of link overlaps of the lower-band eigenvectors of
+    `model.eigensystem`, all plaquettes at once; the total flux is
+    quantized for a gapped sampler and is independent of the formula behind
+    `chern_analytic`.
     """
     N = model.grid
-    vecs = np.zeros((N, N, model.l), dtype=complex)
-    for a in range(N):
-        for b in range(N):
-            H = np.asarray(model.sampler(a, b), dtype=complex)
-            _, Q = np.linalg.eigh(H)
-            vecs[a, b] = Q[:, 0]
-    total = 0.0
-    for a in range(N):
-        for b in range(N):
-            u1 = vecs[a, b]
-            u2 = vecs[(a + 1) % N, b]
-            u3 = vecs[(a + 1) % N, (b + 1) % N]
-            u4 = vecs[a, (b + 1) % N]
-            plaq = (np.vdot(u1, u2) * np.vdot(u2, u3)
-                    * np.vdot(u3, u4) * np.vdot(u4, u1))
-            if abs(plaq) < 1e-12:
-                raise GapClosedError(f"singular plaquette at ({a}, {b})")
-            total += np.angle(plaq)
-    c = total / (2.0 * np.pi)
+    u = model.eigensystem[1][:, :, 0].reshape(N, N, model.l)
+    # the corners (a, b), (a + 1, b), (a + 1, b + 1), (a, b + 1), in order
+    loop = [u, np.roll(u, -1, 0), np.roll(u, (-1, -1), (0, 1)), np.roll(u, -1, 1)]
+    plaq = np.prod([np.einsum("abi,abi->ab", v.conj(), w)
+                    for v, w in zip(loop, loop[1:] + loop[:1])], axis=0)
+    singular = np.argwhere(np.abs(plaq) < 1e-12)
+    if len(singular):
+        raise GapClosedError("singular plaquette at ({}, {})".format(*singular[0]))
+    c = np.angle(plaq).sum() / (2.0 * np.pi)
     if abs(c - round(c)) > 0.1:
         raise GapClosedError(f"non-integer lattice Chern number {c}")
     return int(round(c))
@@ -193,10 +182,8 @@ def bott_index(U: np.ndarray, T: float, l: int) -> float:
         raise GapClosedError(f"no spectral gap at filling {n_occ}: gap={gap:g}")
     occ = Z[:, order[:n_occ]]
     cell = np.arange(dim) // l
-    col = cell % N
-    row = cell // N
-    px = np.exp(2j * np.pi * col / N)
-    py = np.exp(2j * np.pi * row / N)
+    px = np.exp(2j * np.pi * (cell % N) / N)    # column: X
+    py = np.exp(2j * np.pi * (cell // N) / N)   # row: Y
     Vx = occ.conj().T @ (px[:, None] * occ)
     Vy = occ.conj().T @ (py[:, None] * occ)
     loop = Vy @ Vx @ Vy.conj().T @ Vx.conj().T
@@ -229,7 +216,9 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], sigma: float,
     """(phi, M, mean Bott, analytic Chern) over a parameter grid.
 
     The Chern entry is None on phase boundaries.  Bott values are averaged
-    over `realizations` noisy runs with per-cell substreams.
+    over `realizations` noisy runs with per-cell substreams.  A realization
+    whose gap closed counts as NaN in its cell's mean; each cell with such
+    realizations gets one line on stderr.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
@@ -251,6 +240,11 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], sigma: float,
                 vals.append(bott_index(U, model.T, model.l))
             except GapClosedError:
                 vals.append(float("nan"))
-        return phi, m, float(np.mean(vals)), chern
+        return phi, m, float(np.mean(vals)), chern, int(np.isnan(vals).sum())
 
-    return _map_ordered(one, len(cells), workers)
+    rows = _map_ordered(one, len(cells), workers)
+    for phi, m, _, _, closed in rows:
+        if closed:
+            print(f"phase diagram: gap closed in {closed} of {realizations} "
+                  f"realizations at phi={phi:g}, M={m:g}", file=sys.stderr)
+    return [row[:4] for row in rows]

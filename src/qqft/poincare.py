@@ -100,22 +100,16 @@ def graph_is_invariant(j_table: Sequence[int], N: int, gamma: int) -> bool:
 
 def _linear_dispersions(N: int, gamma: int) -> list:
     target = (gamma * gamma - 1) % N
-    tables = []
-    for c in range(1, N):
-        if (c * c) % N == target:
-            tables.append(tuple((c * m) % N for m in range(N)))
-    return tables
+    return [tuple((c * m) % N for m in range(N))
+            for c in range(1, N) if (c * c) % N == target]
 
 
 def _orbit_cover_dispersions(N: int, gamma: int, max_solutions: int = 64) -> list:
     """Exact-cover search: unions of boost orbits in (m, j) space whose
     m-projection hits every momentum exactly once.  Bounded enumeration."""
     lattice = equivalence_classes(N, gamma)
-    usable = []
-    for orbit in lattice.classes:
-        ms = [m for m, _ in orbit]
-        if len(set(ms)) == len(ms):
-            usable.append(orbit)
+    usable = [orbit for orbit in lattice.classes
+              if len({m for m, _ in orbit}) == len(orbit)]
     by_m = [[] for _ in range(N)]
     for i, orbit in enumerate(usable):
         for m, _ in orbit:
@@ -126,12 +120,9 @@ def _orbit_cover_dispersions(N: int, gamma: int, max_solutions: int = 64) -> lis
         if len(solutions) >= max_solutions:
             return
         m = next((m for m in range(N) if m not in covered), None)
-        if m is None:
-            table = [None] * N
-            for i in chosen:
-                for mm, jj in usable[i]:
-                    table[mm] = jj
-            solutions.append(tuple(table))
+        if m is None:  # the chosen orbits hold each m once: j by m
+            solutions.append(tuple(j for _, j in sorted(
+                pair for i in chosen for pair in usable[i])))
             return
         for i in by_m[m]:
             ms = {mm for mm, _ in usable[i]}

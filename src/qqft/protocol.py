@@ -78,23 +78,16 @@ class MomentumModel:
     def dim(self) -> int:
         return self.grid ** self.d * self.l
 
-    @property
+    @functools.cached_property
     def eigensystem(self):
         """(w, Q): eigenvalues, shape (grid**d, l), and eigenvectors, shape
         (grid**d, l, l), of the sampler blocks, row-major in the grid
         coordinates.
 
         Computed on first use and kept (the model is frozen, so the cache
-        cannot go stale): the sampler runs once per model.  The cache is a
-        plain instance attribute, not a `functools.cached_property`, which
-        on Python < 3.12 serializes first calls on different models behind
-        one class-wide lock; two threads racing on the same model only
-        repeat deterministic work.  Rejects blocks of the wrong shape or
-        that are not Hermitian.
+        cannot go stale): the sampler runs once per model.  Rejects blocks
+        of the wrong shape or that are not Hermitian.
         """
-        cached = self.__dict__.get("_eigensystem")
-        if cached is not None:
-            return cached
         npts, l = self.grid ** self.d, self.l
         H = np.empty((npts, l, l), dtype=complex)
         for idx in range(npts):
@@ -105,9 +98,7 @@ class MomentumModel:
             if np.abs(block - block.conj().T).max() > 1e-10 * max(1.0, np.abs(block).max()):
                 raise ValueError(f"sampler block at {coords} is not Hermitian")
             H[idx] = block
-        cached = np.linalg.eigh(H)
-        object.__setattr__(self, "_eigensystem", cached)
-        return cached
+        return np.linalg.eigh(H)
 
 
 @dataclass

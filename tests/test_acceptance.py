@@ -29,7 +29,6 @@ assertion means the criterion failed).  Criteria:
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -130,8 +129,7 @@ def test_criterion_5_topology():
                 U = protocol.build_protocol_unitary(model, noise)
                 return round(haldane.bott_index(U, model.T, model.l))
 
-            with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-                values = list(pool.map(one, range(n_real)))
+            values = engine._map_ordered(one, n_real, WORKERS)
             hits = sum(v == clean_value for v in values)
             assert hits >= needed, (phi, M, hits)
             worst = min(worst, hits)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qqft import circuit, engine
@@ -9,7 +10,6 @@ from qqft.circuit import GateSpec, gate_matrix, sequence_to_unitary
 from qqft.engine import (
     NoiseModel,
     apply_noisy_sequence,
-    diagonal_momentum_evolution,
     gate_to_generator,
     diagonal_momentum_blocks,
     hermitian_log_unitary,
@@ -259,6 +259,11 @@ class TestApplyNoisySequence:
         assert slope_a == pytest.approx(10.0, rel=0.05)
         assert slope_b == pytest.approx(10.0, rel=0.05)
         assert norms[1e-3] / 1e-3 < 50.0  # finite slope
+
+
+def diagonal_momentum_evolution(model, scale=1.0):
+    """The diagonal step as one dense block-diagonal matrix."""
+    return scipy.linalg.block_diag(*diagonal_momentum_blocks(model, scale))
 
 
 class TestDiagonalMomentumEvolution:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from qqft import haldane
 from qqft.engine import NoiseModel
 from qqft.haldane import (
     G1,
@@ -101,6 +102,39 @@ class TestChernAnalytic:
             chern_analytic(params(np.pi / 2, 3.0))
 
 
+def chern_fhs_loop(model):
+    """Plaquette Chern number point by point: one `eigh` per grid point and
+    one plaquette per step of a double loop (the reference for the
+    vectorized `chern_fhs`)."""
+    N = model.grid
+    vecs = np.zeros((N, N, model.l), dtype=complex)
+    for a in range(N):
+        for b in range(N):
+            _, Q = np.linalg.eigh(np.asarray(model.sampler(a, b), dtype=complex))
+            vecs[a, b] = Q[:, 0]
+    total = 0.0
+    for a in range(N):
+        for b in range(N):
+            u1, u2 = vecs[a, b], vecs[(a + 1) % N, b]
+            u3, u4 = vecs[(a + 1) % N, (b + 1) % N], vecs[a, (b + 1) % N]
+            plaq = (np.vdot(u1, u2) * np.vdot(u2, u3)
+                    * np.vdot(u3, u4) * np.vdot(u4, u1))
+            if abs(plaq) < 1e-12:
+                raise GapClosedError(f"singular plaquette at ({a}, {b})")
+            total += np.angle(plaq)
+    c = total / (2.0 * np.pi)
+    if abs(c - round(c)) > 0.1:
+        raise GapClosedError(f"non-integer lattice Chern number {c}")
+    return int(round(c))
+
+
+def chern_or_error(fn, model):
+    try:
+        return fn(model)
+    except GapClosedError:
+        return "gap closed"
+
+
 class TestChernFhs:
     def test_matches_analytic_in_lobes(self):
         assert chern_fhs(momentum_model(params(-np.pi / 2, 0.0))) == 1
@@ -122,6 +156,28 @@ class TestChernFhs:
     def test_twelve_point_agreement(self, phi, M):
         p = params(phi, M)
         assert chern_fhs(momentum_model(p)) == chern_analytic(p)
+
+    @settings(max_examples=30, deadline=None)
+    @given(phi=st.floats(-np.pi, np.pi), M=st.floats(-6.0, 6.0),
+           grid=st.sampled_from([3, 6, 8, 16]))
+    def test_matches_loop_reference(self, phi, M, grid):
+        # away from the boundaries M = +-3 sqrt(3) t2 sin(phi)
+        a = 3.0 * np.sqrt(3) * params(phi, M).t2 * np.sin(phi)
+        assume(min(abs(M + a), abs(M - a)) > 0.3)
+        model = momentum_model(params(phi, M), grid)
+        assert (chern_or_error(chern_fhs, model)
+                == chern_or_error(chern_fhs_loop, model))
+
+    def test_singular_plaquette_rejected(self):
+        # lower-band vectors alternate between orthogonal states along rows
+        from qqft.protocol import MomentumModel
+        model = MomentumModel(
+            d=2, l=2, grid=4,
+            sampler=lambda a, b: np.diag([1.0, -1.0]) * (-1.0) ** a)
+        with pytest.raises(GapClosedError, match="singular plaquette"):
+            chern_fhs(model)
+        with pytest.raises(GapClosedError, match="singular plaquette"):
+            chern_fhs_loop(model)
 
 
 def schur_bott_reference(U, T, l):
@@ -265,3 +321,42 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError):
             phase_diagram([-np.pi / 2], [0.0], sigma=1e-3, seed=1, grid=4,
                           realizations=0)
+
+
+class TestClosedGapCount:
+    # (cell index, realization) pairs whose Bott index the patch refuses
+    CLOSED = {(1, 0), (2, 0), (2, 2)}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counted_per_cell_on_stderr(self, monkeypatch, capsys, workers):
+        phis, ms = [-np.pi / 2, np.pi / 2], [0.0, 1.0]
+        cells = [(phi, m) for phi in phis for m in ms]
+        closed = [build_protocol_unitary(
+            momentum_model(params(*cells[index]), 4),
+            NoiseModel(1e-2, 3, stream_id=r).substream(index))
+            for index, r in self.CLOSED]
+        real = haldane.bott_index
+
+        def bott_index(U, T, l):
+            if any(np.array_equal(U, c) for c in closed):
+                raise GapClosedError("forced")
+            return real(U, T, l)
+
+        # forked workers inherit the patched module attribute
+        monkeypatch.setattr(haldane, "bott_index", bott_index)
+        rows = phase_diagram(phis, ms, sigma=1e-2, seed=3, grid=4,
+                             realizations=3, workers=workers)
+        assert [len(row) for row in rows] == [4] * 4
+        assert [np.isnan(row[2]) for row in rows] == [False, True, True, False]
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("phase diagram")] == [
+            f"phase diagram: gap closed in 1 of 3 realizations at "
+            f"phi={phis[0]:g}, M={ms[1]:g}",
+            f"phase diagram: gap closed in 2 of 3 realizations at "
+            f"phi={phis[1]:g}, M={ms[0]:g}",
+        ]
+
+    def test_gapped_cells_print_nothing(self, capsys):
+        phase_diagram([-np.pi / 2], [0.0], sigma=1e-2, seed=3, grid=4,
+                      realizations=2)
+        assert "phase diagram" not in capsys.readouterr().err

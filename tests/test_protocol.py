@@ -2,6 +2,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qqft import circuit, engine, haldane, protocol
@@ -9,7 +10,6 @@ from qqft.engine import (
     MAX_DIM,
     NoiseModel,
     apply_noisy_sequence,
-    diagonal_momentum_evolution,
     unitarity_defect,
 )
 from qqft.protocol import (
@@ -114,6 +114,11 @@ def random_hermitian_model(d, l, grid, seed=0):
     return MomentumModel(
         d=d, l=l, grid=grid, T=0.2,
         sampler=lambda *m: blocks[np.ravel_multi_index(m, (grid,) * d)])
+
+
+def diagonal_momentum_evolution(model, scale=1.0):
+    """The diagonal step as one dense block-diagonal matrix."""
+    return scipy.linalg.block_diag(*engine.diagonal_momentum_blocks(model, scale))
 
 
 def dense_kron_reference(model, noise, noise_on_diagonal):
