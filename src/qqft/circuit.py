@@ -364,21 +364,22 @@ def _wave_plan(seq: CircuitSequence, invert: bool) -> _WavePlan:
 
 def _apply_waves(n_sites: int, plan: _WavePlan, factors: np.ndarray,
                  blocks: np.ndarray) -> np.ndarray:
-    """Product of the gates of `plan`, first wave first, with `factors` and
-    `blocks` (in plan order) standing in for the phase and two-site gates."""
-    U = np.eye(n_sites, dtype=complex)
+    """Products of the gates of `plan`, first wave first, one per leading
+    index of `factors` (B, phase gates) and `blocks` (B, pair gates, 2, 2),
+    which stand in, in plan order, for the phase and two-site gates."""
+    U = np.repeat(np.eye(n_sites, dtype=complex)[None], len(factors), axis=0)
     for ph, sites, pr, rows in plan.waves:
         if len(sites):
-            U[sites] *= factors[ph, None]
+            U[:, sites] *= factors[:, ph, None]
         if len(rows):
-            U[rows] = blocks[pr] @ U[rows]
+            U[:, rows] = blocks[:, pr] @ U[:, rows]
     return U
 
 
 def sequence_to_unitary(seq: CircuitSequence) -> np.ndarray:
     """Dense product of all gates in application order (first gate first)."""
     plan = _wave_plan(seq, False)
-    return _apply_waves(seq.n_sites, plan, plan.factors, plan.blocks)
+    return _apply_waves(seq.n_sites, plan, plan.factors[None], plan.blocks[None])[0]
 
 
 def dft_distance(U: np.ndarray, N: int = None) -> float:

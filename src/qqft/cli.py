@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,7 +59,13 @@ def _write_manifest(outdir: Path, command: str, config: dict, outputs):
 
 
 def _sigma_list(text: str):
-    return [float(s) for s in text.split(",") if s.strip() != ""]
+    try:
+        sigmas = [float(s) for s in text.split(",") if s.strip() != ""]
+    except ValueError as exc:
+        raise SystemExit(f"error: --sigma: {exc}") from None
+    if not all(math.isfinite(s) and s >= 0 for s in sigmas):
+        raise SystemExit("error: --sigma values must be finite and >= 0")
+    return sigmas
 
 
 def _sigma_tag(sigma: float) -> str:
@@ -111,16 +118,20 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _require_positive(args, *names):
+def _require_at_least(least, args, *names):
     for name in names:
-        if getattr(args, name) < 1:
+        if getattr(args, name) < least:
             flag = "--" + name.replace("_", "-")
-            raise SystemExit(f"error: {flag} must be >= 1")
+            raise SystemExit(f"error: {flag} must be >= {least}")
 
 
 def cmd_flatband(args) -> int:
-    _require_positive(args, "realizations", "phase_realizations")
+    _require_at_least(1, args, "realizations", "phase_realizations", "workers")
+    _require_at_least(2, args, "grid")
+    _require_at_least(0, args, "phase_grid")
     sigmas = _sigma_list(args.sigma)
+    if not (math.isfinite(args.phase_sigma) and args.phase_sigma >= 0):
+        raise SystemExit("error: --phase-sigma must be finite and >= 0")
     config = {
         "command": "flatband", "phi": args.phi, "M": args.M,
         "sigmas": sigmas, "realizations": args.realizations,
@@ -169,8 +180,13 @@ def cmd_flatband(args) -> int:
 
 
 def cmd_poincare(args) -> int:
-    _require_positive(args, "realizations")
+    _require_at_least(1, args, "realizations", "workers")
+    _require_at_least(2, args, "N", "gamma")
     sigmas = _sigma_list(args.sigma)
+    try:
+        disp = poincare.build_dispersion(args.N, args.gamma)
+    except poincare.DispersionError as exc:
+        raise SystemExit(f"error: {exc}") from None
     config = {
         "command": "poincare", "N": args.N, "gamma": args.gamma,
         "sigmas": sigmas, "realizations": args.realizations,
@@ -180,7 +196,6 @@ def cmd_poincare(args) -> int:
     digest = _config_digest(config)
     outputs = []
 
-    disp = poincare.build_dispersion(args.N, args.gamma)
     lattice = poincare.equivalence_classes(args.N, args.gamma)
     doc = {
         "schema": "qqft-dispersion/1",
@@ -195,11 +210,13 @@ def cmd_poincare(args) -> int:
     (out / "dispersion.json").write_text(json.dumps(doc, indent=1) + "\n")
     outputs.append("dispersion.json")
 
-    for sigma in sigmas:
-        noise = (poincare.NoiseModel(sigma, args.seed, stream_id=0)
-                 if sigma > 0 else None)
-        g = poincare.greens_function(
-            disp, noise, noise_on_diagonal=args.noise_on_diagonal).matrix
+    # stream 0 at every sigma in one batch (a sigma = 0 member is exact);
+    # each P tensor goes as soon as its G is taken
+    column = [poincare.NoiseModel(sigma, args.seed, stream_id=0)
+              for sigma in sigmas]
+    greens = poincare.greens_function(
+        disp, column, noise_on_diagonal=args.noise_on_diagonal)
+    for sigma, g in zip(sigmas, (result.matrix for result in greens)):
         for part, array in (("re", g.real), ("im", g.imag)):
             name = f"greens_{part}_sigma{_sigma_tag(sigma)}.csv"
             # rows are the site offset n, columns the stroboscopic time m

@@ -60,6 +60,23 @@ def _mix64(*words: int) -> int:
     return h
 
 
+@lru_cache(maxsize=8)
+def _box_muller_factors(seed: int, stream_id: int, steps: bytes) -> tuple:
+    """S = sqrt(-2 ln u1) and C = cos(2 pi u2) of the uint64 `steps` (raw
+    bytes) of one stream: its draws without sigma, read-only."""
+    # = _mix64(seed, stream_id, step), one uint64 lane per step
+    x = _splitmix64(np.uint64(_mix64(seed, stream_id))
+                    ^ np.frombuffer(steps, dtype=np.uint64))
+    u1 = ((x >> 11) + 1) / (1 << 53)       # in (0, 1]
+    u2 = (_splitmix64(x) >> 11) / (1 << 53)
+    # element by element in `math`: numpy's log differs from it in the last
+    # bit for some arguments
+    S = np.array([math.sqrt(-2.0 * math.log(a)) for a in u1.tolist()])
+    C = np.array([math.cos(2.0 * math.pi * b) for b in u2.tolist()])
+    S.flags.writeable = C.flags.writeable = False
+    return S, C
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Multiplicative Gaussian noise on the gate generators.
@@ -83,7 +100,8 @@ class NoiseModel:
         """Gaussian draw for Hamiltonian step `step` (Box-Muller transform).
 
         An integer ndarray of steps gives the array of their draws, each
-        the same as drawing its step alone.
+        the same as drawing its step alone.  The draws are sigma times
+        sigma-free factors, which are shared by every sigma of a stream.
         """
         steps = np.asarray(step)
         if steps.dtype.kind not in "iu":
@@ -91,17 +109,10 @@ class NoiseModel:
         if self.sigma == 0.0:
             draws = np.zeros(steps.shape)
         else:
-            # = _mix64(seed, stream_id, step), one uint64 lane per step
-            x = _splitmix64(np.uint64(_mix64(self.seed, self.stream_id))
-                            ^ steps.astype(np.uint64).reshape(-1))
-            u1 = ((x >> 11) + 1) / (1 << 53)       # in (0, 1]
-            u2 = (_splitmix64(x) >> 11) / (1 << 53)
-            # the last step element by element in `math`: numpy's log
-            # differs from it in the last bit for some arguments
-            draws = np.array([
-                self.sigma * math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b)
-                for a, b in zip(u1.tolist(), u2.tolist())
-            ]).reshape(steps.shape)
+            S, C = _box_muller_factors(self.seed, self.stream_id,
+                                       steps.astype(np.uint64).tobytes())
+            # (sigma * S) * C rounds as the scalar sigma * sqrt(..) * cos(..)
+            draws = (self.sigma * S * C).reshape(steps.shape)
         return draws if isinstance(step, np.ndarray) else float(draws)
 
     def substream(self, salt: int) -> "NoiseModel":
@@ -162,7 +173,13 @@ def _gate_spectra(seq: CircuitSequence):
     return layers, _fold_phases(E), Z
 
 
-def apply_noisy_sequence(seq: CircuitSequence, noise: NoiseModel = None,
+def _members(noise) -> list:
+    """The members of a batch, a list of NoiseModels (or None); one
+    NoiseModel, or None, is a batch of one."""
+    return noise if isinstance(noise, list) else [noise]
+
+
+def apply_noisy_sequence(seq: CircuitSequence, noise=None,
                          invert: bool = False) -> np.ndarray:
     """Compose a sequence as prod_s exp(-i (1 + delta_s) H[s]).
 
@@ -172,35 +189,48 @@ def apply_noisy_sequence(seq: CircuitSequence, noise: NoiseModel = None,
     None) the result is bit-identical to `sequence_to_unitary`.
     `invert=True` composes the inverse sequence (reversed order, adjoint
     gates, each with its own principal-branch generator and its own draws).
+    `noise` may also be a batch, a list of NoiseModels (or None): all
+    members compose in one pass and stack on a leading axis, each member
+    bit-identical to composing it alone.
     """
+    members = _members(noise)
+    B, steps = len(members), np.arange(seq.depth)
     plan = circuit._wave_plan(seq, invert)
-    factors, blocks = plan.factors, plan.blocks
-    if noise is not None and noise.sigma != 0.0:
+    draws = np.reshape([np.zeros(seq.depth) if m is None else m.delta(steps)
+                        for m in members], (B, seq.depth))
+    factors = np.broadcast_to(plan.factors, (B, *plan.factors.shape))
+    blocks = np.broadcast_to(plan.blocks, (B, *plan.blocks.shape))
+    if draws.any():  # else every gate is exact: no spectra needed
         layers, E, Z = _gate_spectra(seq)
         if invert:
             layers, E = seq.depth - 1 - layers, _fold_phases(-E)
-        draws = noise.delta(np.arange(seq.depth))[layers]
-        d = draws[plan.phase]
+        draws = draws[:, layers]
+        d = draws[:, plan.phase]
         factors = np.where(d == 0.0, factors,
                            np.exp(-1j * (1.0 + d) * E[plan.phase, 0]))
-        d, Z = draws[plan.pair], Z[plan.pair]
-        phases = np.exp(-1j * (1.0 + d)[:, None] * E[plan.pair])
-        noisy = (Z * phases[:, None, :]) @ Z.conj().swapaxes(1, 2)
-        blocks = np.where((d == 0.0)[:, None, None], blocks, noisy)
-    return circuit._apply_waves(seq.n_sites, plan, factors, blocks)
+        d, Z = draws[:, plan.pair], Z[plan.pair]
+        phases = np.exp(-1j * (1.0 + d)[..., None] * E[plan.pair])
+        noisy = (Z * phases[..., None, :]) @ Z.conj().swapaxes(1, 2)
+        # in place: np.where would allocate one more batch of blocks
+        np.copyto(noisy, blocks, where=(d == 0.0)[..., None, None])
+        blocks = noisy
+    U = circuit._apply_waves(seq.n_sites, plan, factors, blocks)
+    return U if isinstance(noise, list) else U[0]
 
 
-def fourier_pair(N: int, noise: NoiseModel, axis: int) -> tuple:
+def fourier_pair(N: int, noise, axis: int) -> tuple:
     """(V_f, V_i): the compiled N-site Fourier transform and its inverse.
 
     Each composes with its own draws, from the `axis` entries of the salt
-    table; `noise` None gives the noiseless pair.
+    table; `noise` None gives the noiseless pair, and a batch of noise
+    models (see `apply_noisy_sequence`) a batch of pairs.
     """
     seq = compile_for_size(N)
 
     def compose(salt, invert):
-        sub = noise.substream(salt) if noise is not None else None
-        return apply_noisy_sequence(seq, sub, invert=invert)
+        sub = [None if m is None else m.substream(salt) for m in _members(noise)]
+        return apply_noisy_sequence(seq, sub if isinstance(noise, list) else sub[0],
+                                    invert=invert)
 
     return compose(_SALT_FORWARD[axis], False), compose(_SALT_INVERSE[axis], True)
 
@@ -309,19 +339,21 @@ def _map_ordered(fn, count: int, workers: int) -> list:
 
 
 def _noise_sweep(measure, names, sigmas, n: int, seed: int, workers: int) -> list:
-    """One SweepPoint per sigma from n realizations of `measure(noise)`.
+    """One SweepPoint per sigma from n realizations.
 
-    `measure` returns one value per entry of `names`.  Realization r draws
-    from `NoiseModel(sigma, seed, stream_id=r)`, so it reuses the same
-    Gaussian draws, scaled, at every sigma, which keeps sweeps smooth.  All
-    sigma x realization pairs go through one pool.
+    A task is one realization r at every sigma: `measure` takes the column
+    [NoiseModel(sigma, seed, stream_id=r) for sigma in sigmas], a batch, and
+    returns one row per member, one value per entry of `names`.  So
+    realization r reuses the same Gaussian draws, scaled, at every sigma,
+    which keeps sweeps smooth.  The n columns go through one pool and are
+    reduced in realization order.
     """
     sigmas = list(sigmas)
 
-    def one(i):
-        return measure(NoiseModel(sigmas[i // n], seed, stream_id=i % n))
+    def column(r):
+        return measure([NoiseModel(sigma, seed, stream_id=r) for sigma in sigmas])
 
-    rows = _map_ordered(one, len(sigmas) * n, workers) if sigmas else []
+    columns = _map_ordered(column, n, workers) if sigmas else []
     return [SweepPoint(sigma=sigma, samples=dict(zip(
-                names, map(np.array, zip(*rows[k * n:(k + 1) * n])))))
+                names, map(np.array, zip(*(rows[k] for rows in columns))))))
             for k, sigma in enumerate(sigmas)]

@@ -201,13 +201,13 @@ def noise_sweep_gap_width(p: HaldaneParams, sigmas: Sequence[float],
     sigma with samples "gap" and "width", independent of the worker count."""
     model = momentum_model(p, grid)
 
-    def measure(noise):
+    def gap_width(noise):
         U = build_protocol_unitary(model, noise, noise_on_diagonal)
         spec = extract_spectrum(U, model.T, model.l)
         return spec.band_gap, spec.band_width
 
-    return _noise_sweep(measure, ("gap", "width"), sigmas, n_realizations,
-                        seed, workers)
+    return _noise_sweep(lambda column: [gap_width(noise) for noise in column],
+                        ("gap", "width"), sigmas, n_realizations, seed, workers)
 
 
 def phase_diagram(phis: Sequence[float], ms: Sequence[float], sigma: float,

@@ -168,29 +168,41 @@ class GreensResult:
     p_tensor: np.ndarray
 
 
-def greens_function(disp: Dispersion, noise: NoiseModel = None,
-                    route: str = "qqft",
-                    noise_on_diagonal: bool = False) -> GreensResult:
+def greens_function(disp: Dispersion, noise=None, route: str = "qqft",
+                    noise_on_diagonal: bool = False):
     """Retarded propagator G[n, m] = -i [U(m tau)]_{n, 0} on the spacetime grid.
 
     U(m tau) = V^dag D^m V; m = 0 applies no gates, so that column is exactly
     a delta.  route="exact" replaces the compiled V by the exact DFT matrix
     (the independent reference for the compiled route).  P[n1, m, n] is the
     probability of hopping from n1 to n1 + n in m periods; unitarity makes
-    every (n1, m) slice sum to one even with noise.
+    every (n1, m) slice sum to one even with noise.  `noise` may be a batch
+    (see `engine.apply_noisy_sequence`), such as one realization at every
+    sigma: its Fourier pairs compose in one pass, and the result is an
+    iterator of GreensResults, one per member, each built when it is
+    reached so that one propagator at a time is in memory.
     """
     N = disp.n_sites
-    j = np.array(disp.j_table)
+    members = engine._members(noise)
     if route == "exact":
         V_f = circuit.dft_matrix(N)
-        V_i = V_f.conj().T
+        pairs = [(V_f, V_f.conj().T)] * len(members)
     elif route == "qqft":
-        V_f, V_i = engine.fourier_pair(N, noise, 0)
+        pairs = zip(*engine.fourier_pair(N, members, 0))
     else:
         raise ValueError(f"unknown route {route!r}")
+    results = (_greens_one(disp, V_f, V_i,
+                           engine.diagonal_scale(member, noise_on_diagonal))
+               for member, (V_f, V_i) in zip(members, pairs))
+    return results if isinstance(noise, list) else next(results)
 
-    scale = engine.diagonal_scale(noise, noise_on_diagonal)
 
+def _greens_one(disp: Dispersion, V_f: np.ndarray, V_i: np.ndarray,
+                scale: float) -> GreensResult:
+    """G and P from one Fourier pair; `scale` multiplies the diagonal
+    generator."""
+    N = disp.n_sites
+    j = np.array(disp.j_table)
     m = np.arange(N)[:, None]
     if scale == 1.0:
         phases = np.exp(-2j * np.pi * ((j * m) % N) / N)
@@ -242,10 +254,13 @@ def noise_sweep_symmetry(N: int, gamma: int, sigmas: Sequence[float],
     lattice = equivalence_classes(N, gamma)
     P_clean = greens_function(disp).p_tensor
 
-    def measure(noise):
-        P = greens_function(disp, noise,
-                            noise_on_diagonal=noise_on_diagonal).p_tensor
-        return s_lorentz(P, lattice), s_total(P, P_clean)
+    def stats(g):
+        return s_lorentz(g.p_tensor, lattice), s_total(g.p_tensor, P_clean)
+
+    def measure(column):
+        # map lets each result go before the next one is built
+        return list(map(stats, greens_function(
+            disp, column, noise_on_diagonal=noise_on_diagonal)))
 
     return _noise_sweep(measure, ("sl", "sp"), sigmas, n_realizations, seed,
                         workers)

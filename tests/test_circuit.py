@@ -177,6 +177,13 @@ class TestGeneric:
         U = sequence_to_unitary(build_generic_qqft(N))
         assert np.abs(U - dft_oracle(N)).max() < 1e-10
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(N=st.integers(2, 64))
+    def test_equals_dft_within_depth_bound(self, N):
+        seq = build_generic_qqft(N)
+        assert dft_distance(sequence_to_unitary(seq), N) < 1e-10
+        assert seq.depth <= 2 * N * N
+
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             build_generic_qqft(1)
@@ -292,6 +299,15 @@ class TestJson:
         assert again == seq
         assert np.abs(sequence_to_unitary(again)
                       - sequence_to_unitary(seq)).max() == 0.0
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seq=st.one_of(st.builds(build_generic_qqft, st.integers(2, 64)),
+                         st.builds(build_radix2_qqft, st.integers(1, 6))))
+    def test_round_trip_property(self, seq):
+        again = sequence_from_json(sequence_to_json(seq))
+        assert again == seq
+        assert sequence_to_unitary(again).tobytes() == \
+            sequence_to_unitary(seq).tobytes()
 
     def test_schema_string(self):
         doc = json.loads(sequence_to_json(build_radix2_qqft(1)))

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qqft import __version__, circuit
+from qqft import __version__, circuit, poincare
 from qqft.cli import main
 
 
@@ -181,6 +181,44 @@ class TestPoincare:
     def test_zero_realizations_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit, match="error: --realizations"):
             main(POIN_ARGS + ["--out", str(tmp_path), "--realizations", "0"])
+
+    def test_greens_csv_matches_one_sigma_at_a_time(self, tmp_path):
+        main(POIN_ARGS + ["--out", str(tmp_path), "--noise-on-diagonal"])
+        disp = poincare.build_dispersion(6, 2)
+        for tag, noise in (("0", None),
+                           ("0p02", poincare.NoiseModel(2e-2, 3, stream_id=0))):
+            G = poincare.greens_function(disp, noise, noise_on_diagonal=True).matrix
+            for part, array in (("re", G.real), ("im", G.imag)):
+                _, rows = read_rows(tmp_path / f"greens_{part}_sigma{tag}.csv")
+                written = np.array([[float(v) for v in row] for row in rows])
+                assert written.tobytes() == array.tobytes()
+
+
+class TestBadInput:
+    """Bad input fails with one clear line before any output is written."""
+
+    @pytest.mark.parametrize("args,message", [
+        (["poincare", "--N", "0"], "--N must be >= 2"),
+        (["poincare", "--N", "1"], "--N must be >= 2"),
+        (["poincare", "--N", "4"], "no nontrivial Lorentz-compatible dispersion"),
+        (["poincare", "--gamma", "1"], "--gamma must be >= 2"),
+        (["poincare", "--sigma", "nan"], "--sigma values must be finite"),
+        (["poincare", "--sigma", "1e-3,abc"], "--sigma: could not convert"),
+        (["poincare", "--sigma", "0,-1e-3"], "--sigma values must be finite and >= 0"),
+        (["poincare", "--workers", "0"], "--workers must be >= 1"),
+        (["poincare", "--workers", "-3"], "--workers must be >= 1"),
+        (["flatband", "--workers", "0"], "--workers must be >= 1"),
+        (["flatband", "--workers", "-3"], "--workers must be >= 1"),
+        (["flatband", "--phase-grid", "-1"], "--phase-grid must be >= 0"),
+        (["flatband", "--grid", "1"], "--grid must be >= 2"),
+        (["flatband", "--sigma", "inf"], "--sigma values must be finite"),
+        (["flatband", "--phase-sigma", "nan"], "--phase-sigma must be finite"),
+    ])
+    def test_usage_error(self, tmp_path, args, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match="^error: .*" + message):
+            main(args + ["--out", str(out)])
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qqft import circuit, engine
 from qqft.circuit import GateSpec, gate_matrix, sequence_to_unitary
@@ -20,6 +20,10 @@ from qqft.protocol import MomentumModel
 
 
 WORDS = st.integers(min_value=0, max_value=2**64 - 1)
+# noise strengths of one sweep column; 5e-324 underflows most draws to
+# exactly 0, which keeps a gate exact, and repeats are allowed
+SIGMA_COLUMNS = st.lists(st.sampled_from([0.0, 5e-324, 1e-3, 2e-2, 0.3]),
+                         min_size=1, max_size=6)
 
 
 def scalar_draw_reference(noise, step):
@@ -115,6 +119,35 @@ class TestNoiseModel:
         assert all(type(d) is float for d in singles)
         assert np.array(singles, dtype=float).tobytes() == draws.tobytes()
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=WORDS, stream=WORDS, column=SIGMA_COLUMNS,
+           steps=st.one_of(
+               st.integers(min_value=0, max_value=2**63 - 1),
+               st.lists(st.integers(min_value=0, max_value=2**63 - 1),
+                        max_size=40).map(lambda s: np.array(s, dtype=np.int64))))
+    def test_shared_factors_match_per_element_expression(self, seed, stream,
+                                                         column, steps):
+        # one stream at every sigma of a column, as a sweep task draws it:
+        # the later sigmas reuse the cached factors of the first
+        for sigma in column:
+            noise = NoiseModel(sigma, seed=seed, stream_id=stream)
+            draws = noise.delta(steps)
+            expected = [scalar_draw_reference(noise, int(s))
+                        for s in np.ravel(steps)]
+            if isinstance(steps, int):
+                assert type(draws) is float
+            else:
+                assert draws.shape == steps.shape
+            assert np.array(draws).tobytes() == \
+                np.array(expected, dtype=float).reshape(np.shape(steps)).tobytes()
+
+    def test_returned_draws_do_not_alias_the_cache(self):
+        noise = NoiseModel(0.1, seed=3, stream_id=9)
+        first = noise.delta(np.arange(6))
+        kept = first.copy()
+        first[:] = 7.0
+        assert noise.delta(np.arange(6)).tobytes() == kept.tobytes()
+
     @pytest.mark.parametrize("step", [1.5, np.array([0.0, 1.0])])
     def test_rejects_non_integer_steps(self, step):
         with pytest.raises(TypeError, match="integers"):
@@ -204,6 +237,47 @@ class TestApplyNoisySequence:
         noise = NoiseModel(sigma, seed=seed, stream_id=stream)
         U = apply_noisy_sequence(seq, noise, invert=invert)
         assert U.tobytes() == per_gate_reference(seq, noise, invert).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seq=st.one_of(
+               st.builds(circuit.build_generic_qqft, st.integers(2, 40)),
+               st.builds(circuit.build_radix2_qqft, st.integers(1, 5))),
+           column=SIGMA_COLUMNS, seed=WORDS, stream=WORDS,
+           invert=st.booleans())
+    @example(seq=circuit.build_generic_qqft(33), column=[0.0, 5e-324, 0.3, 0.3],
+             seed=1, stream=2, invert=False)
+    @example(seq=circuit.build_radix2_qqft(5), column=[2e-2, 0.0, 2e-2, 5e-324],
+             seed=3, stream=4, invert=True)
+    def test_batch_matches_one_at_a_time(self, seq, column, seed, stream,
+                                         invert):
+        batch = [NoiseModel(sigma, seed=seed, stream_id=stream)
+                 for sigma in column] + [None]
+        U = apply_noisy_sequence(seq, batch, invert=invert)
+        assert U.shape == (len(batch), seq.n_sites, seq.n_sites)
+        for member, got in zip(batch, U):
+            alone = apply_noisy_sequence(seq, member, invert=invert)
+            assert got.tobytes() == alone.tobytes()
+
+    def test_empty_batch(self):
+        seq = circuit.build_generic_qqft(5)
+        assert apply_noisy_sequence(seq, []).shape == (0, 5, 5)
+
+    def test_noiseless_batch_leaves_gate_spectra_cold(self):
+        seq = circuit.build_generic_qqft(11)
+        engine._gate_spectra.cache_clear()
+        apply_noisy_sequence(seq, [None, NoiseModel(0.0, seed=1)], invert=True)
+        apply_noisy_sequence(seq)
+        assert engine._gate_spectra.cache_info().currsize == 0
+
+    def test_one_draw_call_per_member(self, monkeypatch):
+        calls = []
+        delta = NoiseModel.delta
+        monkeypatch.setattr(NoiseModel, "delta",
+                            lambda self, step: calls.append(self) or delta(self, step))
+        seq = circuit.build_radix2_qqft(3)
+        batch = [NoiseModel(sigma, seed=2, stream_id=5) for sigma in (0.0, 1e-2, 1e-2)]
+        apply_noisy_sequence(seq, batch + [None])
+        assert calls == batch
 
     def test_one_draw_call_per_sequence(self, monkeypatch):
         calls = []

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qqft import engine
+from qqft import engine, poincare
 from qqft.engine import NoiseModel
 from qqft.poincare import (
     Dispersion,
@@ -219,6 +219,30 @@ class TestGreensFunction:
         assert result.matrix.tobytes() == G.tobytes()
         assert result.p_tensor.tobytes() == P.tobytes()
 
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from([(33, 2), (16, 3), (6, 3)]),
+           column=st.lists(st.sampled_from([0.0, 5e-324, 1e-3, 5e-2]),
+                           min_size=1, max_size=5),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           on_diagonal=st.booleans(), route=st.sampled_from(["qqft", "exact"]))
+    @example(case=(33, 2), column=[0.0, 5e-324, 5e-2, 5e-2], seed=9,
+             on_diagonal=True, route="qqft")
+    def test_batch_matches_one_at_a_time(self, case, column, seed,
+                                         on_diagonal, route):
+        disp = build_dispersion(*case)
+        batch = [NoiseModel(sigma, seed=seed, stream_id=3) for sigma in column]
+        results = list(greens_function(disp, batch, route=route,
+                                       noise_on_diagonal=on_diagonal))
+        assert len(results) == len(batch)
+        for noise, got in zip(batch, results):
+            alone = greens_function(disp, noise, route=route,
+                                    noise_on_diagonal=on_diagonal)
+            assert got.matrix.tobytes() == alone.matrix.tobytes()
+            assert got.p_tensor.tobytes() == alone.p_tensor.tobytes()
+            if noise.sigma == 0.0:          # the exact, noise-free path
+                clean = greens_function(disp, route=route)
+                assert got.matrix.tobytes() == clean.matrix.tobytes()
+
     def test_unknown_route(self, disp):
         with pytest.raises(ValueError):
             greens_function(disp, route="telepathy")
@@ -268,6 +292,30 @@ class TestNoiseSweep:
                               threaded[0].samples["sl"])
         assert np.array_equal(serial[0].samples["sp"],
                               threaded[0].samples["sp"])
+
+    def test_task_is_one_realization_at_every_sigma(self, monkeypatch):
+        columns = []
+        batched = greens_function
+
+        def spy(disp, noise=None, **kwargs):
+            columns.append(noise)
+            return batched(disp, noise, **kwargs)
+
+        monkeypatch.setattr(poincare, "greens_function", spy)
+        sigmas = [0.0, 1e-3, 1e-2]
+        noise_sweep_symmetry(6, 2, sigmas, 3, seed=8)
+        assert columns[0] is None                   # the clean reference
+        assert columns[1:] == [[NoiseModel(s, 8, stream_id=r) for s in sigmas]
+                               for r in range(3)]
+
+    def test_worker_invariance_n33_uneven_split(self):
+        # 3 realizations on 2 workers: one worker runs two columns
+        sigmas = [0.0, 1e-3, 2e-2]
+        serial = noise_sweep_symmetry(33, 2, sigmas, 3, seed=17)
+        pooled = noise_sweep_symmetry(33, 2, sigmas, 3, seed=17, workers=2)
+        for a, b in zip(serial, pooled):
+            for name in ("sl", "sp"):
+                assert a.samples[name].tobytes() == b.samples[name].tobytes()
 
     def test_zero_realizations_rejected(self):
         with pytest.raises(ValueError):
