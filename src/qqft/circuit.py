@@ -412,23 +412,27 @@ def sequence_to_json(seq: CircuitSequence) -> str:
 
 def sequence_from_json(text: str) -> CircuitSequence:
     doc = json.loads(text)
-    if doc.get("schema") != SEQUENCE_SCHEMA:
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SEQUENCE_SCHEMA:
         raise ValueError(
-            f"unsupported sequence schema {doc.get('schema')!r}, "
+            f"unsupported sequence schema {schema!r}, "
             f"expected {SEQUENCE_SCHEMA!r}"
         )
     gates = []
-    for entry in doc["gates"]:
-        kind = entry["kind"]
-        if kind not in (SWAP, MIX, PHASE):
-            raise ValueError(f"unknown gate kind {kind!r}")
-        gates.append(GateSpec(
-            kind, int(entry["site"]),
-            theta=float(entry.get("theta", 0.0)),
-            phi=float(entry.get("phi", 0.0)),
-            lam=float(entry.get("lambda", 0.0)),
-            layer=int(entry.get("layer", 0)),
-        ))
+    try:
+        for entry in doc["gates"]:
+            kind = entry["kind"]
+            if kind not in (SWAP, MIX, PHASE):
+                raise ValueError(f"unknown gate kind {kind!r}")
+            gates.append(GateSpec(
+                kind, int(entry["site"]),
+                theta=float(entry.get("theta", 0.0)),
+                phi=float(entry.get("phi", 0.0)),
+                lam=float(entry.get("lambda", 0.0)),
+                layer=int(entry.get("layer", 0)),
+            ))
+        n_sites = int(doc["n_sites"])
+    except KeyError as exc:
+        raise ValueError(f"sequence document has no key {exc}") from None
     depth = 1 + max((g.layer for g in gates), default=-1)
-    return CircuitSequence(n_sites=int(doc["n_sites"]), gates=tuple(gates),
-                           depth=depth)
+    return CircuitSequence(n_sites=n_sites, gates=tuple(gates), depth=depth)

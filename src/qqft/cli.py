@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, circuit, haldane, poincare
+from . import __version__, circuit, engine, haldane, poincare
 
 _DEF_FLAT_SIGMAS = "0,5e-4,1e-3,2.5e-3,5e-3"
 _DEF_POINCARE_SIGMAS = "0,5e-3,2e-2"
@@ -65,6 +65,10 @@ def _sigma_list(text: str):
         raise SystemExit(f"error: --sigma: {exc}") from None
     if not all(math.isfinite(s) and s >= 0 for s in sigmas):
         raise SystemExit("error: --sigma values must be finite and >= 0")
+    # output file names carry the tag, so two sigmas must not share one
+    if len({_sigma_tag(s) for s in sigmas}) < len(sigmas):
+        raise SystemExit("error: --sigma values must differ in their first "
+                         "6 significant digits")
     return sigmas
 
 
@@ -109,7 +113,10 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seq = circuit.sequence_from_json(Path(args.sequence).read_text())
+    try:
+        seq = circuit.sequence_from_json(Path(args.sequence).read_text())
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: {args.sequence}: {exc}") from None
     U = circuit.sequence_to_unitary(seq)
     err = circuit.dft_distance(U, seq.n_sites)
     ok = err < args.tol
@@ -118,11 +125,20 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _require_at_least(least, args, *names):
     for name in names:
         if getattr(args, name) < least:
-            flag = "--" + name.replace("_", "-")
-            raise SystemExit(f"error: {flag} must be >= {least}")
+            raise SystemExit(f"error: {_flag(name)} must be >= {least}")
+
+
+def _require_finite(args, *names):
+    for name in names:
+        if not np.isfinite(getattr(args, name)).all():
+            raise SystemExit(f"error: {_flag(name)} must be finite")
 
 
 def cmd_flatband(args) -> int:
@@ -132,6 +148,12 @@ def cmd_flatband(args) -> int:
     sigmas = _sigma_list(args.sigma)
     if not (math.isfinite(args.phase_sigma) and args.phase_sigma >= 0):
         raise SystemExit("error: --phase-sigma must be finite and >= 0")
+    _require_finite(args, "phi", "M", "phi_range", "m_range")
+    params = haldane.HaldaneParams(phi=args.phi, M=args.M)
+    dim = haldane.momentum_model(params, args.grid).dim
+    if dim > engine.MAX_DIM:
+        raise SystemExit(f"error: --grid {args.grid} gives evolution dimension "
+                         f"{dim}, which exceeds {engine.MAX_DIM}")
     config = {
         "command": "flatband", "phi": args.phi, "M": args.M,
         "sigmas": sigmas, "realizations": args.realizations,
@@ -145,7 +167,6 @@ def cmd_flatband(args) -> int:
     digest = _config_digest(config)
     outputs = []
 
-    params = haldane.HaldaneParams(phi=args.phi, M=args.M)
     points = haldane.noise_sweep_gap_width(
         params, sigmas, args.realizations, args.seed, grid=args.grid,
         workers=args.workers, noise_on_diagonal=args.noise_on_diagonal,
@@ -210,12 +231,11 @@ def cmd_poincare(args) -> int:
     (out / "dispersion.json").write_text(json.dumps(doc, indent=1) + "\n")
     outputs.append("dispersion.json")
 
-    # stream 0 at every sigma in one batch (a sigma = 0 member is exact);
+    # stream 0 at every sigma in one column (a sigma = 0 member is exact);
     # each P tensor goes as soon as its G is taken
-    column = [poincare.NoiseModel(sigma, args.seed, stream_id=0)
-              for sigma in sigmas]
     greens = poincare.greens_function(
-        disp, column, noise_on_diagonal=args.noise_on_diagonal)
+        disp, poincare.NoiseModel(tuple(sigmas), args.seed),
+        noise_on_diagonal=args.noise_on_diagonal)
     for sigma, g in zip(sigmas, (result.matrix for result in greens)):
         for part, array in (("re", g.real), ("im", g.imag)):
             name = f"greens_{part}_sigma{_sigma_tag(sigma)}.csv"

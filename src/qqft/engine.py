@@ -60,20 +60,18 @@ def _mix64(*words: int) -> int:
     return h
 
 
-@lru_cache(maxsize=8)
-def _box_muller_factors(seed: int, stream_id: int, steps: bytes) -> tuple:
-    """S = sqrt(-2 ln u1) and C = cos(2 pi u2) of the uint64 `steps` (raw
-    bytes) of one stream: its draws without sigma, read-only."""
+def _box_muller_factors(seed: int, stream_id: int, steps: np.ndarray) -> tuple:
+    """S = sqrt(-2 ln u1) and C = cos(2 pi u2) of the integer `steps` of one
+    stream, flattened: its draws without sigma."""
     # = _mix64(seed, stream_id, step), one uint64 lane per step
     x = _splitmix64(np.uint64(_mix64(seed, stream_id))
-                    ^ np.frombuffer(steps, dtype=np.uint64))
+                    ^ steps.astype(np.uint64).ravel())
     u1 = ((x >> 11) + 1) / (1 << 53)       # in (0, 1]
     u2 = (_splitmix64(x) >> 11) / (1 << 53)
     # element by element in `math`: numpy's log differs from it in the last
     # bit for some arguments
     S = np.array([math.sqrt(-2.0 * math.log(a)) for a in u1.tolist()])
     C = np.array([math.cos(2.0 * math.pi * b) for b in u2.tolist()])
-    S.flags.writeable = C.flags.writeable = False
     return S, C
 
 
@@ -83,37 +81,38 @@ class NoiseModel:
 
     Identical (seed, stream_id) reproduce identical draws bit-exactly; use
     `substream` to derive independent streams (one per compiled sequence in
-    a composite evolution, one per realization in a sweep).
+    a composite evolution, one per realization in a sweep).  `sigma` may be
+    a 1-D column of noise strengths (stored as a tuple): one stream at every
+    sigma, each member drawing exactly what it would draw alone.
     """
 
-    sigma: float
+    sigma: float | tuple
     seed: int
     stream_id: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        sigma = np.asarray(self.sigma, dtype=float)
+        if sigma.ndim > 1 or not np.all(np.isfinite(sigma) & (sigma >= 0)):
+            raise ValueError(f"sigma must be finite and >= 0, a number or a "
+                             f"1-D column; got {self.sigma!r}")
+        if sigma.ndim:  # a tuple, so that the frozen model stays immutable
+            object.__setattr__(self, "sigma", tuple(sigma.tolist()))
 
     def delta(self, step):
-        """Gaussian draw for Hamiltonian step `step` (Box-Muller transform).
+        """Gaussian draws, shaped sigma.shape + step.shape, for the integer
+        Hamiltonian step(s) `step` (Box-Muller transform); a float for one.
 
-        An integer ndarray of steps gives the array of their draws, each
-        the same as drawing its step alone.  The draws are sigma times
-        sigma-free factors, which are shared by every sigma of a stream.
+        Each draw is the same as drawing its step alone: sigma times
+        sigma-free factors, computed once for every sigma of a column.
         """
         steps = np.asarray(step)
         if steps.dtype.kind not in "iu":
             raise TypeError(f"steps must be integers, got {steps.dtype}")
-        if self.sigma == 0.0:
-            draws = np.zeros(steps.shape)
-        else:
-            S, C = _box_muller_factors(self.seed, self.stream_id,
-                                       steps.astype(np.uint64).tobytes())
-            # (sigma * S) * C rounds as the scalar sigma * sqrt(..) * cos(..)
-            draws = (self.sigma * S * C).reshape(steps.shape)
-        return draws if isinstance(step, np.ndarray) else float(draws)
+        sigma = np.asarray(self.sigma, dtype=float)
+        S, C = _box_muller_factors(self.seed, self.stream_id, steps)
+        # (sigma * S) * C rounds as the scalar sigma * sqrt(..) * cos(..)
+        draws = ((sigma[..., None] * S) * C).reshape(sigma.shape + steps.shape)
+        return draws if draws.ndim else float(draws)
 
     def substream(self, salt: int) -> "NoiseModel":
         return NoiseModel(self.sigma, self.seed, _mix64(self.stream_id, salt))
@@ -173,13 +172,7 @@ def _gate_spectra(seq: CircuitSequence):
     return layers, _fold_phases(E), Z
 
 
-def _members(noise) -> list:
-    """The members of a batch, a list of NoiseModels (or None); one
-    NoiseModel, or None, is a batch of one."""
-    return noise if isinstance(noise, list) else [noise]
-
-
-def apply_noisy_sequence(seq: CircuitSequence, noise=None,
+def apply_noisy_sequence(seq: CircuitSequence, noise: NoiseModel = None,
                          invert: bool = False) -> np.ndarray:
     """Compose a sequence as prod_s exp(-i (1 + delta_s) H[s]).
 
@@ -189,15 +182,14 @@ def apply_noisy_sequence(seq: CircuitSequence, noise=None,
     None) the result is bit-identical to `sequence_to_unitary`.
     `invert=True` composes the inverse sequence (reversed order, adjoint
     gates, each with its own principal-branch generator and its own draws).
-    `noise` may also be a batch, a list of NoiseModels (or None): all
-    members compose in one pass and stack on a leading axis, each member
-    bit-identical to composing it alone.
+    A column of sigmas composes in one pass into shape sigma.shape + (n, n),
+    each member bit-identical to composing it alone.
     """
-    members = _members(noise)
-    B, steps = len(members), np.arange(seq.depth)
+    shape = () if noise is None else np.shape(noise.sigma)
+    B, steps = math.prod(shape), np.arange(seq.depth)
     plan = circuit._wave_plan(seq, invert)
-    draws = np.reshape([np.zeros(seq.depth) if m is None else m.delta(steps)
-                        for m in members], (B, seq.depth))
+    draws = (np.zeros(seq.depth) if noise is None
+             else noise.delta(steps)).reshape(B, seq.depth)
     factors = np.broadcast_to(plan.factors, (B, *plan.factors.shape))
     blocks = np.broadcast_to(plan.blocks, (B, *plan.blocks.shape))
     if draws.any():  # else every gate is exact: no spectra needed
@@ -211,34 +203,33 @@ def apply_noisy_sequence(seq: CircuitSequence, noise=None,
         d, Z = draws[:, plan.pair], Z[plan.pair]
         phases = np.exp(-1j * (1.0 + d)[..., None] * E[plan.pair])
         noisy = (Z * phases[..., None, :]) @ Z.conj().swapaxes(1, 2)
-        # in place: np.where would allocate one more batch of blocks
+        # in place: np.where would allocate one more column of blocks
         np.copyto(noisy, blocks, where=(d == 0.0)[..., None, None])
         blocks = noisy
     U = circuit._apply_waves(seq.n_sites, plan, factors, blocks)
-    return U if isinstance(noise, list) else U[0]
+    return U.reshape(shape + U.shape[1:])
 
 
 def fourier_pair(N: int, noise, axis: int) -> tuple:
     """(V_f, V_i): the compiled N-site Fourier transform and its inverse.
 
     Each composes with its own draws, from the `axis` entries of the salt
-    table; `noise` None gives the noiseless pair, and a batch of noise
-    models (see `apply_noisy_sequence`) a batch of pairs.
+    table; `noise` None gives the noiseless pair, and a column of sigmas
+    (see `apply_noisy_sequence`) a column of pairs.
     """
     seq = compile_for_size(N)
 
     def compose(salt, invert):
-        sub = [None if m is None else m.substream(salt) for m in _members(noise)]
-        return apply_noisy_sequence(seq, sub if isinstance(noise, list) else sub[0],
-                                    invert=invert)
+        sub = None if noise is None else noise.substream(salt)
+        return apply_noisy_sequence(seq, sub, invert=invert)
 
     return compose(_SALT_FORWARD[axis], False), compose(_SALT_INVERSE[axis], True)
 
 
-def diagonal_scale(noise: NoiseModel, enabled: bool) -> float:
-    """Factor 1 + delta on the diagonal generator, from one draw of the
-    diagonal substream; exactly 1.0 unless `enabled` and sigma > 0."""
-    if enabled and noise is not None and noise.sigma > 0:
+def diagonal_scale(noise: NoiseModel, enabled: bool):
+    """Factor 1 + delta on the diagonal generator, from one draw (per sigma)
+    of the diagonal substream; exactly 1.0 unless `enabled` and sigma > 0."""
+    if enabled and noise is not None:
         return 1.0 + noise.substream(_SALT_DIAGONAL).delta(0)
     return 1.0
 
@@ -342,16 +333,15 @@ def _noise_sweep(measure, names, sigmas, n: int, seed: int, workers: int) -> lis
     """One SweepPoint per sigma from n realizations.
 
     A task is one realization r at every sigma: `measure` takes the column
-    [NoiseModel(sigma, seed, stream_id=r) for sigma in sigmas], a batch, and
-    returns one row per member, one value per entry of `names`.  So
-    realization r reuses the same Gaussian draws, scaled, at every sigma,
-    which keeps sweeps smooth.  The n columns go through one pool and are
-    reduced in realization order.
+    NoiseModel(tuple(sigmas), seed, stream_id=r) and returns one row per
+    sigma, one value per entry of `names`.  So realization r reuses the same
+    Gaussian draws, scaled, at every sigma, which keeps sweeps smooth.  The
+    n columns go through one pool and are reduced in realization order.
     """
     sigmas = list(sigmas)
 
     def column(r):
-        return measure([NoiseModel(sigma, seed, stream_id=r) for sigma in sigmas])
+        return measure(NoiseModel(tuple(sigmas), seed, stream_id=r))
 
     columns = _map_ordered(column, n, workers) if sigmas else []
     return [SweepPoint(sigma=sigma, samples=dict(zip(

@@ -78,6 +78,9 @@ class HaldaneParams:
     target_norm: float = 2.0 * np.pi
 
     def __post_init__(self):
+        if not np.isfinite([self.phi, self.M, self.t1, self.t2,
+                            self.target_norm]).all():
+            raise ValueError(f"parameters must be finite: {self}")
         if self.t1 <= 0:
             raise ValueError("t1 must be positive")
 
@@ -113,11 +116,11 @@ def bz_grid(N: int) -> np.ndarray:
 
 def momentum_model(p: HaldaneParams, grid: int = 16, T: float = T_DEFAULT,
                    d0_shift: float = 0.0) -> MomentumModel:
-    """Flattened two-band model on an N x N Brillouin-zone grid."""
-    ks = bz_grid(grid)
+    """Flattened two-band model on an N x N Brillouin-zone grid; builds
+    nothing of grid size until its eigensystem is asked for."""
 
-    def sampler(a, b):
-        d, d0 = d_vector(ks[a, b], p)
+    def sampler(a, b):  # the momentum bz_grid(grid)[a, b]
+        d, d0 = d_vector((a * B_ROW + b * B_COL) / grid, p)
         return bloch_matrix(flatten(d, p.target_norm), d0 + d0_shift)
 
     return MomentumModel(d=2, l=2, grid=grid, sampler=sampler, T=T)
@@ -206,8 +209,11 @@ def noise_sweep_gap_width(p: HaldaneParams, sigmas: Sequence[float],
         spec = extract_spectrum(U, model.T, model.l)
         return spec.band_gap, spec.band_width
 
-    return _noise_sweep(lambda column: [gap_width(noise) for noise in column],
-                        ("gap", "width"), sigmas, n_realizations, seed, workers)
+    def measure(column):  # sigma by sigma: the eigensolve dominates
+        return [gap_width(NoiseModel(s, seed, column.stream_id)) for s in column.sigma]
+
+    return _noise_sweep(measure, ("gap", "width"), sigmas, n_realizations,
+                        seed, workers)
 
 
 def phase_diagram(phis: Sequence[float], ms: Sequence[float], sigma: float,

@@ -168,33 +168,35 @@ class GreensResult:
     p_tensor: np.ndarray
 
 
-def greens_function(disp: Dispersion, noise=None, route: str = "qqft",
-                    noise_on_diagonal: bool = False):
+def greens_function(disp: Dispersion, noise: NoiseModel = None,
+                    route: str = "qqft", noise_on_diagonal: bool = False):
     """Retarded propagator G[n, m] = -i [U(m tau)]_{n, 0} on the spacetime grid.
 
     U(m tau) = V^dag D^m V; m = 0 applies no gates, so that column is exactly
     a delta.  route="exact" replaces the compiled V by the exact DFT matrix
     (the independent reference for the compiled route).  P[n1, m, n] is the
     probability of hopping from n1 to n1 + n in m periods; unitarity makes
-    every (n1, m) slice sum to one even with noise.  `noise` may be a batch
+    every (n1, m) slice sum to one even with noise.  With a column of sigmas
     (see `engine.apply_noisy_sequence`), such as one realization at every
-    sigma: its Fourier pairs compose in one pass, and the result is an
-    iterator of GreensResults, one per member, each built when it is
-    reached so that one propagator at a time is in memory.
+    sigma, the Fourier pairs compose in one pass and the result is an
+    iterator of GreensResults, one per sigma, each built when it is reached
+    so that one propagator at a time is in memory.
     """
     N = disp.n_sites
-    members = engine._members(noise)
     if route == "exact":
         V_f = circuit.dft_matrix(N)
-        pairs = [(V_f, V_f.conj().T)] * len(members)
+        V_i = V_f.conj().T
     elif route == "qqft":
-        pairs = zip(*engine.fourier_pair(N, members, 0))
+        V_f, V_i = engine.fourier_pair(N, noise, 0)
     else:
         raise ValueError(f"unknown route {route!r}")
-    results = (_greens_one(disp, V_f, V_i,
-                           engine.diagonal_scale(member, noise_on_diagonal))
-               for member, (V_f, V_i) in zip(members, pairs))
-    return results if isinstance(noise, list) else next(results)
+    scale = engine.diagonal_scale(noise, noise_on_diagonal)
+    if noise is None or np.ndim(noise.sigma) == 0:
+        return _greens_one(disp, V_f, V_i, scale)
+    B = len(noise.sigma)
+    V_f, V_i = (np.broadcast_to(V, (B, N, N)) for V in (V_f, V_i))
+    return (_greens_one(disp, f, i, float(s))
+            for f, i, s in zip(V_f, V_i, np.broadcast_to(scale, B)))
 
 
 def _greens_one(disp: Dispersion, V_f: np.ndarray, V_i: np.ndarray,

@@ -155,6 +155,8 @@ def build_protocol_unitary(model: MomentumModel, noise: engine.NoiseModel = None
         raise ValueError(f"unsupported dimension d={model.d}")
     if model.dim > engine.MAX_DIM:
         raise ValueError(f"evolution dimension {model.dim} exceeds {engine.MAX_DIM}")
+    if noise is not None and np.ndim(noise.sigma):
+        raise ValueError("one evolution takes one sigma, not a column")
     forward, inverse = zip(*(engine.fourier_pair(model.grid, noise, k)
                              for k in range(model.d)))
     inverse = functools.reduce(np.kron, inverse)

@@ -326,6 +326,22 @@ class TestJson:
         with pytest.raises(ValueError):
             sequence_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("drop,key", [
+        (lambda doc: doc.pop("gates"), "gates"),
+        (lambda doc: doc.pop("n_sites"), "n_sites"),
+        (lambda doc: doc["gates"][0].pop("kind"), "kind"),
+        (lambda doc: doc["gates"][0].pop("site"), "site")])
+    def test_missing_key_named(self, drop, key):
+        doc = json.loads(sequence_to_json(build_radix2_qqft(2)))
+        drop(doc)
+        with pytest.raises(ValueError, match=f"no key '{key}'"):
+            sequence_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"qqft-seq/1"', "{}"])
+    def test_non_document_rejected(self, text):
+        with pytest.raises(ValueError, match="schema"):
+            sequence_from_json(text)
+
     def test_overlapping_layer_rejected(self):
         doc = {"schema": "qqft-seq/1", "n_sites": 3, "gates": [
             {"kind": "mix", "site": 0, "theta": 0.3, "phi": 0.0, "layer": 0},

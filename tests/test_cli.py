@@ -69,6 +69,22 @@ class TestVerify:
         assert main(["verify", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text,message", [
+        (None, "No such file"),
+        ("{not json", "Expecting property name"),
+        ('{"schema": "qqft-seq/1", "n_sites": 2}', "no key 'gates'"),
+        ('{"schema": "qqft-seq/9", "n_sites": 2, "gates": []}',
+         "unsupported sequence schema"),
+        ('{"schema": "qqft-seq/1", "n_sites": 2, "gates": '
+         '[{"kind": "swap", "site": 1}]}', "does not fit on 2 sites")])
+    def test_bad_file_is_one_error_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "seq.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit, match=f"^error: {path}: .*{message}"):
+            main(["verify", str(path)])
+        assert capsys.readouterr().out == ""
+
 
 FLAT_ARGS = ["flatband", "--grid", "4", "--realizations", "4",
              "--sigma", "0,2e-3", "--phase-grid", "2", "--seed", "7"]
@@ -213,6 +229,14 @@ class TestBadInput:
         (["flatband", "--grid", "1"], "--grid must be >= 2"),
         (["flatband", "--sigma", "inf"], "--sigma values must be finite"),
         (["flatband", "--phase-sigma", "nan"], "--phase-sigma must be finite"),
+        (["poincare", "--sigma", "0,0"], "--sigma values must differ"),
+        (["poincare", "--sigma", "1e-3,0.001"], "--sigma values must differ"),
+        (["flatband", "--sigma", "0.001,0.0010000001"], "--sigma values must differ"),
+        (["flatband", "--grid", "46"], "exceeds"),
+        (["flatband", "--phi", "nan"], "--phi must be finite"),
+        (["flatband", "--M", "inf"], "--M must be finite"),
+        (["flatband", "--phi-range", "nan", "1"], "--phi-range must be finite"),
+        (["flatband", "--m-range", "0", "inf"], "--m-range must be finite"),
     ])
     def test_usage_error(self, tmp_path, args, message):
         out = tmp_path / "out"

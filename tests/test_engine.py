@@ -28,9 +28,7 @@ SIGMA_COLUMNS = st.lists(st.sampled_from([0.0, 5e-324, 1e-3, 2e-2, 0.3]),
 
 def scalar_draw_reference(noise, step):
     """Box-Muller draw of one step on Python integers: the reference for
-    the uint64 lanes of NoiseModel.delta."""
-    if noise.sigma == 0.0:
-        return 0.0
+    the uint64 lanes of NoiseModel.delta.  A zero sigma draws a signed 0."""
     x = engine._mix64(noise.seed, noise.stream_id, step)
     u1 = ((x >> 11) + 1) / (1 << 53)
     u2 = (engine._splitmix64(x) >> 11) / (1 << 53)
@@ -128,25 +126,33 @@ class TestNoiseModel:
     def test_shared_factors_match_per_element_expression(self, seed, stream,
                                                          column, steps):
         # one stream at every sigma of a column, as a sweep task draws it:
-        # the later sigmas reuse the cached factors of the first
-        for sigma in column:
+        # one row per sigma, each the per-element expression of that sigma
+        draws = NoiseModel(tuple(column), seed=seed, stream_id=stream).delta(steps)
+        assert draws.shape == (len(column),) + np.shape(steps)
+        for sigma, row in zip(column, draws):
             noise = NoiseModel(sigma, seed=seed, stream_id=stream)
-            draws = noise.delta(steps)
             expected = [scalar_draw_reference(noise, int(s))
                         for s in np.ravel(steps)]
-            if isinstance(steps, int):
-                assert type(draws) is float
-            else:
-                assert draws.shape == steps.shape
-            assert np.array(draws).tobytes() == \
+            assert row.tobytes() == \
                 np.array(expected, dtype=float).reshape(np.shape(steps)).tobytes()
+            alone = noise.delta(steps)
+            assert type(alone) is (float if isinstance(steps, int) else np.ndarray)
+            assert np.array(alone).tobytes() == row.tobytes()
 
-    def test_returned_draws_do_not_alias_the_cache(self):
-        noise = NoiseModel(0.1, seed=3, stream_id=9)
-        first = noise.delta(np.arange(6))
-        kept = first.copy()
-        first[:] = 7.0
-        assert noise.delta(np.arange(6)).tobytes() == kept.tobytes()
+    def test_column_is_a_tuple_of_floats(self):
+        noise = NoiseModel([0, 1e-3, np.float64(2e-2)], seed=1, stream_id=2)
+        assert noise.sigma == (0.0, 1e-3, 2e-2)
+        assert all(type(s) is float for s in noise.sigma)
+        assert noise == NoiseModel((0.0, 1e-3, 2e-2), seed=1, stream_id=2)
+        assert hash(noise) == hash(NoiseModel((0.0, 1e-3, 2e-2), 1, 2))
+        assert noise.substream(4).sigma == noise.sigma
+        assert NoiseModel((), seed=1).delta(np.arange(3)).shape == (0, 3)
+
+    @pytest.mark.parametrize("sigma", [((1e-3,), (2e-3,)), [[0.0]], (0.0, -1e-3),
+                                       (1e-3, np.nan), (np.inf,)])
+    def test_rejects_bad_column(self, sigma):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            NoiseModel(sigma, seed=1)
 
     @pytest.mark.parametrize("step", [1.5, np.array([0.0, 1.0])])
     def test_rejects_non_integer_steps(self, step):
@@ -250,34 +256,39 @@ class TestApplyNoisySequence:
              seed=3, stream=4, invert=True)
     def test_batch_matches_one_at_a_time(self, seq, column, seed, stream,
                                          invert):
-        batch = [NoiseModel(sigma, seed=seed, stream_id=stream)
-                 for sigma in column] + [None]
-        U = apply_noisy_sequence(seq, batch, invert=invert)
-        assert U.shape == (len(batch), seq.n_sites, seq.n_sites)
-        for member, got in zip(batch, U):
-            alone = apply_noisy_sequence(seq, member, invert=invert)
+        noise = NoiseModel(tuple(column), seed=seed, stream_id=stream)
+        U = apply_noisy_sequence(seq, noise, invert=invert)
+        assert U.shape == (len(column), seq.n_sites, seq.n_sites)
+        for sigma, got in zip(column, U):
+            alone = apply_noisy_sequence(
+                seq, NoiseModel(sigma, seed=seed, stream_id=stream), invert=invert)
             assert got.tobytes() == alone.tobytes()
 
     def test_empty_batch(self):
         seq = circuit.build_generic_qqft(5)
-        assert apply_noisy_sequence(seq, []).shape == (0, 5, 5)
+        assert apply_noisy_sequence(seq, NoiseModel((), seed=1)).shape == (0, 5, 5)
 
     def test_noiseless_batch_leaves_gate_spectra_cold(self):
         seq = circuit.build_generic_qqft(11)
         engine._gate_spectra.cache_clear()
-        apply_noisy_sequence(seq, [None, NoiseModel(0.0, seed=1)], invert=True)
-        apply_noisy_sequence(seq)
+        U = apply_noisy_sequence(seq, NoiseModel((0.0, 0.0), seed=1), invert=True)
+        clean = apply_noisy_sequence(seq, invert=True)
+        assert U.tobytes() == np.stack([clean, clean]).tobytes()
+        apply_noisy_sequence(seq, NoiseModel(0.0, seed=1))
         assert engine._gate_spectra.cache_info().currsize == 0
 
-    def test_one_draw_call_per_member(self, monkeypatch):
+    def test_one_draw_call_per_column(self, monkeypatch):
         calls = []
         delta = NoiseModel.delta
         monkeypatch.setattr(NoiseModel, "delta",
                             lambda self, step: calls.append(self) or delta(self, step))
-        seq = circuit.build_radix2_qqft(3)
-        batch = [NoiseModel(sigma, seed=2, stream_id=5) for sigma in (0.0, 1e-2, 1e-2)]
-        apply_noisy_sequence(seq, batch + [None])
-        assert calls == batch
+        column = NoiseModel((0.0, 1e-2, 1e-2), seed=2, stream_id=5)
+        apply_noisy_sequence(circuit.build_radix2_qqft(3), column)
+        assert calls == [column]
+        calls.clear()
+        engine.fourier_pair(8, column, 1)       # one call per direction
+        assert calls == [column.substream(engine._SALT_FORWARD[1]),
+                         column.substream(engine._SALT_INVERSE[1])]
 
     def test_one_draw_call_per_sequence(self, monkeypatch):
         calls = []

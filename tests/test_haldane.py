@@ -32,6 +32,19 @@ def params(phi, M):
     return HaldaneParams(phi=phi, M=M)
 
 
+class TestParams:
+    @pytest.mark.parametrize("field", ["phi", "M", "t1", "t2", "target_norm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"phi": 0.5, "M": 0.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            HaldaneParams(**kwargs)
+
+    def test_lazy_in_grid_size(self):
+        # the CLI reads the dimension of an oversized grid before refusing it
+        assert haldane.momentum_model(params(0.5, 0.0), 10**6).dim == 2 * 10**12
+
+
 class TestGeometry:
     def test_bond_vectors_close(self):
         assert np.abs(G1 + G2 + G3).max() < 1e-15

@@ -227,14 +227,17 @@ class TestGreensFunction:
            on_diagonal=st.booleans(), route=st.sampled_from(["qqft", "exact"]))
     @example(case=(33, 2), column=[0.0, 5e-324, 5e-2, 5e-2], seed=9,
              on_diagonal=True, route="qqft")
+    @example(case=(16, 3), column=[5e-324, 1e-3, 0.0], seed=4,
+             on_diagonal=True, route="exact")
     def test_batch_matches_one_at_a_time(self, case, column, seed,
                                          on_diagonal, route):
         disp = build_dispersion(*case)
-        batch = [NoiseModel(sigma, seed=seed, stream_id=3) for sigma in column]
-        results = list(greens_function(disp, batch, route=route,
-                                       noise_on_diagonal=on_diagonal))
-        assert len(results) == len(batch)
-        for noise, got in zip(batch, results):
+        results = list(greens_function(
+            disp, NoiseModel(tuple(column), seed=seed, stream_id=3),
+            route=route, noise_on_diagonal=on_diagonal))
+        assert len(results) == len(column)
+        for sigma, got in zip(column, results):
+            noise = NoiseModel(sigma, seed=seed, stream_id=3)
             alone = greens_function(disp, noise, route=route,
                                     noise_on_diagonal=on_diagonal)
             assert got.matrix.tobytes() == alone.matrix.tobytes()
@@ -305,7 +308,7 @@ class TestNoiseSweep:
         sigmas = [0.0, 1e-3, 1e-2]
         noise_sweep_symmetry(6, 2, sigmas, 3, seed=8)
         assert columns[0] is None                   # the clean reference
-        assert columns[1:] == [[NoiseModel(s, 8, stream_id=r) for s in sigmas]
+        assert columns[1:] == [NoiseModel(tuple(sigmas), 8, stream_id=r)
                                for r in range(3)]
 
     def test_worker_invariance_n33_uneven_split(self):

@@ -99,6 +99,11 @@ class TestBuildProtocolUnitary:
         U_on = build_protocol_unitary(model, noise, noise_on_diagonal=True)
         assert np.abs(U_on - U_off).max() > 1e-4
 
+    def test_sigma_column_rejected(self):
+        model = haldane.momentum_model(haldane.HaldaneParams(phi=0.5, M=0.0), 4)
+        with pytest.raises(ValueError, match="one sigma"):
+            build_protocol_unitary(model, engine.NoiseModel((0.0, 1e-3), seed=1))
+
     def test_unsupported_dimension(self):
         model = MomentumModel(d=3, l=1, grid=2,
                               sampler=lambda *m: np.zeros((1, 1)))
