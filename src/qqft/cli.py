@@ -60,7 +60,8 @@ def _write_manifest(outdir: Path, command: str, config: dict, outputs):
 
 def _sigma_list(text: str):
     try:
-        sigmas = [float(s) for s in text.split(",") if s.strip() != ""]
+        # + 0.0 turns -0 into 0, so that the two count as one sigma
+        sigmas = [float(s) + 0.0 for s in text.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise SystemExit(f"error: --sigma: {exc}") from None
     if not all(math.isfinite(s) and s >= 0 for s in sigmas):

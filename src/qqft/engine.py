@@ -68,10 +68,11 @@ def _box_muller_factors(seed: int, stream_id: int, steps: np.ndarray) -> tuple:
                     ^ steps.astype(np.uint64).ravel())
     u1 = ((x >> 11) + 1) / (1 << 53)       # in (0, 1]
     u2 = (_splitmix64(x) >> 11) / (1 << 53)
-    # element by element in `math`: numpy's log differs from it in the last
-    # bit for some arguments
-    S = np.array([math.sqrt(-2.0 * math.log(a)) for a in u1.tolist()])
-    C = np.array([math.cos(2.0 * math.pi * b) for b in u2.tolist()])
+    # log and cos in `math`, whose last bits numpy's do not always match;
+    # the exact scalings and the correctly rounded sqrt agree in numpy
+    log_u1 = np.fromiter(map(math.log, u1.tolist()), float, len(u1))
+    S = np.sqrt(-2.0 * log_u1)
+    C = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), float, len(u2))
     return S, C
 
 
@@ -332,18 +333,27 @@ def _map_ordered(fn, count: int, workers: int) -> list:
 def _noise_sweep(measure, names, sigmas, n: int, seed: int, workers: int) -> list:
     """One SweepPoint per sigma from n realizations.
 
-    A task is one realization r at every sigma: `measure` takes the column
-    NoiseModel(tuple(sigmas), seed, stream_id=r) and returns one row per
-    sigma, one value per entry of `names`.  So realization r reuses the same
-    Gaussian draws, scaled, at every sigma, which keeps sweeps smooth.  The
-    n columns go through one pool and are reduced in realization order.
+    A task is one realization r at every nonzero sigma: `measure` takes the
+    column NoiseModel(noisy, seed, stream_id=r) and returns one row per
+    sigma, one value per entry of `names`.  So realization r reuses its
+    draws, scaled, at every sigma, which keeps sweeps smooth.  A zero sigma
+    draws only zeros, the same on every stream, so one more task measures
+    the zero sigmas once, on stream 0, and its row stands for all n
+    realizations; it runs in the same pool, on one BLAS thread like the
+    others, since BLAS results can depend on the thread count.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     sigmas = list(sigmas)
-
-    def column(r):
-        return measure(NoiseModel(tuple(sigmas), seed, stream_id=r))
-
-    columns = _map_ordered(column, n, workers) if sigmas else []
-    return [SweepPoint(sigma=sigma, samples=dict(zip(
-                names, map(np.array, zip(*(rows[k] for rows in columns))))))
-            for k, sigma in enumerate(sigmas)]
+    zero = tuple(s for s in sigmas if s == 0)
+    noisy = tuple(s for s in sigmas if s != 0)
+    tasks = [NoiseModel(zero, seed)] if zero else []
+    tasks += [NoiseModel(noisy, seed, stream_id=r) for r in range(n)] if noisy else []
+    rows = _map_ordered(lambda i: measure(tasks[i]), len(tasks),
+                        workers) if tasks else []
+    # the n rows of each sigma: the exact row n times, or one per realization
+    exact = ((row,) * n for row in (rows[0] if zero else ()))
+    noisy_rows = zip(*rows[bool(zero):])
+    return [SweepPoint(sigma=sigma, samples=dict(zip(names, map(
+                np.array, zip(*next(exact if sigma == 0 else noisy_rows))))))
+            for sigma in sigmas]

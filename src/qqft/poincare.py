@@ -20,6 +20,7 @@ class-variance statistic `s_lorentz` and the clean-vs-noisy RMS `s_total`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -213,11 +214,16 @@ def _greens_one(disp: Dispersion, V_f: np.ndarray, V_i: np.ndarray,
     U = V_i @ (phases[:, :, None] * V_f)      # U[m] = U(m tau)
     U[0] = np.eye(N)
     G = -1j * U[:, :, 0].T
-    # P[n1, m, n] = |U(m tau)[(n1 + n) mod N, n1]|^2
-    prob = np.abs(U) ** 2
-    n1 = np.arange(N)[:, None, None]
-    P = prob[m[None], (n1 + np.arange(N)) % N, n1]
+    P = (np.abs(U) ** 2).reshape(-1)[_p_index(N)]
     return GreensResult(matrix=G, p_tensor=P)
+
+
+@lru_cache(maxsize=8)
+def _p_index(N: int) -> np.ndarray:
+    """Flat indices into U[m, row, col] of P[n1, m, n] =
+    |U(m tau)[(n1 + n) mod N, n1]|^2."""
+    n1, m, n = np.ogrid[:N, :N, :N]
+    return (m * N + (n1 + n) % N) * N + n1
 
 
 def s_lorentz(P: np.ndarray, lattice: LorentzLattice) -> float:

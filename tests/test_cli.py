@@ -146,6 +146,15 @@ class TestFlatband:
         assert ra[0] == rb[0]          # noiseless row unaffected
         assert ra[1] != rb[1]          # noisy row differs
 
+    def test_minus_zero_runs_as_zero(self, tmp_path):
+        args = ["flatband", "--grid", "4", "--realizations", "2",
+                "--phase-grid", "0", "--out", str(tmp_path)]
+        main(args + ["--sigma=-0"])
+        _, rows = read_rows(tmp_path / "gap_width.csv")
+        assert [row[0] for row in rows] == ["0.0"]
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert str(manifest["config"]["sigmas"]) == "[0.0]"
+
 
 POIN_ARGS = ["poincare", "--N", "6", "--gamma", "2", "--realizations", "4",
              "--sigma", "0,5e-3,2e-2", "--seed", "3"]
@@ -198,6 +207,18 @@ class TestPoincare:
         with pytest.raises(SystemExit, match="error: --realizations"):
             main(POIN_ARGS + ["--out", str(tmp_path), "--realizations", "0"])
 
+    def test_minus_zero_runs_as_zero(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["poincare", "--N", "6", "--realizations", "2", "--seed", "3"]
+        main(args + ["--sigma=-0,1e-2", "--out", str(a)])
+        main(args + ["--sigma", "0,1e-2", "--out", str(b)])
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert "greens_re_sigmam0.csv" not in names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert read_rows(a / "symmetry.csv")[1][0][0] == "0.0"
+
     def test_greens_csv_matches_one_sigma_at_a_time(self, tmp_path):
         main(POIN_ARGS + ["--out", str(tmp_path), "--noise-on-diagonal"])
         disp = poincare.build_dispersion(6, 2)
@@ -237,6 +258,8 @@ class TestBadInput:
         (["flatband", "--M", "inf"], "--M must be finite"),
         (["flatband", "--phi-range", "nan", "1"], "--phi-range must be finite"),
         (["flatband", "--m-range", "0", "inf"], "--m-range must be finite"),
+        (["poincare", "--sigma", "0,-0"], "--sigma values must differ"),
+        (["flatband", "--sigma=-0,0"], "--sigma values must differ"),
     ])
     def test_usage_error(self, tmp_path, args, message):
         out = tmp_path / "out"

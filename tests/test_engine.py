@@ -117,6 +117,18 @@ class TestNoiseModel:
         assert all(type(d) is float for d in singles)
         assert np.array(singles, dtype=float).tobytes() == draws.tobytes()
 
+    def test_matches_scalar_draws_where_numpy_log_differs(self):
+        # numpy's log misses math.log's last bit for a few arguments in a
+        # thousand; 4000 steps hold such arguments, so a numpy log in the
+        # draws would show here
+        noise, steps = NoiseModel(1.0, seed=9, stream_id=4), range(4000)
+        u1 = np.array([((engine._mix64(9, 4, s) >> 11) + 1) / (1 << 53)
+                       for s in steps])
+        assert (np.log(u1) != [math.log(u) for u in u1]).any()
+        expected = [scalar_draw_reference(noise, s) for s in steps]
+        assert noise.delta(np.arange(4000)).tobytes() == \
+            np.array(expected).tobytes()
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(seed=WORDS, stream=WORDS, column=SIGMA_COLUMNS,
            steps=st.one_of(
@@ -344,6 +356,41 @@ class TestApplyNoisySequence:
         assert slope_a == pytest.approx(10.0, rel=0.05)
         assert slope_b == pytest.approx(10.0, rel=0.05)
         assert norms[1e-3] / 1e-3 < 50.0  # finite slope
+
+
+class TestZeroSigmaIsStreamFree:
+    """A zero sigma draws only (signed) zeros, so its result is the same on
+    every stream, which lets `engine._noise_sweep` measure it once."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=WORDS, stream=WORDS,
+           N=st.sampled_from([3, 4, 6, 8]),    # generic and radix-2 routes
+           axis=st.sampled_from([0, 1]),
+           sigma=st.sampled_from([0.0, (0.0,), (0.0, 0.0)]))
+    @example(seed=1, stream=0, N=8, axis=0, sigma=0.0)    # draws a -0.0
+    def test_fourier_pair_same_on_every_stream(self, seed, stream, N, axis,
+                                               sigma):
+        clean = engine.fourier_pair(N, None, axis)
+        for noise in (NoiseModel(sigma, seed, stream), NoiseModel(sigma, seed)):
+            pair = engine.fourier_pair(N, noise, axis)
+            for got, want in zip(pair, clean):     # forward, then inverse
+                want = np.broadcast_to(want, got.shape)
+                assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=WORDS, stream=WORDS)
+    @example(seed=1, stream=0)                            # draws a -0.0
+    def test_diagonal_scale_is_exactly_one(self, seed, stream):
+        noise = NoiseModel(0.0, seed, stream)
+        assert noise.substream(engine._SALT_DIAGONAL).delta(0) == 0.0
+        scale = engine.diagonal_scale(noise, True)
+        assert scale == 1.0 and not np.signbit(scale)
+        assert engine.diagonal_scale(NoiseModel((0.0, 0.0), seed, stream),
+                                     True).tolist() == [1.0, 1.0]
+
+    def test_example_draws_a_negative_zero(self):
+        draw = NoiseModel(0.0, 1, 0).substream(engine._SALT_DIAGONAL).delta(0)
+        assert draw == 0.0 and np.signbit(draw)
 
 
 def diagonal_momentum_evolution(model, scale=1.0):

@@ -296,7 +296,7 @@ class TestNoiseSweep:
         assert np.array_equal(serial[0].samples["sp"],
                               threaded[0].samples["sp"])
 
-    def test_task_is_one_realization_at_every_sigma(self, monkeypatch):
+    def test_task_is_one_realization_at_every_nonzero_sigma(self, monkeypatch):
         columns = []
         batched = greens_function
 
@@ -305,11 +305,12 @@ class TestNoiseSweep:
             return batched(disp, noise, **kwargs)
 
         monkeypatch.setattr(poincare, "greens_function", spy)
-        sigmas = [0.0, 1e-3, 1e-2]
-        noise_sweep_symmetry(6, 2, sigmas, 3, seed=8)
+        noise_sweep_symmetry(6, 2, [1e-3, 0.0, 1e-2], 3, seed=8)
         assert columns[0] is None                   # the clean reference
-        assert columns[1:] == [NoiseModel(tuple(sigmas), 8, stream_id=r)
-                               for r in range(3)]
+        # the zero sigma once, on stream 0; then one column per realization
+        assert columns[1:] == [NoiseModel((0.0,), 8)] + [
+            NoiseModel((1e-3, 1e-2), 8, stream_id=r) for r in range(3)]
+        assert sum(0.0 in c.sigma for c in columns[1:]) == 1
 
     def test_worker_invariance_n33_uneven_split(self):
         # 3 realizations on 2 workers: one worker runs two columns
