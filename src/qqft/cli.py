@@ -232,12 +232,11 @@ def cmd_poincare(args) -> int:
     (out / "dispersion.json").write_text(json.dumps(doc, indent=1) + "\n")
     outputs.append("dispersion.json")
 
-    # stream 0 at every sigma in one column (a sigma = 0 member is exact);
-    # each P tensor goes as soon as its G is taken
-    greens = poincare.greens_function(
-        disp, poincare.NoiseModel(tuple(sigmas), args.seed),
-        noise_on_diagonal=args.noise_on_diagonal)
-    for sigma, g in zip(sigmas, (result.matrix for result in greens)):
+    # the propagators are the sweep's realization 0: stream 0 at every sigma
+    points, greens = poincare.noise_sweep_symmetry(
+        disp, lattice, sigmas, args.realizations, args.seed,
+        workers=args.workers, noise_on_diagonal=args.noise_on_diagonal)
+    for sigma, g in greens.items():
         for part, array in (("re", g.real), ("im", g.imag)):
             name = f"greens_{part}_sigma{_sigma_tag(sigma)}.csv"
             # rows are the site offset n, columns the stroboscopic time m
@@ -245,10 +244,6 @@ def cmd_poincare(args) -> int:
                        [f"m{m}" for m in range(args.N)], array.tolist())
             outputs.append(name)
 
-    points = poincare.noise_sweep_symmetry(
-        args.N, args.gamma, sigmas, args.realizations, args.seed,
-        workers=args.workers, noise_on_diagonal=args.noise_on_diagonal,
-    )
     rows = [(p.sigma, p.mean("sl"), p.stderr("sl"), p.mean("sp"),
              p.stderr("sp")) for p in points]
     _write_csv(out / "symmetry.csv", digest,

@@ -330,30 +330,32 @@ def _map_ordered(fn, count: int, workers: int) -> list:
             set_local(n)
 
 
-def _noise_sweep(measure, names, sigmas, n: int, seed: int, workers: int) -> list:
+def _noise_sweep(measure, names, sigmas, n: int, seed: int, workers: int,
+                 first=None) -> list:
     """One SweepPoint per sigma from n realizations.
 
-    A task is one realization r at every nonzero sigma: `measure` takes the
-    column NoiseModel(noisy, seed, stream_id=r) and returns one row per
-    sigma, one value per entry of `names`.  So realization r reuses its
+    `measure` takes a column NoiseModel and returns one row per sigma of it,
+    one value per entry of `names`.  Realization 0 is every sigma on stream
+    0, realization r >= 1 the nonzero sigmas on stream r: it reuses its
     draws, scaled, at every sigma, which keeps sweeps smooth.  A zero sigma
-    draws only zeros, the same on every stream, so one more task measures
-    the zero sigmas once, on stream 0, and its row stands for all n
-    realizations; it runs in the same pool, on one BLAS thread like the
-    others, since BLAS results can depend on the thread count.
+    draws only zeros, the same on every stream, so its row of realization 0
+    stands for all n.  `first` holds measure's rows of realization 0 if the
+    caller measured them.  Tasks run on one BLAS thread each, since BLAS
+    results can depend on the thread count.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     sigmas = list(sigmas)
-    zero = tuple(s for s in sigmas if s == 0)
+    if not sigmas:  # nothing to measure: no task, no pool
+        return []
     noisy = tuple(s for s in sigmas if s != 0)
-    tasks = [NoiseModel(zero, seed)] if zero else []
-    tasks += [NoiseModel(noisy, seed, stream_id=r) for r in range(n)] if noisy else []
-    rows = _map_ordered(lambda i: measure(tasks[i]), len(tasks),
-                        workers) if tasks else []
-    # the n rows of each sigma: the exact row n times, or one per realization
-    exact = ((row,) * n for row in (rows[0] if zero else ()))
-    noisy_rows = zip(*rows[bool(zero):])
-    return [SweepPoint(sigma=sigma, samples=dict(zip(names, map(
-                np.array, zip(*next(exact if sigma == 0 else noisy_rows))))))
-            for sigma in sigmas]
+    tasks = [NoiseModel(tuple(sigmas), seed)] if first is None else []
+    tasks += [NoiseModel(noisy, seed, stream_id=r) for r in range(1, n) if noisy]
+    rows = [] if first is None else [first]
+    rows += _map_ordered(lambda i: measure(tasks[i]), len(tasks),
+                         workers) if tasks else []
+    points, later = [], zip(*rows[1:])  # the rows of r >= 1, nonzero sigmas
+    for sigma, row in zip(sigmas, rows[0]):
+        per_r = (row,) * n if sigma == 0 else (row, *next(later, ()))
+        points.append(SweepPoint(sigma, dict(zip(names, map(np.array, zip(*per_r))))))
+    return points

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from . import circuit, engine
-from .engine import NoiseModel, _noise_sweep
+from .engine import NoiseModel, _map_ordered, _noise_sweep
 
 
 class DispersionError(ValueError):
@@ -251,24 +252,36 @@ def s_total(P_noisy: np.ndarray, P_clean: np.ndarray) -> float:
     return float(np.sqrt(np.mean((P_noisy - P_clean) ** 2)))
 
 
-def noise_sweep_symmetry(N: int, gamma: int, sigmas: Sequence[float],
-                         n_realizations: int, seed: int,
-                         workers: int = 1,
-                         noise_on_diagonal: bool = False) -> list:
-    """S_L and S_P versus noise strength: one `engine.SweepPoint` per sigma
-    with samples "sl" and "sp", independent of the worker count.
-    `noise_on_diagonal` is passed to every noisy `greens_function`."""
-    disp = build_dispersion(N, gamma)
-    lattice = equivalence_classes(N, gamma)
-    P_clean = greens_function(disp).p_tensor
+def noise_sweep_symmetry(disp: Dispersion, lattice: LorentzLattice,
+                         sigmas: Sequence[float], n_realizations: int,
+                         seed: int, workers: int = 1,
+                         noise_on_diagonal: bool = False) -> tuple:
+    """S_L and S_P versus noise strength, independent of the worker count:
+    (points, greens), one `engine.SweepPoint` per sigma with samples "sl"
+    and "sp", and {sigma: G} of realization 0, stream 0 at every sigma.
 
-    def stats(g):
-        return s_lorentz(g.p_tensor, lattice), s_total(g.p_tensor, P_clean)
+    Realization 0 is measured here, zero sigmas first, and shared with the
+    sweep: with 0 among the sigmas, its first member is the clean reference
+    of `s_total`.  `noise_on_diagonal` reaches every noisy `greens_function`.
+    """
+    column = NoiseModel(tuple(sorted(sigmas, key=lambda s: s != 0)), seed)
 
-    def measure(column):
+    def stats(results, P_clean):
         # map lets each result go before the next one is built
-        return list(map(stats, greens_function(
-            disp, column, noise_on_diagonal=noise_on_diagonal)))
+        return list(map(lambda g: (s_lorentz(g.p_tensor, lattice), s_total(
+            g.p_tensor, P_clean), g.matrix), results))
 
-    return _noise_sweep(measure, ("sl", "sp"), sigmas, n_realizations, seed,
-                        workers)
+    def greens(noise):
+        return greens_function(disp, noise, noise_on_diagonal=noise_on_diagonal)
+
+    def first(_):  # through _map_ordered: on one BLAS thread
+        results, zero = greens(column), 0.0 in column.sigma
+        clean = next(results) if zero else greens_function(disp)
+        return stats(chain([clean] * zero, results), clean.p_tensor), clean.p_tensor
+
+    rows, P_clean = _map_ordered(first, 1, workers)[0] if sigmas else ([], None)
+    by_sigma = dict(zip(column.sigma, rows))
+    points = _noise_sweep(lambda noise: [r[:2] for r in stats(greens(noise), P_clean)],
+                          ("sl", "sp"), sigmas, n_realizations, seed, workers,
+                          first=[by_sigma[sigma][:2] for sigma in sigmas])
+    return points, {sigma: by_sigma[sigma][2] for sigma in sigmas}

@@ -163,8 +163,9 @@ def _loglog_slope(sigmas, means, i, j):
 
 def test_criterion_7_poincare_noise_trend():
     sigmas = [0.0, 1e-3, 5e-3, 1e-2, 2e-2, 5e-2]
-    points = poincare.noise_sweep_symmetry(33, 2, sigmas, 100, seed=5,
-                                           workers=WORKERS)
+    points, _ = poincare.noise_sweep_symmetry(
+        poincare.build_dispersion(33, 2), poincare.equivalence_classes(33, 2),
+        sigmas, 100, seed=5, workers=WORKERS)
     for label, means, errs in (
         ("S_L", [p.mean("sl") for p in points], [p.stderr("sl") for p in points]),
         ("S_P", [p.mean("sp") for p in points], [p.stderr("sp") for p in points]),
@@ -220,8 +221,9 @@ def test_criterion_8_property_suites():
                                       workers=3)
     assert np.array_equal(a[0].samples["gap"], b[0].samples["gap"])
     assert np.array_equal(a[0].samples["width"], b[0].samples["width"])
-    sa = poincare.noise_sweep_symmetry(6, 2, [1e-2], 5, seed=13)
-    sb = poincare.noise_sweep_symmetry(6, 2, [1e-2], 5, seed=13, workers=3)
+    crystal = poincare.build_dispersion(6, 2), poincare.equivalence_classes(6, 2)
+    sa, _ = poincare.noise_sweep_symmetry(*crystal, [1e-2], 5, seed=13)
+    sb, _ = poincare.noise_sweep_symmetry(*crystal, [1e-2], 5, seed=13, workers=3)
     assert np.array_equal(sa[0].samples["sl"], sb[0].samples["sl"])
     assert np.array_equal(sa[0].samples["sp"], sb[0].samples["sp"])
 

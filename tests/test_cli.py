@@ -219,6 +219,32 @@ class TestPoincare:
             assert (a / name).read_bytes() == (b / name).read_bytes()
         assert read_rows(a / "symmetry.csv")[1][0][0] == "0.0"
 
+    @pytest.mark.parametrize("sigma,clean_calls", [
+        ("0,5e-3,2e-2", 0), ("1e-3,0", 0), ("5e-3", 1)])
+    def test_one_greens_call_per_realization(self, tmp_path, monkeypatch,
+                                             sigma, clean_calls):
+        # the Green's files, the zero sigma and the clean reference all come
+        # from realization 0: n column calls, and a clean call only without 0
+        calls = []
+        greens = poincare.greens_function
+
+        def spy(disp, noise=None, **kwargs):
+            calls.append(noise)
+            return greens(disp, noise, **kwargs)
+
+        monkeypatch.setattr(poincare, "greens_function", spy)
+        main(["poincare", "--N", "6", "--realizations", "4", "--sigma", sigma,
+              "--seed", "3", "--out", str(tmp_path)])
+        assert len(calls) - calls.count(None) == 4
+        assert calls.count(None) == clean_calls
+
+    def test_empty_sigma_list_writes_empty_symmetry(self, tmp_path):
+        assert main(["poincare", "--N", "6", "--realizations", "2",
+                     "--sigma", "", "--out", str(tmp_path)]) == 0
+        header, rows = read_rows(tmp_path / "symmetry.csv")
+        assert header[0] == "sigma" and rows == []
+        assert not list(tmp_path.glob("greens_*"))
+
     def test_greens_csv_matches_one_sigma_at_a_time(self, tmp_path):
         main(POIN_ARGS + ["--out", str(tmp_path), "--noise-on-diagonal"])
         disp = poincare.build_dispersion(6, 2)

@@ -18,6 +18,13 @@ from qqft.poincare import (
 )
 
 
+def symmetry_points(N, gamma, *args, **kwargs):
+    """The SweepPoints of `noise_sweep_symmetry` for the (N, gamma) crystal."""
+    return noise_sweep_symmetry(build_dispersion(N, gamma),
+                                equivalence_classes(N, gamma),
+                                *args, **kwargs)[0]
+
+
 def greens_reference(disp, noise=None, noise_on_diagonal=False):
     """G and P one stroboscopic time m at a time, P by np.roll: the
     reference for the batched greens_function."""
@@ -246,6 +253,21 @@ class TestGreensFunction:
                 clean = greens_function(disp, route=route)
                 assert got.matrix.tobytes() == clean.matrix.tobytes()
 
+    @pytest.mark.parametrize("case", [(6, 2), (16, 3), (33, 2)])
+    @pytest.mark.parametrize("on_diagonal", [False, True])
+    @pytest.mark.parametrize("column", [(0.0, 1e-3, 5e-2), (1e-3, 0.0, 5e-2),
+                                        (1e-3, 5e-2, 0.0)])
+    def test_clean_is_zero_member_of_stream_0_column(self, case, on_diagonal,
+                                                     column):
+        # the sweep takes its clean reference from realization 0's column
+        disp = build_dispersion(*case)
+        clean = greens_function(disp)
+        results = list(greens_function(disp, NoiseModel(column, seed=7),
+                                       noise_on_diagonal=on_diagonal))
+        zero = results[column.index(0.0)]
+        assert zero.matrix.tobytes() == clean.matrix.tobytes()
+        assert zero.p_tensor.tobytes() == clean.p_tensor.tobytes()
+
     def test_unknown_route(self, disp):
         with pytest.raises(ValueError):
             greens_function(disp, route="telepathy")
@@ -281,7 +303,7 @@ class TestSymmetryMetrics:
 
 class TestNoiseSweep:
     def test_monotone_trend_small_case(self):
-        points = noise_sweep_symmetry(6, 2, [0.0, 5e-3, 5e-2], 8, seed=3)
+        points = symmetry_points(6, 2, [0.0, 5e-3, 5e-2], 8, seed=3)
         sls = [p.mean("sl") for p in points]
         sps = [p.mean("sp") for p in points]
         assert sls[0] < 1e-10 and sps[0] == 0.0
@@ -289,45 +311,69 @@ class TestNoiseSweep:
         assert sps[0] < sps[1] < sps[2]
 
     def test_worker_invariance(self):
-        serial = noise_sweep_symmetry(6, 2, [1e-2], 6, seed=11)
-        threaded = noise_sweep_symmetry(6, 2, [1e-2], 6, seed=11, workers=3)
+        serial = symmetry_points(6, 2, [1e-2], 6, seed=11)
+        threaded = symmetry_points(6, 2, [1e-2], 6, seed=11, workers=3)
         assert np.array_equal(serial[0].samples["sl"],
                               threaded[0].samples["sl"])
         assert np.array_equal(serial[0].samples["sp"],
                               threaded[0].samples["sp"])
 
-    def test_task_is_one_realization_at_every_nonzero_sigma(self, monkeypatch):
-        columns = []
+    @staticmethod
+    def spy_on_greens(monkeypatch):
+        """The noise argument of every greens_function call, in order."""
+        calls = []
         batched = greens_function
 
         def spy(disp, noise=None, **kwargs):
-            columns.append(noise)
+            calls.append(noise)
             return batched(disp, noise, **kwargs)
 
         monkeypatch.setattr(poincare, "greens_function", spy)
-        noise_sweep_symmetry(6, 2, [1e-3, 0.0, 1e-2], 3, seed=8)
-        assert columns[0] is None                   # the clean reference
-        # the zero sigma once, on stream 0; then one column per realization
-        assert columns[1:] == [NoiseModel((0.0,), 8)] + [
-            NoiseModel((1e-3, 1e-2), 8, stream_id=r) for r in range(3)]
-        assert sum(0.0 in c.sigma for c in columns[1:]) == 1
+        return calls
+
+    def test_task_is_one_realization_at_every_nonzero_sigma(self, monkeypatch):
+        columns = self.spy_on_greens(monkeypatch)
+        symmetry_points(6, 2, [1e-3, 0.0, 1e-2], 3, seed=8)
+        # realization 0 is stream 0 at every sigma, the zero first, and its
+        # zero member is the clean reference: no separate clean call; then
+        # one column of the nonzero sigmas per realization r >= 1
+        assert columns == [NoiseModel((0.0, 1e-3, 1e-2), 8)] + [
+            NoiseModel((1e-3, 1e-2), 8, stream_id=r) for r in (1, 2)]
+
+    def test_clean_reference_measured_when_no_sigma_is_zero(self, monkeypatch):
+        columns = self.spy_on_greens(monkeypatch)
+        symmetry_points(6, 2, [1e-2, 1e-3], 3, seed=8)
+        assert columns == [NoiseModel((1e-2, 1e-3), 8), None] + [
+            NoiseModel((1e-2, 1e-3), 8, stream_id=r) for r in (1, 2)]
+
+    @pytest.mark.parametrize("sigmas", [[1e-3, 0.0, 1e-2], [1e-2, 1e-3], [0.0]])
+    def test_greens_are_realization_0(self, sigmas):
+        disp = build_dispersion(6, 2)
+        _, greens = noise_sweep_symmetry(disp, equivalence_classes(6, 2),
+                                         sigmas, 2, seed=4,
+                                         noise_on_diagonal=True)
+        column = greens_function(disp, NoiseModel(tuple(sigmas), 4),
+                                 noise_on_diagonal=True)
+        assert list(greens) == sigmas
+        for sigma, g in zip(sigmas, column):
+            assert greens[sigma].tobytes() == g.matrix.tobytes()
 
     def test_worker_invariance_n33_uneven_split(self):
         # 3 realizations on 2 workers: one worker runs two columns
         sigmas = [0.0, 1e-3, 2e-2]
-        serial = noise_sweep_symmetry(33, 2, sigmas, 3, seed=17)
-        pooled = noise_sweep_symmetry(33, 2, sigmas, 3, seed=17, workers=2)
+        serial = symmetry_points(33, 2, sigmas, 3, seed=17)
+        pooled = symmetry_points(33, 2, sigmas, 3, seed=17, workers=2)
         for a, b in zip(serial, pooled):
             for name in ("sl", "sp"):
                 assert a.samples[name].tobytes() == b.samples[name].tobytes()
 
     def test_zero_realizations_rejected(self):
         with pytest.raises(ValueError):
-            noise_sweep_symmetry(6, 2, [1e-2], 0, seed=1)
+            symmetry_points(6, 2, [1e-2], 0, seed=1)
 
     def test_noise_on_diagonal_reaches_samples(self):
-        plain, diag = (noise_sweep_symmetry(6, 2, [0.0, 1e-2], 3, seed=5,
-                                            noise_on_diagonal=flag)
+        plain, diag = (symmetry_points(6, 2, [0.0, 1e-2], 3, seed=5,
+                                       noise_on_diagonal=flag)
                        for flag in (False, True))
         for name in ("sl", "sp"):
             assert np.array_equal(plain[0].samples[name], diag[0].samples[name])

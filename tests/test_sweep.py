@@ -1,5 +1,6 @@
 """`engine._noise_sweep` against its reference: one column of every sigma
-per realization.  Measuring the zero sigmas once must not change a bit."""
+per realization.  Measuring the zero sigmas once, and sharing realization 0
+with the caller, must not change a bit."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from qqft import engine, haldane, poincare
 from qqft.engine import NoiseModel, SweepPoint
 
 
-def sweep_reference(measure, names, sigmas, n, seed, workers):
+def sweep_reference(measure, names, sigmas, n, seed, workers, first=None):
     """The sweep that measured realization r as the full column
-    NoiseModel(tuple(sigmas), seed, stream_id=r), zero sigmas included."""
+    NoiseModel(tuple(sigmas), seed, stream_id=r), zero sigmas included.
+    Rows of realization 0 that the caller shares (`first`) are ignored: it
+    is measured here again, so that the shared rows are checked too."""
     sigmas = list(sigmas)
 
     def column(r):
@@ -22,11 +25,19 @@ def sweep_reference(measure, names, sigmas, n, seed, workers):
             for k, sigma in enumerate(sigmas)]
 
 
+def symmetry_points(N, gamma, *args, **kwargs):
+    """The SweepPoints of `noise_sweep_symmetry` for the (N, gamma) crystal."""
+    return poincare.noise_sweep_symmetry(poincare.build_dispersion(N, gamma),
+                                         poincare.equivalence_classes(N, gamma),
+                                         *args, **kwargs)[0]
+
+
 SIGMA_LISTS = [
     [0.0, 1e-3, 2e-2],      # zero first
     [1e-3, 0.0, 2e-2],      # in the middle
     [2e-2, 1e-3, 0.0],      # last
     [0.0],                  # zero only
+    [1e-3, 2e-2],           # no zero
 ]
 
 
@@ -51,7 +62,7 @@ def assert_same_points(got, want, names):
 def test_symmetry_sweep_matches_reference(monkeypatch, sigmas, on_diagonal,
                                           workers):
     got, want = both_sweeps(monkeypatch, poincare,
-                             poincare.noise_sweep_symmetry, 6, 2, sigmas, 3,
+                             symmetry_points, 6, 2, sigmas, 3,
                              seed=13, workers=workers,
                              noise_on_diagonal=on_diagonal)
     assert_same_points(got, want, ("sl", "sp"))
@@ -73,7 +84,7 @@ def test_gap_width_sweep_matches_reference(monkeypatch, sigmas, on_diagonal,
 def test_n33_column_matches_reference(monkeypatch):
     # N = 33: the generic-route size that the benchmark sweeps
     got, want = both_sweeps(monkeypatch, poincare,
-                             poincare.noise_sweep_symmetry, 33, 2,
+                             symmetry_points, 33, 2,
                              [0.0, 1e-3, 5e-2], 2, seed=5)
     assert_same_points(got, want, ("sl", "sp"))
 
@@ -84,3 +95,9 @@ def test_zero_realizations_rejected(sigmas):
         engine._noise_sweep(lambda column: [], ("x",), sigmas, 0, seed=1,
                             workers=1)
 
+
+def test_empty_sigma_list_runs_no_task():
+    def measure(column):
+        raise AssertionError(f"measured {column}")
+
+    assert engine._noise_sweep(measure, ("x",), [], 3, seed=1, workers=2) == []

@@ -81,8 +81,9 @@ class TestWorkerLifetime:
         assert_no_children()
 
     def test_symmetry_sweep_joins_its_workers(self):
-        points = poincare.noise_sweep_symmetry(6, 2, [0.0, 1e-2], 3, seed=5,
-                                               workers=3)
+        points, _ = poincare.noise_sweep_symmetry(
+            poincare.build_dispersion(6, 2), poincare.equivalence_classes(6, 2),
+            [0.0, 1e-2], 3, seed=5, workers=3)
         assert len(points) == 2
         assert_no_children()
 
