@@ -49,6 +49,10 @@ run flat-grid4 flatband --grid 4 --realizations 3 --sigma 0,1e-3,5e-3 \
 run flat-grid8 flatband --grid 8 --realizations 4 --sigma 1e-3,0 \
     --phase-grid 2 --phase-realizations 2 --seed 3 \
     --workers "$workers" --out flat-grid8
+# ranges given on the command line parse to lists, not the default tuples
+run flat-ranges flatband --grid 4 --realizations 2 --sigma 2e-3 \
+    --phase-grid 2 --phi-range -1 1.5 --m-range -2 0.5 --seed 9 \
+    --workers "$workers" --out flat-ranges
 run poincare-n6 poincare --N 6 --realizations 3 --seed 5 --noise-on-diagonal \
     --workers "$workers" --out poincare-n6
 run poincare-n16 poincare --N 16 --gamma 3 --realizations 2 --sigma 0,5e-3 \
@@ -62,4 +66,5 @@ run poincare-zero-last poincare --N 33 --sigma 1e-3,0 --realizations 3 \
 run poincare-no-zero poincare --N 16 --gamma 3 --sigma 5e-3 --realizations 3 \
     --seed 7 --noise-on-diagonal --workers "$workers" --out poincare-no-zero
 run compile compile --N 33 --out compile
+run compile-n4 compile --n 4 --out compile-n4
 run verify verify compile/seq_generic_N33.json

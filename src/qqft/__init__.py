@@ -11,7 +11,6 @@ from .circuit import (
     build_radix2_qqft,
     depth_formula,
     dft_matrix,
-    reorder_permutation,
     sequence_from_json,
     sequence_to_json,
     sequence_to_unitary,
@@ -45,7 +44,6 @@ __all__ = [
     "estimate_runtime",
     "extract_spectrum",
     "gate_to_generator",
-    "reorder_permutation",
     "sequence_from_json",
     "sequence_to_json",
     "sequence_to_unitary",

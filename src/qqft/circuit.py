@@ -166,20 +166,6 @@ def _swap_layers(p: int, n: int) -> list:
             for u in range(1, 1 << p)]
 
 
-def reorder_permutation(p: int, n: int) -> list:
-    """Swap-gate realization of the bit-rotation permutation R[p].
-
-    Returns the gates in application order with layer tags 0, 1, ...;
-    composing them yields exactly the permutation matrix that sends basis
-    state j to the index with bits (j_{n-1}, .., j_{p+1}, j_0, j_p, .., j_1).
-    R[0] permutes nothing and yields an empty list.
-    """
-    gates = []
-    for layer, sites in enumerate(_swap_layers(p, n)):
-        gates.extend(GateSpec(SWAP, s, layer=layer) for s in sites)
-    return gates
-
-
 def _mix_phase_exponent(r: int, q: int, n: int) -> int:
     # relative-phase exponent of the stage-q mixing block on pair r, built
     # from bits 0..q-1 of r: sum_t 2**(n-2-q+t) * bit_{t-1}(r)

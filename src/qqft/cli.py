@@ -30,34 +30,6 @@ _DEF_FLAT_SIGMAS = "0,5e-4,1e-3,2.5e-3,5e-3"
 _DEF_POINCARE_SIGMAS = "0,5e-3,2e-2"
 
 
-def _config_digest(config: dict) -> str:
-    text = json.dumps(config, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _write_csv(path: Path, digest: str, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# qqft/{__version__} config={digest}\r\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
-
-
-def _write_manifest(outdir: Path, command: str, config: dict, outputs):
-    digest = _config_digest(config)
-    doc = {
-        "schema": "qqft-run/1",
-        "artifact_version": __version__,
-        "command": command,
-        "config": config,
-        "config_digest": digest,
-        "outputs": sorted(outputs),
-    }
-    path = outdir / "run_manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _sigma_list(text: str):
     try:
         # + 0.0 turns -0 into 0, so that the two count as one sigma
@@ -77,40 +49,90 @@ def _sigma_tag(sigma: float) -> str:
     return f"{sigma:g}".replace(".", "p").replace("-", "m")
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# least value of each bounded argument; one left unset (None) is not checked
+_LEAST = {"n": 1, "N": 2, "gamma": 2, "grid": 2, "phase_grid": 0,
+          "realizations": 1, "phase_realizations": 1, "workers": 1,
+          "phase_sigma": 0}
+
+
+def _check_arguments(args):
+    for name, value in vars(args).items():
+        flag = "--" + name.replace("_", "-")
+        if (isinstance(value, (float, list, tuple))
+                and not np.isfinite(value).all()):
+            raise SystemExit(f"error: {flag} must be finite")
+        least = _LEAST.get(name)
+        if least is not None and value is not None and value < least:
+            raise SystemExit(f"error: {flag} must be >= {least}")
+
+
+class _Run:
+    """The output directory of one run, created once every check has passed.
+
+    Its config is every parsed argument that can change an output (all but
+    `--out` and `--workers`), with parsed values such as `sigmas` in place
+    of their text; each file written through it is listed in the manifest.
+    """
+
+    def __init__(self, args, **parsed):
+        self.config = {k: v for k, v in vars(args).items()
+                       if k not in ("func", "out", "workers", "sigma")}
+        self.config.update(parsed)
+        text = json.dumps(self.config, sort_keys=True)
+        self.digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        self.dir = Path(args.out)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.outputs = []
+
+    def write_json(self, name: str, doc: dict) -> Path:
+        path = self.dir / name
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        self.outputs.append(name)
+        return path
+
+    def write_csv(self, name: str, header, rows):
+        with open(self.dir / name, "w", newline="") as fh:
+            fh.write(f"# qqft/{__version__} config={self.digest}\r\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(["" if v is None else v for v in row])
+        self.outputs.append(name)
+
+    def finish(self, shown) -> int:
+        """Write run_manifest.json, print `wrote <shown>` and return 0."""
+        doc = {
+            "schema": "qqft-run/1",
+            "artifact_version": __version__,
+            "command": self.config["command"],
+            "config": self.config,
+            "config_digest": self.digest,
+            "outputs": sorted(self.outputs),
+        }
+        (self.dir / "run_manifest.json").write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {shown}")
+        return 0
 
 
 # ---------------------------------------------------------------------------
 
 def cmd_compile(args) -> int:
     if args.n is not None:
-        if args.n < 1:
-            raise SystemExit("error: --n must be >= 1")
         seq = circuit.build_radix2_qqft(args.n)
         scaling = "N log N"
         name = f"seq_radix2_n{args.n}.json"
     else:
-        if args.N < 2:
-            raise SystemExit("error: --N must be >= 2")
         seq = circuit.build_generic_qqft(args.N)
         scaling = "N^2"
         name = f"seq_generic_N{args.N}.json"
-    config = {"command": "compile", "n": args.n, "N": args.N}
-    digest = _config_digest(config)
+    run = _Run(args)
     doc = json.loads(circuit.sequence_to_json(seq))
-    doc["artifact_version"] = __version__
-    doc["config_digest"] = digest
-    out = _outdir(args)
-    path = out / name
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    _write_manifest(out, "compile", config, [name])
+    doc.update(artifact_version=__version__, config_digest=run.digest)
+    path = run.write_json(name, doc)
     print(f"n_sites={seq.n_sites} depth={seq.depth} gates={len(seq.gates)} "
           f"scaling=D~{scaling}")
-    print(f"wrote {path}")
-    return 0
+    return run.finish(path)
 
 
 def cmd_verify(args) -> int:
@@ -126,47 +148,14 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
-def _require_at_least(least, args, *names):
-    for name in names:
-        if getattr(args, name) < least:
-            raise SystemExit(f"error: {_flag(name)} must be >= {least}")
-
-
-def _require_finite(args, *names):
-    for name in names:
-        if not np.isfinite(getattr(args, name)).all():
-            raise SystemExit(f"error: {_flag(name)} must be finite")
-
-
 def cmd_flatband(args) -> int:
-    _require_at_least(1, args, "realizations", "phase_realizations", "workers")
-    _require_at_least(2, args, "grid")
-    _require_at_least(0, args, "phase_grid")
     sigmas = _sigma_list(args.sigma)
-    if not (math.isfinite(args.phase_sigma) and args.phase_sigma >= 0):
-        raise SystemExit("error: --phase-sigma must be finite and >= 0")
-    _require_finite(args, "phi", "M", "phi_range", "m_range")
     params = haldane.HaldaneParams(phi=args.phi, M=args.M)
     dim = haldane.momentum_model(params, args.grid).dim
     if dim > engine.MAX_DIM:
         raise SystemExit(f"error: --grid {args.grid} gives evolution dimension "
                          f"{dim}, which exceeds {engine.MAX_DIM}")
-    config = {
-        "command": "flatband", "phi": args.phi, "M": args.M,
-        "sigmas": sigmas, "realizations": args.realizations,
-        "grid": args.grid, "seed": args.seed,
-        "noise_on_diagonal": args.noise_on_diagonal,
-        "phase_grid": args.phase_grid, "phase_sigma": args.phase_sigma,
-        "phase_realizations": args.phase_realizations,
-        "phi_range": args.phi_range, "m_range": args.m_range,
-    }
-    out = _outdir(args)
-    digest = _config_digest(config)
-    outputs = []
+    run = _Run(args, sigmas=sigmas)
 
     points = haldane.noise_sweep_gap_width(
         params, sigmas, args.realizations, args.seed, grid=args.grid,
@@ -174,10 +163,9 @@ def cmd_flatband(args) -> int:
     )
     rows = [(p.sigma, p.mean("gap"), p.mean("width"), p.stderr("gap"),
              p.stderr("width")) for p in points]
-    _write_csv(out / "gap_width.csv", digest,
-               ["sigma", "mean_gap", "mean_width", "stderr_gap", "stderr_width"],
-               rows)
-    outputs.append("gap_width.csv")
+    run.write_csv("gap_width.csv",
+                  ["sigma", "mean_gap", "mean_width", "stderr_gap",
+                   "stderr_width"], rows)
     for p in points:
         gap, width = p.mean("gap"), p.mean("width")
         print(f"sigma={p.sigma:g}: G={gap:.6g} W={width:.6g} "
@@ -191,46 +179,31 @@ def cmd_flatband(args) -> int:
             phis, ms, args.phase_sigma, args.seed, grid=args.grid,
             realizations=args.phase_realizations, workers=args.workers,
         )
-        _write_csv(out / "phase_diagram.csv", digest,
-                   ["phi", "M", "bott", "chern"], cells)
-        outputs.append("phase_diagram.csv")
+        run.write_csv("phase_diagram.csv", ["phi", "M", "bott", "chern"], cells)
         print(f"phase diagram: {len(cells)} cells at sigma={args.phase_sigma:g}")
 
-    _write_manifest(out, "flatband", config, outputs)
-    print(f"wrote {out}")
-    return 0
+    return run.finish(run.dir)
 
 
 def cmd_poincare(args) -> int:
-    _require_at_least(1, args, "realizations", "workers")
-    _require_at_least(2, args, "N", "gamma")
     sigmas = _sigma_list(args.sigma)
     try:
         disp = poincare.build_dispersion(args.N, args.gamma)
     except poincare.DispersionError as exc:
         raise SystemExit(f"error: {exc}") from None
-    config = {
-        "command": "poincare", "N": args.N, "gamma": args.gamma,
-        "sigmas": sigmas, "realizations": args.realizations,
-        "seed": args.seed, "noise_on_diagonal": args.noise_on_diagonal,
-    }
-    out = _outdir(args)
-    digest = _config_digest(config)
-    outputs = []
+    run = _Run(args, sigmas=sigmas)
 
     lattice = poincare.equivalence_classes(args.N, args.gamma)
-    doc = {
+    run.write_json("dispersion.json", {
         "schema": "qqft-dispersion/1",
         "artifact_version": __version__,
-        "config_digest": digest,
+        "config_digest": run.digest,
         "n_sites": disp.n_sites,
         "gamma": disp.gamma,
         "tau": disp.tau,
         "j": list(disp.j_table),
         "n_classes": len(lattice.classes),
-    }
-    (out / "dispersion.json").write_text(json.dumps(doc, indent=1) + "\n")
-    outputs.append("dispersion.json")
+    })
 
     # the propagators are the sweep's realization 0: stream 0 at every sigma
     points, greens = poincare.noise_sweep_symmetry(
@@ -238,24 +211,20 @@ def cmd_poincare(args) -> int:
         workers=args.workers, noise_on_diagonal=args.noise_on_diagonal)
     for sigma, g in greens.items():
         for part, array in (("re", g.real), ("im", g.imag)):
-            name = f"greens_{part}_sigma{_sigma_tag(sigma)}.csv"
             # rows are the site offset n, columns the stroboscopic time m
-            _write_csv(out / name, digest,
-                       [f"m{m}" for m in range(args.N)], array.tolist())
-            outputs.append(name)
+            run.write_csv(f"greens_{part}_sigma{_sigma_tag(sigma)}.csv",
+                          [f"m{m}" for m in range(args.N)], array.tolist())
 
     rows = [(p.sigma, p.mean("sl"), p.stderr("sl"), p.mean("sp"),
              p.stderr("sp")) for p in points]
-    _write_csv(out / "symmetry.csv", digest,
-               ["sigma", "mean_SL", "stderr_SL", "mean_SP", "stderr_SP"], rows)
-    outputs.append("symmetry.csv")
+    run.write_csv("symmetry.csv",
+                  ["sigma", "mean_SL", "stderr_SL", "mean_SP", "stderr_SP"],
+                  rows)
     for p in points:
         print(f"sigma={p.sigma:g}: S_L={p.mean('sl'):.6g} "
               f"S_P={p.mean('sp'):.6g}")
 
-    _write_manifest(out, "poincare", config, outputs)
-    print(f"wrote {out}")
-    return 0
+    return run.finish(run.dir)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _check_arguments(args)
     return args.func(args)
 
 

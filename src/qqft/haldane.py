@@ -114,14 +114,14 @@ def bz_grid(N: int) -> np.ndarray:
     return (a * B_ROW + b * B_COL) / N
 
 
-def momentum_model(p: HaldaneParams, grid: int = 16, T: float = T_DEFAULT,
-                   d0_shift: float = 0.0) -> MomentumModel:
+def momentum_model(p: HaldaneParams, grid: int = 16,
+                   T: float = T_DEFAULT) -> MomentumModel:
     """Flattened two-band model on an N x N Brillouin-zone grid; builds
     nothing of grid size until its eigensystem is asked for."""
 
     def sampler(a, b):  # the momentum bz_grid(grid)[a, b]
         d, d0 = d_vector((a * B_ROW + b * B_COL) / grid, p)
-        return bloch_matrix(flatten(d, p.target_norm), d0 + d0_shift)
+        return bloch_matrix(flatten(d, p.target_norm), d0)
 
     return MomentumModel(d=2, l=2, grid=grid, sampler=sampler, T=T)
 

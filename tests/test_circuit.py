@@ -14,7 +14,6 @@ from qqft.circuit import (
     build_radix2_qqft,
     depth_formula,
     dft_distance,
-    reorder_permutation,
     sequence_from_json,
     sequence_to_json,
     sequence_to_unitary,
@@ -75,18 +74,25 @@ class TestDepthFormula:
             depth_formula(0)
 
 
+def swap_layer_gates(p, n):
+    """The swap layers of R[p] as gates in application order, layer-tagged."""
+    return [GateSpec(circuit.SWAP, s, layer=layer)
+            for layer, sites in enumerate(circuit._swap_layers(p, n))
+            for s in sites]
+
+
 class TestReorderPermutation:
     def test_p0_is_identity(self):
-        assert reorder_permutation(0, 3) == []
+        assert swap_layer_gates(0, 3) == []
 
     def test_single_swap_for_n2(self):
-        gates = reorder_permutation(1, 2)
+        gates = swap_layer_gates(1, 2)
         assert [(g.kind, g.site) for g in gates] == [("swap", 1)]
         assert np.array_equal(compose(gates, 4).real, rotation_perm_oracle(1, 2))
 
     def test_n2_bit_exchange(self):
         # j = (j1 j0) must land on k = (j0 j1)
-        P = compose(reorder_permutation(1, 2), 4)
+        P = compose(swap_layer_gates(1, 2), 4)
         for j in range(4):
             k = ((j & 1) << 1) | (j >> 1)
             assert P[k, j] == 1.0
@@ -94,14 +100,14 @@ class TestReorderPermutation:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_definition(self, n):
         for p in range(n):
-            P = compose(reorder_permutation(p, n), 1 << n)
+            P = compose(swap_layer_gates(p, n), 1 << n)
             assert np.array_equal(P.real, rotation_perm_oracle(p, n))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            reorder_permutation(3, 3)
+            swap_layer_gates(3, 3)
         with pytest.raises(ValueError):
-            reorder_permutation(-1, 3)
+            swap_layer_gates(-1, 3)
 
 
 class TestRadix2:

@@ -257,6 +257,40 @@ class TestPoincare:
                 assert written.tobytes() == array.tobytes()
 
 
+# every parsed argument but --out and --workers, with sigmas for --sigma
+CONFIG_KEYS = {
+    "compile": {"command", "n", "N"},
+    "flatband": {"command", "phi", "M", "sigmas", "realizations", "grid",
+                 "seed", "noise_on_diagonal", "phase_grid", "phase_sigma",
+                 "phase_realizations", "phi_range", "m_range"},
+    "poincare": {"command", "N", "gamma", "sigmas", "realizations", "seed",
+                 "noise_on_diagonal"},
+}
+RUN_ARGS = {"compile": ["compile", "--n", "3"], "flatband": FLAT_ARGS,
+            "poincare": POIN_ARGS}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", RUN_ARGS)
+    def test_config_keys(self, tmp_path, command):
+        main(RUN_ARGS[command] + ["--out", str(tmp_path)])
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert set(manifest["config"]) == CONFIG_KEYS[command]
+        assert manifest["command"] == command
+        for name in manifest["outputs"]:
+            assert manifest["config_digest"] in (tmp_path / name).read_text()
+
+    @pytest.mark.parametrize("command", RUN_ARGS)
+    def test_same_manifest_for_any_workers_and_out(self, tmp_path, command):
+        a, b = tmp_path / "a", tmp_path / "b"
+        workers = ([], []) if command == "compile" else \
+            (["--workers", "1"], ["--workers", "3"])
+        main(RUN_ARGS[command] + workers[0] + ["--out", str(a)])
+        main(RUN_ARGS[command] + workers[1] + ["--out", str(b)])
+        assert (a / "run_manifest.json").read_bytes() == \
+            (b / "run_manifest.json").read_bytes()
+
+
 class TestBadInput:
     """Bad input fails with one clear line before any output is written."""
 
@@ -286,12 +320,23 @@ class TestBadInput:
         (["flatband", "--m-range", "0", "inf"], "--m-range must be finite"),
         (["poincare", "--sigma", "0,-0"], "--sigma values must differ"),
         (["flatband", "--sigma=-0,0"], "--sigma values must differ"),
+        (["flatband", "--phase-sigma", "-1"], "--phase-sigma must be >= 0"),
+        (["compile", "--n", "0"], "--n must be >= 1"),
+        (["compile", "--N", "1"], "--N must be >= 2"),
     ])
     def test_usage_error(self, tmp_path, args, message):
         out = tmp_path / "out"
         with pytest.raises(SystemExit, match="^error: .*" + message):
             main(args + ["--out", str(out)])
         assert not out.exists()
+
+    def test_verify_tol_must_be_finite(self, tmp_path, capsys):
+        main(["compile", "--n", "2", "--out", str(tmp_path)])
+        path = str(tmp_path / "seq_radix2_n2.json")
+        capsys.readouterr()
+        with pytest.raises(SystemExit, match="^error: --tol must be finite"):
+            main(["verify", path, "--tol", "nan"])
+        assert capsys.readouterr().out == ""
 
 
 class TestEntryPoint:

@@ -25,7 +25,8 @@ from qqft.haldane import (
     noise_sweep_gap_width,
     phase_diagram,
 )
-from qqft.protocol import PhaseWrapError, build_protocol_unitary, extract_spectrum
+from qqft.protocol import (MomentumModel, PhaseWrapError, build_protocol_unitary,
+                           extract_spectrum)
 
 
 def params(phi, M):
@@ -220,9 +221,10 @@ class TestBottIndex:
     def grid(self):
         return 8
 
-    def clean_bott(self, phi, M, d0_shift=0.0):
-        model = momentum_model(params(phi, M), grid=self.grid(),
-                               d0_shift=d0_shift)
+    def clean_bott(self, phi, M):
+        return self.model_bott(momentum_model(params(phi, M), grid=self.grid()))
+
+    def model_bott(self, model):
         U = build_protocol_unitary(model)
         return bott_index(U, model.T, model.l)
 
@@ -245,8 +247,11 @@ class TestBottIndex:
         assert hits >= 5
 
     def test_invariant_under_energy_shift(self):
-        base = self.clean_bott(-np.pi / 2, 0.0)
-        shifted = self.clean_bott(-np.pi / 2, 0.0, d0_shift=1.7)
+        model = momentum_model(params(-np.pi / 2, 0.0), grid=self.grid())
+        base = self.model_bott(model)
+        shifted = self.model_bott(MomentumModel(
+            d=2, l=2, grid=model.grid, T=model.T,
+            sampler=lambda a, b: model.sampler(a, b) + 1.7 * np.eye(2)))
         assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_gap_closed_refused(self):
