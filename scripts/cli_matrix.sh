@@ -63,6 +63,9 @@ run poincare-n33 poincare --N 33 --sigma 0,1e-3,5e-3,1e-2,2e-2,5e-2 \
 # apart when no sigma is zero
 run poincare-zero-last poincare --N 33 --sigma 1e-3,0 --realizations 3 \
     --seed 7 --workers "$workers" --out poincare-zero-last
+# a zero sigma between two nonzero ones: realization 0 keeps the given order
+run poincare-zero-middle poincare --N 6 --sigma 1e-3,0,2e-2 \
+    --realizations 3 --seed 7 --workers "$workers" --out poincare-zero-middle
 run poincare-no-zero poincare --N 16 --gamma 3 --sigma 5e-3 --realizations 3 \
     --seed 7 --noise-on-diagonal --workers "$workers" --out poincare-no-zero
 run compile compile --N 33 --out compile

@@ -330,32 +330,30 @@ def _map_ordered(fn, count: int, workers: int) -> list:
             set_local(n)
 
 
-def _noise_sweep(measure, names, sigmas, n: int, seed: int, workers: int,
-                 first=None) -> list:
-    """One SweepPoint per sigma from n realizations.
+def _noise_sweep(measure, names, sigmas, n: int, seed: int, workers: int) -> tuple:
+    """(points, first): one SweepPoint per sigma from n realizations, and
+    measure's rows of realization 0.
 
     `measure` takes a column NoiseModel and returns one row per sigma of it,
-    one value per entry of `names`.  Realization 0 is every sigma on stream
-    0, realization r >= 1 the nonzero sigmas on stream r: it reuses its
-    draws, scaled, at every sigma, which keeps sweeps smooth.  A zero sigma
-    draws only zeros, the same on every stream, so its row of realization 0
-    stands for all n.  `first` holds measure's rows of realization 0 if the
-    caller measured them.  Tasks run on one BLAS thread each, since BLAS
-    results can depend on the thread count.
+    one value per entry of `names` first; values past those reach only
+    `first`.  Realization 0 is every sigma on stream 0, in the given order,
+    realization r >= 1 the nonzero sigmas on stream r: it reuses its draws,
+    scaled, at every sigma, which keeps sweeps smooth.  A zero sigma draws
+    only zeros, the same on every stream, so its row of realization 0 stands
+    for all n.  Every realization is a task of one `_map_ordered` call, on
+    one BLAS thread, since BLAS results can depend on the thread count.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     sigmas = list(sigmas)
     if not sigmas:  # nothing to measure: no task, no pool
-        return []
+        return [], []
     noisy = tuple(s for s in sigmas if s != 0)
-    tasks = [NoiseModel(tuple(sigmas), seed)] if first is None else []
+    tasks = [NoiseModel(tuple(sigmas), seed)]
     tasks += [NoiseModel(noisy, seed, stream_id=r) for r in range(1, n) if noisy]
-    rows = [] if first is None else [first]
-    rows += _map_ordered(lambda i: measure(tasks[i]), len(tasks),
-                         workers) if tasks else []
-    points, later = [], zip(*rows[1:])  # the rows of r >= 1, nonzero sigmas
-    for sigma, row in zip(sigmas, rows[0]):
+    first, *rows = _map_ordered(lambda i: measure(tasks[i]), len(tasks), workers)
+    points, later = [], zip(*rows)  # the rows of r >= 1, nonzero sigmas
+    for sigma, row in zip(sigmas, first):
         per_r = (row,) * n if sigma == 0 else (row, *next(later, ()))
         points.append(SweepPoint(sigma, dict(zip(names, map(np.array, zip(*per_r))))))
-    return points
+    return points, first

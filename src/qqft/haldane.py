@@ -1,16 +1,15 @@
 """Flat Chern bands on the honeycomb lattice: the two-band benchmark.
 
-The Bloch Hamiltonian is H(k) = d0 sigma_0 + d(k) . sigma with the honeycomb
-d-vector
+The Bloch Hamiltonian is H(k) = d(k) . sigma with the honeycomb d-vector
 
     d1 = t1 [1 + cos(k.g2) + cos(k.g3)]
     d2 = t1 [sin(k.g2) - sin(k.g3)]
     d3 = M - 2 t2 sin(phi) [sin(k.g1) + sin(k.g2) + sin(k.g3)]
 
 where g1 = e2 - e3, g2 = e3 - e1, g3 = e1 - e2 are built from the three unit
-vectors pointing from a B site to its neighboring A sites, and d0 = 0.
-Rescaling d(k) to a constant norm makes both bands exactly flat while keeping
-the band topology, which survives because only the direction of d matters.
+vectors pointing from a B site to its neighboring A sites.  Rescaling d(k)
+to a constant norm makes both bands exactly flat while keeping the band
+topology, which survives because only the direction of d matters.
 
 The Brillouin zone is sampled on an N x N grid uniform in the two reciprocal
 directions conjugate to (g2, g3); grid axes are ordered (row, col) with the
@@ -32,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .engine import NoiseModel, _map_ordered, _noise_sweep
-from .protocol import (T_DEFAULT, MomentumModel, _cayley_phases,
-                       build_protocol_unitary, extract_spectrum)
+from .protocol import (T_DEFAULT, MomentumModel, PhaseWrapError,
+                       _cayley_phases, build_protocol_unitary, extract_spectrum)
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -66,6 +65,10 @@ class GapClosedError(ValueError):
     """No spectral gap at the requested filling."""
 
 
+# how `phase_diagram` counts a realization whose Bott index it cannot take
+_FAILED = {GapClosedError: "gap closed", PhaseWrapError: "phase wrapped"}
+
+
 @dataclass(frozen=True)
 class HaldaneParams:
     """Model parameters; t2/t1 defaults to 1/sqrt(3), target_norm to
@@ -86,13 +89,13 @@ class HaldaneParams:
 
 
 def d_vector(k, p: HaldaneParams):
-    """The coefficient vector (d1, d2, d3) and d0 at cartesian momentum k."""
+    """The coefficient vector (d1, d2, d3) at cartesian momentum k."""
     k = np.asarray(k, dtype=float)
     kg1, kg2, kg3 = k @ G1, k @ G2, k @ G3
     d1 = p.t1 * (1.0 + np.cos(kg2) + np.cos(kg3))
     d2 = p.t1 * (np.sin(kg2) - np.sin(kg3))
     d3 = p.M - 2.0 * p.t2 * np.sin(p.phi) * (np.sin(kg1) + np.sin(kg2) + np.sin(kg3))
-    return np.array([d1, d2, d3]), 0.0
+    return np.array([d1, d2, d3])
 
 
 def flatten(d, target_norm: float):
@@ -104,8 +107,8 @@ def flatten(d, target_norm: float):
     return d * (target_norm / norm)
 
 
-def bloch_matrix(d, d0: float = 0.0) -> np.ndarray:
-    return d0 * np.eye(2, dtype=complex) + sum(di * s for di, s in zip(d, PAULI))
+def bloch_matrix(d) -> np.ndarray:
+    return sum(di * s for di, s in zip(d, PAULI))
 
 
 def bz_grid(N: int) -> np.ndarray:
@@ -120,8 +123,8 @@ def momentum_model(p: HaldaneParams, grid: int = 16,
     nothing of grid size until its eigensystem is asked for."""
 
     def sampler(a, b):  # the momentum bz_grid(grid)[a, b]
-        d, d0 = d_vector((a * B_ROW + b * B_COL) / grid, p)
-        return bloch_matrix(flatten(d, p.target_norm), d0)
+        d = d_vector((a * B_ROW + b * B_COL) / grid, p)
+        return bloch_matrix(flatten(d, p.target_norm))
 
     return MomentumModel(d=2, l=2, grid=grid, sampler=sampler, T=T)
 
@@ -213,7 +216,7 @@ def noise_sweep_gap_width(p: HaldaneParams, sigmas: Sequence[float],
         return [gap_width(NoiseModel(s, seed, column.stream_id)) for s in column.sigma]
 
     return _noise_sweep(measure, ("gap", "width"), sigmas, n_realizations,
-                        seed, workers)
+                        seed, workers)[0]
 
 
 def phase_diagram(phis: Sequence[float], ms: Sequence[float], sigma: float,
@@ -223,8 +226,9 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], sigma: float,
 
     The Chern entry is None on phase boundaries.  Bott values are averaged
     over `realizations` noisy runs with per-cell substreams.  A realization
-    whose gap closed counts as NaN in its cell's mean; each cell with such
-    realizations gets one line on stderr.
+    whose gap closed, or whose eigenphases reached the branch cut
+    (PhaseWrapError), counts as NaN in its cell's mean; each cell with such
+    realizations gets one line on stderr that counts both kinds.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
@@ -238,19 +242,21 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], sigma: float,
         except PhaseBoundaryError:
             chern = None
         model = momentum_model(p, grid)
-        vals = []
+        vals, failed = [], dict.fromkeys(_FAILED.values(), 0)
         for r in range(realizations):
             noise = NoiseModel(sigma, seed, stream_id=r).substream(index)
             U = build_protocol_unitary(model, noise)
             try:
                 vals.append(bott_index(U, model.T, model.l))
-            except GapClosedError:
+            except (GapClosedError, PhaseWrapError) as err:
                 vals.append(float("nan"))
-        return phi, m, float(np.mean(vals)), chern, int(np.isnan(vals).sum())
+                failed[_FAILED[type(err)]] += 1
+        return phi, m, float(np.mean(vals)), chern, failed
 
     rows = _map_ordered(one, len(cells), workers)
-    for phi, m, _, _, closed in rows:
-        if closed:
-            print(f"phase diagram: gap closed in {closed} of {realizations} "
+    for phi, m, _, _, failed in rows:
+        counts = " and ".join(f"{why} in {k}" for why, k in failed.items() if k)
+        if counts:
+            print(f"phase diagram: {counts} of {realizations} "
                   f"realizations at phi={phi:g}, M={m:g}", file=sys.stderr)
     return [row[:4] for row in rows]

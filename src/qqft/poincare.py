@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -260,28 +259,19 @@ def noise_sweep_symmetry(disp: Dispersion, lattice: LorentzLattice,
     (points, greens), one `engine.SweepPoint` per sigma with samples "sl"
     and "sp", and {sigma: G} of realization 0, stream 0 at every sigma.
 
-    Realization 0 is measured here, zero sigmas first, and shared with the
-    sweep: with 0 among the sigmas, its first member is the clean reference
-    of `s_total`.  `noise_on_diagonal` reaches every noisy `greens_function`.
+    The clean reference of `s_total` is the noiseless propagator, built once
+    per call on one BLAS thread like every task; it is bit for bit the zero
+    member of any column.  `noise_on_diagonal` reaches every noisy
+    `greens_function`.
     """
-    column = NoiseModel(tuple(sorted(sigmas, key=lambda s: s != 0)), seed)
+    P_clean = _map_ordered(lambda _: greens_function(disp).p_tensor, 1, 1)[0]
 
-    def stats(results, P_clean):
-        # map lets each result go before the next one is built
+    def measure(column):  # map lets each result go before the next is built
+        keep = column.stream_id == 0  # only realization 0 keeps its G
+        results = greens_function(disp, column, noise_on_diagonal=noise_on_diagonal)
         return list(map(lambda g: (s_lorentz(g.p_tensor, lattice), s_total(
-            g.p_tensor, P_clean), g.matrix), results))
+            g.p_tensor, P_clean), g.matrix if keep else None), results))
 
-    def greens(noise):
-        return greens_function(disp, noise, noise_on_diagonal=noise_on_diagonal)
-
-    def first(_):  # through _map_ordered: on one BLAS thread
-        results, zero = greens(column), 0.0 in column.sigma
-        clean = next(results) if zero else greens_function(disp)
-        return stats(chain([clean] * zero, results), clean.p_tensor), clean.p_tensor
-
-    rows, P_clean = _map_ordered(first, 1, workers)[0] if sigmas else ([], None)
-    by_sigma = dict(zip(column.sigma, rows))
-    points = _noise_sweep(lambda noise: [r[:2] for r in stats(greens(noise), P_clean)],
-                          ("sl", "sp"), sigmas, n_realizations, seed, workers,
-                          first=[by_sigma[sigma][:2] for sigma in sigmas])
-    return points, {sigma: by_sigma[sigma][2] for sigma in sigmas}
+    points, first = _noise_sweep(measure, ("sl", "sp"), sigmas, n_realizations,
+                                 seed, workers)
+    return points, {sigma: row[2] for sigma, row in zip(sigmas, first)}

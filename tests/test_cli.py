@@ -219,12 +219,11 @@ class TestPoincare:
             assert (a / name).read_bytes() == (b / name).read_bytes()
         assert read_rows(a / "symmetry.csv")[1][0][0] == "0.0"
 
-    @pytest.mark.parametrize("sigma,clean_calls", [
-        ("0,5e-3,2e-2", 0), ("1e-3,0", 0), ("5e-3", 1)])
+    @pytest.mark.parametrize("sigma", ["0,5e-3,2e-2", "1e-3,0", "5e-3"])
     def test_one_greens_call_per_realization(self, tmp_path, monkeypatch,
-                                             sigma, clean_calls):
-        # the Green's files, the zero sigma and the clean reference all come
-        # from realization 0: n column calls, and a clean call only without 0
+                                             sigma):
+        # the Green's files and the zero sigma come from realization 0: n
+        # column calls, and one clean call for the reference of s_total
         calls = []
         greens = poincare.greens_function
 
@@ -236,7 +235,7 @@ class TestPoincare:
         main(["poincare", "--N", "6", "--realizations", "4", "--sigma", sigma,
               "--seed", "3", "--out", str(tmp_path)])
         assert len(calls) - calls.count(None) == 4
-        assert calls.count(None) == clean_calls
+        assert calls.count(None) == 1
 
     def test_empty_sigma_list_writes_empty_symmetry(self, tmp_path):
         assert main(["poincare", "--N", "6", "--realizations", "2",

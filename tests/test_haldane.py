@@ -64,20 +64,19 @@ class TestGeometry:
 
 class TestDVector:
     def test_zone_center(self):
-        d, d0 = d_vector([0.0, 0.0], params(0.7, 1.3))
+        d = d_vector([0.0, 0.0], params(0.7, 1.3))
         assert d == pytest.approx([3.0, 0.0, 1.3])
-        assert d0 == 0.0
 
     def test_d3_vanishes_without_flux(self):
         p = params(0.0, 0.0)
         for k in bz_grid(5).reshape(-1, 2):
-            d, _ = d_vector(k, p)
+            d = d_vector(k, p)
             assert abs(d[2]) < 1e-12
 
     def test_dirac_point(self):
         # K corner: k.g2 = k.g3 = 2 pi / 3 kills the nearest-neighbor part
         k = (B_ROW + B_COL) / 3
-        d, _ = d_vector(k, params(0.4, 0.9))
+        d = d_vector(k, params(0.4, 0.9))
         assert abs(d[0]) < 1e-12
         assert abs(d[1]) < 1e-12
         # remaining mass at K: M - 3 sqrt(3) t2 sin(phi)
@@ -94,7 +93,7 @@ class TestFlatten:
     def test_uniform_norm_on_grid(self):
         p = params(-np.pi / 2, 0.0)
         for k in bz_grid(8).reshape(-1, 2):
-            d, _ = d_vector(k, p)
+            d = d_vector(k, p)
             assert np.linalg.norm(flatten(d, p.target_norm)) == pytest.approx(
                 p.target_norm, abs=1e-12)
 
@@ -342,22 +341,34 @@ class TestPhaseDiagram:
 
 
 class TestClosedGapCount:
-    # (cell index, realization) pairs whose Bott index the patch refuses
-    CLOSED = {(1, 0), (2, 0), (2, 2)}
-
+    # {(cell index, realization): the error the patched Bott index raises},
+    # the cells whose mean is NaN, and the stderr lines
+    @pytest.mark.parametrize("failures,nan,lines", [
+        ({(1, 0): GapClosedError, (2, 0): GapClosedError,
+          (2, 2): GapClosedError},
+         [False, True, True, False],
+         [(1, "gap closed in 1"), (2, "gap closed in 2")]),
+        ({(1, 0): GapClosedError, (2, 0): GapClosedError,
+          (2, 2): PhaseWrapError, (3, 1): PhaseWrapError},
+         [False, True, True, True],
+         [(1, "gap closed in 1"), (2, "gap closed in 1 and phase wrapped in 1"),
+          (3, "phase wrapped in 1")]),
+    ], ids=["closed", "closed-and-wrapped"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_counted_per_cell_on_stderr(self, monkeypatch, capsys, workers):
+    def test_counted_per_cell_on_stderr(self, monkeypatch, capsys, workers,
+                                        failures, nan, lines):
         phis, ms = [-np.pi / 2, np.pi / 2], [0.0, 1.0]
         cells = [(phi, m) for phi in phis for m in ms]
-        closed = [build_protocol_unitary(
+        refused = [(build_protocol_unitary(
             momentum_model(params(*cells[index]), 4),
-            NoiseModel(1e-2, 3, stream_id=r).substream(index))
-            for index, r in self.CLOSED]
+            NoiseModel(1e-2, 3, stream_id=r).substream(index)), error)
+            for (index, r), error in failures.items()]
         real = haldane.bott_index
 
         def bott_index(U, T, l):
-            if any(np.array_equal(U, c) for c in closed):
-                raise GapClosedError("forced")
+            for V, error in refused:
+                if np.array_equal(U, V):
+                    raise error("forced")
             return real(U, T, l)
 
         # forked workers inherit the patched module attribute
@@ -365,14 +376,12 @@ class TestClosedGapCount:
         rows = phase_diagram(phis, ms, sigma=1e-2, seed=3, grid=4,
                              realizations=3, workers=workers)
         assert [len(row) for row in rows] == [4] * 4
-        assert [np.isnan(row[2]) for row in rows] == [False, True, True, False]
+        assert [np.isnan(row[2]) for row in rows] == nan
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if line.startswith("phase diagram")] == [
-            f"phase diagram: gap closed in 1 of 3 realizations at "
-            f"phi={phis[0]:g}, M={ms[1]:g}",
-            f"phase diagram: gap closed in 2 of 3 realizations at "
-            f"phi={phis[1]:g}, M={ms[0]:g}",
-        ]
+            f"phase diagram: {counts} of 3 realizations at "
+            f"phi={cells[index][0]:g}, M={cells[index][1]:g}"
+            for index, counts in lines]
 
     def test_gapped_cells_print_nothing(self, capsys):
         phase_diagram([-np.pi / 2], [0.0], sigma=1e-2, seed=3, grid=4,

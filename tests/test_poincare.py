@@ -331,20 +331,17 @@ class TestNoiseSweep:
         monkeypatch.setattr(poincare, "greens_function", spy)
         return calls
 
-    def test_task_is_one_realization_at_every_nonzero_sigma(self, monkeypatch):
+    @pytest.mark.parametrize("sigmas", [[0.0, 1e-3, 1e-2], [1e-3, 0.0, 1e-2],
+                                        [1e-2, 1e-3]])
+    def test_call_pattern(self, monkeypatch, sigmas):
         columns = self.spy_on_greens(monkeypatch)
-        symmetry_points(6, 2, [1e-3, 0.0, 1e-2], 3, seed=8)
-        # realization 0 is stream 0 at every sigma, the zero first, and its
-        # zero member is the clean reference: no separate clean call; then
-        # one column of the nonzero sigmas per realization r >= 1
-        assert columns == [NoiseModel((0.0, 1e-3, 1e-2), 8)] + [
-            NoiseModel((1e-3, 1e-2), 8, stream_id=r) for r in (1, 2)]
-
-    def test_clean_reference_measured_when_no_sigma_is_zero(self, monkeypatch):
-        columns = self.spy_on_greens(monkeypatch)
-        symmetry_points(6, 2, [1e-2, 1e-3], 3, seed=8)
-        assert columns == [NoiseModel((1e-2, 1e-3), 8), None] + [
-            NoiseModel((1e-2, 1e-3), 8, stream_id=r) for r in (1, 2)]
+        symmetry_points(6, 2, sigmas, 3, seed=8)
+        # one clean call for the reference of s_total; realization 0 is
+        # stream 0 at every sigma, in the given order; then one column of
+        # the nonzero sigmas per realization r >= 1
+        nonzero = tuple(s for s in sigmas if s != 0)
+        assert columns == [None, NoiseModel(tuple(sigmas), 8)] + [
+            NoiseModel(nonzero, 8, stream_id=r) for r in (1, 2)]
 
     @pytest.mark.parametrize("sigmas", [[1e-3, 0.0, 1e-2], [1e-2, 1e-3], [0.0]])
     def test_greens_are_realization_0(self, sigmas):

@@ -1,6 +1,6 @@
 """`engine._noise_sweep` against its reference: one column of every sigma
-per realization.  Measuring the zero sigmas once, and sharing realization 0
-with the caller, must not change a bit."""
+per realization.  Measuring the zero sigmas once, and handing realization 0's
+rows back to the caller, must not change a bit."""
 
 import numpy as np
 import pytest
@@ -9,27 +9,28 @@ from qqft import engine, haldane, poincare
 from qqft.engine import NoiseModel, SweepPoint
 
 
-def sweep_reference(measure, names, sigmas, n, seed, workers, first=None):
-    """The sweep that measured realization r as the full column
-    NoiseModel(tuple(sigmas), seed, stream_id=r), zero sigmas included.
-    Rows of realization 0 that the caller shares (`first`) are ignored: it
-    is measured here again, so that the shared rows are checked too."""
+def sweep_reference(measure, names, sigmas, n, seed, workers):
+    """(points, rows0) of the sweep that measured realization r as the full
+    column NoiseModel(tuple(sigmas), seed, stream_id=r), zero sigmas
+    included; rows0 are measure's rows of realization 0, measured here
+    afresh like every other realization."""
     sigmas = list(sigmas)
 
     def column(r):
         return measure(NoiseModel(tuple(sigmas), seed, stream_id=r))
 
     columns = engine._map_ordered(column, n, workers) if sigmas else []
-    return [SweepPoint(sigma=sigma, samples=dict(zip(
-                names, map(np.array, zip(*(rows[k] for rows in columns))))))
-            for k, sigma in enumerate(sigmas)]
+    points = [SweepPoint(sigma=sigma, samples=dict(zip(
+                  names, map(np.array, zip(*(rows[k] for rows in columns))))))
+              for k, sigma in enumerate(sigmas)]
+    return points, columns[0] if columns else []
 
 
-def symmetry_points(N, gamma, *args, **kwargs):
-    """The SweepPoints of `noise_sweep_symmetry` for the (N, gamma) crystal."""
+def symmetry_sweep(N, gamma, *args, **kwargs):
+    """`noise_sweep_symmetry` for the (N, gamma) crystal: (points, greens)."""
     return poincare.noise_sweep_symmetry(poincare.build_dispersion(N, gamma),
                                          poincare.equivalence_classes(N, gamma),
-                                         *args, **kwargs)[0]
+                                         *args, **kwargs)
 
 
 SIGMA_LISTS = [
@@ -56,16 +57,23 @@ def assert_same_points(got, want, names):
             assert a.samples[name].tobytes() == b.samples[name].tobytes()
 
 
+def assert_same_greens(got, want):
+    assert list(got) == list(want)
+    for sigma in want:
+        assert got[sigma].tobytes() == want[sigma].tobytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("on_diagonal", [False, True])
 @pytest.mark.parametrize("sigmas", SIGMA_LISTS)
 def test_symmetry_sweep_matches_reference(monkeypatch, sigmas, on_diagonal,
                                           workers):
     got, want = both_sweeps(monkeypatch, poincare,
-                             symmetry_points, 6, 2, sigmas, 3,
+                             symmetry_sweep, 6, 2, sigmas, 3,
                              seed=13, workers=workers,
                              noise_on_diagonal=on_diagonal)
-    assert_same_points(got, want, ("sl", "sp"))
+    assert_same_points(got[0], want[0], ("sl", "sp"))
+    assert_same_greens(got[1], want[1])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -84,9 +92,31 @@ def test_gap_width_sweep_matches_reference(monkeypatch, sigmas, on_diagonal,
 def test_n33_column_matches_reference(monkeypatch):
     # N = 33: the generic-route size that the benchmark sweeps
     got, want = both_sweeps(monkeypatch, poincare,
-                             symmetry_points, 33, 2,
+                             symmetry_sweep, 33, 2,
                              [0.0, 1e-3, 5e-2], 2, seed=5)
-    assert_same_points(got, want, ("sl", "sp"))
+    assert_same_points(got[0], want[0], ("sl", "sp"))
+    assert_same_greens(got[1], want[1])
+
+
+def draws(column):
+    """One row per sigma of the column: the sum of its draws, and the draws."""
+    return [(float(x.sum()), x) for x in column.delta(np.arange(5))]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sigmas", SIGMA_LISTS + [[]])
+def test_rows_of_realization_0_match_reference(sigmas, workers):
+    # values past `names` reach only the returned rows of realization 0
+    got = engine._noise_sweep(draws, ("sum",), sigmas, 3, seed=21,
+                              workers=workers)
+    want = sweep_reference(draws, ("sum",), sigmas, 3, seed=21,
+                           workers=workers)
+    assert_same_points(got[0], want[0], ("sum",))
+    assert [p.samples.keys() for p in got[0]] == [{"sum"}] * len(sigmas)
+    assert len(got[1]) == len(want[1]) == len(sigmas)
+    for a, b in zip(got[1], want[1]):
+        assert np.float64(a[0]).tobytes() == np.float64(b[0]).tobytes()
+        assert a[1].tobytes() == b[1].tobytes()
 
 
 @pytest.mark.parametrize("sigmas", [[0.0], [1e-3], [0.0, 1e-3], []])
@@ -100,4 +130,5 @@ def test_empty_sigma_list_runs_no_task():
     def measure(column):
         raise AssertionError(f"measured {column}")
 
-    assert engine._noise_sweep(measure, ("x",), [], 3, seed=1, workers=2) == []
+    assert engine._noise_sweep(measure, ("x",), [], 3, seed=1,
+                               workers=2) == ([], [])
