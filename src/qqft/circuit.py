@@ -50,7 +50,7 @@ class GateSpec:
     theta     mixing angle in radians (mix gates only).
     phi       relative-phase angle in radians (mix gates only).
     lam       phase angle in radians (phase gates only).
-    layer     index of the parallelizable Hamiltonian step this gate
+    layer     index (>= 0) of the parallelizable Hamiltonian step this gate
               belongs to; gates sharing a layer act on disjoint sites and
               are applied simultaneously.
     """
@@ -67,6 +67,8 @@ class GateSpec:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"gate {name} must be finite, got {value}")
+        if not isinstance(self.layer, (int, np.integer)) or self.layer < 0:
+            raise ValueError(f"gate layer must be an integer >= 0, got {self.layer!r}")
 
     def span(self) -> int:
         """Number of sites the gate touches (1 or 2)."""
@@ -96,16 +98,17 @@ def gate_matrix(gate: GateSpec) -> np.ndarray:
 class CircuitSequence:
     """An ordered gate sequence on `n_sites` sites.
 
-    `gates` are applied first-element-first.  `depth` counts parallelizable
-    Hamiltonian steps (distinct layer tags), which is the quantity the
-    closed-form depth expressions refer to; the raw gate count is
-    ``len(gates)``.  Gates sharing a layer must act on disjoint sites: the
-    noise model gives each layer one draw, as one strictly-local step.
+    `gates` are applied first-element-first.  `depth`, derived from the
+    gates, is 1 + the largest layer tag: the number of parallelizable
+    Hamiltonian steps, which is the quantity the closed-form depth
+    expressions refer to; the raw gate count is ``len(gates)``.  Gates
+    sharing a layer must act on disjoint sites: the noise model gives each
+    layer one draw, as one strictly-local step.
     """
 
     n_sites: int
     gates: tuple = field(default_factory=tuple)
-    depth: int = 0
+    depth: int = field(init=False)
 
     def __post_init__(self):
         if self.n_sites < 1:
@@ -118,14 +121,12 @@ class CircuitSequence:
                 if (g.layer, site) in occupied:
                     raise ValueError(f"layer {g.layer}: two gates act on site {site}")
                 occupied.add((g.layer, site))
-        n_layers = 1 + max((g.layer for g in self.gates), default=-1)
-        if self.depth != n_layers:
-            raise ValueError(f"depth {self.depth} inconsistent with {n_layers} layers")
+        object.__setattr__(self, "depth",
+                           1 + max((g.layer for g in self.gates), default=-1))
         # hashed once: the per-sequence caches look a sequence up on every
         # composition, and hashing all its gates again each time costs about
         # 0.4 ms at N = 33
-        object.__setattr__(self, "_hash",
-                           hash((self.n_sites, self.gates, self.depth)))
+        object.__setattr__(self, "_hash", hash((self.n_sites, self.gates)))
 
     def __hash__(self):
         return self._hash
@@ -207,7 +208,7 @@ def build_radix2_qqft(n: int) -> CircuitSequence:
         for sites in _swap_layers(q, n):
             gates.extend(GateSpec(SWAP, s, layer=layer) for s in sites)
             layer += 1
-    return CircuitSequence(n_sites=N, gates=tuple(gates), depth=layer)
+    return CircuitSequence(n_sites=N, gates=tuple(gates))
 
 
 def _two_site_factor(W: np.ndarray, tol: float = 1e-12) -> list:
@@ -276,7 +277,7 @@ def build_generic_qqft(N: int) -> CircuitSequence:
                          if kind == MIX else
                          GateSpec(PHASE, j + x, lam=y, layer=layer))
             layer += 1
-    return CircuitSequence(n_sites=N, gates=tuple(gates), depth=layer)
+    return CircuitSequence(n_sites=N, gates=tuple(gates))
 
 
 def compile_for_size(N: int) -> CircuitSequence:
@@ -368,10 +369,10 @@ def sequence_to_unitary(seq: CircuitSequence) -> np.ndarray:
     return _apply_waves(seq.n_sites, plan, plan.factors[None], plan.blocks[None])[0]
 
 
-def dft_distance(U: np.ndarray, N: int = None) -> float:
-    """Max entrywise distance of `U` from the DFT after rephasing `U` so
-    that it matches the DFT at the DFT's largest-magnitude entry."""
-    target = dft_matrix(U.shape[0] if N is None else N)
+def dft_distance(U: np.ndarray) -> float:
+    """Max entrywise distance of `U` from the DFT of its size after rephasing
+    `U` so that it matches the DFT at the DFT's largest-magnitude entry."""
+    target = dft_matrix(U.shape[0])
     idx = np.unravel_index(np.argmax(np.abs(target)), target.shape)
     ref = U[idx]
     if abs(ref) >= 1e-30:
@@ -420,5 +421,4 @@ def sequence_from_json(text: str) -> CircuitSequence:
         n_sites = int(doc["n_sites"])
     except KeyError as exc:
         raise ValueError(f"sequence document has no key {exc}") from None
-    depth = 1 + max((g.layer for g in gates), default=-1)
-    return CircuitSequence(n_sites=n_sites, gates=tuple(gates), depth=depth)
+    return CircuitSequence(n_sites=n_sites, gates=tuple(gates))

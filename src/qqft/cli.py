@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -140,8 +141,10 @@ def cmd_verify(args) -> int:
         seq = circuit.sequence_from_json(Path(args.sequence).read_text())
     except (OSError, ValueError) as exc:
         raise SystemExit(f"error: {args.sequence}: {exc}") from None
-    U = circuit.sequence_to_unitary(seq)
-    err = circuit.dft_distance(U, seq.n_sites)
+    if seq.n_sites > engine.MAX_DIM:
+        raise SystemExit(f"error: {args.sequence}: {seq.n_sites} sites "
+                         f"exceed {engine.MAX_DIM}")
+    err = circuit.dft_distance(circuit.sequence_to_unitary(seq))
     ok = err < args.tol
     print(f"{'PASS' if ok else 'FAIL'} max|U - DFT| = {err:.3e} "
           f"(tol {args.tol:g}, N={seq.n_sites}, depth={seq.depth})")
@@ -157,10 +160,9 @@ def cmd_flatband(args) -> int:
                          f"{dim}, which exceeds {engine.MAX_DIM}")
     run = _Run(args, sigmas=sigmas)
 
-    points = haldane.noise_sweep_gap_width(
-        params, sigmas, args.realizations, args.seed, grid=args.grid,
-        workers=args.workers, noise_on_diagonal=args.noise_on_diagonal,
-    )
+    noise = engine.NoiseModel(sigmas, args.seed, diagonal=args.noise_on_diagonal)
+    points = haldane.noise_sweep_gap_width(params, noise, args.realizations,
+                                           grid=args.grid, workers=args.workers)
     rows = [(p.sigma, p.mean("gap"), p.mean("width"), p.stderr("gap"),
              p.stderr("width")) for p in points]
     run.write_csv("gap_width.csv",
@@ -176,9 +178,8 @@ def cmd_flatband(args) -> int:
                            args.phase_grid)
         ms = np.linspace(args.m_range[0], args.m_range[1], args.phase_grid)
         cells = haldane.phase_diagram(
-            phis, ms, args.phase_sigma, args.seed, grid=args.grid,
-            realizations=args.phase_realizations, workers=args.workers,
-        )
+            phis, ms, replace(noise, sigma=args.phase_sigma), grid=args.grid,
+            realizations=args.phase_realizations, workers=args.workers)
         run.write_csv("phase_diagram.csv", ["phi", "M", "bott", "chern"], cells)
         print(f"phase diagram: {len(cells)} cells at sigma={args.phase_sigma:g}")
 
@@ -200,15 +201,15 @@ def cmd_poincare(args) -> int:
         "config_digest": run.digest,
         "n_sites": disp.n_sites,
         "gamma": disp.gamma,
-        "tau": disp.tau,
+        "tau": 1.0,  # the period, the unit of time of every propagator
         "j": list(disp.j_table),
         "n_classes": len(lattice.classes),
     })
 
     # the propagators are the sweep's realization 0: stream 0 at every sigma
+    noise = engine.NoiseModel(sigmas, args.seed, diagonal=args.noise_on_diagonal)
     points, greens = poincare.noise_sweep_symmetry(
-        disp, lattice, sigmas, args.realizations, args.seed,
-        workers=args.workers, noise_on_diagonal=args.noise_on_diagonal)
+        disp, lattice, noise, args.realizations, workers=args.workers)
     for sigma, g in greens.items():
         for part, array in (("re", g.real), ("im", g.imag)):
             # rows are the site offset n, columns the stroboscopic time m

@@ -11,7 +11,8 @@ of evaluation order or worker count.
 One realization's noise reaches a composite evolution only through the salt
 table below: the forward Fourier sequence along axis k draws from substream
 `_SALT_FORWARD[k]`, the inverse one from `_SALT_INVERSE[k]`, and the single
-draw on the diagonal step from `_SALT_DIAGONAL`.  The flat band uses axes 0
+draw on the diagonal step, taken only when the model's `diagonal` is set,
+from `_SALT_DIAGONAL`.  The flat band uses axes 0
 and 1, the spacetime crystal axis 0.
 """
 
@@ -24,7 +25,7 @@ import os
 import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -84,12 +85,15 @@ class NoiseModel:
     `substream` to derive independent streams (one per compiled sequence in
     a composite evolution, one per realization in a sweep).  `sigma` may be
     a 1-D column of noise strengths (stored as a tuple): one stream at every
-    sigma, each member drawing exactly what it would draw alone.
+    sigma, each member drawing exactly what it would draw alone.  `diagonal`
+    also puts noise on the diagonal step (see `diagonal_scale`); substreams
+    keep it, so every evolution built from the model reads the same choice.
     """
 
     sigma: float | tuple
     seed: int
     stream_id: int = 0
+    diagonal: bool = False
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
@@ -116,7 +120,7 @@ class NoiseModel:
         return draws if draws.ndim else float(draws)
 
     def substream(self, salt: int) -> "NoiseModel":
-        return NoiseModel(self.sigma, self.seed, _mix64(self.stream_id, salt))
+        return replace(self, stream_id=_mix64(self.stream_id, salt))
 
 
 def unitarity_defect(U: np.ndarray) -> float:
@@ -227,10 +231,11 @@ def fourier_pair(N: int, noise, axis: int) -> tuple:
     return compose(_SALT_FORWARD[axis], False), compose(_SALT_INVERSE[axis], True)
 
 
-def diagonal_scale(noise: NoiseModel, enabled: bool):
+def diagonal_scale(noise: NoiseModel):
     """Factor 1 + delta on the diagonal generator, from one draw (per sigma)
-    of the diagonal substream; exactly 1.0 unless `enabled` and sigma > 0."""
-    if enabled and noise is not None:
+    of the diagonal substream; exactly 1.0 unless `noise.diagonal` is set and
+    sigma > 0."""
+    if noise is not None and noise.diagonal:
         return 1.0 + noise.substream(_SALT_DIAGONAL).delta(0)
     return 1.0
 
@@ -330,30 +335,32 @@ def _map_ordered(fn, count: int, workers: int) -> list:
             set_local(n)
 
 
-def _noise_sweep(measure, names, sigmas, n: int, seed: int, workers: int) -> tuple:
-    """(points, first): one SweepPoint per sigma from n realizations, and
-    measure's rows of realization 0.
+def _noise_sweep(measure, names, noise: NoiseModel, n: int, workers: int) -> tuple:
+    """(points, first): one SweepPoint per sigma of the column `noise` from n
+    realizations, and measure's rows of realization 0.
 
     `measure` takes a column NoiseModel and returns one row per sigma of it,
     one value per entry of `names` first; values past those reach only
-    `first`.  Realization 0 is every sigma on stream 0, in the given order,
-    realization r >= 1 the nonzero sigmas on stream r: it reuses its draws,
-    scaled, at every sigma, which keeps sweeps smooth.  A zero sigma draws
-    only zeros, the same on every stream, so its row of realization 0 stands
-    for all n.  Every realization is a task of one `_map_ordered` call, on
-    one BLAS thread, since BLAS results can depend on the thread count.
+    `first`.  Realization 0 is `noise` itself, which must start on stream 0;
+    realization r >= 1 is the same model with the nonzero sigmas, on stream
+    r: it reuses its draws, scaled, at every sigma, which keeps sweeps
+    smooth.  A zero sigma draws only zeros, the same on every stream, so its
+    row of realization 0 stands for all n.  Every realization is a task of
+    one `_map_ordered` call, on one BLAS thread, since BLAS results can
+    depend on the thread count.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    sigmas = list(sigmas)
-    if not sigmas:  # nothing to measure: no task, no pool
+    if not isinstance(noise.sigma, tuple) or noise.stream_id != 0:
+        raise ValueError(f"a sweep takes a column of sigmas on stream 0, got {noise}")
+    if not noise.sigma:  # nothing to measure: no task, no pool
         return [], []
-    noisy = tuple(s for s in sigmas if s != 0)
-    tasks = [NoiseModel(tuple(sigmas), seed)]
-    tasks += [NoiseModel(noisy, seed, stream_id=r) for r in range(1, n) if noisy]
+    noisy = tuple(s for s in noise.sigma if s != 0)
+    tasks = [noise] + [replace(noise, sigma=noisy, stream_id=r)
+                       for r in range(1, n) if noisy]
     first, *rows = _map_ordered(lambda i: measure(tasks[i]), len(tasks), workers)
     points, later = [], zip(*rows)  # the rows of r >= 1, nonzero sigmas
-    for sigma, row in zip(sigmas, first):
+    for sigma, row in zip(noise.sigma, first):
         per_r = (row,) * n if sigma == 0 else (row, *next(later, ()))
         points.append(SweepPoint(sigma, dict(zip(names, map(np.array, zip(*per_r))))))
     return points, first

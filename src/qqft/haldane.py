@@ -25,7 +25,7 @@ under gate noise.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -199,39 +199,38 @@ def bott_index(U: np.ndarray, T: float, l: int) -> float:
     return float(np.angle(eig).sum() / (2.0 * np.pi))
 
 
-def noise_sweep_gap_width(p: HaldaneParams, sigmas: Sequence[float],
-                          n_realizations: int, seed: int, grid: int = 16,
-                          workers: int = 1,
-                          noise_on_diagonal: bool = False) -> list:
+def noise_sweep_gap_width(p: HaldaneParams, noise: NoiseModel,
+                          n_realizations: int, grid: int = 16,
+                          workers: int = 1) -> list:
     """Band gap and width versus noise strength: one `engine.SweepPoint` per
-    sigma with samples "gap" and "width", independent of the worker count."""
+    sigma of the column `noise` (see `engine._noise_sweep`) with samples
+    "gap" and "width", independent of the worker count."""
     model = momentum_model(p, grid)
 
-    def gap_width(noise):
-        U = build_protocol_unitary(model, noise, noise_on_diagonal)
-        spec = extract_spectrum(U, model.T, model.l)
-        return spec.band_gap, spec.band_width
-
     def measure(column):  # sigma by sigma: the eigensolve dominates
-        return [gap_width(NoiseModel(s, seed, column.stream_id)) for s in column.sigma]
+        specs = (extract_spectrum(build_protocol_unitary(
+            model, replace(column, sigma=s)), model.T, model.l) for s in column.sigma)
+        return [(spec.band_gap, spec.band_width) for spec in specs]
 
-    return _noise_sweep(measure, ("gap", "width"), sigmas, n_realizations,
-                        seed, workers)[0]
+    return _noise_sweep(measure, ("gap", "width"), noise, n_realizations, workers)[0]
 
 
-def phase_diagram(phis: Sequence[float], ms: Sequence[float], sigma: float,
-                  seed: int, grid: int = 16, realizations: int = 1,
-                  workers: int = 1) -> list:
+def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,
+                  grid: int = 16, realizations: int = 1, workers: int = 1) -> list:
     """(phi, M, mean Bott, analytic Chern) over a parameter grid.
 
     The Chern entry is None on phase boundaries.  Bott values are averaged
-    over `realizations` noisy runs with per-cell substreams.  A realization
-    whose gap closed, or whose eigenphases reached the branch cut
-    (PhaseWrapError), counts as NaN in its cell's mean; each cell with such
-    realizations gets one line on stderr that counts both kinds.
+    over `realizations` noisy runs of the one-sigma model `noise`, which
+    must start on stream 0: realization r of cell i draws from
+    `replace(noise, stream_id=r).substream(i)`.  A realization whose gap
+    closed, or whose eigenphases reached the branch cut (PhaseWrapError),
+    counts as NaN in its cell's mean; each cell with such realizations gets
+    one line on stderr that counts both kinds.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
+    if isinstance(noise.sigma, tuple) or noise.stream_id != 0:
+        raise ValueError(f"a phase diagram takes one sigma on stream 0, got {noise}")
     cells = [(phi, m) for phi in phis for m in ms]
 
     def one(index):
@@ -244,8 +243,8 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], sigma: float,
         model = momentum_model(p, grid)
         vals, failed = [], dict.fromkeys(_FAILED.values(), 0)
         for r in range(realizations):
-            noise = NoiseModel(sigma, seed, stream_id=r).substream(index)
-            U = build_protocol_unitary(model, noise)
+            cell_noise = replace(noise, stream_id=r).substream(index)
+            U = build_protocol_unitary(model, cell_noise)
             try:
                 vals.append(bott_index(U, model.T, model.l))
             except (GapClosedError, PhaseWrapError) as err:

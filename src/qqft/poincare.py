@@ -81,16 +81,16 @@ def equivalence_classes(N: int, gamma: int) -> LorentzLattice:
 
 @dataclass(frozen=True)
 class Dispersion:
-    """Integer dispersion table: E_{k_m} = 2 pi j(m) / (N tau)."""
+    """Integer dispersion table: E_{k_m} = 2 pi j(m) / N, in units of
+    1 / tau with the period tau = 1."""
 
     n_sites: int
     gamma: int
     j_table: tuple
-    tau: float = 1.0
 
     @property
     def energies(self) -> np.ndarray:
-        return 2.0 * np.pi * np.array(self.j_table) / (self.n_sites * self.tau)
+        return 2.0 * np.pi * np.array(self.j_table) / self.n_sites
 
 
 def graph_is_invariant(j_table: Sequence[int], N: int, gamma: int) -> bool:
@@ -135,7 +135,7 @@ def _orbit_cover_dispersions(N: int, gamma: int, max_solutions: int = 64) -> lis
     return solutions
 
 
-def build_dispersion(N: int, gamma: int, tau: float = 1.0) -> Dispersion:
+def build_dispersion(N: int, gamma: int) -> Dispersion:
     """Select a Lorentz-compatible dispersion.
 
     Linear candidates j = c m with c^2 = gamma^2 - 1 (mod N) are searched
@@ -158,7 +158,7 @@ def build_dispersion(N: int, gamma: int, tau: float = 1.0) -> Dispersion:
     odd = [t for t in candidates
            if all(t[(-m) % N] == (-t[m]) % N for m in range(N))]
     pool = odd or candidates
-    return Dispersion(n_sites=N, gamma=gamma, j_table=min(pool), tau=tau)
+    return Dispersion(n_sites=N, gamma=gamma, j_table=min(pool))
 
 
 @dataclass
@@ -170,14 +170,15 @@ class GreensResult:
 
 
 def greens_function(disp: Dispersion, noise: NoiseModel = None,
-                    route: str = "qqft", noise_on_diagonal: bool = False):
+                    route: str = "qqft"):
     """Retarded propagator G[n, m] = -i [U(m tau)]_{n, 0} on the spacetime grid.
 
     U(m tau) = V^dag D^m V; m = 0 applies no gates, so that column is exactly
     a delta.  route="exact" replaces the compiled V by the exact DFT matrix
     (the independent reference for the compiled route).  P[n1, m, n] is the
     probability of hopping from n1 to n1 + n in m periods; unitarity makes
-    every (n1, m) slice sum to one even with noise.  With a column of sigmas
+    every (n1, m) slice sum to one even with noise, which reaches the
+    diagonal step too when `noise.diagonal` is set.  With a column of sigmas
     (see `engine.apply_noisy_sequence`), such as one realization at every
     sigma, the Fourier pairs compose in one pass and the result is an
     iterator of GreensResults, one per sigma, each built when it is reached
@@ -191,7 +192,7 @@ def greens_function(disp: Dispersion, noise: NoiseModel = None,
         V_f, V_i = engine.fourier_pair(N, noise, 0)
     else:
         raise ValueError(f"unknown route {route!r}")
-    scale = engine.diagonal_scale(noise, noise_on_diagonal)
+    scale = engine.diagonal_scale(noise)
     if noise is None or np.ndim(noise.sigma) == 0:
         return _greens_one(disp, V_f, V_i, scale)
     B = len(noise.sigma)
@@ -252,26 +253,25 @@ def s_total(P_noisy: np.ndarray, P_clean: np.ndarray) -> float:
 
 
 def noise_sweep_symmetry(disp: Dispersion, lattice: LorentzLattice,
-                         sigmas: Sequence[float], n_realizations: int,
-                         seed: int, workers: int = 1,
-                         noise_on_diagonal: bool = False) -> tuple:
+                         noise: NoiseModel, n_realizations: int,
+                         workers: int = 1) -> tuple:
     """S_L and S_P versus noise strength, independent of the worker count:
-    (points, greens), one `engine.SweepPoint` per sigma with samples "sl"
-    and "sp", and {sigma: G} of realization 0, stream 0 at every sigma.
+    (points, greens), one `engine.SweepPoint` per sigma of the column `noise`
+    (see `engine._noise_sweep`) with samples "sl" and "sp", and {sigma: G}
+    of realization 0, which is `noise` itself.
 
     The clean reference of `s_total` is the noiseless propagator, built once
     per call on one BLAS thread like every task; it is bit for bit the zero
-    member of any column.  `noise_on_diagonal` reaches every noisy
-    `greens_function`.
+    member of any column.
     """
     P_clean = _map_ordered(lambda _: greens_function(disp).p_tensor, 1, 1)[0]
 
     def measure(column):  # map lets each result go before the next is built
         keep = column.stream_id == 0  # only realization 0 keeps its G
-        results = greens_function(disp, column, noise_on_diagonal=noise_on_diagonal)
         return list(map(lambda g: (s_lorentz(g.p_tensor, lattice), s_total(
-            g.p_tensor, P_clean), g.matrix if keep else None), results))
+            g.p_tensor, P_clean), g.matrix if keep else None),
+            greens_function(disp, column)))
 
-    points, first = _noise_sweep(measure, ("sl", "sp"), sigmas, n_realizations,
-                                 seed, workers)
-    return points, {sigma: row[2] for sigma, row in zip(sigmas, first)}
+    points, first = _noise_sweep(measure, ("sl", "sp"), noise, n_realizations,
+                                 workers)
+    return points, {sigma: row[2] for sigma, row in zip(noise.sigma, first)}

@@ -142,14 +142,14 @@ def _apply_kron(factors, X: np.ndarray) -> np.ndarray:
     return X.reshape(rows, -1)
 
 
-def build_protocol_unitary(model: MomentumModel, noise: engine.NoiseModel = None,
-                           noise_on_diagonal: bool = False) -> np.ndarray:
+def build_protocol_unitary(model: MomentumModel,
+                           noise: engine.NoiseModel = None) -> np.ndarray:
     """Compose (noisy) per-dimension Fourier sequences around the diagonal step.
 
     Every compiled sequence (one forward and one inverse per dimension) draws
     from its own noise substream.  With sigma = 0 the result equals
-    V Omega_D V^dag exactly.  Noise on the diagonal step is off by default
-    and, when enabled, scales the whole diagonal generator by one draw.
+    V Omega_D V^dag exactly.  When `noise.diagonal` is set, one more draw
+    scales the whole diagonal generator.
     """
     if model.d not in (1, 2):
         raise ValueError(f"unsupported dimension d={model.d}")
@@ -160,8 +160,7 @@ def build_protocol_unitary(model: MomentumModel, noise: engine.NoiseModel = None
     forward, inverse = zip(*(engine.fourier_pair(model.grid, noise, k)
                              for k in range(model.d)))
     inverse = functools.reduce(np.kron, inverse)
-    scale = engine.diagonal_scale(noise, noise_on_diagonal)
-    blocks = engine.diagonal_momentum_blocks(model, scale=scale)
+    blocks = engine.diagonal_momentum_blocks(model, engine.diagonal_scale(noise))
     # U_d V_i: entry ((p, a), (q, b)) is blocks[p, a, b] * inverse[p, q]
     ud_vi = np.einsum("pab,pq->paqb", blocks, inverse)
     return _apply_kron(forward, ud_vi.reshape(model.dim, model.dim))

@@ -50,7 +50,7 @@ def test_criterion_1_radix2_correctness():
         seq = circuit.build_radix2_qqft(n)
         assert seq.depth == (n + 2) * 2 ** (n - 1) - n - 1
         U = circuit.sequence_to_unitary(seq)
-        worst = max(worst, circuit.dft_distance(U, seq.n_sites))
+        worst = max(worst, circuit.dft_distance(U))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10
     assert elapsed < 1.0
@@ -64,7 +64,7 @@ def test_criterion_2_generic_correctness():
         seq = circuit.build_generic_qqft(N)
         assert seq.depth <= 2 * N * N
         U = circuit.sequence_to_unitary(seq)
-        worst = max(worst, circuit.dft_distance(U, N))
+        worst = max(worst, circuit.dft_distance(U))
     assert worst < 1e-10
     report(2, "generic-N correctness",
            f"max error {worst:.2e}, depth <= 2 N^2 at N in {{3, 6, 33}}")
@@ -86,8 +86,8 @@ def test_criterion_4_flat_band_noisy():
     start = time.perf_counter()
     p = haldane.HaldaneParams(phi=-np.pi / 2, M=0.0)
     [point] = haldane.noise_sweep_gap_width(
-        p, [2.5e-3], n_realizations=100, seed=20240814, grid=16,
-        workers=WORKERS)
+        p, engine.NoiseModel((2.5e-3,), 20240814), n_realizations=100,
+        grid=16, workers=WORKERS)
     ratios = point.samples["width"] / point.samples["gap"]
     mean = ratios.mean()
     ci_upper = mean + 1.96 * ratios.std(ddof=1) / np.sqrt(len(ratios))
@@ -165,7 +165,7 @@ def test_criterion_7_poincare_noise_trend():
     sigmas = [0.0, 1e-3, 5e-3, 1e-2, 2e-2, 5e-2]
     points, _ = poincare.noise_sweep_symmetry(
         poincare.build_dispersion(33, 2), poincare.equivalence_classes(33, 2),
-        sigmas, 100, seed=5, workers=WORKERS)
+        engine.NoiseModel(sigmas, 5), 100, workers=WORKERS)
     for label, means, errs in (
         ("S_L", [p.mean("sl") for p in points], [p.stderr("sl") for p in points]),
         ("S_P", [p.mean("sp") for p in points], [p.stderr("sp") for p in points]),
@@ -216,14 +216,15 @@ def test_criterion_8_property_suites():
 
     # determinism under fixed seeds, worker count varied
     p = haldane.HaldaneParams(phi=-np.pi / 2, M=0.0)
-    a = haldane.noise_sweep_gap_width(p, [2e-3], 6, seed=13, grid=4)
-    b = haldane.noise_sweep_gap_width(p, [2e-3], 6, seed=13, grid=4,
-                                      workers=3)
+    noise = engine.NoiseModel((2e-3,), 13)
+    a = haldane.noise_sweep_gap_width(p, noise, 6, grid=4)
+    b = haldane.noise_sweep_gap_width(p, noise, 6, grid=4, workers=3)
     assert np.array_equal(a[0].samples["gap"], b[0].samples["gap"])
     assert np.array_equal(a[0].samples["width"], b[0].samples["width"])
     crystal = poincare.build_dispersion(6, 2), poincare.equivalence_classes(6, 2)
-    sa, _ = poincare.noise_sweep_symmetry(*crystal, [1e-2], 5, seed=13)
-    sb, _ = poincare.noise_sweep_symmetry(*crystal, [1e-2], 5, seed=13, workers=3)
+    noise = engine.NoiseModel((1e-2,), 13)
+    sa, _ = poincare.noise_sweep_symmetry(*crystal, noise, 5)
+    sb, _ = poincare.noise_sweep_symmetry(*crystal, noise, 5, workers=3)
     assert np.array_equal(sa[0].samples["sl"], sb[0].samples["sl"])
     assert np.array_equal(sa[0].samples["sp"], sb[0].samples["sp"])
 

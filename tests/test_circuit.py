@@ -187,7 +187,7 @@ class TestGeneric:
     @given(N=st.integers(2, 64))
     def test_equals_dft_within_depth_bound(self, N):
         seq = build_generic_qqft(N)
-        assert dft_distance(sequence_to_unitary(seq), N) < 1e-10
+        assert dft_distance(sequence_to_unitary(seq)) < 1e-10
         assert seq.depth <= 2 * N * N
 
     def test_rejects_bad_size(self):
@@ -212,13 +212,39 @@ class TestSequenceToUnitary:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            CircuitSequence(n_sites=2, gates=(GateSpec("swap", 1),), depth=1)
+            CircuitSequence(n_sites=2, gates=(GateSpec("swap", 1),))
 
     def test_overlapping_gates_in_one_layer_rejected(self):
         # mix on (0, 1) and mix on (1, 2) share site 1 in layer 0
         gates = (GateSpec("mix", 0, theta=0.3), GateSpec("mix", 1, theta=0.5))
         with pytest.raises(ValueError, match="layer 0.*site 1"):
-            CircuitSequence(n_sites=3, gates=gates, depth=1)
+            CircuitSequence(n_sites=3, gates=gates)
+
+    @pytest.mark.parametrize("build", [
+        lambda: GateSpec("mix", 1, theta=0.5, layer=-1),
+        # a fractional tag once gave depth 1.5, which no draw could index
+        lambda: GateSpec("mix", 1, theta=0.5, layer=0.5),
+        # the sequence the tag once let through: both gates touch site 1,
+        # and a draw indexed by layer -1 is the last step's
+        lambda: CircuitSequence(3, (GateSpec("mix", 0, theta=0.3),
+                                    GateSpec("mix", 1, theta=0.5, layer=-1))),
+        lambda: sequence_from_json(json.dumps({
+            "schema": "qqft-seq/1", "n_sites": 3, "gates": [
+                {"kind": "mix", "site": 0, "theta": 0.3, "layer": 0},
+                {"kind": "mix", "site": 1, "theta": 0.5, "layer": -1}]})),
+    ], ids=["gate", "fraction", "sequence", "json"])
+    def test_bad_layer_tag_rejected(self, build):
+        with pytest.raises(ValueError,
+                           match=r"layer must be an integer >= 0, got (-1|0\.5)$"):
+            build()
+
+    @pytest.mark.parametrize("layers,depth", [((), 0), ((0,), 1), ((2, 0), 3),
+                                              ((0, 4, 1), 5)])
+    def test_depth_is_one_past_the_last_layer(self, layers, depth):
+        gates = tuple(GateSpec("phase", 0, lam=0.1, layer=k) for k in layers)
+        assert CircuitSequence(n_sites=1, gates=gates).depth == depth
+        with pytest.raises(TypeError):
+            CircuitSequence(n_sites=1, gates=gates, depth=depth)
 
     @pytest.mark.parametrize("field", ["theta", "phi", "lam"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -285,12 +311,12 @@ class TestWavePlan:
 class TestGlobalPhaseAlignment:
     def test_distance_ignores_global_phase(self):
         U = circuit.dft_matrix(8) * np.exp(0.37j)
-        assert dft_distance(U, 8) < 1e-12
+        assert dft_distance(U) < 1e-12
 
     def test_distance_detects_corruption(self):
         U = circuit.dft_matrix(8).copy()
         U[2, 3] += 1e-3
-        assert dft_distance(U, 8) > 1e-4
+        assert dft_distance(U) > 1e-4
 
 
 class TestJson:

@@ -76,12 +76,25 @@ class TestVerify:
         ('{"schema": "qqft-seq/9", "n_sites": 2, "gates": []}',
          "unsupported sequence schema"),
         ('{"schema": "qqft-seq/1", "n_sites": 2, "gates": '
-         '[{"kind": "swap", "site": 1}]}', "does not fit on 2 sites")])
+         '[{"kind": "swap", "site": 1}]}', "does not fit on 2 sites"),
+        ('{"schema": "qqft-seq/1", "n_sites": 3, "gates": '
+         '[{"kind": "mix", "site": 0, "theta": 0.3}, '
+         '{"kind": "mix", "site": 1, "theta": 0.5, "layer": -1}]}',
+         "layer must be an integer >= 0, got -1")])
     def test_bad_file_is_one_error_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "seq.json"
         if text is not None:
             path.write_text(text)
         with pytest.raises(SystemExit, match=f"^error: {path}: .*{message}"):
+            main(["verify", str(path)])
+        assert capsys.readouterr().out == ""
+
+    def test_oversized_sequence_is_one_error_line(self, tmp_path, capsys):
+        # composing 200000 sites would allocate hundreds of GB
+        path = tmp_path / "seq.json"
+        path.write_text('{"schema": "qqft-seq/1", "n_sites": 200000, "gates": []}')
+        with pytest.raises(SystemExit,
+                           match=f"^error: {path}: 200000 sites exceed 4096$"):
             main(["verify", str(path)])
         assert capsys.readouterr().out == ""
 
@@ -145,6 +158,22 @@ class TestFlatband:
         rb = read_rows(b / "gap_width.csv")[1]
         assert ra[0] == rb[0]          # noiseless row unaffected
         assert ra[1] != rb[1]          # noisy row differs
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_noise_on_diagonal_reaches_phase_diagram(self, tmp_path, workers):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["flatband", "--grid", "4", "--sigma", "0", "--realizations",
+                "1", "--phase-grid", "2", "--phase-sigma", "0.05",
+                "--workers", workers]
+        main(args + ["--out", str(a)])
+        main(args + ["--out", str(b), "--noise-on-diagonal"])
+        header_a, cells_a = read_rows(a / "phase_diagram.csv")
+        header_b, cells_b = read_rows(b / "phase_diagram.csv")
+        assert header_a == header_b and len(cells_a) == len(cells_b) == 4
+        assert [(c[0], c[1], c[3]) for c in cells_a] == \
+            [(c[0], c[1], c[3]) for c in cells_b]
+        # the Bott means move in their last digits when the diagonal draws
+        assert [c[2] for c in cells_a] != [c[2] for c in cells_b]
 
     def test_minus_zero_runs_as_zero(self, tmp_path):
         args = ["flatband", "--grid", "4", "--realizations", "2",
@@ -248,8 +277,8 @@ class TestPoincare:
         main(POIN_ARGS + ["--out", str(tmp_path), "--noise-on-diagonal"])
         disp = poincare.build_dispersion(6, 2)
         for tag, noise in (("0", None),
-                           ("0p02", poincare.NoiseModel(2e-2, 3, stream_id=0))):
-            G = poincare.greens_function(disp, noise, noise_on_diagonal=True).matrix
+                           ("0p02", poincare.NoiseModel(2e-2, 3, diagonal=True))):
+            G = poincare.greens_function(disp, noise).matrix
             for part, array in (("re", G.real), ("im", G.imag)):
                 _, rows = read_rows(tmp_path / f"greens_{part}_sigma{tag}.csv")
                 written = np.array([[float(v) for v in row] for row in rows])

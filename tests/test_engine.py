@@ -90,6 +90,19 @@ class TestNoiseModel:
         assert a == b
         assert a != NoiseModel(0.1, seed=42, stream_id=3).substream(6)
 
+    @pytest.mark.parametrize("sigma", [0.1, (0.0, 0.1)])
+    def test_substream_keeps_diagonal(self, sigma):
+        noise = NoiseModel(sigma, seed=42, stream_id=3, diagonal=True)
+        sub = noise.substream(5).substream(engine._SALT_DIAGONAL)
+        assert sub.diagonal is True
+        assert (sub.sigma, sub.seed) == (noise.sigma, noise.seed)
+        plain = NoiseModel(sigma, seed=42, stream_id=3).substream(5)
+        assert noise.substream(5).stream_id == plain.stream_id
+        assert not plain.diagonal
+        # the draws do not depend on the switch; only whether one is taken
+        assert np.array_equal(noise.substream(5).delta(np.arange(4)),
+                              plain.delta(np.arange(4)))
+
     def test_scales_linearly_with_sigma(self):
         a = NoiseModel(0.1, seed=9)
         b = NoiseModel(0.2, seed=9)
@@ -333,7 +346,7 @@ class TestApplyNoisySequence:
         # a two-swap layer must scale both swaps by the same delta: the noisy
         # layer then equals the layer unitary raised to the power (1 + delta)
         gates = (GateSpec("swap", 0, layer=0), GateSpec("swap", 2, layer=0))
-        seq = circuit.CircuitSequence(n_sites=4, gates=gates, depth=1)
+        seq = circuit.CircuitSequence(n_sites=4, gates=gates)
         noise = NoiseModel(0.2, seed=8)
         U = apply_noisy_sequence(seq, noise)
         delta = noise.delta(0)
@@ -381,12 +394,12 @@ class TestZeroSigmaIsStreamFree:
     @given(seed=WORDS, stream=WORDS)
     @example(seed=1, stream=0)                            # draws a -0.0
     def test_diagonal_scale_is_exactly_one(self, seed, stream):
-        noise = NoiseModel(0.0, seed, stream)
+        noise = NoiseModel(0.0, seed, stream, diagonal=True)
         assert noise.substream(engine._SALT_DIAGONAL).delta(0) == 0.0
-        scale = engine.diagonal_scale(noise, True)
+        scale = engine.diagonal_scale(noise)
         assert scale == 1.0 and not np.signbit(scale)
-        assert engine.diagonal_scale(NoiseModel((0.0, 0.0), seed, stream),
-                                     True).tolist() == [1.0, 1.0]
+        assert engine.diagonal_scale(NoiseModel((0.0, 0.0), seed, stream,
+                                                diagonal=True)).tolist() == [1.0, 1.0]
 
     def test_example_draws_a_negative_zero(self):
         draw = NoiseModel(0.0, 1, 0).substream(engine._SALT_DIAGONAL).delta(0)

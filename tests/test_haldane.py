@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -289,17 +291,16 @@ class TestBottIndex:
 class TestNoiseSweep:
     def test_noiseless_row_is_exactly_flat(self):
         p = params(-np.pi / 2, 0.0)
-        [point] = noise_sweep_gap_width(p, [0.0], n_realizations=2, seed=1,
-                                        grid=4)
+        [point] = noise_sweep_gap_width(p, NoiseModel((0.0,), 1),
+                                        n_realizations=2, grid=4)
         assert point.mean("width") < 1e-9
         assert point.mean("gap") == pytest.approx(2 * p.target_norm, abs=1e-9)
 
     def test_trend_and_worker_invariance(self):
         p = params(-np.pi / 2, 0.0)
-        sigmas = [0.0, 2e-3, 8e-3]
-        serial = noise_sweep_gap_width(p, sigmas, 6, seed=42, grid=4)
-        threaded = noise_sweep_gap_width(p, sigmas, 6, seed=42, grid=4,
-                                         workers=3)
+        noise = NoiseModel((0.0, 2e-3, 8e-3), 42)
+        serial = noise_sweep_gap_width(p, noise, 6, grid=4)
+        threaded = noise_sweep_gap_width(p, noise, 6, grid=4, workers=3)
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.samples["gap"], b.samples["gap"])
             assert np.array_equal(a.samples["width"], b.samples["width"])
@@ -310,34 +311,60 @@ class TestNoiseSweep:
 
     def test_realization_streams_differ(self):
         p = params(-np.pi / 2, 0.0)
-        [point] = noise_sweep_gap_width(p, [5e-3], n_realizations=3, seed=9,
-                                        grid=4)
+        [point] = noise_sweep_gap_width(p, NoiseModel((5e-3,), 9),
+                                        n_realizations=3, grid=4)
         assert len(set(point.samples["width"].tolist())) == 3
 
     def test_zero_realizations_rejected(self):
         with pytest.raises(ValueError):
-            noise_sweep_gap_width(params(-np.pi / 2, 0.0), [1e-3],
-                                  n_realizations=0, seed=1, grid=4)
+            noise_sweep_gap_width(params(-np.pi / 2, 0.0), NoiseModel((1e-3,), 1),
+                                  n_realizations=0, grid=4)
+
+    @pytest.mark.parametrize("noise", [NoiseModel(1e-3, 1),
+                                       NoiseModel((1e-3,), 1, stream_id=2)])
+    def test_scalar_sigma_or_nonzero_stream_rejected(self, noise):
+        with pytest.raises(ValueError, match="column of sigmas on stream 0"):
+            noise_sweep_gap_width(params(-np.pi / 2, 0.0), noise, 2, grid=4)
 
 
 class TestPhaseDiagram:
     def test_clean_diagram_matches_analytic(self):
         phis = [-np.pi / 2, np.pi / 2]
         ms = [0.0, 5.0]
-        cells = phase_diagram(phis, ms, sigma=0.0, seed=1, grid=4)
+        cells = phase_diagram(phis, ms, NoiseModel(0.0, 1), grid=4)
         assert len(cells) == 4
         for phi, M, bott, chern in cells:
             assert chern == chern_analytic(params(phi, M))
             assert round(bott) == chern
 
     def test_boundary_cell_has_no_chern(self):
-        cells = phase_diagram([np.pi / 2], [3.0], sigma=0.0, seed=1, grid=4)
+        cells = phase_diagram([np.pi / 2], [3.0], NoiseModel(0.0, 1), grid=4)
         assert cells[0][3] is None
 
     def test_zero_realizations_rejected(self):
         with pytest.raises(ValueError):
-            phase_diagram([-np.pi / 2], [0.0], sigma=1e-3, seed=1, grid=4,
+            phase_diagram([-np.pi / 2], [0.0], NoiseModel(1e-3, 1), grid=4,
                           realizations=0)
+
+    @pytest.mark.parametrize("noise", [NoiseModel((1e-3,), 1),
+                                       NoiseModel(1e-3, 1, stream_id=2)])
+    def test_column_or_nonzero_stream_rejected(self, noise):
+        with pytest.raises(ValueError, match="one sigma on stream 0"):
+            phase_diagram([-np.pi / 2], [0.0], noise, grid=4)
+
+    def test_cell_streams_carry_the_model(self, monkeypatch):
+        # realization r of cell i is replace(noise, stream_id=r).substream(i),
+        # so the diagonal switch travels with the model into every evolution
+        calls = []
+        real = haldane.build_protocol_unitary
+        monkeypatch.setattr(haldane, "build_protocol_unitary",
+                            lambda model, noise: calls.append(noise) or real(model, noise))
+        noise = NoiseModel(3e-2, 5, diagonal=True)
+        phase_diagram([-np.pi / 2, np.pi / 2], [0.0, 1.0], noise, grid=4,
+                      realizations=2)
+        assert calls == [replace(noise, stream_id=r).substream(index)
+                         for index in range(4) for r in range(2)]
+        assert all(c.diagonal for c in calls)
 
 
 class TestClosedGapCount:
@@ -361,7 +388,7 @@ class TestClosedGapCount:
         cells = [(phi, m) for phi in phis for m in ms]
         refused = [(build_protocol_unitary(
             momentum_model(params(*cells[index]), 4),
-            NoiseModel(1e-2, 3, stream_id=r).substream(index)), error)
+            replace(NoiseModel(1e-2, 3), stream_id=r).substream(index)), error)
             for (index, r), error in failures.items()]
         real = haldane.bott_index
 
@@ -373,7 +400,7 @@ class TestClosedGapCount:
 
         # forked workers inherit the patched module attribute
         monkeypatch.setattr(haldane, "bott_index", bott_index)
-        rows = phase_diagram(phis, ms, sigma=1e-2, seed=3, grid=4,
+        rows = phase_diagram(phis, ms, NoiseModel(1e-2, 3), grid=4,
                              realizations=3, workers=workers)
         assert [len(row) for row in rows] == [4] * 4
         assert [np.isnan(row[2]) for row in rows] == nan
@@ -384,6 +411,6 @@ class TestClosedGapCount:
             for index, counts in lines]
 
     def test_gapped_cells_print_nothing(self, capsys):
-        phase_diagram([-np.pi / 2], [0.0], sigma=1e-2, seed=3, grid=4,
+        phase_diagram([-np.pi / 2], [0.0], NoiseModel(1e-2, 3), grid=4,
                       realizations=2)
         assert "phase diagram" not in capsys.readouterr().err

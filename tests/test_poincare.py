@@ -25,13 +25,13 @@ def symmetry_points(N, gamma, *args, **kwargs):
                                 *args, **kwargs)[0]
 
 
-def greens_reference(disp, noise=None, noise_on_diagonal=False):
+def greens_reference(disp, noise=None):
     """G and P one stroboscopic time m at a time, P by np.roll: the
     reference for the batched greens_function."""
     N = disp.n_sites
     j = np.array(disp.j_table)
     V_f, V_i = engine.fourier_pair(N, noise, 0)
-    scale = engine.diagonal_scale(noise, noise_on_diagonal)
+    scale = engine.diagonal_scale(noise)
     G = np.zeros((N, N), dtype=complex)
     P = np.zeros((N, N, N))
     for m in range(N):
@@ -220,9 +220,10 @@ class TestGreensFunction:
     def test_batched_matches_m_loop_reference(self, case, sigma, seed,
                                               on_diagonal):
         disp = build_dispersion(*case)
-        noise = NoiseModel(sigma, seed=seed) if sigma > 0 else None
-        result = greens_function(disp, noise, noise_on_diagonal=on_diagonal)
-        G, P = greens_reference(disp, noise, on_diagonal)
+        noise = (NoiseModel(sigma, seed=seed, diagonal=on_diagonal)
+                 if sigma > 0 else None)
+        result = greens_function(disp, noise)
+        G, P = greens_reference(disp, noise)
         assert result.matrix.tobytes() == G.tobytes()
         assert result.p_tensor.tobytes() == P.tobytes()
 
@@ -240,13 +241,12 @@ class TestGreensFunction:
                                          on_diagonal, route):
         disp = build_dispersion(*case)
         results = list(greens_function(
-            disp, NoiseModel(tuple(column), seed=seed, stream_id=3),
-            route=route, noise_on_diagonal=on_diagonal))
+            disp, NoiseModel(tuple(column), seed=seed, stream_id=3,
+                             diagonal=on_diagonal), route=route))
         assert len(results) == len(column)
         for sigma, got in zip(column, results):
-            noise = NoiseModel(sigma, seed=seed, stream_id=3)
-            alone = greens_function(disp, noise, route=route,
-                                    noise_on_diagonal=on_diagonal)
+            noise = NoiseModel(sigma, seed=seed, stream_id=3, diagonal=on_diagonal)
+            alone = greens_function(disp, noise, route=route)
             assert got.matrix.tobytes() == alone.matrix.tobytes()
             assert got.p_tensor.tobytes() == alone.p_tensor.tobytes()
             if noise.sigma == 0.0:          # the exact, noise-free path
@@ -262,8 +262,8 @@ class TestGreensFunction:
         # the sweep takes its clean reference from realization 0's column
         disp = build_dispersion(*case)
         clean = greens_function(disp)
-        results = list(greens_function(disp, NoiseModel(column, seed=7),
-                                       noise_on_diagonal=on_diagonal))
+        results = list(greens_function(
+            disp, NoiseModel(column, seed=7, diagonal=on_diagonal)))
         zero = results[column.index(0.0)]
         assert zero.matrix.tobytes() == clean.matrix.tobytes()
         assert zero.p_tensor.tobytes() == clean.p_tensor.tobytes()
@@ -303,7 +303,7 @@ class TestSymmetryMetrics:
 
 class TestNoiseSweep:
     def test_monotone_trend_small_case(self):
-        points = symmetry_points(6, 2, [0.0, 5e-3, 5e-2], 8, seed=3)
+        points = symmetry_points(6, 2, NoiseModel((0.0, 5e-3, 5e-2), 3), 8)
         sls = [p.mean("sl") for p in points]
         sps = [p.mean("sp") for p in points]
         assert sls[0] < 1e-10 and sps[0] == 0.0
@@ -311,8 +311,8 @@ class TestNoiseSweep:
         assert sps[0] < sps[1] < sps[2]
 
     def test_worker_invariance(self):
-        serial = symmetry_points(6, 2, [1e-2], 6, seed=11)
-        threaded = symmetry_points(6, 2, [1e-2], 6, seed=11, workers=3)
+        serial = symmetry_points(6, 2, NoiseModel((1e-2,), 11), 6)
+        threaded = symmetry_points(6, 2, NoiseModel((1e-2,), 11), 6, workers=3)
         assert np.array_equal(serial[0].samples["sl"],
                               threaded[0].samples["sl"])
         assert np.array_equal(serial[0].samples["sp"],
@@ -335,7 +335,7 @@ class TestNoiseSweep:
                                         [1e-2, 1e-3]])
     def test_call_pattern(self, monkeypatch, sigmas):
         columns = self.spy_on_greens(monkeypatch)
-        symmetry_points(6, 2, sigmas, 3, seed=8)
+        symmetry_points(6, 2, NoiseModel(sigmas, 8), 3)
         # one clean call for the reference of s_total; realization 0 is
         # stream 0 at every sigma, in the given order; then one column of
         # the nonzero sigmas per realization r >= 1
@@ -346,11 +346,10 @@ class TestNoiseSweep:
     @pytest.mark.parametrize("sigmas", [[1e-3, 0.0, 1e-2], [1e-2, 1e-3], [0.0]])
     def test_greens_are_realization_0(self, sigmas):
         disp = build_dispersion(6, 2)
+        noise = NoiseModel(sigmas, 4, diagonal=True)
         _, greens = noise_sweep_symmetry(disp, equivalence_classes(6, 2),
-                                         sigmas, 2, seed=4,
-                                         noise_on_diagonal=True)
-        column = greens_function(disp, NoiseModel(tuple(sigmas), 4),
-                                 noise_on_diagonal=True)
+                                         noise, 2)
+        column = greens_function(disp, NoiseModel(tuple(sigmas), 4, diagonal=True))
         assert list(greens) == sigmas
         for sigma, g in zip(sigmas, column):
             assert greens[sigma].tobytes() == g.matrix.tobytes()
@@ -358,19 +357,25 @@ class TestNoiseSweep:
     def test_worker_invariance_n33_uneven_split(self):
         # 3 realizations on 2 workers: one worker runs two columns
         sigmas = [0.0, 1e-3, 2e-2]
-        serial = symmetry_points(33, 2, sigmas, 3, seed=17)
-        pooled = symmetry_points(33, 2, sigmas, 3, seed=17, workers=2)
+        serial = symmetry_points(33, 2, NoiseModel(sigmas, 17), 3)
+        pooled = symmetry_points(33, 2, NoiseModel(sigmas, 17), 3, workers=2)
         for a, b in zip(serial, pooled):
             for name in ("sl", "sp"):
                 assert a.samples[name].tobytes() == b.samples[name].tobytes()
 
     def test_zero_realizations_rejected(self):
         with pytest.raises(ValueError):
-            symmetry_points(6, 2, [1e-2], 0, seed=1)
+            symmetry_points(6, 2, NoiseModel((1e-2,), 1), 0)
+
+    @pytest.mark.parametrize("noise", [NoiseModel(1e-2, 1),
+                                       NoiseModel((1e-2,), 1, stream_id=3)])
+    def test_scalar_sigma_or_nonzero_stream_rejected(self, noise):
+        with pytest.raises(ValueError, match="column of sigmas on stream 0"):
+            symmetry_points(6, 2, noise, 2)
 
     def test_noise_on_diagonal_reaches_samples(self):
-        plain, diag = (symmetry_points(6, 2, [0.0, 1e-2], 3, seed=5,
-                                       noise_on_diagonal=flag)
+        plain, diag = (symmetry_points(6, 2, NoiseModel((0.0, 1e-2), 5,
+                                                        diagonal=flag), 3)
                        for flag in (False, True))
         for name in ("sl", "sp"):
             assert np.array_equal(plain[0].samples[name], diag[0].samples[name])

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -87,8 +88,8 @@ class TestBuildProtocolUnitary:
         model = haldane.momentum_model(
             haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=4)
         for flag in (False, True):
-            U = build_protocol_unitary(model, NoiseModel(0.05, seed=3),
-                                       noise_on_diagonal=flag)
+            U = build_protocol_unitary(model, NoiseModel(0.05, seed=3,
+                                                         diagonal=flag))
             assert unitarity_defect(U) < 1e-10
 
     def test_noise_on_diagonal_changes_result(self):
@@ -96,7 +97,7 @@ class TestBuildProtocolUnitary:
             haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=4)
         noise = NoiseModel(0.05, seed=3)
         U_off = build_protocol_unitary(model, noise)
-        U_on = build_protocol_unitary(model, noise, noise_on_diagonal=True)
+        U_on = build_protocol_unitary(model, replace(noise, diagonal=True))
         assert np.abs(U_on - U_off).max() > 1e-4
 
     def test_sigma_column_rejected(self):
@@ -126,7 +127,7 @@ def diagonal_momentum_evolution(model, scale=1.0):
     return scipy.linalg.block_diag(*engine.diagonal_momentum_blocks(model, scale))
 
 
-def dense_kron_reference(model, noise, noise_on_diagonal):
+def dense_kron_reference(model, noise):
     """V_f U_d V_i from dense Kronecker products of the same noisy factors."""
     seq = circuit.compile_for_size(model.grid)
 
@@ -136,7 +137,7 @@ def dense_kron_reference(model, noise, noise_on_diagonal):
         return reduce(np.kron, mats + [np.eye(model.l)])
 
     scale = 1.0
-    if noise_on_diagonal and noise.sigma > 0:
+    if noise.diagonal and noise.sigma > 0:
         scale = 1.0 + noise.substream(engine._SALT_DIAGONAL).delta(0)
     U_d = diagonal_momentum_evolution(model, scale=scale)
     return (factors(engine._SALT_FORWARD, False) @ U_d
@@ -172,15 +173,15 @@ class TestKroneckerAssembly:
 
     @pytest.mark.parametrize("d,l,grid", [(1, 1, 8), (1, 2, 3), (2, 1, 4),
                                           (2, 2, 4)])
-    @pytest.mark.parametrize("noise_on_diagonal", [False, True])
+    @pytest.mark.parametrize("diagonal", [False, True])
     @settings(max_examples=4, deadline=None, derandomize=True, database=None)
     @given(seed=SEEDS, sigma=SIGMAS)
-    def test_matches_dense_kron_reference(self, d, l, grid, noise_on_diagonal,
+    def test_matches_dense_kron_reference(self, d, l, grid, diagonal,
                                           seed, sigma):
         model = random_hermitian_model(d, l, grid)
-        noise = NoiseModel(sigma, seed, stream_id=seed % 7)
-        got = build_protocol_unitary(model, noise, noise_on_diagonal)
-        ref = dense_kron_reference(model, noise, noise_on_diagonal)
+        noise = NoiseModel(sigma, seed, stream_id=seed % 7, diagonal=diagonal)
+        got = build_protocol_unitary(model, noise)
+        ref = dense_kron_reference(model, noise)
         assert np.abs(got - ref).max() < 1e-12
 
 

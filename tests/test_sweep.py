@@ -2,6 +2,8 @@
 per realization.  Measuring the zero sigmas once, and handing realization 0's
 rows back to the caller, must not change a bit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,15 @@ from qqft import engine, haldane, poincare
 from qqft.engine import NoiseModel, SweepPoint
 
 
-def sweep_reference(measure, names, sigmas, n, seed, workers):
+def sweep_reference(measure, names, noise, n, workers):
     """(points, rows0) of the sweep that measured realization r as the full
-    column NoiseModel(tuple(sigmas), seed, stream_id=r), zero sigmas
-    included; rows0 are measure's rows of realization 0, measured here
-    afresh like every other realization."""
-    sigmas = list(sigmas)
+    column replace(noise, stream_id=r), zero sigmas included; rows0 are
+    measure's rows of realization 0, measured here afresh like every other
+    realization."""
+    sigmas = noise.sigma
 
     def column(r):
-        return measure(NoiseModel(tuple(sigmas), seed, stream_id=r))
+        return measure(replace(noise, stream_id=r))
 
     columns = engine._map_ordered(column, n, workers) if sigmas else []
     points = [SweepPoint(sigma=sigma, samples=dict(zip(
@@ -68,10 +70,9 @@ def assert_same_greens(got, want):
 @pytest.mark.parametrize("sigmas", SIGMA_LISTS)
 def test_symmetry_sweep_matches_reference(monkeypatch, sigmas, on_diagonal,
                                           workers):
+    noise = NoiseModel(sigmas, 13, diagonal=on_diagonal)
     got, want = both_sweeps(monkeypatch, poincare,
-                             symmetry_sweep, 6, 2, sigmas, 3,
-                             seed=13, workers=workers,
-                             noise_on_diagonal=on_diagonal)
+                             symmetry_sweep, 6, 2, noise, 3, workers=workers)
     assert_same_points(got[0], want[0], ("sl", "sp"))
     assert_same_greens(got[1], want[1])
 
@@ -82,10 +83,10 @@ def test_symmetry_sweep_matches_reference(monkeypatch, sigmas, on_diagonal,
 def test_gap_width_sweep_matches_reference(monkeypatch, sigmas, on_diagonal,
                                            workers):
     params = haldane.HaldaneParams(phi=-np.pi / 2, M=0.0)
+    noise = NoiseModel(sigmas, 13, diagonal=on_diagonal)
     got, want = both_sweeps(monkeypatch, haldane,
-                             haldane.noise_sweep_gap_width, params, sigmas, 3,
-                             seed=13, grid=4, workers=workers,
-                             noise_on_diagonal=on_diagonal)
+                             haldane.noise_sweep_gap_width, params, noise, 3,
+                             grid=4, workers=workers)
     assert_same_points(got, want, ("gap", "width"))
 
 
@@ -93,7 +94,7 @@ def test_n33_column_matches_reference(monkeypatch):
     # N = 33: the generic-route size that the benchmark sweeps
     got, want = both_sweeps(monkeypatch, poincare,
                              symmetry_sweep, 33, 2,
-                             [0.0, 1e-3, 5e-2], 2, seed=5)
+                             NoiseModel((0.0, 1e-3, 5e-2), 5), 2)
     assert_same_points(got[0], want[0], ("sl", "sp"))
     assert_same_greens(got[1], want[1])
 
@@ -107,10 +108,9 @@ def draws(column):
 @pytest.mark.parametrize("sigmas", SIGMA_LISTS + [[]])
 def test_rows_of_realization_0_match_reference(sigmas, workers):
     # values past `names` reach only the returned rows of realization 0
-    got = engine._noise_sweep(draws, ("sum",), sigmas, 3, seed=21,
-                              workers=workers)
-    want = sweep_reference(draws, ("sum",), sigmas, 3, seed=21,
-                           workers=workers)
+    noise = NoiseModel(sigmas, 21)
+    got = engine._noise_sweep(draws, ("sum",), noise, 3, workers=workers)
+    want = sweep_reference(draws, ("sum",), noise, 3, workers=workers)
     assert_same_points(got[0], want[0], ("sum",))
     assert [p.samples.keys() for p in got[0]] == [{"sum"}] * len(sigmas)
     assert len(got[1]) == len(want[1]) == len(sigmas)
@@ -122,13 +122,27 @@ def test_rows_of_realization_0_match_reference(sigmas, workers):
 @pytest.mark.parametrize("sigmas", [[0.0], [1e-3], [0.0, 1e-3], []])
 def test_zero_realizations_rejected(sigmas):
     with pytest.raises(ValueError, match="n must be >= 1"):
-        engine._noise_sweep(lambda column: [], ("x",), sigmas, 0, seed=1,
-                            workers=1)
+        engine._noise_sweep(lambda column: [], ("x",), NoiseModel(sigmas, 1),
+                            0, workers=1)
 
 
 def test_empty_sigma_list_runs_no_task():
     def measure(column):
         raise AssertionError(f"measured {column}")
 
-    assert engine._noise_sweep(measure, ("x",), [], 3, seed=1,
+    assert engine._noise_sweep(measure, ("x",), NoiseModel([], 1), 3,
                                workers=2) == ([], [])
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseModel(0.0, 1),                       # one sigma, not a column
+    NoiseModel(1e-3, 1),
+    NoiseModel((0.0, 1e-3), 1, stream_id=2),  # stream 2 is realization 2's
+    NoiseModel((), 1, stream_id=1),
+], ids=["scalar-zero", "scalar", "stream-2", "empty-stream-1"])
+def test_scalar_sigma_or_nonzero_stream_rejected(noise):
+    def measure(column):
+        raise AssertionError(f"measured {column}")
+
+    with pytest.raises(ValueError, match="column of sigmas on stream 0"):
+        engine._noise_sweep(measure, ("x",), noise, 3, workers=1)

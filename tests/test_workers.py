@@ -76,14 +76,15 @@ class TestMapOrdered:
 class TestWorkerLifetime:
     def test_phase_diagram_joins_its_workers(self):
         cells = haldane.phase_diagram([-np.pi / 2, np.pi / 2], [0.0, 1.0],
-                                      sigma=1e-2, seed=3, grid=4, workers=2)
+                                      engine.NoiseModel(1e-2, 3), grid=4,
+                                      workers=2)
         assert len(cells) == 4
         assert_no_children()
 
     def test_symmetry_sweep_joins_its_workers(self):
         points, _ = poincare.noise_sweep_symmetry(
             poincare.build_dispersion(6, 2), poincare.equivalence_classes(6, 2),
-            [0.0, 1e-2], 3, seed=5, workers=3)
+            engine.NoiseModel((0.0, 1e-2), 5), 3, workers=3)
         assert len(points) == 2
         assert_no_children()
 
