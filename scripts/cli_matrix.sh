@@ -53,6 +53,10 @@ run flat-grid8 flatband --grid 8 --realizations 4 --sigma 1e-3,0 \
 run flat-ranges flatband --grid 4 --realizations 2 --sigma 2e-3 \
     --phase-grid 2 --phi-range -1 1.5 --m-range -2 0.5 --seed 9 \
     --workers "$workers" --out flat-ranges
+# sigma = 0 takes the sine route, 5e-2 and 0.3 the Cayley fallback; 0.3
+# comes within the headroom margin of the branch cut and prints its line
+run flat-wrap flatband --grid 4 --realizations 2 --sigma 0,5e-2,0.3 \
+    --phase-grid 0 --seed 5 --workers "$workers" --out flat-wrap
 run poincare-n6 poincare --N 6 --realizations 3 --seed 5 --noise-on-diagonal \
     --workers "$workers" --out poincare-n6
 run poincare-n16 poincare --N 16 --gamma 3 --realizations 2 --sigma 0,5e-3 \

@@ -65,6 +65,11 @@ class GapClosedError(ValueError):
     """No spectral gap at the requested filling."""
 
 
+#: smallest headroom pi - T max|E|, in rad, that `noise_sweep_gap_width`
+#: passes without a warning: closer to the branch cut, energies may have
+#: wrapped mod 2 pi / T
+HEADROOM_MARGIN = 0.1
+
 # how `phase_diagram` counts a realization whose Bott index it cannot take
 _FAILED = {GapClosedError: "gap closed", PhaseWrapError: "phase wrapped"}
 
@@ -204,15 +209,28 @@ def noise_sweep_gap_width(p: HaldaneParams, noise: NoiseModel,
                           workers: int = 1) -> list:
     """Band gap and width versus noise strength: one `engine.SweepPoint` per
     sigma of the column `noise` (see `engine._noise_sweep`) with samples
-    "gap" and "width", independent of the worker count."""
+    "gap", "width" and "headroom" (pi - T max|E|, the eigenphases' distance
+    to the branch cut), independent of the worker count.  Each sigma whose
+    smallest headroom falls below `HEADROOM_MARGIN` gets one line on
+    stderr."""
     model = momentum_model(p, grid)
 
     def measure(column):  # sigma by sigma: the eigensolve dominates
         specs = (extract_spectrum(build_protocol_unitary(
             model, replace(column, sigma=s)), model.T, model.l) for s in column.sigma)
-        return [(spec.band_gap, spec.band_width) for spec in specs]
+        return [(spec.band_gap, spec.band_width,
+                 np.pi - model.T * np.abs(spec.energies).max()) for spec in specs]
 
-    return _noise_sweep(measure, ("gap", "width"), noise, n_realizations, workers)[0]
+    points = _noise_sweep(measure, ("gap", "width", "headroom"), noise,
+                          n_realizations, workers)[0]
+    for point in points:
+        headroom = point.samples["headroom"].min()
+        if headroom < HEADROOM_MARGIN:
+            print(f"gap sweep: eigenphases within {headroom:.3g} rad of the "
+                  f"branch cut at sigma={point.sigma:g} (margin "
+                  f"{HEADROOM_MARGIN:g} rad); energies may have wrapped",
+                  file=sys.stderr)
+    return points
 
 
 def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,

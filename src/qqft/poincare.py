@@ -88,10 +88,6 @@ class Dispersion:
     gamma: int
     j_table: tuple
 
-    @property
-    def energies(self) -> np.ndarray:
-        return 2.0 * np.pi * np.array(self.j_table) / self.n_sites
-
 
 def graph_is_invariant(j_table: Sequence[int], N: int, gamma: int) -> bool:
     """Whether {(m, j(m))} is closed under the boost acting on (m, j)."""

@@ -15,15 +15,27 @@ factor at a time on a reshaped array.  U is similar to the core
 C = U_d (V_i V_f) = V_f^-1 U V_f, whose Fourier part is the product of
 per-dimension grid x grid factors (the identity without noise).  Spectra
 are taken from U itself: applying V_f costs a few ms of a 512-dim
-realization whose eigensolve takes about a hundred.
+realization whose eigensolve takes about 75.
 
-Eigenphases come from the Cayley map: for unitary U without eigenvalue -1,
-K = i (I + U)^-1 (I - U) is Hermitian with eigenvalues tan(theta / 2), so
-theta = 2 arctan(eigvalsh(K)) and eigh(K) gives an orthonormal eigenbasis
+Eigenphases of a spectrum come from the Hermitian part of U: for unitary
+U = Z diag(exp(i theta)) Z^dag, S = (U - U^dag) / 2i = Z diag(sin theta) Z^dag,
+so theta = arcsin(eigvalsh(S)) while every |theta| < pi/2.  That takes one
+Hermitian eigensolve and no linear solve.  A certificate of O(dim) after the
+eigensolve accepts the result: every cos(theta) = sqrt(1 - sin^2 theta) is
+at least `SINE_COS_MIN`, which bounds arcsin's error gain, and their sum
+matches Re tr U = sum cos(theta) within `SINE_COS_MIN`, which fails as soon
+as one phase has cos(theta) <= -SINE_COS_MIN.  Since S is Hermitian by
+construction, unitarity is checked apart, on a fixed block of probe vectors.
+
+Non-finite input and spectra that fail the certificate take the Cayley
+map: K = i (I + U)^-1 (I - U) is Hermitian with eigenvalues tan(theta / 2),
+so theta = 2 arctan(eigvalsh(K)) and eigh(K) gives an orthonormal eigenbasis
 even for the degenerate flat bands.  The map is one-to-one on theta in
 (-pi, pi) and blows up at the branch cut theta = +-pi, where I + U is
 singular; eigenphases within `WRAP_MARGIN` of the cut raise PhaseWrapError,
-since energies there are ambiguous mod 2 pi / T.
+since energies there are ambiguous mod 2 pi / T.  The Bott index stays on
+the Cayley route, with eigenvectors: its noisier evolutions reach
+|theta| = 2.67, past the sine route's limit.
 
 Energies are in angular frequency units of rad/ms throughout (2 pi rad/ms
 corresponds to 2 pi x 1 kHz); times are in ms.
@@ -46,6 +58,11 @@ T_DEFAULT = 1.0 / (2.0 * np.pi)
 
 #: eigenphases closer than this to the branch cut +-pi raise PhaseWrapError
 WRAP_MARGIN = 1e-6
+
+#: smallest cos(theta) the sine route accepts: arcsin's error gain stays below
+#: 1 / SINE_COS_MIN, and a phase with cos(theta) <= -SINE_COS_MIN moves
+#: Re tr U by at least twice this from the certificate's sum
+SINE_COS_MIN = 0.1
 
 #: recoil energy of the reference lithium setup, angular frequency in rad/ms
 RECOIL_RAD_PER_MS = 2.0 * np.pi * 25.12
@@ -204,14 +221,39 @@ def _cayley_phases(U: np.ndarray, vectors: bool = False):
     return theta, Z
 
 
+def _sine_phases(U: np.ndarray):
+    """Eigenphases theta (ascending) of a unitary U as arcsin of the
+    eigenvalues of S = (U - U^dag) / 2i, or None when the certificate of the
+    module docstring fails."""
+    S = U.conj().T          # becomes U^dag - U, then S
+    S -= U
+    S *= 0.5j
+    sin = scipy.linalg.eigvalsh(S, overwrite_a=True, check_finite=False)
+    cos = np.sqrt(1.0 - np.minimum(sin * sin, 1.0))
+    if cos.min() < SINE_COS_MIN or abs(np.trace(U).real - cos.sum()) >= SINE_COS_MIN:
+        return None
+    return np.arcsin(sin)
+
+
 def extract_spectrum(U: np.ndarray, T: float, l: int) -> SpectrumResult:
     """Energies E = -theta/T from the eigenphases theta of a unitary U.
 
-    Raises PhaseWrapError when any eigenphase sits within `WRAP_MARGIN` of
-    the branch cut, since energies would then be ambiguous mod 2 pi / T,
-    and ValueError when U is not unitary.
+    Takes theta from the sine route when its certificate holds, else from
+    the Cayley route (see the module docstring).  Raises PhaseWrapError when
+    any eigenphase sits within `WRAP_MARGIN` of the branch cut, since
+    energies would then be ambiguous mod 2 pi / T, and ValueError when U is
+    not unitary: when some probe x gives |U^dag U x - x| > 1e-10 sqrt(dim).
     """
-    theta, _ = _cayley_phases(U)
+    U = np.asarray(U, dtype=complex)
+    # four fixed probes for each dimension, complex Gaussian entries
+    X = np.random.default_rng(U.shape[0]).standard_normal((U.shape[0], 8)).view(complex)
+    defect = np.linalg.norm((U @ X).conj().T @ U - X.conj().T, axis=1).max()
+    finite = np.isfinite(defect)
+    if finite and defect > 1e-10 * math.sqrt(U.shape[0]):
+        raise ValueError("matrix is not unitary")
+    theta = _sine_phases(U) if finite else None
+    if theta is None:  # non-finite input, or a spectrum past the certificate
+        theta, _ = _cayley_phases(U)
     return SpectrumResult(energies=np.sort(-theta / T), n_bands=l, T=T)
 
 

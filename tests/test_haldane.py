@@ -315,6 +315,26 @@ class TestNoiseSweep:
                                         n_realizations=3, grid=4)
         assert len(set(point.samples["width"].tolist())) == 3
 
+    def test_headroom_samples_and_stderr_line(self, capsys):
+        p = params(-np.pi / 2, 0.0)
+        clean, noisy = noise_sweep_gap_width(p, NoiseModel((0.0, 0.3), 5),
+                                             n_realizations=2, grid=4)
+        model = momentum_model(p, grid=4)
+        for r, headroom in enumerate(noisy.samples["headroom"]):
+            U = build_protocol_unitary(model, NoiseModel(0.3, 5, stream_id=r))
+            theta = np.angle(np.linalg.eigvals(U))
+            assert headroom == pytest.approx(np.pi - np.abs(theta).max(), abs=1e-9)
+        # clean eigenphases are +-T |d| = +-1
+        assert clean.samples["headroom"] == pytest.approx([np.pi - 1.0] * 2)
+        [line] = capsys.readouterr().err.splitlines()
+        assert "branch cut at sigma=0.3 " in line
+        assert f"margin {haldane.HEADROOM_MARGIN:g} rad" in line
+
+    def test_in_range_sweep_prints_nothing(self, capsys):
+        noise_sweep_gap_width(params(-np.pi / 2, 0.0), NoiseModel((0.0, 5e-3), 5),
+                              n_realizations=2, grid=4)
+        assert capsys.readouterr().err == ""
+
     def test_zero_realizations_rejected(self):
         with pytest.raises(ValueError):
             noise_sweep_gap_width(params(-np.pi / 2, 0.0), NoiseModel((1e-3,), 1),

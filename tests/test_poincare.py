@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 from qqft import engine, poincare
 from qqft.engine import NoiseModel
 from qqft.poincare import (
-    Dispersion,
     DispersionError,
     build_dispersion,
     equivalence_classes,
@@ -139,10 +138,6 @@ class TestBuildDispersion:
             except DispersionError:
                 continue
             assert any(disp.j_table)
-
-    def test_energy_scale(self):
-        disp = Dispersion(n_sites=33, gamma=2, j_table=tuple(range(33)))
-        assert disp.energies[1] == pytest.approx(2 * np.pi / 33)
 
     def test_orbit_cover_fallback(self):
         # gamma^2 - 1 = 8 has no square root mod 6, yet unions of boost

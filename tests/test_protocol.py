@@ -256,6 +256,125 @@ class TestExtractSpectrum:
             spec.band_gap
 
 
+def unitary_with_phases(theta, seed):
+    """Q diag(exp(i theta)) Q^dag with a random unitary Q."""
+    rng = np.random.default_rng(seed)
+    n = len(theta)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (Q * np.exp(1j * np.asarray(theta))) @ Q.conj().T
+
+
+def cayley_calls(U):
+    """(energies of `extract_spectrum(U, 1, 1)`, calls of `_cayley_phases`)."""
+    calls = []
+    cayley = protocol._cayley_phases
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return cayley(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_cayley_phases", spy)
+        return extract_spectrum(U, T=1.0, l=1).energies, len(calls)
+
+
+def reference_energies(U):
+    return np.sort(-np.angle(np.linalg.eigvals(U)))
+
+
+SINE_PHASES = st.lists(st.floats(min_value=-1.4, max_value=1.4),
+                       min_size=1, max_size=24)
+# eigenphases clear of 0, so that their mirror images pi - theta stay clear
+# of the branch cut
+OFF_ZERO = st.floats(min_value=0.05, max_value=1.4).flatmap(
+    lambda t: st.sampled_from([t, -t]))
+
+
+class TestSineRoute:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(theta=SINE_PHASES, seed=SEEDS)
+    def test_agrees_with_general_eigensolver(self, theta, seed):
+        U = unitary_with_phases(theta, seed)
+        energies, calls = cayley_calls(U)
+        assert calls == 0
+        assert np.abs(energies - reference_energies(U)).max() < 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(pairs=st.lists(OFF_ZERO, min_size=1, max_size=8),
+           rest=st.lists(st.floats(min_value=-1.4, max_value=1.4), max_size=8),
+           seed=SEEDS)
+    def test_mirrored_pairs_fall_back(self, pairs, rest, seed):
+        # theta and pi - theta share a sine: arcsin alone would return theta twice
+        theta = pairs + [np.angle(-np.exp(-1j * t)) for t in pairs] + rest
+        U = unitary_with_phases(theta, seed)
+        energies, calls = cayley_calls(U)
+        assert calls == 1
+        assert np.abs(energies - np.sort(-np.asarray(theta))).max() < 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(top=st.floats(min_value=np.pi / 2, max_value=np.pi - protocol.WRAP_MARGIN,
+                         exclude_min=True),
+           sign=st.sampled_from([1.0, -1.0]), rest=SINE_PHASES, seed=SEEDS)
+    def test_phases_past_half_pi_fall_back(self, top, sign, rest, seed):
+        theta = [sign * top] + rest
+        U = unitary_with_phases(theta, seed)
+        energies, calls = cayley_calls(U)
+        assert calls == 1
+        # the Cayley route's error grows like eps / (pi - |theta|)^2 at the cut
+        tol = 1e-12 + 1e-15 / (np.pi - top) ** 2
+        assert np.abs(energies - np.sort(-np.asarray(theta))).max() < tol
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(theta=st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                          min_size=1, max_size=24),
+           exponent=st.floats(min_value=-6.0, max_value=-1.0), seed=SEEDS)
+    def test_perturbed_unitary_rejected(self, theta, exponent, seed):
+        n = len(theta)
+        rng = np.random.default_rng(seed)
+        E = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        U = unitary_with_phases(theta, seed) @ (np.eye(n) + 10.0 ** exponent * E)
+        with pytest.raises(ValueError, match="not unitary"):
+            extract_spectrum(U, T=1.0, l=1)
+
+    @pytest.mark.parametrize("kind", ["general", "hermitian", "antihermitian",
+                                      "rank one", "entry", "scale"])
+    @pytest.mark.parametrize("grid,sigma", [(2, 0.0), (4, 3e-2), (8, 5e-3)])
+    def test_rejects_what_cayley_rejects(self, kind, grid, sigma):
+        model = haldane.momentum_model(
+            haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=grid)
+        U = build_protocol_unitary(model, NoiseModel(sigma, 3))
+        n = len(U)
+        rng = np.random.default_rng(1)
+        G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        v, w = G[:, 0], G[:, 1]
+        E = {"general": G, "hermitian": G + G.conj().T,
+             "antihermitian": G - G.conj().T, "rank one": np.outer(v, w.conj()),
+             "entry": np.outer(np.eye(n)[n // 2], np.eye(n)[n // 3]), "scale": np.eye(n)}[kind]
+        E = E / np.linalg.norm(E, 2)
+        rejected = 0
+        for eps in 10.0 ** np.arange(-2.0, -13.0, -1.0):
+            V = U @ (np.eye(n) + eps * E)
+            try:
+                protocol._cayley_phases(V)
+            except ValueError as err:
+                assert "not unitary" in str(err)
+                rejected += 1
+                with pytest.raises(ValueError, match="not unitary"):
+                    extract_spectrum(V, model.T, model.l)
+        assert rejected
+
+    def test_default_realization_takes_the_sine_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Cayley route was taken")
+
+        model = haldane.momentum_model(
+            haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=16)
+        U = build_protocol_unitary(model, NoiseModel(5e-3, 1))
+        monkeypatch.setattr(protocol, "_cayley_phases", refuse)
+        spec = extract_spectrum(U, model.T, model.l)
+        assert spec.band_gap > 0
+
+
 class TestEstimateRuntime:
     def test_reference_32_sites(self):
         # depth 106 at a 0.995 ms step: about a tenth of a second
