@@ -57,6 +57,11 @@ run flat-ranges flatband --grid 4 --realizations 2 --sigma 2e-3 \
 # comes within the headroom margin of the branch cut and prints its line
 run flat-wrap flatband --grid 4 --realizations 2 --sigma 0,5e-2,0.3 \
     --phase-grid 0 --seed 5 --workers "$workers" --out flat-wrap
+# phase sigma 0.2 takes every cell within the headroom margin of the
+# branch cut: one stderr line per cell
+run flat-wrap-bott flatband --grid 4 --sigma "" --phase-grid 2 \
+    --phase-sigma 0.2 --phase-realizations 2 --seed 5 --workers "$workers" \
+    --out flat-wrap-bott
 run poincare-n6 poincare --N 6 --realizations 3 --seed 5 --noise-on-diagonal \
     --workers "$workers" --out poincare-n6
 run poincare-n16 poincare --N 16 --gamma 3 --realizations 2 --sigma 0,5e-3 \
@@ -70,6 +75,9 @@ run poincare-zero-last poincare --N 33 --sigma 1e-3,0 --realizations 3 \
 # a zero sigma between two nonzero ones: realization 0 keeps the given order
 run poincare-zero-middle poincare --N 6 --sigma 1e-3,0,2e-2 \
     --realizations 3 --seed 7 --workers "$workers" --out poincare-zero-middle
+# seven realizations: two blocks of sweep tasks, the second one short
+run poincare-blocks poincare --N 33 --sigma 0,5e-3,2e-2 --realizations 7 \
+    --seed 13 --workers "$workers" --out poincare-blocks
 run poincare-no-zero poincare --N 16 --gamma 3 --sigma 5e-3 --realizations 3 \
     --seed 7 --noise-on-diagonal --workers "$workers" --out poincare-no-zero
 run compile compile --N 33 --out compile

@@ -16,6 +16,14 @@ Both routes compose, first gate applied first, to the DFT matrix
 
 exactly (up to floating-point roundoff), with indices 0..N-1.
 
+Every product of gates runs through one kernel, `_apply_waves`: gates on
+disjoint sites form a wave, and each wave updates a batch-last array
+U[row, col, member] that holds many products at once.  A phase gate scales
+its row and a two-site gate [[a, b], [c, d]] writes a r0 + b r1 and
+c r0 + d r1 over its two rows, with one coefficient per member.  The kernel
+runs elementwise ufuncs only, no BLAS, so a member's bits do not depend on
+how many members share the pass or where it sits among them.
+
 A sequence can be serialized to a versioned JSON document (schema
 ``qqft-seq/1``) for interchange with the command-line tools.
 """
@@ -351,22 +359,29 @@ def _wave_plan(seq: CircuitSequence, invert: bool) -> _WavePlan:
 
 def _apply_waves(n_sites: int, plan: _WavePlan, factors: np.ndarray,
                  blocks: np.ndarray) -> np.ndarray:
-    """Products of the gates of `plan`, first wave first, one per leading
-    index of `factors` (B, phase gates) and `blocks` (B, pair gates, 2, 2),
-    which stand in, in plan order, for the phase and two-site gates."""
-    U = np.repeat(np.eye(n_sites, dtype=complex)[None], len(factors), axis=0)
+    """Products U[row, col, member] of the gates of `plan`, first wave first,
+    one per last index of `factors` (phase gates, B) and `blocks` (pair
+    gates, 2, 2, B), which stand in, in plan order, for the phase and
+    two-site gates; elementwise, as the module docstring describes."""
+    U = np.repeat(np.eye(n_sites, dtype=complex)[..., None], factors.shape[-1],
+                  axis=2)
+    factors, blocks = factors[:, None], blocks[..., None, :]
     for ph, sites, pr, rows in plan.waves:
         if len(sites):
-            U[:, sites] *= factors[:, ph, None]
-        if len(rows):
-            U[:, rows] = blocks[:, pr] @ U[:, rows]
+            U[sites] *= factors[ph]
+        if len(rows):  # terms[k, i, j] = block[i, j] * row j of pair k
+            old = U[rows]
+            terms = blocks[pr] * old[:, None]
+            U[rows] = np.add(terms[:, :, 0], terms[:, :, 1], out=old)
+            del old, terms  # before the next wave allocates its own
     return U
 
 
 def sequence_to_unitary(seq: CircuitSequence) -> np.ndarray:
     """Dense product of all gates in application order (first gate first)."""
     plan = _wave_plan(seq, False)
-    return _apply_waves(seq.n_sites, plan, plan.factors[None], plan.blocks[None])[0]
+    return _apply_waves(seq.n_sites, plan, plan.factors[:, None],
+                        plan.blocks[..., None])[..., 0]
 
 
 def dft_distance(U: np.ndarray) -> float:

@@ -14,6 +14,13 @@ table below: the forward Fourier sequence along axis k draws from substream
 draw on the diagonal step, taken only when the model's `diagonal` is set,
 from `_SALT_DIAGONAL`.  The flat band uses axes 0
 and 1, the spacetime crystal axis 0.
+
+A composition can carry many members: a column of sigmas on one stream, or
+a stack of such columns on several streams, such as a block of realizations
+of a sweep.  All members compose in one pass of the batch-last wave kernel
+`circuit._apply_waves`, whose arithmetic is elementwise, so each member is
+bit-identical to composing it alone, whatever the batch.  `_noise_sweep`
+hands its measurement fixed blocks of `_BLOCK` consecutive realizations.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ from . import circuit
 from .circuit import CircuitSequence, compile_for_size, gate_matrix
 
 MAX_DIM = 4096
+
+#: realizations per task of `_noise_sweep`, which a Poincare sweep composes
+#: in one wave pass per direction; peak memory grows with it
+_BLOCK = 4
 
 _SALT_FORWARD = (1, 2)
 _SALT_INVERSE = (3, 4)
@@ -161,9 +172,10 @@ def gate_to_generator(gate) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _gate_spectra(seq: CircuitSequence):
-    """(layers, E, Z) of the gates in `seq.gates` order: layer tags, the
-    eigenphases (n, 2) and eigenbases (n, 2, 2) of each gate.  A phase
-    gate's eigenphase is E[:, 0]; its other entries are unused."""
+    """(layers, E, P) of the gates in `seq.gates` order: layer tags, the
+    eigenphases (n, 2) and the eigenprojectors P[:, k] = Z_k Z_k^dag
+    (n, 2, 2, 2) of each gate's eigenvectors Z_k.  A phase gate's eigenphase
+    is E[:, 0]; its other entries are unused."""
     E = np.zeros((len(seq.gates), 2))
     Z = np.zeros((len(seq.gates), 2, 2), dtype=complex)
     for i, g in enumerate(seq.gates):
@@ -173,11 +185,46 @@ def _gate_spectra(seq: CircuitSequence):
         else:
             E[i], Z[i] = unitary_eig(gate_matrix(g))
     layers = np.array([g.layer for g in seq.gates], dtype=int)
+    # P[g, k, i, j] = Z[g, i, k] conj(Z[g, j, k])
+    P = np.moveaxis(Z[:, :, None, :] * Z.conj()[:, None, :, :], 3, 1)
     # folds the phase gates; the two-site eigenphases are folded already
-    return layers, _fold_phases(E), Z
+    return layers, _fold_phases(E), np.ascontiguousarray(P)
 
 
-def apply_noisy_sequence(seq: CircuitSequence, noise: NoiseModel = None,
+def _noisy_gates(seq: CircuitSequence, models: list, invert: bool) -> tuple:
+    """(factors, blocks): the gates of `seq`'s wave plan for every member of
+    `models` (None for the noiseless one), in the layout of
+    `circuit._apply_waves`.  A noisy two-site gate is p_0 P_0 + p_1 P_1,
+    its eigenprojectors P_k weighted by the phases p_k =
+    exp(-i (1 + delta) E_k).  A draw of exactly 0 keeps the gate exact."""
+    steps, plan = np.arange(seq.depth), circuit._wave_plan(seq, invert)
+    # draws[step, member]: one delta call per model
+    draws = np.concatenate([np.zeros((seq.depth, 1)) if m is None
+                            else m.delta(steps).reshape(-1, seq.depth).T
+                            for m in models], axis=1)
+    B = draws.shape[1]
+    factors = np.broadcast_to(plan.factors[:, None], (len(plan.phase), B))
+    blocks = np.broadcast_to(plan.blocks[..., None], (len(plan.pair), 2, 2, B))
+    if not draws.any():  # every gate is exact: no spectra needed
+        return factors, blocks
+    layers, E, P = _gate_spectra(seq)
+    if invert:
+        layers, E = seq.depth - 1 - layers, _fold_phases(-E)
+    draws = draws[layers]
+    d = draws[plan.phase]
+    factors = np.where(d == 0.0, factors,
+                       np.exp(-1j * (1.0 + d) * E[plan.phase, 0, None]))
+    d, P = draws[plan.pair], P[plan.pair, ..., None]
+    p = -1j * (1.0 + d)[:, None] * E[plan.pair, :, None]
+    np.exp(p, out=p)
+    noisy = P[:, 0] * p[:, None, None, 0]
+    noisy += P[:, 1] * p[:, None, None, 1]
+    # in place: np.where would allocate one more stack of blocks
+    np.copyto(noisy, blocks, where=(d == 0.0)[:, None, None])
+    return factors, noisy
+
+
+def apply_noisy_sequence(seq: CircuitSequence, noise=None,
                          invert: bool = False) -> np.ndarray:
     """Compose a sequence as prod_s exp(-i (1 + delta_s) H[s]).
 
@@ -187,45 +234,36 @@ def apply_noisy_sequence(seq: CircuitSequence, noise: NoiseModel = None,
     None) the result is bit-identical to `sequence_to_unitary`.
     `invert=True` composes the inverse sequence (reversed order, adjoint
     gates, each with its own principal-branch generator and its own draws).
-    A column of sigmas composes in one pass into shape sigma.shape + (n, n),
-    each member bit-identical to composing it alone.
+
+    A column of sigmas composes in one pass into shape sigma.shape + (n, n).
+    `noise` may also be a list of models, a stack of columns on several
+    streams (one `delta` call each); their members, in order, compose in
+    one pass into shape (members, n, n).  Every member is bit-identical to
+    composing it alone (see `circuit._apply_waves`).
     """
-    shape = () if noise is None else np.shape(noise.sigma)
-    B, steps = math.prod(shape), np.arange(seq.depth)
-    plan = circuit._wave_plan(seq, invert)
-    draws = (np.zeros(seq.depth) if noise is None
-             else noise.delta(steps)).reshape(B, seq.depth)
-    factors = np.broadcast_to(plan.factors, (B, *plan.factors.shape))
-    blocks = np.broadcast_to(plan.blocks, (B, *plan.blocks.shape))
-    if draws.any():  # else every gate is exact: no spectra needed
-        layers, E, Z = _gate_spectra(seq)
-        if invert:
-            layers, E = seq.depth - 1 - layers, _fold_phases(-E)
-        draws = draws[:, layers]
-        d = draws[:, plan.phase]
-        factors = np.where(d == 0.0, factors,
-                           np.exp(-1j * (1.0 + d) * E[plan.phase, 0]))
-        d, Z = draws[:, plan.pair], Z[plan.pair]
-        phases = np.exp(-1j * (1.0 + d)[..., None] * E[plan.pair])
-        noisy = (Z * phases[..., None, :]) @ Z.conj().swapaxes(1, 2)
-        # in place: np.where would allocate one more column of blocks
-        np.copyto(noisy, blocks, where=(d == 0.0)[..., None, None])
-        blocks = noisy
-    U = circuit._apply_waves(seq.n_sites, plan, factors, blocks)
-    return U.reshape(shape + U.shape[1:])
+    stack, n = isinstance(noise, (list, tuple)), seq.n_sites
+    U = circuit._apply_waves(n, circuit._wave_plan(seq, invert), *_noisy_gates(
+        seq, noise if stack else [noise], invert))
+    U = np.ascontiguousarray(np.moveaxis(U, -1, 0))
+    if stack:
+        return U
+    return U.reshape((() if noise is None else np.shape(noise.sigma)) + (n, n))
 
 
 def fourier_pair(N: int, noise, axis: int) -> tuple:
     """(V_f, V_i): the compiled N-site Fourier transform and its inverse.
 
     Each composes with its own draws, from the `axis` entries of the salt
-    table; `noise` None gives the noiseless pair, and a column of sigmas
-    (see `apply_noisy_sequence`) a column of pairs.
+    table; `noise` None gives the noiseless pair, and a column of sigmas or
+    a list of columns (see `apply_noisy_sequence`) a stack of pairs.
     """
     seq = compile_for_size(N)
 
     def compose(salt, invert):
-        sub = None if noise is None else noise.substream(salt)
+        if isinstance(noise, (list, tuple)):
+            sub = [m.substream(salt) for m in noise]
+        else:
+            sub = None if noise is None else noise.substream(salt)
         return apply_noisy_sequence(seq, sub, invert=invert)
 
     return compose(_SALT_FORWARD[axis], False), compose(_SALT_INVERSE[axis], True)
@@ -339,15 +377,19 @@ def _noise_sweep(measure, names, noise: NoiseModel, n: int, workers: int) -> tup
     """(points, first): one SweepPoint per sigma of the column `noise` from n
     realizations, and measure's rows of realization 0.
 
-    `measure` takes a column NoiseModel and returns one row per sigma of it,
-    one value per entry of `names` first; values past those reach only
-    `first`.  Realization 0 is `noise` itself, which must start on stream 0;
+    Realization 0 is `noise` itself, which must start on stream 0;
     realization r >= 1 is the same model with the nonzero sigmas, on stream
     r: it reuses its draws, scaled, at every sigma, which keeps sweeps
     smooth.  A zero sigma draws only zeros, the same on every stream, so its
-    row of realization 0 stands for all n.  Every realization is a task of
-    one `_map_ordered` call, on one BLAS thread, since BLAS results can
-    depend on the thread count.
+    row of realization 0 stands for all n.
+
+    Realizations run in blocks of `_BLOCK` consecutive ones, the last block
+    shorter.  `measure` takes a block, a list of column NoiseModels, and
+    returns, for each column, one row per sigma of it, one value per entry
+    of `names` first; values past those reach only `first`.  Each block is a
+    task of one `_map_ordered` call, on one BLAS thread, since BLAS results
+    can depend on the thread count.  Blocks are never sized by `workers`,
+    so no result depends on the worker count.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -358,7 +400,9 @@ def _noise_sweep(measure, names, noise: NoiseModel, n: int, workers: int) -> tup
     noisy = tuple(s for s in noise.sigma if s != 0)
     tasks = [noise] + [replace(noise, sigma=noisy, stream_id=r)
                        for r in range(1, n) if noisy]
-    first, *rows = _map_ordered(lambda i: measure(tasks[i]), len(tasks), workers)
+    blocks = [tasks[i:i + _BLOCK] for i in range(0, len(tasks), _BLOCK)]
+    done = _map_ordered(lambda i: measure(blocks[i]), len(blocks), workers)
+    first, *rows = (rows for block in done for rows in block)
     points, later = [], zip(*rows)  # the rows of r >= 1, nonzero sigmas
     for sigma, row in zip(noise.sigma, first):
         per_r = (row,) * n if sigma == 0 else (row, *next(later, ()))

@@ -66,8 +66,8 @@ class GapClosedError(ValueError):
 
 
 #: smallest headroom pi - T max|E|, in rad, that `noise_sweep_gap_width`
-#: passes without a warning: closer to the branch cut, energies may have
-#: wrapped mod 2 pi / T
+#: and `phase_diagram` pass without a warning: closer to the branch cut,
+#: energies may have wrapped mod 2 pi / T
 HEADROOM_MARGIN = 0.1
 
 # how `phase_diagram` counts a realization whose Bott index it cannot take
@@ -180,6 +180,12 @@ def bott_index(U: np.ndarray, T: float, l: int) -> float:
     PhaseWrapError, like `extract_spectrum`, when an eigenphase sits within
     `protocol.WRAP_MARGIN` of the branch cut.
     """
+    return _bott_and_headroom(U, T, l)[0]
+
+
+def _bott_and_headroom(U: np.ndarray, T: float, l: int) -> tuple:
+    """(`bott_index(U, T, l)`, pi - max|theta|): the Bott index and the
+    distance of U's eigenphases to the branch cut."""
     dim = U.shape[0]
     N = round(np.sqrt(dim / l))
     if N * N * l != dim:
@@ -201,7 +207,8 @@ def bott_index(U: np.ndarray, T: float, l: int) -> float:
     eig = np.linalg.eigvals(loop)
     if np.abs(eig).min() < 1e-8:
         raise GapClosedError("projected position operators are near-singular")
-    return float(np.angle(eig).sum() / (2.0 * np.pi))
+    return (float(np.angle(eig).sum() / (2.0 * np.pi)),
+            float(np.pi - np.abs(theta).max()))
 
 
 def noise_sweep_gap_width(p: HaldaneParams, noise: NoiseModel,
@@ -215,11 +222,14 @@ def noise_sweep_gap_width(p: HaldaneParams, noise: NoiseModel,
     stderr."""
     model = momentum_model(p, grid)
 
-    def measure(column):  # sigma by sigma: the eigensolve dominates
+    def rows(column):  # sigma by sigma: the eigensolve dominates
         specs = (extract_spectrum(build_protocol_unitary(
             model, replace(column, sigma=s)), model.T, model.l) for s in column.sigma)
         return [(spec.band_gap, spec.band_width,
                  np.pi - model.T * np.abs(spec.energies).max()) for spec in specs]
+
+    def measure(block):
+        return list(map(rows, block))
 
     points = _noise_sweep(measure, ("gap", "width", "headroom"), noise,
                           n_realizations, workers)[0]
@@ -243,7 +253,9 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,
     `replace(noise, stream_id=r).substream(i)`.  A realization whose gap
     closed, or whose eigenphases reached the branch cut (PhaseWrapError),
     counts as NaN in its cell's mean; each cell with such realizations gets
-    one line on stderr that counts both kinds.
+    one line on stderr that counts both kinds.  Each cell whose smallest
+    headroom pi - max|theta| over the realizations with a Bott index falls
+    below `HEADROOM_MARGIN` gets one more line.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
@@ -260,20 +272,29 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,
             chern = None
         model = momentum_model(p, grid)
         vals, failed = [], dict.fromkeys(_FAILED.values(), 0)
+        headroom = np.pi
         for r in range(realizations):
             cell_noise = replace(noise, stream_id=r).substream(index)
             U = build_protocol_unitary(model, cell_noise)
             try:
-                vals.append(bott_index(U, model.T, model.l))
+                bott, room = _bott_and_headroom(U, model.T, model.l)
             except (GapClosedError, PhaseWrapError) as err:
                 vals.append(float("nan"))
                 failed[_FAILED[type(err)]] += 1
-        return phi, m, float(np.mean(vals)), chern, failed
+            else:
+                vals.append(bott)
+                headroom = min(headroom, room)
+        return phi, m, float(np.mean(vals)), chern, failed, headroom
 
     rows = _map_ordered(one, len(cells), workers)
-    for phi, m, _, _, failed in rows:
+    for phi, m, _, _, failed, headroom in rows:
         counts = " and ".join(f"{why} in {k}" for why, k in failed.items() if k)
         if counts:
             print(f"phase diagram: {counts} of {realizations} "
                   f"realizations at phi={phi:g}, M={m:g}", file=sys.stderr)
+        if headroom < HEADROOM_MARGIN:
+            print(f"phase diagram: eigenphases within {headroom:.3g} rad of "
+                  f"the branch cut at phi={phi:g}, M={m:g} (margin "
+                  f"{HEADROOM_MARGIN:g} rad); energies may have wrapped",
+                  file=sys.stderr)
     return [row[:4] for row in rows]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -175,10 +176,11 @@ def greens_function(disp: Dispersion, noise: NoiseModel = None,
     probability of hopping from n1 to n1 + n in m periods; unitarity makes
     every (n1, m) slice sum to one even with noise, which reaches the
     diagonal step too when `noise.diagonal` is set.  With a column of sigmas
-    (see `engine.apply_noisy_sequence`), such as one realization at every
-    sigma, the Fourier pairs compose in one pass and the result is an
-    iterator of GreensResults, one per sigma, each built when it is reached
-    so that one propagator at a time is in memory.
+    or a list of columns (see `engine.apply_noisy_sequence`), such as a block
+    of realizations at every sigma, the Fourier pairs compose in one pass
+    per direction and the result is an iterator of GreensResults, one per
+    member in order, each built when it is reached so that one propagator
+    at a time is in memory.
     """
     N = disp.n_sites
     if route == "exact":
@@ -188,13 +190,14 @@ def greens_function(disp: Dispersion, noise: NoiseModel = None,
         V_f, V_i = engine.fourier_pair(N, noise, 0)
     else:
         raise ValueError(f"unknown route {route!r}")
-    scale = engine.diagonal_scale(noise)
-    if noise is None or np.ndim(noise.sigma) == 0:
-        return _greens_one(disp, V_f, V_i, scale)
-    B = len(noise.sigma)
-    V_f, V_i = (np.broadcast_to(V, (B, N, N)) for V in (V_f, V_i))
+    if noise is None or isinstance(noise, NoiseModel) and np.ndim(noise.sigma) == 0:
+        return _greens_one(disp, V_f, V_i, engine.diagonal_scale(noise))
+    columns = noise if isinstance(noise, (list, tuple)) else [noise]
+    scales = np.concatenate([np.broadcast_to(engine.diagonal_scale(c),
+                                             len(c.sigma)) for c in columns])
+    V_f, V_i = (np.broadcast_to(V, (len(scales), N, N)) for V in (V_f, V_i))
     return (_greens_one(disp, f, i, float(s))
-            for f, i, s in zip(V_f, V_i, np.broadcast_to(scale, B)))
+            for f, i, s in zip(V_f, V_i, scales))
 
 
 def _greens_one(disp: Dispersion, V_f: np.ndarray, V_i: np.ndarray,
@@ -262,11 +265,13 @@ def noise_sweep_symmetry(disp: Dispersion, lattice: LorentzLattice,
     """
     P_clean = _map_ordered(lambda _: greens_function(disp).p_tensor, 1, 1)[0]
 
-    def measure(column):  # map lets each result go before the next is built
-        keep = column.stream_id == 0  # only realization 0 keeps its G
-        return list(map(lambda g: (s_lorentz(g.p_tensor, lattice), s_total(
-            g.p_tensor, P_clean), g.matrix if keep else None),
-            greens_function(disp, column)))
+    def measure(block):  # map lets each G go before the next is built
+        # only realization 0, stream 0, keeps its G
+        keep = [c.stream_id == 0 for c in block for _ in c.sigma]
+        rows = map(lambda g, k: (s_lorentz(g.p_tensor, lattice), s_total(
+            g.p_tensor, P_clean), g.matrix if k else None),
+            greens_function(disp, block), keep)
+        return [list(islice(rows, len(c.sigma))) for c in block]
 
     points, first = _noise_sweep(measure, ("sl", "sp"), noise, n_realizations,
                                  workers)

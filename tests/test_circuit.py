@@ -46,14 +46,18 @@ def rotation_perm_oracle(p, n):
 
 
 def compose(gates, N):
-    """Per-gate product, first gate first: the reference for the wave kernel."""
+    """Per-gate product, first gate first, in the kernel's elementwise form:
+    [[a, b], [c, d]] writes a r0 + b r1 and c r0 + d r1 over rows r0, r1.
+    The reference for the wave kernel."""
     U = np.eye(N, dtype=complex)
     for g in gates:
         block, j = circuit.gate_matrix(g), g.site
         if g.kind == circuit.PHASE:
             U[j, :] *= block[0, 0]
         else:
-            U[j: j + 2, :] = block @ U[j: j + 2, :]
+            r0, r1 = U[j].copy(), U[j + 1].copy()
+            U[j] = block[0, 0] * r0 + block[0, 1] * r1
+            U[j + 1] = block[1, 0] * r0 + block[1, 1] * r1
     return U
 
 

@@ -249,10 +249,10 @@ class TestPoincare:
         assert read_rows(a / "symmetry.csv")[1][0][0] == "0.0"
 
     @pytest.mark.parametrize("sigma", ["0,5e-3,2e-2", "1e-3,0", "5e-3"])
-    def test_one_greens_call_per_realization(self, tmp_path, monkeypatch,
-                                             sigma):
-        # the Green's files and the zero sigma come from realization 0: n
-        # column calls, and one clean call for the reference of s_total
+    def test_one_greens_call_per_block(self, tmp_path, monkeypatch, sigma):
+        # the Green's files and the zero sigma come from realization 0: one
+        # clean call for the reference of s_total, then one call per block
+        # of four consecutive realizations, each one column
         calls = []
         greens = poincare.greens_function
 
@@ -261,10 +261,13 @@ class TestPoincare:
             return greens(disp, noise, **kwargs)
 
         monkeypatch.setattr(poincare, "greens_function", spy)
-        main(["poincare", "--N", "6", "--realizations", "4", "--sigma", sigma,
+        main(["poincare", "--N", "6", "--realizations", "5", "--sigma", sigma,
               "--seed", "3", "--out", str(tmp_path)])
-        assert len(calls) - calls.count(None) == 4
-        assert calls.count(None) == 1
+        sigmas = tuple(float(s) for s in sigma.split(","))
+        nonzero = tuple(s for s in sigmas if s != 0)
+        columns = [poincare.NoiseModel(sigmas, 3)] + [
+            poincare.NoiseModel(nonzero, 3, stream_id=r) for r in range(1, 5)]
+        assert calls == [None, columns[:4], columns[4:]]
 
     def test_empty_sigma_list_writes_empty_symmetry(self, tmp_path):
         assert main(["poincare", "--N", "6", "--realizations", "2",

@@ -35,9 +35,16 @@ def scalar_draw_reference(noise, step):
     return noise.sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-def per_gate_reference(seq, noise=None, invert=False):
+def per_gate_reference(seq, noise=None, invert=False, matmul=False):
     """prod_s exp(-i (1 + delta_s) H[s]) one gate at a time, each with its
-    own scalar draw: the reference for the wave kernel."""
+    own scalar draw: the reference for the wave kernel.
+
+    In the kernel's elementwise form, a noisy two-site gate is
+    p_0 P_0 + p_1 P_1 over its eigenprojectors P_k = Z_k Z_k^dag, and a
+    block [[a, b], [c, d]] writes a r0 + b r1 and c r0 + d r1 over its rows.
+    `matmul=True` takes the textbook form instead, (Z * p) @ Z^dag and
+    `block @ rows`, which agrees with the kernel up to roundoff only.
+    """
     U = np.eye(seq.n_sites, dtype=complex)
     sigma = 0.0 if noise is None else noise.sigma
     for g in (reversed(seq.gates) if invert else seq.gates):
@@ -60,8 +67,18 @@ def per_gate_reference(seq, noise=None, invert=False):
         else:
             E, Z = unitary_eig(block)
             w = engine._fold_phases(-E) if invert else E
-            blk = (Z * np.exp(-1j * (1.0 + delta) * w)) @ Z.conj().T
-        U[j: j + 2, :] = blk @ U[j: j + 2, :]
+            p = np.exp(-1j * (1.0 + delta) * w)
+            if matmul:
+                blk = (Z * p) @ Z.conj().T
+            else:
+                P = [np.outer(Z[:, k], Z[:, k].conj()) for k in (0, 1)]
+                blk = P[0] * p[0] + P[1] * p[1]
+        if matmul:
+            U[j: j + 2, :] = blk @ U[j: j + 2, :]
+        else:
+            r0, r1 = U[j].copy(), U[j + 1].copy()
+            U[j] = blk[0, 0] * r0 + blk[0, 1] * r1
+            U[j + 1] = blk[1, 0] * r0 + blk[1, 1] * r1
     return U
 
 
@@ -269,6 +286,22 @@ class TestApplyNoisySequence:
         U = apply_noisy_sequence(seq, noise, invert=invert)
         assert U.tobytes() == per_gate_reference(seq, noise, invert).tobytes()
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seq=st.one_of(
+               st.builds(circuit.build_generic_qqft, st.integers(2, 40)),
+               st.builds(circuit.build_radix2_qqft, st.integers(1, 5))),
+           sigma=st.sampled_from([0.0, 5e-324, 1e-3, 2e-2, 0.3]),
+           seed=WORDS, stream=WORDS, invert=st.booleans())
+    @example(seq=circuit.build_generic_qqft(33), sigma=0.3, seed=1, stream=2,
+             invert=True)
+    def test_wave_kernel_near_matmul_product(self, seq, sigma, seed, stream,
+                                             invert):
+        # the elementwise kernel against `block @ rows`: roundoff only
+        noise = NoiseModel(sigma, seed=seed, stream_id=stream)
+        U = apply_noisy_sequence(seq, noise, invert=invert)
+        want = per_gate_reference(seq, noise, invert, matmul=True)
+        assert np.abs(U - want).max() < 1e-13
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(seq=st.one_of(
                st.builds(circuit.build_generic_qqft, st.integers(2, 40)),
@@ -288,6 +321,39 @@ class TestApplyNoisySequence:
             alone = apply_noisy_sequence(
                 seq, NoiseModel(sigma, seed=seed, stream_id=stream), invert=invert)
             assert got.tobytes() == alone.tobytes()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seq=st.one_of(
+               st.builds(circuit.build_generic_qqft, st.integers(2, 40)),
+               st.builds(circuit.build_radix2_qqft, st.integers(1, 5))),
+           members=st.sampled_from([1, 3, 7, 21]), data=st.data(),
+           seed=WORDS, invert=st.booleans())
+    @example(seq=circuit.build_generic_qqft(33), members=21, data=None,
+             seed=1, invert=False)
+    @example(seq=circuit.build_radix2_qqft(4), members=7, data=None,
+             seed=2, invert=True)
+    def test_stack_matches_each_column_alone(self, seq, members, data, seed,
+                                             invert):
+        # a block of columns on different streams, `members` sigmas in all
+        if data is None:  # the examples: columns of 6, the last one shorter
+            sizes = [min(6, members - i) for i in range(0, members, 6)]
+            sigmas = [0.0, 5e-324, 1e-3, 2e-2, 0.3, 0.3] * 4
+            columns = [tuple(sigmas[:k]) for k in sizes]
+            streams = range(len(columns))
+        else:
+            columns, left = [], members
+            while left:
+                columns.append(tuple(data.draw(SIGMA_COLUMNS.filter(
+                    lambda c: len(c) <= left))))
+                left -= len(columns[-1])
+            streams = data.draw(st.lists(WORDS, min_size=len(columns),
+                                         max_size=len(columns), unique=True))
+        stack = [NoiseModel(c, seed=seed, stream_id=r)
+                 for c, r in zip(columns, streams)]
+        U = apply_noisy_sequence(seq, stack, invert=invert)
+        alone = [apply_noisy_sequence(seq, m, invert=invert) for m in stack]
+        assert U.shape == (members, seq.n_sites, seq.n_sites)
+        assert U.tobytes() == np.concatenate(alone).tobytes()
 
     def test_empty_batch(self):
         seq = circuit.build_generic_qqft(5)

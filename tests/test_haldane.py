@@ -410,16 +410,16 @@ class TestClosedGapCount:
             momentum_model(params(*cells[index]), 4),
             replace(NoiseModel(1e-2, 3), stream_id=r).substream(index)), error)
             for (index, r), error in failures.items()]
-        real = haldane.bott_index
+        real = haldane._bott_and_headroom
 
-        def bott_index(U, T, l):
+        def bott_and_headroom(U, T, l):
             for V, error in refused:
                 if np.array_equal(U, V):
                     raise error("forced")
             return real(U, T, l)
 
         # forked workers inherit the patched module attribute
-        monkeypatch.setattr(haldane, "bott_index", bott_index)
+        monkeypatch.setattr(haldane, "_bott_and_headroom", bott_and_headroom)
         rows = phase_diagram(phis, ms, NoiseModel(1e-2, 3), grid=4,
                              realizations=3, workers=workers)
         assert [len(row) for row in rows] == [4] * 4
@@ -434,3 +434,41 @@ class TestClosedGapCount:
         phase_diagram([-np.pi / 2], [0.0], NoiseModel(1e-2, 3), grid=4,
                       realizations=2)
         assert "phase diagram" not in capsys.readouterr().err
+
+
+class TestPhaseDiagramHeadroom:
+    def test_headroom_is_distance_to_branch_cut(self):
+        model = momentum_model(params(-np.pi / 2, 1.0), grid=4)
+        U = build_protocol_unitary(model, NoiseModel(0.2, 5))
+        bott, headroom = haldane._bott_and_headroom(U, model.T, model.l)
+        assert bott == bott_index(U, model.T, model.l)
+        theta = np.angle(np.linalg.eigvals(U))
+        assert headroom == pytest.approx(np.pi - np.abs(theta).max(), abs=1e-9)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_line_per_cell_below_margin(self, monkeypatch, capsys,
+                                            workers):
+        # every cell's headroom lies below pi: one line each, in cell order,
+        # and the rows do not change
+        phis, ms = [-np.pi / 2, np.pi / 2], [0.0, 1.0]
+        noise = NoiseModel(1e-2, 3)
+        quiet = phase_diagram(phis, ms, noise, grid=4, realizations=2)
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(haldane, "HEADROOM_MARGIN", 4.0)
+        rows = phase_diagram(phis, ms, noise, grid=4, realizations=2,
+                             workers=workers)
+        assert rows == quiet
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(" rad of the branch cut at ")[1] for line in err] == [
+            f"phi={phi:g}, M={m:g} (margin 4 rad); energies may have wrapped"
+            for phi in phis for m in ms]
+
+    def test_line_near_the_cut(self, capsys):
+        # sigma = 0.2 takes this cell within 0.08 rad of the cut
+        phase_diagram([-np.pi / 2], [1.0], NoiseModel(0.2, 5), grid=4,
+                      realizations=2)
+        [line] = capsys.readouterr().err.splitlines()
+        head, tail = line.split(" rad of the branch cut at ")
+        assert head.startswith("phase diagram: eigenphases within ")
+        assert 0 < float(head.rsplit(" ", 1)[1]) < haldane.HEADROOM_MARGIN
+        assert tail.startswith("phi=-1.5708, M=1 (margin 0.1 rad)")

@@ -329,14 +329,16 @@ class TestNoiseSweep:
     @pytest.mark.parametrize("sigmas", [[0.0, 1e-3, 1e-2], [1e-3, 0.0, 1e-2],
                                         [1e-2, 1e-3]])
     def test_call_pattern(self, monkeypatch, sigmas):
-        columns = self.spy_on_greens(monkeypatch)
-        symmetry_points(6, 2, NoiseModel(sigmas, 8), 3)
-        # one clean call for the reference of s_total; realization 0 is
-        # stream 0 at every sigma, in the given order; then one column of
-        # the nonzero sigmas per realization r >= 1
+        calls = self.spy_on_greens(monkeypatch)
+        symmetry_points(6, 2, NoiseModel(sigmas, 8), 6)
+        # one clean call for the reference of s_total, then one call per
+        # block of four consecutive realizations: realization 0 is stream 0
+        # at every sigma, in the given order; realization r >= 1 is one
+        # column of the nonzero sigmas on stream r
         nonzero = tuple(s for s in sigmas if s != 0)
-        assert columns == [None, NoiseModel(tuple(sigmas), 8)] + [
-            NoiseModel(nonzero, 8, stream_id=r) for r in (1, 2)]
+        columns = [NoiseModel(tuple(sigmas), 8)] + [
+            NoiseModel(nonzero, 8, stream_id=r) for r in range(1, 6)]
+        assert calls == [None, columns[:4], columns[4:]]
 
     @pytest.mark.parametrize("sigmas", [[1e-3, 0.0, 1e-2], [1e-2, 1e-3], [0.0]])
     def test_greens_are_realization_0(self, sigmas):

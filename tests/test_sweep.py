@@ -1,6 +1,7 @@
 """`engine._noise_sweep` against its reference: one column of every sigma
-per realization.  Measuring the zero sigmas once, and handing realization 0's
-rows back to the caller, must not change a bit."""
+per realization, each measured alone.  Measuring the zero sigmas once,
+measuring realizations in blocks, and handing realization 0's rows back to
+the caller must not change a bit."""
 
 from dataclasses import replace
 
@@ -12,14 +13,14 @@ from qqft.engine import NoiseModel, SweepPoint
 
 
 def sweep_reference(measure, names, noise, n, workers):
-    """(points, rows0) of the sweep that measured realization r as the full
-    column replace(noise, stream_id=r), zero sigmas included; rows0 are
-    measure's rows of realization 0, measured here afresh like every other
-    realization."""
+    """(points, rows0) of the sweep that measured realization r alone, as a
+    block of one full column replace(noise, stream_id=r), zero sigmas
+    included; rows0 are measure's rows of realization 0, measured here
+    afresh like every other realization."""
     sigmas = noise.sigma
 
     def column(r):
-        return measure(replace(noise, stream_id=r))
+        return measure([replace(noise, stream_id=r)])[0]
 
     columns = engine._map_ordered(column, n, workers) if sigmas else []
     points = [SweepPoint(sigma=sigma, samples=dict(zip(
@@ -65,29 +66,36 @@ def assert_same_greens(got, want):
         assert got[sigma].tobytes() == want[sigma].tobytes()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+# 1 is one block of one; 4 one full block; 5 and 9 end in a block of one
+REALIZATIONS = [1, 4, 5, 9]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", REALIZATIONS)
 @pytest.mark.parametrize("on_diagonal", [False, True])
 @pytest.mark.parametrize("sigmas", SIGMA_LISTS)
 def test_symmetry_sweep_matches_reference(monkeypatch, sigmas, on_diagonal,
-                                          workers):
+                                          n, workers):
     noise = NoiseModel(sigmas, 13, diagonal=on_diagonal)
     got, want = both_sweeps(monkeypatch, poincare,
-                             symmetry_sweep, 6, 2, noise, 3, workers=workers)
+                             symmetry_sweep, 6, 2, noise, n, workers=workers)
     assert_same_points(got[0], want[0], ("sl", "sp"))
     assert_same_greens(got[1], want[1])
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+# the flat band measures a block column by column: every n and every
+# worker count once, not their product, which would take 18 s
+@pytest.mark.parametrize("n, workers", [(1, 3), (4, 1), (5, 2), (9, 3)])
 @pytest.mark.parametrize("on_diagonal", [False, True])
 @pytest.mark.parametrize("sigmas", SIGMA_LISTS)
 def test_gap_width_sweep_matches_reference(monkeypatch, sigmas, on_diagonal,
-                                           workers):
+                                           n, workers):
     params = haldane.HaldaneParams(phi=-np.pi / 2, M=0.0)
     noise = NoiseModel(sigmas, 13, diagonal=on_diagonal)
     got, want = both_sweeps(monkeypatch, haldane,
-                             haldane.noise_sweep_gap_width, params, noise, 3,
+                             haldane.noise_sweep_gap_width, params, noise, n,
                              grid=4, workers=workers)
-    assert_same_points(got, want, ("gap", "width"))
+    assert_same_points(got, want, ("gap", "width", "headroom"))
 
 
 def test_n33_column_matches_reference(monkeypatch):
@@ -99,18 +107,20 @@ def test_n33_column_matches_reference(monkeypatch):
     assert_same_greens(got[1], want[1])
 
 
-def draws(column):
-    """One row per sigma of the column: the sum of its draws, and the draws."""
-    return [(float(x.sum()), x) for x in column.delta(np.arange(5))]
+def draws(block):
+    """One row per sigma of each column: the sum of its draws, and the draws."""
+    return [[(float(x.sum()), x) for x in column.delta(np.arange(5))]
+            for column in block]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", REALIZATIONS)
 @pytest.mark.parametrize("sigmas", SIGMA_LISTS + [[]])
-def test_rows_of_realization_0_match_reference(sigmas, workers):
+def test_rows_of_realization_0_match_reference(sigmas, n, workers):
     # values past `names` reach only the returned rows of realization 0
     noise = NoiseModel(sigmas, 21)
-    got = engine._noise_sweep(draws, ("sum",), noise, 3, workers=workers)
-    want = sweep_reference(draws, ("sum",), noise, 3, workers=workers)
+    got = engine._noise_sweep(draws, ("sum",), noise, n, workers=workers)
+    want = sweep_reference(draws, ("sum",), noise, n, workers=workers)
     assert_same_points(got[0], want[0], ("sum",))
     assert [p.samples.keys() for p in got[0]] == [{"sum"}] * len(sigmas)
     assert len(got[1]) == len(want[1]) == len(sigmas)
@@ -119,16 +129,30 @@ def test_rows_of_realization_0_match_reference(sigmas, workers):
         assert a[1].tobytes() == b[1].tobytes()
 
 
+@pytest.mark.parametrize("n", REALIZATIONS)
+def test_blocks_of_consecutive_realizations(n):
+    # fixed blocks of engine._BLOCK realizations: realization 0 at every
+    # sigma, then the nonzero sigmas on stream r
+    blocks = []
+    engine._noise_sweep(lambda block: blocks.append(block) or draws(block),
+                        ("sum",), NoiseModel((1e-3, 0.0, 2e-2), 4), n,
+                        workers=1)
+    columns = [NoiseModel((1e-3, 0.0, 2e-2), 4)] + [
+        NoiseModel((1e-3, 2e-2), 4, stream_id=r) for r in range(1, n)]
+    assert blocks == [columns[i:i + engine._BLOCK]
+                      for i in range(0, n, engine._BLOCK)]
+
+
 @pytest.mark.parametrize("sigmas", [[0.0], [1e-3], [0.0, 1e-3], []])
 def test_zero_realizations_rejected(sigmas):
     with pytest.raises(ValueError, match="n must be >= 1"):
-        engine._noise_sweep(lambda column: [], ("x",), NoiseModel(sigmas, 1),
+        engine._noise_sweep(lambda block: [], ("x",), NoiseModel(sigmas, 1),
                             0, workers=1)
 
 
 def test_empty_sigma_list_runs_no_task():
-    def measure(column):
-        raise AssertionError(f"measured {column}")
+    def measure(block):
+        raise AssertionError(f"measured {block}")
 
     assert engine._noise_sweep(measure, ("x",), NoiseModel([], 1), 3,
                                workers=2) == ([], [])
@@ -141,8 +165,8 @@ def test_empty_sigma_list_runs_no_task():
     NoiseModel((), 1, stream_id=1),
 ], ids=["scalar-zero", "scalar", "stream-2", "empty-stream-1"])
 def test_scalar_sigma_or_nonzero_stream_rejected(noise):
-    def measure(column):
-        raise AssertionError(f"measured {column}")
+    def measure(block):
+        raise AssertionError(f"measured {block}")
 
     with pytest.raises(ValueError, match="column of sigmas on stream 0"):
         engine._noise_sweep(measure, ("x",), noise, 3, workers=1)
