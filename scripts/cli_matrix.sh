@@ -53,7 +53,7 @@ run flat-grid8 flatband --grid 8 --realizations 4 --sigma 1e-3,0 \
 run flat-ranges flatband --grid 4 --realizations 2 --sigma 2e-3 \
     --phase-grid 2 --phi-range -1 1.5 --m-range -2 0.5 --seed 9 \
     --workers "$workers" --out flat-ranges
-# sigma = 0 takes the sine route, 5e-2 and 0.3 the Cayley fallback; 0.3
+# sigma = 0 takes the sine route, 5e-2 and 0.3 the arctan2 fallback; 0.3
 # comes within the headroom margin of the branch cut and prints its line
 run flat-wrap flatband --grid 4 --realizations 2 --sigma 0,5e-2,0.3 \
     --phase-grid 0 --seed 5 --workers "$workers" --out flat-wrap

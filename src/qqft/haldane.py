@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .engine import NoiseModel, _map_ordered, _noise_sweep
-from .protocol import (T_DEFAULT, MomentumModel, PhaseWrapError,
-                       _cayley_phases, build_protocol_unitary, extract_spectrum)
+from .protocol import (T_DEFAULT, MomentumModel, PhaseWrapError, _arctan2_phases,
+                       _checked_unitary, build_protocol_unitary, extract_spectrum)
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -94,7 +94,8 @@ class HaldaneParams:
 
 
 def d_vector(k, p: HaldaneParams):
-    """The coefficient vector (d1, d2, d3) at cartesian momentum k."""
+    """The coefficient vector (d1, d2, d3) at cartesian momentum k, or one
+    column of coefficients per row of a stack of momenta k."""
     k = np.asarray(k, dtype=float)
     kg1, kg2, kg3 = k @ G1, k @ G2, k @ G3
     d1 = p.t1 * (1.0 + np.cos(kg2) + np.cos(kg3))
@@ -104,16 +105,18 @@ def d_vector(k, p: HaldaneParams):
 
 
 def flatten(d, target_norm: float):
-    """Rescale d to the requested norm; singular at gap closings."""
+    """Rescale d, or each column of d, to the requested norm; singular at
+    gap closings."""
     d = np.asarray(d, dtype=float)
-    norm = np.linalg.norm(d)
-    if norm < 1e-12:
+    norm = np.linalg.norm(d, axis=0)
+    if np.min(norm) < 1e-12:
         raise SingularPointError("d vanishes; the point sits on a phase boundary")
     return d * (target_norm / norm)
 
 
 def bloch_matrix(d) -> np.ndarray:
-    return sum(di * s for di, s in zip(d, PAULI))
+    """d . sigma, or one such block per column of d, stacked."""
+    return np.einsum("i...,iab->...ab", d, PAULI)
 
 
 def bz_grid(N: int) -> np.ndarray:
@@ -125,12 +128,13 @@ def bz_grid(N: int) -> np.ndarray:
 def momentum_model(p: HaldaneParams, grid: int = 16,
                    T: float = T_DEFAULT) -> MomentumModel:
     """Flattened two-band model on an N x N Brillouin-zone grid; builds
-    nothing of grid size until its eigensystem is asked for."""
+    nothing of grid size until its eigensystem is asked for, and then every
+    block in one vectorized pass."""
 
-    def sampler(a, b):  # the momentum bz_grid(grid)[a, b]
-        d = d_vector((a * B_ROW + b * B_COL) / grid, p)
-        return bloch_matrix(flatten(d, p.target_norm))
+    def sampler(a, b):  # the momenta bz_grid(grid)[a, b]; a and b may be arrays
+        return bloch_matrix(flatten(d_vector(bz_grid(grid)[a, b], p), p.target_norm))
 
+    sampler.broadcasts = True
     return MomentumModel(d=2, l=2, grid=grid, sampler=sampler, T=T)
 
 
@@ -174,11 +178,16 @@ def bott_index(U: np.ndarray, T: float, l: int) -> float:
     B = Im tr log(Vy Vx Vy^dag Vx^dag) / (2 pi) with Vx, Vy the
     position-phase operators exp(2 pi i X / N), exp(2 pi i Y / N) compressed
     to the occupied subspace (X = column coordinate, Y = row coordinate of
-    the square embedding), the occupied subspace being the lower half of the
-    spectrum.  Returns the real value before rounding; refuses when the
-    spectrum has no gap (below 1e-8) at half filling, and raises
-    PhaseWrapError, like `extract_spectrum`, when an eigenphase sits within
-    `protocol.WRAP_MARGIN` of the branch cut.
+    the square embedding).  The occupied subspace is spanned by the
+    eigenvectors of the lower half of the energies -theta / T, the top half
+    of theta: not theta > 0, since noise moves the phases off centre.
+    Eigenphases and eigenvectors come from the arctan2 route of `protocol`
+    (one eigh of the Hermitian part of U, certified by residuals), after the
+    probe check of `extract_spectrum`.  Returns the real value before
+    rounding.  Raises GapClosedError when the spectrum has no gap (below
+    1e-8) at half filling, PhaseWrapError, like `extract_spectrum`, when an
+    eigenphase sits within `protocol.WRAP_MARGIN` of the branch cut, and
+    ValueError when U is not unitary.
     """
     return _bott_and_headroom(U, T, l)[0]
 
@@ -191,7 +200,7 @@ def _bott_and_headroom(U: np.ndarray, T: float, l: int) -> tuple:
     if N * N * l != dim:
         raise ValueError(f"dimension {dim} is not an N x N x {l} layout")
     n_occ = dim // 2
-    theta, Z = _cayley_phases(U, vectors=True)
+    theta, Z = _arctan2_phases(_checked_unitary(U))
     energies = -theta / T
     order = np.argsort(energies, kind="stable")
     gap = energies[order[n_occ]] - energies[order[n_occ - 1]]

@@ -17,25 +17,33 @@ per-dimension grid x grid factors (the identity without noise).  Spectra
 are taken from U itself: applying V_f costs a few ms of a 512-dim
 realization whose eigensolve takes about 75.
 
-Eigenphases of a spectrum come from the Hermitian part of U: for unitary
-U = Z diag(exp(i theta)) Z^dag, S = (U - U^dag) / 2i = Z diag(sin theta) Z^dag,
-so theta = arcsin(eigvalsh(S)) while every |theta| < pi/2.  That takes one
-Hermitian eigensolve and no linear solve.  A certificate of O(dim) after the
-eigensolve accepts the result: every cos(theta) = sqrt(1 - sin^2 theta) is
-at least `SINE_COS_MIN`, which bounds arcsin's error gain, and their sum
-matches Re tr U = sum cos(theta) within `SINE_COS_MIN`, which fails as soon
-as one phase has cos(theta) <= -SINE_COS_MIN.  Since S is Hermitian by
-construction, unitarity is checked apart, on a fixed block of probe vectors.
+Eigenphases come from the Hermitian part of U: for unitary
+U = Z diag(exp(i theta)) Z^dag, S = (U - U^dag) / 2i = Z diag(sin theta) Z^dag.
+Since S is Hermitian by construction, unitarity is checked apart, on a
+fixed block of probe vectors.  The gap sweep first tries the sine route,
+theta = arcsin(eigvalsh(S)), valid while every |theta| < pi/2: one
+eigensolve without vectors.  A certificate of O(dim) accepts it: every
+cos(theta) = sqrt(1 - sin^2 theta) is at least `SINE_COS_MIN`, which bounds
+arcsin's error gain, and their sum matches Re tr U = sum cos(theta) within
+`SINE_COS_MIN`, which fails as soon as one phase has cos(theta) <=
+-SINE_COS_MIN.
 
-Non-finite input and spectra that fail the certificate take the Cayley
-map: K = i (I + U)^-1 (I - U) is Hermitian with eigenvalues tan(theta / 2),
-so theta = 2 arctan(eigvalsh(K)) and eigh(K) gives an orthonormal eigenbasis
-even for the degenerate flat bands.  The map is one-to-one on theta in
-(-pi, pi) and blows up at the branch cut theta = +-pi, where I + U is
-singular; eigenphases within `WRAP_MARGIN` of the cut raise PhaseWrapError,
-since energies there are ambiguous mod 2 pi / T.  The Bott index stays on
-the Cayley route, with eigenvectors: its noisier evolutions reach
-|theta| = 2.67, past the sine route's limit.
+The Bott index, and every spectrum that fails that certificate, take the
+arctan2 route: eigh(S) with vectors Z, cos theta_j = Re z_j^dag (U z_j)
+from one product U Z, and theta = arctan2(sin, cos), accurate to roundoff
+up to the branch cut.  Its certificate is the residual
+|U z_j - exp(i theta_j) z_j| of every column, which bounds the phase error.
+A mirrored pair theta, pi - theta shares one sine, so eigh(S) mixes its
+vectors and the residual fails; each run of near-equal sines (consecutive
+gaps below `CLUSTER_GAP`) that holds such a column is then solved apart, by
+a complex Schur form of the k x k matrix Z_c^dag U Z_c, whose eigenvalues
+give theta.  A Hermitian k x k matrix such as Z_c^dag (U + U^dag) Z_c / 2
+could not split every run: cos theta does not tell theta from -theta when a
+run straddles sin = 0.  Clean flat bands, whose large runs hold one theta,
+pass without that step.  A run whose residuals still fail (in Frobenius
+norm) means that U is not unitary.
+Eigenphases within `WRAP_MARGIN` of the branch cut theta = +-pi raise
+PhaseWrapError, since energies there are ambiguous mod 2 pi / T.
 
 Energies are in angular frequency units of rad/ms throughout (2 pi rad/ms
 corresponds to 2 pi x 1 kHz); times are in ms.
@@ -64,6 +72,15 @@ WRAP_MARGIN = 1e-6
 #: Re tr U by at least twice this from the certificate's sum
 SINE_COS_MIN = 0.1
 
+#: largest residual |U z - exp(i theta) z| the arctan2 route accepts for a
+#: unit eigenvector z: about the unitarity defect the probes let through
+RESIDUAL_MAX = 1e-10
+
+#: sines closer than this chain into one run of the arctan2 route's cluster
+#: step; eigh(S) mixes two vectors by about 1e-16 / (their sine gap), so
+#: columns further apart leave residuals far below `RESIDUAL_MAX`
+CLUSTER_GAP = 1e-4
+
 #: recoil energy of the reference lithium setup, angular frequency in rad/ms
 RECOIL_RAD_PER_MS = 2.0 * np.pi * 25.12
 
@@ -78,7 +95,9 @@ class MomentumModel:
 
     sampler(m_1, ..., m_d) must return the l x l Hermitian block at grid
     point m; the composite state index is row-major in the grid coordinates
-    with the orbital index fastest.
+    with the orbital index fastest.  A sampler whose `broadcasts` attribute
+    is true also takes whole arrays of grid coordinates and returns the
+    stacked blocks, shape (grid**d, l, l): the model then calls it once.
     """
 
     d: int
@@ -103,18 +122,25 @@ class MomentumModel:
 
         Computed on first use and kept (the model is frozen, so the cache
         cannot go stale): the sampler runs once per model.  Rejects blocks
-        of the wrong shape or that are not Hermitian.
+        of the wrong shape or that are not Hermitian, naming the first such
+        grid point.
         """
         npts, l = self.grid ** self.d, self.l
-        H = np.empty((npts, l, l), dtype=complex)
-        for idx in range(npts):
-            coords = np.unravel_index(idx, (self.grid,) * self.d)
-            block = np.asarray(self.sampler(*coords), dtype=complex)
-            if block.shape != (l, l):
-                raise ValueError(f"sampler block at {coords} has shape {block.shape}")
-            if np.abs(block - block.conj().T).max() > 1e-10 * max(1.0, np.abs(block).max()):
-                raise ValueError(f"sampler block at {coords} is not Hermitian")
-            H[idx] = block
+        coords = np.unravel_index(np.arange(npts), (self.grid,) * self.d)
+        if getattr(self.sampler, "broadcasts", False):  # one call, one shape check
+            H = np.asarray(self.sampler(*coords), dtype=complex).reshape(npts, l, l)
+        else:
+            H = np.empty((npts, l, l), dtype=complex)
+            for i, m in enumerate(np.ndindex((self.grid,) * self.d)):
+                block = np.asarray(self.sampler(*m), dtype=complex)
+                if block.shape != (l, l):
+                    raise ValueError(f"sampler block at {m} has shape {block.shape}")
+                H[i] = block
+        skew = np.abs(H - H.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        bad = np.flatnonzero(skew > 1e-10 * np.maximum(1.0, np.abs(H).max(axis=(1, 2))))
+        if len(bad):
+            point = tuple(int(c[bad[0]]) for c in coords)
+            raise ValueError(f"sampler block at {point} is not Hermitian")
         return np.linalg.eigh(H)
 
 
@@ -183,77 +209,69 @@ def build_protocol_unitary(model: MomentumModel,
     return _apply_kron(forward, ud_vi.reshape(model.dim, model.dim))
 
 
-def _cayley_phases(U: np.ndarray, vectors: bool = False):
-    """Eigenphases theta (ascending) of a unitary U = Z diag(exp(i theta)) Z^dag.
-
-    Solves (I + U) K = i (I - U) by one LU factorization; K is Hermitian with
-    eigenvalues tan(theta / 2), so `eigvalsh`/`eigh` replace a general
-    eigensolver.  Returns (theta, Z) with Z None unless `vectors`.  Raises
-    PhaseWrapError when I + U is singular or not finite, or when any
-    |theta| >= pi - WRAP_MARGIN; ValueError when U is not unitary.
-    """
-    n = U.shape[0]
-    diag = np.diag_indices(n)
-    A = np.array(U, dtype=complex, order="F")   # becomes I + U, then its LU
-    K = -A                                      # becomes I - U, then K
-    K[diag] += 1.0
-    A[diag] += 1.0
-    _, _, K, info = scipy.linalg.lapack.zgesv(A, K, overwrite_a=True,
-                                              overwrite_b=True)
-    del A  # release the LU before the eigensolver allocates its workspace
-    if info != 0 or not np.isfinite(K).all():
-        raise PhaseWrapError(
-            "I + U is singular: eigenphase at the branch cut; choose a "
-            "shorter evolution time")
-    K *= 1j
-    # K's error grows like (1 + |K|^2) times U's unitarity defect
-    if np.abs(K - K.conj().T).max() > 1e-10 * (1.0 + np.linalg.norm(K)) ** 2:
+def _checked_unitary(U) -> np.ndarray:
+    """U as a complex array, after the probe check: ValueError when some of
+    four fixed complex Gaussian probes x gives |U^dag U x - x| >
+    1e-10 sqrt(dim), PhaseWrapError when U is not finite."""
+    U = np.asarray(U, dtype=complex)
+    X = np.random.default_rng(U.shape[0]).standard_normal((U.shape[0], 8)).view(complex)
+    defect = np.linalg.norm((U @ X).conj().T @ U - X.conj().T, axis=1).max()
+    if not np.isfinite(defect):
+        raise PhaseWrapError("matrix is not finite: no eigenphases")
+    if defect > 1e-10 * math.sqrt(U.shape[0]):
         raise ValueError("matrix is not unitary")
-    if vectors:
-        t, Z = scipy.linalg.eigh(K, overwrite_a=True, check_finite=False)
-    else:
-        t, Z = scipy.linalg.eigvalsh(K, overwrite_a=True, check_finite=False), None
-    theta = 2.0 * np.arctan(t)
-    if np.any(np.abs(theta) >= np.pi - WRAP_MARGIN):
-        raise PhaseWrapError(
-            "eigenphase at the branch cut; choose a shorter evolution time"
-        )
-    return theta, Z
+    return U
 
 
 def _sine_phases(U: np.ndarray):
-    """Eigenphases theta (ascending) of a unitary U as arcsin of the
-    eigenvalues of S = (U - U^dag) / 2i, or None when the certificate of the
-    module docstring fails."""
+    """Eigenphases theta of a unitary U: arcsin of the eigenvalues of
+    S = (U - U^dag) / 2i while the sine route's certificate of the module
+    docstring holds, else those of `_arctan2_phases`."""
     S = U.conj().T          # becomes U^dag - U, then S
     S -= U
     S *= 0.5j
     sin = scipy.linalg.eigvalsh(S, overwrite_a=True, check_finite=False)
     cos = np.sqrt(1.0 - np.minimum(sin * sin, 1.0))
     if cos.min() < SINE_COS_MIN or abs(np.trace(U).real - cos.sum()) >= SINE_COS_MIN:
-        return None
+        return _arctan2_phases(U)[0]
     return np.arcsin(sin)
+
+
+def _arctan2_phases(U: np.ndarray):
+    """(theta, Z): the eigenphases of a unitary U and an orthonormal
+    eigenbasis, theta_j belonging to column j of Z, by the arctan2 route of
+    the module docstring.  Raises PhaseWrapError when any |theta| >=
+    pi - WRAP_MARGIN, ValueError when the residual certificate fails."""
+    S = U.conj().T          # becomes U^dag - U, then S
+    S -= U
+    S *= 0.5j
+    sin, Z = scipy.linalg.eigh(S, overwrite_a=True, check_finite=False)
+    W = U @ Z
+    theta = np.arctan2(sin, np.einsum("ij,ij->j", Z.conj(), W).real)
+    bad = np.linalg.norm(W - Z * np.exp(1j * theta), axis=0) > RESIDUAL_MAX
+    # runs of near-equal sines (eigh sorts them), solved apart where one fails
+    run_of = np.concatenate(([0], np.cumsum(np.diff(sin) > CLUSTER_GAP)))
+    for r in np.unique(run_of[bad]):
+        run = np.flatnonzero(run_of == r)
+        T, Q = scipy.linalg.schur(Z[:, run].conj().T @ W[:, run], output="complex")
+        Z[:, run], theta[run] = Z[:, run] @ Q, np.angle(np.diag(T))
+        if np.linalg.norm(W[:, run] @ Q - Z[:, run] * np.exp(1j * theta[run])) > RESIDUAL_MAX:
+            raise ValueError("matrix is not unitary")
+    if np.abs(theta).max() >= np.pi - WRAP_MARGIN:
+        raise PhaseWrapError("eigenphase at the branch cut; choose a shorter evolution time")
+    return theta, Z
 
 
 def extract_spectrum(U: np.ndarray, T: float, l: int) -> SpectrumResult:
     """Energies E = -theta/T from the eigenphases theta of a unitary U.
 
     Takes theta from the sine route when its certificate holds, else from
-    the Cayley route (see the module docstring).  Raises PhaseWrapError when
-    any eigenphase sits within `WRAP_MARGIN` of the branch cut, since
-    energies would then be ambiguous mod 2 pi / T, and ValueError when U is
-    not unitary: when some probe x gives |U^dag U x - x| > 1e-10 sqrt(dim).
+    the arctan2 route (see the module docstring).  Raises PhaseWrapError
+    when any eigenphase sits within `WRAP_MARGIN` of the branch cut, since
+    energies would then be ambiguous mod 2 pi / T, or when U is not finite,
+    and ValueError when U is not unitary (see `_checked_unitary`).
     """
-    U = np.asarray(U, dtype=complex)
-    # four fixed probes for each dimension, complex Gaussian entries
-    X = np.random.default_rng(U.shape[0]).standard_normal((U.shape[0], 8)).view(complex)
-    defect = np.linalg.norm((U @ X).conj().T @ U - X.conj().T, axis=1).max()
-    finite = np.isfinite(defect)
-    if finite and defect > 1e-10 * math.sqrt(U.shape[0]):
-        raise ValueError("matrix is not unitary")
-    theta = _sine_phases(U) if finite else None
-    if theta is None:  # non-finite input, or a spectrum past the certificate
-        theta, _ = _cayley_phases(U)
+    theta = _sine_phases(_checked_unitary(U))
     return SpectrumResult(energies=np.sort(-theta / T), n_bands=l, T=T)
 
 

@@ -5,9 +5,10 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from qqft import haldane
+from qqft import haldane, protocol
 from qqft.engine import NoiseModel
 from qqft.haldane import (
+    PAULI,
     G1,
     G2,
     G3,
@@ -102,6 +103,81 @@ class TestFlatten:
     def test_singular_point(self):
         with pytest.raises(SingularPointError):
             flatten([0.0, 0.0, 0.0], 1.0)
+
+
+def blocks_loop(p, grid):
+    """The flattened Bloch blocks point by point, each d-vector normalized on
+    its own (the reference for the vectorized `momentum_model`)."""
+    H = np.empty((grid * grid, 2, 2), dtype=complex)
+    for a in range(grid):
+        for b in range(grid):
+            d = d_vector(bz_grid(grid)[a, b], p)
+            d = d * (p.target_norm / np.linalg.norm(d))
+            H[a * grid + b] = sum(di * s for di, s in zip(d, PAULI))
+    return H
+
+
+class TestModelBuild:
+    @pytest.mark.parametrize("grid", [2, 16])
+    @pytest.mark.parametrize("phi,M", [(-np.pi / 2, 0.0), (np.pi / 3, 0.5),
+                                       (np.pi / 2, 10.0), (2.4, -1.7),
+                                       (0.0, 0.3)])
+    def test_matches_point_by_point_loop(self, grid, phi, M):
+        p = params(phi, M)
+        w, Q = momentum_model(p, grid).eigensystem
+        w_ref, Q_ref = np.linalg.eigh(blocks_loop(p, grid))
+        assert np.abs(w - w_ref).max() < 1e-13
+        # eigenvectors up to a phase: compare the band projectors
+        proj = np.einsum("pai,pbi->piab", Q, Q.conj())
+        proj_ref = np.einsum("pai,pbi->piab", Q_ref, Q_ref.conj())
+        assert np.abs(proj - proj_ref).max() < 1e-13
+
+    def test_sampler_still_point_by_point(self):
+        p = params(np.pi / 3, 0.5)
+        model = momentum_model(p, 4)
+        H = blocks_loop(p, 4)
+        for a in range(4):
+            for b in range(4):
+                assert np.abs(model.sampler(a, b) - H[4 * a + b]).max() < 1e-14
+
+    @pytest.mark.parametrize("grid", [3, 6])
+    def test_dirac_point_on_the_grid_is_singular(self, grid):
+        # M = 3 sqrt(3) t2 sin(phi) closes the gap at K, a grid point when 3
+        # divides the grid; nothing is built before the eigensystem is asked
+        p = params(np.pi / 2, 3.0)
+        model = momentum_model(p, grid)
+        with pytest.raises(SingularPointError):
+            model.eigensystem
+
+    def test_bad_block_shape_names_its_point(self):
+        model = MomentumModel(
+            d=2, l=2, grid=4,
+            sampler=lambda a, b: np.eye(3) if (a, b) == (2, 1) else np.eye(2))
+        with pytest.raises(ValueError, match=r"block at \(2, 1\) has shape \(3, 3\)"):
+            model.eigensystem
+
+    def test_non_hermitian_block_names_its_point(self):
+        def sampler(a, b):
+            return np.array([[0.0, 1.0], [0.0, 0.0]]) if (a, b) == (1, 3) else np.eye(2)
+
+        model = MomentumModel(d=2, l=2, grid=4, sampler=sampler)
+        with pytest.raises(ValueError, match=r"block at \(1, 3\) is not Hermitian"):
+            model.eigensystem
+
+    def test_broadcasting_sampler_checked_like_the_loop(self):
+        def sampler(a):
+            H = np.zeros((len(a), 1, 1), dtype=complex)
+            H[5, 0, 0] = 1j
+            return H
+
+        def wide(a):
+            return np.zeros((len(a), 2, 2))
+
+        sampler.broadcasts = wide.broadcasts = True
+        with pytest.raises(ValueError, match=r"block at \(5,\) is not Hermitian"):
+            MomentumModel(d=1, l=1, grid=8, sampler=sampler).eigensystem
+        with pytest.raises(ValueError):
+            MomentumModel(d=1, l=1, grid=8, sampler=wide).eigensystem
 
 
 class TestChernAnalytic:
@@ -286,6 +362,103 @@ class TestBottIndex:
         b = bott_index(U, model.T, model.l)
         assert b == pytest.approx(schur_bott_reference(U, model.T, model.l),
                                   abs=1e-9)
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def eig_bott_reference(U, T, l):
+    """Bott index from `np.linalg.eig` vectors: the occupied set is the top
+    half of the eigenphases, orthonormalized by QR."""
+    dim = U.shape[0]
+    N = round(np.sqrt(dim / l))
+    vals, vecs = np.linalg.eig(U)
+    order = np.argsort(-np.angle(vals) / T, kind="stable")
+    occ, _ = np.linalg.qr(vecs[:, order[:dim // 2]])
+    cell = np.arange(dim) // l
+    px = np.exp(2j * np.pi * (cell % N) / N)
+    py = np.exp(2j * np.pi * (cell // N) / N)
+    Vx = occ.conj().T @ (px[:, None] * occ)
+    Vy = occ.conj().T @ (py[:, None] * occ)
+    loop = Vy @ Vx @ Vy.conj().T @ Vx.conj().T
+    return float(np.angle(np.linalg.eigvals(loop)).sum() / (2.0 * np.pi))
+
+
+class TestArctan2Route:
+    """The eigenphases and eigenvectors behind `bott_index`."""
+
+    def check_route(self, U):
+        theta, Z = protocol._arctan2_phases(U)
+        ref = np.sort(np.angle(np.linalg.eigvals(U)))
+        assert np.abs(np.sort(theta) - ref).max() < 1e-12
+        assert np.abs(Z.conj().T @ Z - np.eye(len(U))).max() < 1e-12
+        residual = np.linalg.norm(U @ Z - Z * np.exp(1j * theta), axis=0)
+        assert residual.max() <= protocol.RESIDUAL_MAX
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(theta=st.lists(st.floats(min_value=-3.1, max_value=3.1), max_size=16),
+           mirrored=st.lists(st.floats(min_value=0.05, max_value=1.5), max_size=6),
+           seed=SEEDS)
+    def test_phases_match_general_eigensolver(self, theta, mirrored, seed):
+        # theta and pi - theta share a sine, so eigh(S) mixes their vectors
+        phases = theta + mirrored + [np.pi - t for t in mirrored]
+        assume(phases)
+        self.check_route(unitary_with_phases(phases, seed))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_run_straddling_zero_sine(self, seed):
+        # pi - 1e-5 mirrors 1e-5, and -1e-5 joins their run of sines with
+        # the cosine of 1e-5: a Hermitian solve in cos theta mixes those two
+        # and errs by about 1e-5
+        self.check_route(unitary_with_phases([np.pi - 1e-5, 1e-5, -1e-5, 0.7, -2.0],
+                                             seed))
+
+    @pytest.mark.parametrize("grid", [2, 4, 8])
+    @pytest.mark.parametrize("lobe", [(-np.pi / 2, 0.0), (np.pi / 3, 0.5),
+                                      (np.pi / 2, 10.0)])
+    def test_clean_flat_bands_skip_the_cluster_step(self, monkeypatch, grid, lobe):
+        # two eigenphases, each dim / 2 times: the large runs of equal sine
+        # hold one theta each, so every residual passes at once
+        model = momentum_model(params(*lobe), grid=grid)
+        U = build_protocol_unitary(model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cluster step was taken")
+
+        monkeypatch.setattr(protocol.scipy.linalg, "schur", refuse)
+        self.check_route(U)
+
+    def test_occupied_set_is_the_top_half(self):
+        # fewer than half of the eigenphases are positive here, so the
+        # occupied set is not theta > 0
+        model = momentum_model(params(-np.pi / 2, 0.0), grid=16)
+        U = build_protocol_unitary(model, NoiseModel(3e-2, seed=1))
+        assert (np.angle(np.linalg.eigvals(U)) > 0).sum() == 235
+        b = bott_index(U, model.T, model.l)
+        assert b == pytest.approx(eig_bott_reference(U, model.T, model.l),
+                                  abs=1e-9)
+        assert round(b) == 1
+
+    @pytest.mark.parametrize("distance", [1e-3, 1e-5, 2e-6])
+    def test_headroom_near_the_cut(self, distance):
+        # the Cayley map's phase error grew like eps / distance^2: 1e-5 at
+        # distance 2e-6
+        phases = [np.pi - distance, 2.0, 1.0, 0.5, -0.5, -1.0, -2.0, -2.5]
+        U = unitary_with_phases(phases, seed=3)
+        bott, headroom = haldane._bott_and_headroom(U, T=1.0, l=2)
+        assert headroom == pytest.approx(distance, abs=1e-12)
+        assert bott == pytest.approx(eig_bott_reference(U, 1.0, 2), abs=1e-9)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(N=st.sampled_from([2, 3, 4]),
+           exponent=st.floats(min_value=-6.0, max_value=-1.0), seed=SEEDS)
+    def test_perturbed_unitary_rejected(self, N, exponent, seed):
+        n = 2 * N * N
+        rng = np.random.default_rng(seed)
+        E = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        U = unitary_with_phases(rng.uniform(-3.0, 3.0, size=n), seed)
+        with pytest.raises(ValueError, match="not unitary"):
+            bott_index(U @ (np.eye(n) + 10.0 ** exponent * E), T=1.0, l=2)
 
 
 class TestNoiseSweep:

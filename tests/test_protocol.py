@@ -264,22 +264,33 @@ def unitary_with_phases(theta, seed):
     return (Q * np.exp(1j * np.asarray(theta))) @ Q.conj().T
 
 
-def cayley_calls(U):
-    """(energies of `extract_spectrum(U, 1, 1)`, calls of `_cayley_phases`)."""
+def fallback_calls(U):
+    """(energies of `extract_spectrum(U, 1, 1)`, calls of the fallback
+    `_arctan2_phases`)."""
     calls = []
-    cayley = protocol._cayley_phases
+    fallback = protocol._arctan2_phases
 
     def spy(*args, **kwargs):
         calls.append(1)
-        return cayley(*args, **kwargs)
+        return fallback(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "_cayley_phases", spy)
+        mp.setattr(protocol, "_arctan2_phases", spy)
         return extract_spectrum(U, T=1.0, l=1).energies, len(calls)
 
 
 def reference_energies(U):
     return np.sort(-np.angle(np.linalg.eigvals(U)))
+
+
+def refuses_as_not_unitary(measure, V, model):
+    """Whether `measure(V, model.T, model.l)` raises "not unitary"; any other
+    outcome (a result, a closed gap, a wrapped phase) is False."""
+    try:
+        measure(V, model.T, model.l)
+    except ValueError as err:
+        return "not unitary" in str(err)
+    return False
 
 
 SINE_PHASES = st.lists(st.floats(min_value=-1.4, max_value=1.4),
@@ -295,7 +306,7 @@ class TestSineRoute:
     @given(theta=SINE_PHASES, seed=SEEDS)
     def test_agrees_with_general_eigensolver(self, theta, seed):
         U = unitary_with_phases(theta, seed)
-        energies, calls = cayley_calls(U)
+        energies, calls = fallback_calls(U)
         assert calls == 0
         assert np.abs(energies - reference_energies(U)).max() < 1e-12
 
@@ -307,7 +318,7 @@ class TestSineRoute:
         # theta and pi - theta share a sine: arcsin alone would return theta twice
         theta = pairs + [np.angle(-np.exp(-1j * t)) for t in pairs] + rest
         U = unitary_with_phases(theta, seed)
-        energies, calls = cayley_calls(U)
+        energies, calls = fallback_calls(U)
         assert calls == 1
         assert np.abs(energies - np.sort(-np.asarray(theta))).max() < 1e-12
 
@@ -318,11 +329,22 @@ class TestSineRoute:
     def test_phases_past_half_pi_fall_back(self, top, sign, rest, seed):
         theta = [sign * top] + rest
         U = unitary_with_phases(theta, seed)
-        energies, calls = cayley_calls(U)
+        energies, calls = fallback_calls(U)
         assert calls == 1
-        # the Cayley route's error grows like eps / (pi - |theta|)^2 at the cut
-        tol = 1e-12 + 1e-15 / (np.pi - top) ** 2
-        assert np.abs(energies - np.sort(-np.asarray(theta))).max() < tol
+        assert np.abs(energies - np.sort(-np.asarray(theta))).max() < 1e-12
+
+    @pytest.mark.parametrize("distance", [1e-3, 1e-5, 2e-6])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_near_the_cut(self, distance, sign):
+        # the error of a Cayley map tan(theta / 2) grew like
+        # eps / distance^2 here: 1e-10 at 1e-3, 1e-5 at 2e-6
+        theta = [sign * (np.pi - distance), 0.4, -1.2, 2.0, -2.9, 1.1]
+        for seed in range(5):
+            U = unitary_with_phases(theta, seed)
+            energies, calls = fallback_calls(U)
+            assert calls == 1
+            assert np.abs(energies - np.sort(-np.asarray(theta))).max() < 1e-12
+            assert np.abs(energies - reference_energies(U)).max() < 1e-12
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(theta=st.lists(st.floats(min_value=-3.0, max_value=3.0),
@@ -340,6 +362,8 @@ class TestSineRoute:
                                       "rank one", "entry", "scale"])
     @pytest.mark.parametrize("grid,sigma", [(2, 0.0), (4, 3e-2), (8, 5e-3)])
     def test_rejects_what_cayley_rejects(self, kind, grid, sigma):
+        # the perturbations that the retired Cayley route's Hermiticity check
+        # caught: the spectrum and the Bott index refuse the same ones
         model = haldane.momentum_model(
             haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=grid)
         U = build_protocol_unitary(model, NoiseModel(sigma, 3))
@@ -354,23 +378,20 @@ class TestSineRoute:
         rejected = 0
         for eps in 10.0 ** np.arange(-2.0, -13.0, -1.0):
             V = U @ (np.eye(n) + eps * E)
-            try:
-                protocol._cayley_phases(V)
-            except ValueError as err:
-                assert "not unitary" in str(err)
-                rejected += 1
-                with pytest.raises(ValueError, match="not unitary"):
-                    extract_spectrum(V, model.T, model.l)
+            spectrum, bott = (refuses_as_not_unitary(measure, V, model)
+                              for measure in (extract_spectrum, haldane.bott_index))
+            assert spectrum == bott
+            rejected += spectrum
         assert rejected
 
     def test_default_realization_takes_the_sine_route(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the Cayley route was taken")
+            raise AssertionError("the arctan2 route was taken")
 
         model = haldane.momentum_model(
             haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=16)
         U = build_protocol_unitary(model, NoiseModel(5e-3, 1))
-        monkeypatch.setattr(protocol, "_cayley_phases", refuse)
+        monkeypatch.setattr(protocol, "_arctan2_phases", refuse)
         spec = extract_spectrum(U, model.T, model.l)
         assert spec.band_gap > 0
 
