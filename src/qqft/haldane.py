@@ -24,6 +24,7 @@ under gate noise.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -128,13 +129,16 @@ def bz_grid(N: int) -> np.ndarray:
 def momentum_model(p: HaldaneParams, grid: int = 16,
                    T: float = T_DEFAULT) -> MomentumModel:
     """Flattened two-band model on an N x N Brillouin-zone grid; builds
-    nothing of grid size until its eigensystem is asked for, and then every
-    block in one vectorized pass."""
+    nothing of grid size until a block is asked for, and then every block
+    in one vectorized pass, kept for the other grid points."""
 
-    def sampler(a, b):  # the momenta bz_grid(grid)[a, b]; a and b may be arrays
-        return bloch_matrix(flatten(d_vector(bz_grid(grid)[a, b], p), p.target_norm))
+    @functools.cache
+    def blocks():  # [a, b]: the block at the momentum bz_grid(grid)[a, b]
+        return bloch_matrix(flatten(d_vector(bz_grid(grid), p), p.target_norm))
 
-    sampler.broadcasts = True
+    def sampler(a, b):
+        return blocks()[a, b].copy()
+
     return MomentumModel(d=2, l=2, grid=grid, sampler=sampler, T=T)
 
 

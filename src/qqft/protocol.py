@@ -32,16 +32,21 @@ The Bott index, and every spectrum that fails that certificate, take the
 arctan2 route: eigh(S) with vectors Z, cos theta_j = Re z_j^dag (U z_j)
 from one product U Z, and theta = arctan2(sin, cos), accurate to roundoff
 up to the branch cut.  Its certificate is the residual
-|U z_j - exp(i theta_j) z_j| of every column, which bounds the phase error.
-A mirrored pair theta, pi - theta shares one sine, so eigh(S) mixes its
-vectors and the residual fails; each run of near-equal sines (consecutive
-gaps below `CLUSTER_GAP`) that holds such a column is then solved apart, by
-a complex Schur form of the k x k matrix Z_c^dag U Z_c, whose eigenvalues
-give theta.  A Hermitian k x k matrix such as Z_c^dag (U + U^dag) Z_c / 2
-could not split every run: cos theta does not tell theta from -theta when a
-run straddles sin = 0.  Clean flat bands, whose large runs hold one theta,
-pass without that step.  A run whose residuals still fail (in Frobenius
-norm) means that U is not unitary.
+|U z_j - exp(i theta_j) z_j| of every column, which bounds the phase error:
+a column passes at up to `UNITARY_TOL` sqrt(dim), the defect that the
+probes let through.  A mirrored pair theta, pi - theta shares one sine, so
+eigh(S) mixes its vectors and the residual fails; a unitarity defect below
+the probe bound also mixes vectors whose sines differ, by about
+defect / (sine gap).  The runs of near-equal sines (consecutive gaps
+below `CLUSTER_GAP`) that hold a failing column are then solved together,
+by a complex Schur form of the k x k matrix Z_c^dag U Z_c, whose
+eigenvalues give theta; what it leaves of their residuals leaks into
+columns that passed.  A Hermitian k x k matrix such as
+Z_c^dag (U + U^dag) Z_c / 2 could not split every run: cos theta does not
+tell theta from -theta when a run straddles sin = 0.  Clean flat bands,
+whose large runs hold one theta, pass without that step.  Whether U is
+unitary is the probes' call alone, for both routes: every U they let
+through gets its eigenphases.
 Eigenphases within `WRAP_MARGIN` of the branch cut theta = +-pi raise
 PhaseWrapError, since energies there are ambiguous mod 2 pi / T.
 
@@ -72,13 +77,15 @@ WRAP_MARGIN = 1e-6
 #: Re tr U by at least twice this from the certificate's sum
 SINE_COS_MIN = 0.1
 
-#: largest residual |U z - exp(i theta) z| the arctan2 route accepts for a
-#: unit eigenvector z: about the unitarity defect the probes let through
-RESIDUAL_MAX = 1e-10
+#: unitarity tolerance per sqrt(dim): the probe check rejects a probe x with
+#: |U^dag U x - x| > UNITARY_TOL sqrt(dim), and the arctan2 route solves
+#: again the columns whose residual |U z - exp(i theta) z| (z a unit
+#: eigenvector) exceeds the same bound
+UNITARY_TOL = 1e-10
 
 #: sines closer than this chain into one run of the arctan2 route's cluster
 #: step; eigh(S) mixes two vectors by about 1e-16 / (their sine gap), so
-#: columns further apart leave residuals far below `RESIDUAL_MAX`
+#: columns further apart leave residuals far below the certificate's bound
 CLUSTER_GAP = 1e-4
 
 #: recoil energy of the reference lithium setup, angular frequency in rad/ms
@@ -95,9 +102,7 @@ class MomentumModel:
 
     sampler(m_1, ..., m_d) must return the l x l Hermitian block at grid
     point m; the composite state index is row-major in the grid coordinates
-    with the orbital index fastest.  A sampler whose `broadcasts` attribute
-    is true also takes whole arrays of grid coordinates and returns the
-    stacked blocks, shape (grid**d, l, l): the model then calls it once.
+    with the orbital index fastest.
     """
 
     d: int
@@ -125,22 +130,17 @@ class MomentumModel:
         of the wrong shape or that are not Hermitian, naming the first such
         grid point.
         """
-        npts, l = self.grid ** self.d, self.l
-        coords = np.unravel_index(np.arange(npts), (self.grid,) * self.d)
-        if getattr(self.sampler, "broadcasts", False):  # one call, one shape check
-            H = np.asarray(self.sampler(*coords), dtype=complex).reshape(npts, l, l)
-        else:
-            H = np.empty((npts, l, l), dtype=complex)
-            for i, m in enumerate(np.ndindex((self.grid,) * self.d)):
-                block = np.asarray(self.sampler(*m), dtype=complex)
-                if block.shape != (l, l):
-                    raise ValueError(f"sampler block at {m} has shape {block.shape}")
-                H[i] = block
+        points = list(np.ndindex((self.grid,) * self.d))
+        H = np.empty((len(points), self.l, self.l), dtype=complex)
+        for i, m in enumerate(points):
+            block = np.asarray(self.sampler(*m), dtype=complex)
+            if block.shape != H.shape[1:]:
+                raise ValueError(f"sampler block at {m} has shape {block.shape}")
+            H[i] = block
         skew = np.abs(H - H.conj().swapaxes(1, 2)).max(axis=(1, 2))
         bad = np.flatnonzero(skew > 1e-10 * np.maximum(1.0, np.abs(H).max(axis=(1, 2))))
         if len(bad):
-            point = tuple(int(c[bad[0]]) for c in coords)
-            raise ValueError(f"sampler block at {point} is not Hermitian")
+            raise ValueError(f"sampler block at {points[bad[0]]} is not Hermitian")
         return np.linalg.eigh(H)
 
 
@@ -212,13 +212,13 @@ def build_protocol_unitary(model: MomentumModel,
 def _checked_unitary(U) -> np.ndarray:
     """U as a complex array, after the probe check: ValueError when some of
     four fixed complex Gaussian probes x gives |U^dag U x - x| >
-    1e-10 sqrt(dim), PhaseWrapError when U is not finite."""
+    `UNITARY_TOL` sqrt(dim), PhaseWrapError when U is not finite."""
     U = np.asarray(U, dtype=complex)
     X = np.random.default_rng(U.shape[0]).standard_normal((U.shape[0], 8)).view(complex)
     defect = np.linalg.norm((U @ X).conj().T @ U - X.conj().T, axis=1).max()
     if not np.isfinite(defect):
         raise PhaseWrapError("matrix is not finite: no eigenphases")
-    if defect > 1e-10 * math.sqrt(U.shape[0]):
+    if defect > UNITARY_TOL * math.sqrt(U.shape[0]):
         raise ValueError("matrix is not unitary")
     return U
 
@@ -241,22 +241,20 @@ def _arctan2_phases(U: np.ndarray):
     """(theta, Z): the eigenphases of a unitary U and an orthonormal
     eigenbasis, theta_j belonging to column j of Z, by the arctan2 route of
     the module docstring.  Raises PhaseWrapError when any |theta| >=
-    pi - WRAP_MARGIN, ValueError when the residual certificate fails."""
+    pi - WRAP_MARGIN."""
     S = U.conj().T          # becomes U^dag - U, then S
     S -= U
     S *= 0.5j
     sin, Z = scipy.linalg.eigh(S, overwrite_a=True, check_finite=False)
     W = U @ Z
     theta = np.arctan2(sin, np.einsum("ij,ij->j", Z.conj(), W).real)
-    bad = np.linalg.norm(W - Z * np.exp(1j * theta), axis=0) > RESIDUAL_MAX
-    # runs of near-equal sines (eigh sorts them), solved apart where one fails
-    run_of = np.concatenate(([0], np.cumsum(np.diff(sin) > CLUSTER_GAP)))
-    for r in np.unique(run_of[bad]):
-        run = np.flatnonzero(run_of == r)
-        T, Q = scipy.linalg.schur(Z[:, run].conj().T @ W[:, run], output="complex")
-        Z[:, run], theta[run] = Z[:, run] @ Q, np.angle(np.diag(T))
-        if np.linalg.norm(W[:, run] @ Q - Z[:, run] * np.exp(1j * theta[run])) > RESIDUAL_MAX:
-            raise ValueError("matrix is not unitary")
+    bound = UNITARY_TOL * math.sqrt(len(U))
+    bad = np.linalg.norm(W - Z * np.exp(1j * theta), axis=0) > bound
+    if bad.any():  # every run of near-equal sines (eigh sorts them) that fails
+        run_of = np.concatenate(([0], np.cumsum(np.diff(sin) > CLUSTER_GAP)))
+        c = np.flatnonzero(np.isin(run_of, run_of[bad]))
+        T, Q = scipy.linalg.schur(Z[:, c].conj().T @ W[:, c], output="complex")
+        Z[:, c], theta[c] = Z[:, c] @ Q, np.angle(np.diag(T))
     if np.abs(theta).max() >= np.pi - WRAP_MARGIN:
         raise PhaseWrapError("eigenphase at the branch cut; choose a shorter evolution time")
     return theta, Z
