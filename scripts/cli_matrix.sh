@@ -83,3 +83,11 @@ run poincare-no-zero poincare --N 16 --gamma 3 --sigma 5e-3 --realizations 3 \
 run compile compile --N 33 --out compile
 run compile-n4 compile --n 4 --out compile-n4
 run verify verify compile/seq_generic_N33.json
+# at phi = pi/2, M = 3 sits on a phase boundary and the 6 x 6 grid holds
+# the point where d vanishes, so the model cannot be flattened: that cell
+# counts its realization as a closed gap (a NaN Bott value and one stderr
+# line), while M = 4 is gapped.  Last, since a revision that still aborts
+# here has written every other run by then
+run flat-boundary flatband --grid 6 --sigma "" --phase-grid 2 \
+    --phi-range 1.5707963267948966 1.5707963267948966 --m-range 3 4 \
+    --seed 5 --workers "$workers" --out flat-boundary

@@ -15,12 +15,15 @@ draw on the diagonal step, taken only when the model's `diagonal` is set,
 from `_SALT_DIAGONAL`.  The flat band uses axes 0
 and 1, the spacetime crystal axis 0.
 
-A composition can carry many members: a column of sigmas on one stream, or
-a stack of such columns on several streams, such as a block of realizations
-of a sweep.  All members compose in one pass of the batch-last wave kernel
-`circuit._apply_waves`, whose arithmetic is elementwise, so each member is
-bit-identical to composing it alone, whatever the batch.  `_noise_sweep`
-hands its measurement fixed blocks of `_BLOCK` consecutive realizations.
+Every composition takes its noise as a block: a sequence of NoiseModels,
+each adding one member per sigma, in order, such as a block of
+realizations of a sweep, one column of sigmas each.  `NOISELESS`, one
+member of sigma 0, is the noiseless block: a zero sigma draws only zeros,
+which keep every gate exact.  All members compose in one pass of the
+batch-last wave kernel `circuit._apply_waves`, whose arithmetic is
+elementwise, so each member is bit-identical to composing it alone,
+whatever the block.  `_noise_sweep` hands its measurement fixed blocks of
+`_BLOCK` consecutive realizations.
 """
 
 from __future__ import annotations
@@ -134,6 +137,10 @@ class NoiseModel:
         return replace(self, stream_id=_mix64(self.stream_id, salt))
 
 
+#: the noiseless block: one member, whose draws are all (signed) zeros
+NOISELESS = (NoiseModel(0.0, 0),)
+
+
 def unitarity_defect(U: np.ndarray) -> float:
     """Max-norm deviation of U U^dag from the identity."""
     d = U.shape[0]
@@ -191,17 +198,16 @@ def _gate_spectra(seq: CircuitSequence):
     return layers, _fold_phases(E), np.ascontiguousarray(P)
 
 
-def _noisy_gates(seq: CircuitSequence, models: list, invert: bool) -> tuple:
+def _noisy_gates(seq: CircuitSequence, block, invert: bool) -> tuple:
     """(factors, blocks): the gates of `seq`'s wave plan for every member of
-    `models` (None for the noiseless one), in the layout of
-    `circuit._apply_waves`.  A noisy two-site gate is p_0 P_0 + p_1 P_1,
-    its eigenprojectors P_k weighted by the phases p_k =
-    exp(-i (1 + delta) E_k).  A draw of exactly 0 keeps the gate exact."""
+    `block`, in the layout of `circuit._apply_waves`.  A noisy two-site gate
+    is p_0 P_0 + p_1 P_1, its eigenprojectors P_k weighted by the phases
+    p_k = exp(-i (1 + delta) E_k).  A draw of exactly 0 keeps the gate
+    exact."""
     steps, plan = np.arange(seq.depth), circuit._wave_plan(seq, invert)
     # draws[step, member]: one delta call per model
-    draws = np.concatenate([np.zeros((seq.depth, 1)) if m is None
-                            else m.delta(steps).reshape(-1, seq.depth).T
-                            for m in models], axis=1)
+    draws = np.concatenate([m.delta(steps).reshape(np.size(m.sigma), seq.depth).T
+                            for m in block], axis=1)
     B = draws.shape[1]
     factors = np.broadcast_to(plan.factors[:, None], (len(plan.phase), B))
     blocks = np.broadcast_to(plan.blocks[..., None], (len(plan.pair), 2, 2, B))
@@ -224,58 +230,47 @@ def _noisy_gates(seq: CircuitSequence, models: list, invert: bool) -> tuple:
     return factors, noisy
 
 
-def apply_noisy_sequence(seq: CircuitSequence, noise=None,
+def apply_noisy_sequence(seq: CircuitSequence, block=NOISELESS,
                          invert: bool = False) -> np.ndarray:
-    """Compose a sequence as prod_s exp(-i (1 + delta_s) H[s]).
+    """Compose a sequence as prod_s exp(-i (1 + delta_s) H[s]), once per
+    member of the noise block `block`, in shape (members, n, n).
 
     One delta per Hamiltonian step: all gates sharing a layer tag are scaled
     by the same draw, since they constitute a single strictly-local step.
-    A draw of exactly 0 leaves the gate exact, so with sigma = 0 (or `noise`
-    None) the result is bit-identical to `sequence_to_unitary`.
+    A draw of exactly 0 leaves the gate exact, so a zero-sigma member (and
+    the default `NOISELESS`) is bit-identical to `sequence_to_unitary`.
     `invert=True` composes the inverse sequence (reversed order, adjoint
     gates, each with its own principal-branch generator and its own draws).
-
-    A column of sigmas composes in one pass into shape sigma.shape + (n, n).
-    `noise` may also be a list of models, a stack of columns on several
-    streams (one `delta` call each); their members, in order, compose in
-    one pass into shape (members, n, n).  Every member is bit-identical to
-    composing it alone (see `circuit._apply_waves`).
+    Each model of the block takes one `delta` call, and every member is
+    bit-identical to composing it alone (see `circuit._apply_waves`).
     """
-    stack, n = isinstance(noise, (list, tuple)), seq.n_sites
-    U = circuit._apply_waves(n, circuit._wave_plan(seq, invert), *_noisy_gates(
-        seq, noise if stack else [noise], invert))
-    U = np.ascontiguousarray(np.moveaxis(U, -1, 0))
-    if stack:
-        return U
-    return U.reshape((() if noise is None else np.shape(noise.sigma)) + (n, n))
+    U = circuit._apply_waves(seq.n_sites, circuit._wave_plan(seq, invert),
+                             *_noisy_gates(seq, block, invert))
+    return np.ascontiguousarray(np.moveaxis(U, -1, 0))
 
 
-def fourier_pair(N: int, noise, axis: int) -> tuple:
-    """(V_f, V_i): the compiled N-site Fourier transform and its inverse.
+def fourier_pair(N: int, block, axis: int) -> tuple:
+    """(V_f, V_i): the compiled N-site Fourier transform and its inverse,
+    each of shape (members, N, N), one per member of the noise block.
 
-    Each composes with its own draws, from the `axis` entries of the salt
-    table; `noise` None gives the noiseless pair, and a column of sigmas or
-    a list of columns (see `apply_noisy_sequence`) a stack of pairs.
+    Each direction composes with its own draws: every model of the block
+    is taken to the `axis` entries of the salt table.
     """
     seq = compile_for_size(N)
-
-    def compose(salt, invert):
-        if isinstance(noise, (list, tuple)):
-            sub = [m.substream(salt) for m in noise]
-        else:
-            sub = None if noise is None else noise.substream(salt)
-        return apply_noisy_sequence(seq, sub, invert=invert)
-
-    return compose(_SALT_FORWARD[axis], False), compose(_SALT_INVERSE[axis], True)
+    return tuple(apply_noisy_sequence(seq, [m.substream(salt) for m in block],
+                                      invert=invert)
+                 for salt, invert in ((_SALT_FORWARD[axis], False),
+                                      (_SALT_INVERSE[axis], True)))
 
 
-def diagonal_scale(noise: NoiseModel):
-    """Factor 1 + delta on the diagonal generator, from one draw (per sigma)
-    of the diagonal substream; exactly 1.0 unless `noise.diagonal` is set and
-    sigma > 0."""
-    if noise is not None and noise.diagonal:
-        return 1.0 + noise.substream(_SALT_DIAGONAL).delta(0)
-    return 1.0
+def diagonal_scale(block) -> np.ndarray:
+    """Factor 1 + delta on the diagonal generator, one per member of the
+    noise block, from one draw (per sigma) of each model's diagonal
+    substream; exactly 1.0 for a model whose `diagonal` is not set and for
+    a zero sigma."""
+    return np.concatenate([np.broadcast_to(
+        1.0 + m.substream(_SALT_DIAGONAL).delta(0) if m.diagonal else 1.0,
+        np.size(m.sigma)) for m in block])
 
 
 def diagonal_momentum_blocks(model, scale: float = 1.0) -> np.ndarray:
@@ -393,7 +388,7 @@ def _noise_sweep(measure, names, noise: NoiseModel, n: int, workers: int) -> tup
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not isinstance(noise.sigma, tuple) or noise.stream_id != 0:
+    if np.ndim(noise.sigma) != 1 or noise.stream_id != 0:
         raise ValueError(f"a sweep takes a column of sigmas on stream 0, got {noise}")
     if not noise.sigma:  # nothing to measure: no task, no pool
         return [], []

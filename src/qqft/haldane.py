@@ -71,8 +71,10 @@ class GapClosedError(ValueError):
 #: energies may have wrapped mod 2 pi / T
 HEADROOM_MARGIN = 0.1
 
-# how `phase_diagram` counts a realization whose Bott index it cannot take
-_FAILED = {GapClosedError: "gap closed", PhaseWrapError: "phase wrapped"}
+# how `phase_diagram` counts a realization whose Bott index it cannot take;
+# a model that cannot be flattened has a closed gap at a grid point
+_FAILED = {GapClosedError: "gap closed", SingularPointError: "gap closed",
+           PhaseWrapError: "phase wrapped"}
 
 
 @dataclass(frozen=True)
@@ -264,7 +266,9 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,
     over `realizations` noisy runs of the one-sigma model `noise`, which
     must start on stream 0: realization r of cell i draws from
     `replace(noise, stream_id=r).substream(i)`.  A realization whose gap
-    closed, or whose eigenphases reached the branch cut (PhaseWrapError),
+    closed (or whose model cannot be flattened, SingularPointError, since
+    the grid holds a point where d vanishes), or whose eigenphases reached
+    the branch cut (PhaseWrapError),
     counts as NaN in its cell's mean; each cell with such realizations gets
     one line on stderr that counts both kinds.  Each cell whose smallest
     headroom pi - max|theta| over the realizations with a Bott index falls
@@ -272,7 +276,7 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,
     """
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
-    if isinstance(noise.sigma, tuple) or noise.stream_id != 0:
+    if np.ndim(noise.sigma) or noise.stream_id != 0:
         raise ValueError(f"a phase diagram takes one sigma on stream 0, got {noise}")
     cells = [(phi, m) for phi in phis for m in ms]
 
@@ -288,10 +292,10 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,
         headroom = np.pi
         for r in range(realizations):
             cell_noise = replace(noise, stream_id=r).substream(index)
-            U = build_protocol_unitary(model, cell_noise)
             try:
+                U = build_protocol_unitary(model, cell_noise)
                 bott, room = _bott_and_headroom(U, model.T, model.l)
-            except (GapClosedError, PhaseWrapError) as err:
+            except tuple(_FAILED) as err:
                 vals.append(float("nan"))
                 failed[_FAILED[type(err)]] += 1
             else:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 from typing import Sequence
 
 import numpy as np
 
-from . import circuit, engine
+from . import engine
 from .engine import NoiseModel, _map_ordered, _noise_sweep
 
 
@@ -117,8 +117,8 @@ def _orbit_cover_dispersions(N: int, gamma: int, max_solutions: int = 64) -> lis
     def backtrack(covered, chosen):
         if len(solutions) >= max_solutions:
             return
-        m = next((m for m in range(N) if m not in covered), None)
-        if m is None:  # the chosen orbits hold each m once: j by m
+        m = next((m for m in range(N) if m not in covered), N)
+        if m == N:  # the chosen orbits hold each m once: j by m
             solutions.append(tuple(j for _, j in sorted(
                 pair for i in chosen for pair in usable[i])))
             return
@@ -166,38 +166,23 @@ class GreensResult:
     p_tensor: np.ndarray
 
 
-def greens_function(disp: Dispersion, noise: NoiseModel = None,
-                    route: str = "qqft"):
-    """Retarded propagator G[n, m] = -i [U(m tau)]_{n, 0} on the spacetime grid.
+def greens_function(disp: Dispersion, block=engine.NOISELESS):
+    """Retarded propagator G[n, m] = -i [U(m tau)]_{n, 0} on the spacetime grid,
+    one per member of the noise block `block` (see `engine`), in order.
 
     U(m tau) = V^dag D^m V; m = 0 applies no gates, so that column is exactly
-    a delta.  route="exact" replaces the compiled V by the exact DFT matrix
-    (the independent reference for the compiled route).  P[n1, m, n] is the
-    probability of hopping from n1 to n1 + n in m periods; unitarity makes
-    every (n1, m) slice sum to one even with noise, which reaches the
-    diagonal step too when `noise.diagonal` is set.  With a column of sigmas
-    or a list of columns (see `engine.apply_noisy_sequence`), such as a block
-    of realizations at every sigma, the Fourier pairs compose in one pass
-    per direction and the result is an iterator of GreensResults, one per
-    member in order, each built when it is reached so that one propagator
-    at a time is in memory.
+    a delta.  P[n1, m, n] is the probability of hopping from n1 to n1 + n in
+    m periods; unitarity makes every (n1, m) slice sum to one even with
+    noise, which reaches the diagonal step too for a model whose `diagonal`
+    is set.  The Fourier pairs of every member, such as a block of
+    realizations at every sigma, compose in one pass per direction.  The
+    result is an iterator of GreensResults, each built when it is reached,
+    so that one propagator at a time is in memory; the default `NOISELESS`
+    gives the clean one.
     """
-    N = disp.n_sites
-    if route == "exact":
-        V_f = circuit.dft_matrix(N)
-        V_i = V_f.conj().T
-    elif route == "qqft":
-        V_f, V_i = engine.fourier_pair(N, noise, 0)
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    if noise is None or isinstance(noise, NoiseModel) and np.ndim(noise.sigma) == 0:
-        return _greens_one(disp, V_f, V_i, engine.diagonal_scale(noise))
-    columns = noise if isinstance(noise, (list, tuple)) else [noise]
-    scales = np.concatenate([np.broadcast_to(engine.diagonal_scale(c),
-                                             len(c.sigma)) for c in columns])
-    V_f, V_i = (np.broadcast_to(V, (len(scales), N, N)) for V in (V_f, V_i))
-    return (_greens_one(disp, f, i, float(s))
-            for f, i, s in zip(V_f, V_i, scales))
+    V_f, V_i = engine.fourier_pair(disp.n_sites, block, 0)
+    return map(_greens_one, repeat(disp), V_f, V_i,
+               engine.diagonal_scale(block).tolist())
 
 
 def _greens_one(disp: Dispersion, V_f: np.ndarray, V_i: np.ndarray,
@@ -263,7 +248,7 @@ def noise_sweep_symmetry(disp: Dispersion, lattice: LorentzLattice,
     per call on one BLAS thread like every task; it is bit for bit the zero
     member of any column.
     """
-    P_clean = _map_ordered(lambda _: greens_function(disp).p_tensor, 1, 1)[0]
+    P_clean = _map_ordered(lambda _: next(greens_function(disp)).p_tensor, 1, 1)[0]
 
     def measure(block):  # map lets each G go before the next is built
         # only realization 0, stream 0, keeps its G

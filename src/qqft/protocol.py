@@ -186,24 +186,25 @@ def _apply_kron(factors, X: np.ndarray) -> np.ndarray:
 
 
 def build_protocol_unitary(model: MomentumModel,
-                           noise: engine.NoiseModel = None) -> np.ndarray:
+                           noise: engine.NoiseModel = engine.NOISELESS[0]) -> np.ndarray:
     """Compose (noisy) per-dimension Fourier sequences around the diagonal step.
 
+    `noise` is one model of one sigma: the block `[noise]` of one member.
     Every compiled sequence (one forward and one inverse per dimension) draws
-    from its own noise substream.  With sigma = 0 the result equals
-    V Omega_D V^dag exactly.  When `noise.diagonal` is set, one more draw
-    scales the whole diagonal generator.
+    from its own noise substream.  With sigma = 0 (the default) the result
+    equals V Omega_D V^dag exactly.  When `noise.diagonal` is set, one more
+    draw scales the whole diagonal generator.
     """
     if model.d not in (1, 2):
         raise ValueError(f"unsupported dimension d={model.d}")
     if model.dim > engine.MAX_DIM:
         raise ValueError(f"evolution dimension {model.dim} exceeds {engine.MAX_DIM}")
-    if noise is not None and np.ndim(noise.sigma):
+    if np.ndim(noise.sigma):
         raise ValueError("one evolution takes one sigma, not a column")
-    forward, inverse = zip(*(engine.fourier_pair(model.grid, noise, k)
-                             for k in range(model.d)))
-    inverse = functools.reduce(np.kron, inverse)
-    blocks = engine.diagonal_momentum_blocks(model, engine.diagonal_scale(noise))
+    pairs = [engine.fourier_pair(model.grid, [noise], k) for k in range(model.d)]
+    forward = [V_f[0] for V_f, _ in pairs]
+    inverse = functools.reduce(np.kron, [V_i[0] for _, V_i in pairs])
+    blocks = engine.diagonal_momentum_blocks(model, engine.diagonal_scale([noise])[0])
     # U_d V_i: entry ((p, a), (q, b)) is blocks[p, a, b] * inverse[p, q]
     ud_vi = np.einsum("pab,pq->paqb", blocks, inverse)
     return _apply_kron(forward, ud_vi.reshape(model.dim, model.dim))

@@ -16,7 +16,8 @@ assertion means the criterion failed).  Criteria:
    20 realizations at 5 interior points of each topological lobe.
 6. spacetime crystal at N = 33, gamma = 2, sigma = 0: S_L < 1e-10,
    probability sums within 1e-10 of one, Re G < 1e-10 elementwise, and the
-   compiled route matches the exact-DFT route within 1e-9.
+   compiled route matches the exact-DFT reference (`exact_greens` of
+   test_poincare) within 1e-9.
 7. S_L and S_P means over 100 samples are non-decreasing across
    sigma in {0, 1e-3, 5e-3, 1e-2, 2e-2, 5e-2} (at most one inversion within
    one standard error) and decelerate toward saturation at the top: the
@@ -34,6 +35,7 @@ import numpy as np
 import pytest
 
 from qqft import circuit, engine, haldane, poincare, protocol
+from test_poincare import exact_greens
 
 WORKERS = 4
 
@@ -142,11 +144,11 @@ def test_criterion_5_topology():
 def test_criterion_6_poincare_symmetry():
     disp = poincare.build_dispersion(33, 2)
     lattice = poincare.equivalence_classes(33, 2)
-    clean = poincare.greens_function(disp)
+    clean = next(poincare.greens_function(disp))
     sl = poincare.s_lorentz(clean.p_tensor, lattice)
     prob_dev = float(np.abs(clean.p_tensor.sum(axis=2) - 1).max())
     re_max = float(np.abs(clean.matrix.real).max())
-    exact = poincare.greens_function(disp, route="exact")
+    exact, = exact_greens(disp)
     route_dev = float(np.abs(clean.matrix - exact.matrix).max())
     assert sl < 1e-10
     assert prob_dev < 1e-10
@@ -195,7 +197,7 @@ def test_criterion_8_property_suites():
         for sigma in (1e-3, 3e-2, 0.2):
             for r in range(3):
                 noise = engine.NoiseModel(sigma, seed=31, stream_id=r)
-                U = engine.apply_noisy_sequence(seq, noise)
+                U, = engine.apply_noisy_sequence(seq, [noise])
                 worst_defect = max(worst_defect, engine.unitarity_defect(U))
     assert worst_defect < 1e-10
 

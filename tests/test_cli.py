@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qqft import __version__, circuit, poincare
+from qqft import __version__, circuit, engine, poincare
 from qqft.cli import main
 
 
@@ -150,6 +150,19 @@ class TestFlatband:
         _, cells = read_rows(tmp_path / "phase_diagram.csv")
         assert len(cells) == 4
 
+    def test_boundary_cell_counts_as_closed_gap(self, tmp_path, capsys):
+        # M = 3 at phi = pi/2 is a phase boundary, and the 6 x 6 grid holds
+        # the point where d vanishes: the model cannot be flattened
+        args = ["flatband", "--grid", "6", "--sigma", "", "--phase-grid", "1",
+                "--phi-range", "1.5707963267948966", "1.5707963267948966",
+                "--m-range", "3", "3", "--out", str(tmp_path)]
+        assert main(args) == 0
+        _, cells = read_rows(tmp_path / "phase_diagram.csv")
+        assert len(cells) == 1 and cells[0][2] == "nan" and cells[0][3] == ""
+        assert capsys.readouterr().err.splitlines() == [
+            "phase diagram: gap closed in 1 of 1 realizations at "
+            "phi=1.5708, M=3"]
+
     def test_noise_on_diagonal_flag(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(FLAT_ARGS + ["--out", str(a)])
@@ -256,9 +269,9 @@ class TestPoincare:
         calls = []
         greens = poincare.greens_function
 
-        def spy(disp, noise=None, **kwargs):
-            calls.append(noise)
-            return greens(disp, noise, **kwargs)
+        def spy(disp, block=engine.NOISELESS):
+            calls.append(block)
+            return greens(disp, block)
 
         monkeypatch.setattr(poincare, "greens_function", spy)
         main(["poincare", "--N", "6", "--realizations", "5", "--sigma", sigma,
@@ -267,7 +280,7 @@ class TestPoincare:
         nonzero = tuple(s for s in sigmas if s != 0)
         columns = [poincare.NoiseModel(sigmas, 3)] + [
             poincare.NoiseModel(nonzero, 3, stream_id=r) for r in range(1, 5)]
-        assert calls == [None, columns[:4], columns[4:]]
+        assert calls == [engine.NOISELESS, columns[:4], columns[4:]]
 
     def test_empty_sigma_list_writes_empty_symmetry(self, tmp_path):
         assert main(["poincare", "--N", "6", "--realizations", "2",
@@ -279,9 +292,9 @@ class TestPoincare:
     def test_greens_csv_matches_one_sigma_at_a_time(self, tmp_path):
         main(POIN_ARGS + ["--out", str(tmp_path), "--noise-on-diagonal"])
         disp = poincare.build_dispersion(6, 2)
-        for tag, noise in (("0", None),
-                           ("0p02", poincare.NoiseModel(2e-2, 3, diagonal=True))):
-            G = poincare.greens_function(disp, noise).matrix
+        for tag, block in (("0", engine.NOISELESS),
+                           ("0p02", [poincare.NoiseModel(2e-2, 3, diagonal=True)])):
+            G = next(poincare.greens_function(disp, block)).matrix
             for part, array in (("re", G.real), ("im", G.imag)):
                 _, rows = read_rows(tmp_path / f"greens_{part}_sigma{tag}.csv")
                 written = np.array([[float(v) for v in row] for row in rows])

@@ -24,6 +24,16 @@ WORDS = st.integers(min_value=0, max_value=2**64 - 1)
 # exactly 0, which keeps a gate exact, and repeats are allowed
 SIGMA_COLUMNS = st.lists(st.sampled_from([0.0, 5e-324, 1e-3, 2e-2, 0.3]),
                          min_size=1, max_size=6)
+# a block that mixes the noiseless model, a column with noise on the
+# diagonal step and a one-sigma model, and its members, in order, each as
+# the one-sigma model that gives it alone
+MIXED_BLOCK = (engine.NOISELESS[0],
+               NoiseModel((0.0, 1e-3), 5, stream_id=2, diagonal=True),
+               NoiseModel(5e-2, 5, stream_id=3))
+MIXED_MEMBERS = (engine.NOISELESS[0],
+                 NoiseModel(0.0, 5, stream_id=2, diagonal=True),
+                 NoiseModel(1e-3, 5, stream_id=2, diagonal=True),
+                 NoiseModel(5e-2, 5, stream_id=3))
 
 
 def scalar_draw_reference(noise, step):
@@ -35,7 +45,7 @@ def scalar_draw_reference(noise, step):
     return noise.sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-def per_gate_reference(seq, noise=None, invert=False, matmul=False):
+def per_gate_reference(seq, noise, invert=False, matmul=False):
     """prod_s exp(-i (1 + delta_s) H[s]) one gate at a time, each with its
     own scalar draw: the reference for the wave kernel.
 
@@ -46,11 +56,10 @@ def per_gate_reference(seq, noise=None, invert=False, matmul=False):
     `block @ rows`, which agrees with the kernel up to roundoff only.
     """
     U = np.eye(seq.n_sites, dtype=complex)
-    sigma = 0.0 if noise is None else noise.sigma
     for g in (reversed(seq.gates) if invert else seq.gates):
         block, j = gate_matrix(g), g.site
         step = seq.depth - 1 - g.layer if invert else g.layer
-        delta = scalar_draw_reference(noise, step) if sigma != 0.0 else 0.0
+        delta = scalar_draw_reference(noise, step) if noise.sigma != 0.0 else 0.0
         if g.kind == circuit.PHASE:
             if delta == 0.0:
                 factor = np.conj(block[0, 0]) if invert else block[0, 0]
@@ -260,17 +269,18 @@ def _expmi(H):
 class TestApplyNoisySequence:
     def test_sigma_zero_identical_to_plain_product(self):
         seq = circuit.build_radix2_qqft(3)
-        assert np.array_equal(apply_noisy_sequence(seq),
+        assert apply_noisy_sequence(seq).shape == (1, 8, 8)
+        assert np.array_equal(apply_noisy_sequence(seq)[0],
                               sequence_to_unitary(seq))
         noise = NoiseModel(0.0, seed=5)
-        assert np.array_equal(apply_noisy_sequence(seq, noise),
+        assert np.array_equal(apply_noisy_sequence(seq, [noise])[0],
                               sequence_to_unitary(seq))
 
     @pytest.mark.parametrize("sigma", [1e-3, 3e-2, 0.3])
     def test_unitary_at_any_sigma(self, sigma):
         seq = circuit.build_generic_qqft(6)
         for r in range(3):
-            U = apply_noisy_sequence(seq, NoiseModel(sigma, seed=11, stream_id=r))
+            U, = apply_noisy_sequence(seq, [NoiseModel(sigma, seed=11, stream_id=r)])
             assert unitarity_defect(U) < 1e-10
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -283,7 +293,7 @@ class TestApplyNoisySequence:
     def test_wave_kernel_matches_per_gate_reference(self, seq, sigma, seed,
                                                     stream, invert):
         noise = NoiseModel(sigma, seed=seed, stream_id=stream)
-        U = apply_noisy_sequence(seq, noise, invert=invert)
+        U, = apply_noisy_sequence(seq, [noise], invert=invert)
         assert U.tobytes() == per_gate_reference(seq, noise, invert).tobytes()
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -298,7 +308,7 @@ class TestApplyNoisySequence:
                                              invert):
         # the elementwise kernel against `block @ rows`: roundoff only
         noise = NoiseModel(sigma, seed=seed, stream_id=stream)
-        U = apply_noisy_sequence(seq, noise, invert=invert)
+        U, = apply_noisy_sequence(seq, [noise], invert=invert)
         want = per_gate_reference(seq, noise, invert, matmul=True)
         assert np.abs(U - want).max() < 1e-13
 
@@ -315,11 +325,11 @@ class TestApplyNoisySequence:
     def test_batch_matches_one_at_a_time(self, seq, column, seed, stream,
                                          invert):
         noise = NoiseModel(tuple(column), seed=seed, stream_id=stream)
-        U = apply_noisy_sequence(seq, noise, invert=invert)
+        U = apply_noisy_sequence(seq, [noise], invert=invert)
         assert U.shape == (len(column), seq.n_sites, seq.n_sites)
         for sigma, got in zip(column, U):
-            alone = apply_noisy_sequence(
-                seq, NoiseModel(sigma, seed=seed, stream_id=stream), invert=invert)
+            alone, = apply_noisy_sequence(
+                seq, [NoiseModel(sigma, seed=seed, stream_id=stream)], invert=invert)
             assert got.tobytes() == alone.tobytes()
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -351,21 +361,21 @@ class TestApplyNoisySequence:
         stack = [NoiseModel(c, seed=seed, stream_id=r)
                  for c, r in zip(columns, streams)]
         U = apply_noisy_sequence(seq, stack, invert=invert)
-        alone = [apply_noisy_sequence(seq, m, invert=invert) for m in stack]
+        alone = [apply_noisy_sequence(seq, [m], invert=invert) for m in stack]
         assert U.shape == (members, seq.n_sites, seq.n_sites)
         assert U.tobytes() == np.concatenate(alone).tobytes()
 
     def test_empty_batch(self):
         seq = circuit.build_generic_qqft(5)
-        assert apply_noisy_sequence(seq, NoiseModel((), seed=1)).shape == (0, 5, 5)
+        assert apply_noisy_sequence(seq, [NoiseModel((), seed=1)]).shape == (0, 5, 5)
 
     def test_noiseless_batch_leaves_gate_spectra_cold(self):
         seq = circuit.build_generic_qqft(11)
         engine._gate_spectra.cache_clear()
-        U = apply_noisy_sequence(seq, NoiseModel((0.0, 0.0), seed=1), invert=True)
+        U = apply_noisy_sequence(seq, [NoiseModel((0.0, 0.0), seed=1)], invert=True)
         clean = apply_noisy_sequence(seq, invert=True)
-        assert U.tobytes() == np.stack([clean, clean]).tobytes()
-        apply_noisy_sequence(seq, NoiseModel(0.0, seed=1))
+        assert U.tobytes() == np.concatenate([clean, clean]).tobytes()
+        apply_noisy_sequence(seq, [NoiseModel(0.0, seed=1)])
         assert engine._gate_spectra.cache_info().currsize == 0
 
     def test_one_draw_call_per_column(self, monkeypatch):
@@ -374,10 +384,10 @@ class TestApplyNoisySequence:
         monkeypatch.setattr(NoiseModel, "delta",
                             lambda self, step: calls.append(self) or delta(self, step))
         column = NoiseModel((0.0, 1e-2, 1e-2), seed=2, stream_id=5)
-        apply_noisy_sequence(circuit.build_radix2_qqft(3), column)
+        apply_noisy_sequence(circuit.build_radix2_qqft(3), [column])
         assert calls == [column]
         calls.clear()
-        engine.fourier_pair(8, column, 1)       # one call per direction
+        engine.fourier_pair(8, [column], 1)     # one call per direction
         assert calls == [column.substream(engine._SALT_FORWARD[1]),
                          column.substream(engine._SALT_INVERSE[1])]
 
@@ -387,25 +397,25 @@ class TestApplyNoisySequence:
         monkeypatch.setattr(NoiseModel, "delta",
                             lambda self, step: calls.append(step) or delta(self, step))
         seq = circuit.build_radix2_qqft(4)
-        apply_noisy_sequence(seq, NoiseModel(1e-2, seed=1), invert=True)
+        apply_noisy_sequence(seq, [NoiseModel(1e-2, seed=1)], invert=True)
         assert len(calls) == 1
         assert np.array_equal(calls[0], np.arange(seq.depth))
 
     def test_bit_identical_repeats(self):
         seq = circuit.build_radix2_qqft(2)
         noise = NoiseModel(1e-2, seed=123, stream_id=4)
-        assert np.array_equal(apply_noisy_sequence(seq, noise),
-                              apply_noisy_sequence(seq, noise))
+        assert np.array_equal(apply_noisy_sequence(seq, [noise]),
+                              apply_noisy_sequence(seq, [noise]))
 
     def test_noiseless_inverse(self):
         seq = circuit.build_generic_qqft(5)
         U = sequence_to_unitary(seq)
-        Ui = apply_noisy_sequence(seq, invert=True)
+        Ui, = apply_noisy_sequence(seq, invert=True)
         assert np.abs(Ui - U.conj().T).max() < 1e-12
 
     def test_noisy_inverse_unitary(self):
         seq = circuit.build_radix2_qqft(3)
-        U = apply_noisy_sequence(seq, NoiseModel(0.1, seed=3), invert=True)
+        U, = apply_noisy_sequence(seq, [NoiseModel(0.1, seed=3)], invert=True)
         assert unitarity_defect(U) < 1e-10
 
     def test_same_layer_shares_draw(self):
@@ -414,7 +424,7 @@ class TestApplyNoisySequence:
         gates = (GateSpec("swap", 0, layer=0), GateSpec("swap", 2, layer=0))
         seq = circuit.CircuitSequence(n_sites=4, gates=gates)
         noise = NoiseModel(0.2, seed=8)
-        U = apply_noisy_sequence(seq, noise)
+        U, = apply_noisy_sequence(seq, [noise])
         delta = noise.delta(0)
         block = _expmi((1 + delta) * gate_to_generator(gates[0]))
         expected = np.eye(4, dtype=complex)
@@ -428,13 +438,51 @@ class TestApplyNoisySequence:
         U0 = sequence_to_unitary(seq)
         norms = {}
         for sigma in (1e-5, 1e-4, 1e-3):
-            U = apply_noisy_sequence(seq, NoiseModel(sigma, seed=21, stream_id=2))
+            U, = apply_noisy_sequence(seq, [NoiseModel(sigma, seed=21, stream_id=2)])
             norms[sigma] = np.abs(U - U0).max()
         slope_a = norms[1e-4] / norms[1e-5]
         slope_b = norms[1e-3] / norms[1e-4]
         assert slope_a == pytest.approx(10.0, rel=0.05)
         assert slope_b == pytest.approx(10.0, rel=0.05)
         assert norms[1e-3] / 1e-3 < 50.0  # finite slope
+
+
+class TestBlockContract:
+    """Each model of a block adds one member per sigma, in order, and every
+    member is bit for bit its own one-member block."""
+
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_apply_noisy_sequence_members_in_order(self, invert):
+        seq = circuit.build_generic_qqft(7)
+        U = apply_noisy_sequence(seq, MIXED_BLOCK, invert=invert)
+        assert U.shape == (len(MIXED_MEMBERS), 7, 7)
+        for got, member in zip(U, MIXED_MEMBERS):
+            alone = apply_noisy_sequence(seq, [member], invert=invert)
+            assert got.tobytes() == alone.tobytes()
+        assert U[0].tobytes() == U[1].tobytes() != U[2].tobytes()
+
+    @pytest.mark.parametrize("N", [6, 8])    # generic and radix-2 routes
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_fourier_pair_members_in_order(self, N, axis):
+        pair = engine.fourier_pair(N, MIXED_BLOCK, axis)
+        for i, member in enumerate(MIXED_MEMBERS):
+            alone = engine.fourier_pair(N, [member], axis)
+            for got, want in zip(pair, alone):     # forward, then inverse
+                assert got.shape == (len(MIXED_MEMBERS), N, N)
+                assert got[i].tobytes() == want.tobytes()
+        for V in pair:  # the noisy members differ from the clean ones
+            assert V[0].tobytes() == V[1].tobytes() != V[2].tobytes()
+            assert V[3].tobytes() not in (V[0].tobytes(), V[2].tobytes())
+
+    # the block's tail too: its scales are not a palindrome
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_diagonal_scale_members_in_order(self, start):
+        scales = engine.diagonal_scale(MIXED_BLOCK[start:])
+        draw = MIXED_MEMBERS[2].substream(engine._SALT_DIAGONAL).delta(0)
+        assert draw != 0.0
+        assert scales.tolist() == [1.0, 1.0, 1.0 + draw, 1.0][start:]
+        for scale, member in zip(scales, MIXED_MEMBERS[start:]):
+            assert scale.tobytes() == engine.diagonal_scale([member]).tobytes()
 
 
 class TestZeroSigmaIsStreamFree:
@@ -449,9 +497,9 @@ class TestZeroSigmaIsStreamFree:
     @example(seed=1, stream=0, N=8, axis=0, sigma=0.0)    # draws a -0.0
     def test_fourier_pair_same_on_every_stream(self, seed, stream, N, axis,
                                                sigma):
-        clean = engine.fourier_pair(N, None, axis)
+        clean = engine.fourier_pair(N, engine.NOISELESS, axis)
         for noise in (NoiseModel(sigma, seed, stream), NoiseModel(sigma, seed)):
-            pair = engine.fourier_pair(N, noise, axis)
+            pair = engine.fourier_pair(N, [noise], axis)
             for got, want in zip(pair, clean):     # forward, then inverse
                 want = np.broadcast_to(want, got.shape)
                 assert got.tobytes() == want.tobytes()
@@ -462,10 +510,10 @@ class TestZeroSigmaIsStreamFree:
     def test_diagonal_scale_is_exactly_one(self, seed, stream):
         noise = NoiseModel(0.0, seed, stream, diagonal=True)
         assert noise.substream(engine._SALT_DIAGONAL).delta(0) == 0.0
-        scale = engine.diagonal_scale(noise)
+        scale, = engine.diagonal_scale([noise])
         assert scale == 1.0 and not np.signbit(scale)
-        assert engine.diagonal_scale(NoiseModel((0.0, 0.0), seed, stream,
-                                                diagonal=True)).tolist() == [1.0, 1.0]
+        assert engine.diagonal_scale([NoiseModel((0.0, 0.0), seed, stream,
+                                                 diagonal=True)]).tolist() == [1.0, 1.0]
 
     def test_example_draws_a_negative_zero(self):
         draw = NoiseModel(0.0, 1, 0).substream(engine._SALT_DIAGONAL).delta(0)

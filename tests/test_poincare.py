@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qqft import engine, poincare
+from qqft import circuit, engine, poincare
 from qqft.engine import NoiseModel
 from qqft.poincare import (
     DispersionError,
@@ -15,6 +15,7 @@ from qqft.poincare import (
     s_lorentz,
     s_total,
 )
+from test_engine import MIXED_BLOCK, MIXED_MEMBERS
 
 
 def symmetry_points(N, gamma, *args, **kwargs):
@@ -24,13 +25,22 @@ def symmetry_points(N, gamma, *args, **kwargs):
                                 *args, **kwargs)[0]
 
 
-def greens_reference(disp, noise=None):
-    """G and P one stroboscopic time m at a time, P by np.roll: the
-    reference for the batched greens_function."""
+def exact_greens(disp, block=engine.NOISELESS):
+    """The propagators of `greens_function` with the exact DFT matrix in
+    place of the compiled Fourier transform, one per member of `block`: the
+    independent reference for the compiled route."""
+    V_f = circuit.dft_matrix(disp.n_sites)
+    return [poincare._greens_one(disp, V_f, V_f.conj().T, scale)
+            for scale in engine.diagonal_scale(block).tolist()]
+
+
+def greens_reference(disp, block=engine.NOISELESS):
+    """G and P of the one member of `block`, one stroboscopic time m at a
+    time, P by np.roll: the reference for the batched greens_function."""
     N = disp.n_sites
     j = np.array(disp.j_table)
-    V_f, V_i = engine.fourier_pair(N, noise, 0)
-    scale = engine.diagonal_scale(noise)
+    (V_f,), (V_i,) = engine.fourier_pair(N, block, 0)
+    scale, = engine.diagonal_scale(block).tolist()
     G = np.zeros((N, N), dtype=complex)
     P = np.zeros((N, N, N))
     for m in range(N):
@@ -146,7 +156,7 @@ class TestBuildDispersion:
         assert disp.j_table == (0, 1, 1, 0, 5, 5)
         assert graph_is_invariant(disp.j_table, 6, 3)
         lattice = equivalence_classes(6, 3)
-        res = greens_function(disp, route="exact")
+        res, = exact_greens(disp)
         assert s_lorentz(res.p_tensor, lattice) < 1e-12
         assert np.abs(res.matrix.real).max() < 1e-12
 
@@ -169,7 +179,7 @@ def lattice():
 
 @pytest.fixture(scope="module")
 def clean(disp):
-    return greens_function(disp)
+    return next(greens_function(disp))
 
 
 class TestGreensFunction:
@@ -179,13 +189,13 @@ class TestGreensFunction:
         assert col[1:].max() < 1e-12
 
     def test_initial_column_is_delta_with_noise(self, disp):
-        noisy = greens_function(disp, NoiseModel(0.05, seed=4))
+        noisy = next(greens_function(disp, [NoiseModel(0.05, seed=4)]))
         col = np.abs(noisy.matrix[:, 0])
         assert col[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_probability_conservation(self, clean, disp):
         assert np.abs(clean.p_tensor.sum(axis=2) - 1).max() < 1e-10
-        noisy = greens_function(disp, NoiseModel(0.05, seed=4))
+        noisy = next(greens_function(disp, [NoiseModel(0.05, seed=4)]))
         assert np.abs(noisy.p_tensor.sum(axis=2) - 1).max() < 1e-10
 
     def test_lorentz_equality_classwise(self, clean, lattice):
@@ -198,11 +208,11 @@ class TestGreensFunction:
         assert np.abs(clean.matrix.real).max() < 1e-10
 
     def test_routes_agree(self, disp, clean):
-        exact = greens_function(disp, route="exact")
+        exact, = exact_greens(disp)
         assert np.abs(clean.matrix - exact.matrix).max() < 1e-9
 
     def test_exact_route_lorentz(self, disp, lattice):
-        G = greens_function(disp, route="exact").matrix
+        G = exact_greens(disp)[0].matrix
         for orbit in lattice.classes:
             vals = np.array([G[n, m] for m, n in orbit])
             assert np.abs(vals - vals[0]).max() < 1e-10
@@ -215,10 +225,10 @@ class TestGreensFunction:
     def test_batched_matches_m_loop_reference(self, case, sigma, seed,
                                               on_diagonal):
         disp = build_dispersion(*case)
-        noise = (NoiseModel(sigma, seed=seed, diagonal=on_diagonal)
-                 if sigma > 0 else None)
-        result = greens_function(disp, noise)
-        G, P = greens_reference(disp, noise)
+        block = ([NoiseModel(sigma, seed=seed, diagonal=on_diagonal)]
+                 if sigma > 0 else engine.NOISELESS)
+        result, = greens_function(disp, block)
+        G, P = greens_reference(disp, block)
         assert result.matrix.tobytes() == G.tobytes()
         assert result.p_tensor.tobytes() == P.tobytes()
 
@@ -234,19 +244,33 @@ class TestGreensFunction:
              on_diagonal=True, route="exact")
     def test_batch_matches_one_at_a_time(self, case, column, seed,
                                          on_diagonal, route):
+        # "exact" runs the same check on the exact-DFT helper
+        greens = {"qqft": greens_function, "exact": exact_greens}[route]
         disp = build_dispersion(*case)
-        results = list(greens_function(
-            disp, NoiseModel(tuple(column), seed=seed, stream_id=3,
-                             diagonal=on_diagonal), route=route))
+        results = list(greens(
+            disp, [NoiseModel(tuple(column), seed=seed, stream_id=3,
+                              diagonal=on_diagonal)]))
         assert len(results) == len(column)
         for sigma, got in zip(column, results):
             noise = NoiseModel(sigma, seed=seed, stream_id=3, diagonal=on_diagonal)
-            alone = greens_function(disp, noise, route=route)
+            alone, = greens(disp, [noise])
             assert got.matrix.tobytes() == alone.matrix.tobytes()
             assert got.p_tensor.tobytes() == alone.p_tensor.tobytes()
             if noise.sigma == 0.0:          # the exact, noise-free path
-                clean = greens_function(disp, route=route)
+                clean, = greens(disp)
                 assert got.matrix.tobytes() == clean.matrix.tobytes()
+
+    @pytest.mark.parametrize("case", [(6, 2), (16, 3), (33, 2)])
+    def test_mixed_block_members_in_order(self, case):
+        disp = build_dispersion(*case)
+        results = list(greens_function(disp, MIXED_BLOCK))
+        assert len(results) == len(MIXED_MEMBERS)
+        for got, member in zip(results, MIXED_MEMBERS):
+            alone, = greens_function(disp, [member])
+            assert got.matrix.tobytes() == alone.matrix.tobytes()
+            assert got.p_tensor.tobytes() == alone.p_tensor.tobytes()
+        G = [r.matrix.tobytes() for r in results]
+        assert G[0] == G[1] and len(set(G[1:])) == 3
 
     @pytest.mark.parametrize("case", [(6, 2), (16, 3), (33, 2)])
     @pytest.mark.parametrize("on_diagonal", [False, True])
@@ -256,16 +280,12 @@ class TestGreensFunction:
                                                      column):
         # the sweep takes its clean reference from realization 0's column
         disp = build_dispersion(*case)
-        clean = greens_function(disp)
+        clean = next(greens_function(disp))
         results = list(greens_function(
-            disp, NoiseModel(column, seed=7, diagonal=on_diagonal)))
+            disp, [NoiseModel(column, seed=7, diagonal=on_diagonal)]))
         zero = results[column.index(0.0)]
         assert zero.matrix.tobytes() == clean.matrix.tobytes()
         assert zero.p_tensor.tobytes() == clean.p_tensor.tobytes()
-
-    def test_unknown_route(self, disp):
-        with pytest.raises(ValueError):
-            greens_function(disp, route="telepathy")
 
 
 class TestSymmetryMetrics:
@@ -279,14 +299,14 @@ class TestSymmetryMetrics:
         assert s_lorentz(P, lattice) < 1e-14
 
     def test_sl_positive_under_noise(self, disp, lattice):
-        P = greens_function(disp, NoiseModel(2e-2, seed=6)).p_tensor
+        P = next(greens_function(disp, [NoiseModel(2e-2, seed=6)])).p_tensor
         assert s_lorentz(P, lattice) > 1e-4
 
     def test_sp_zero_for_identical(self, clean):
         assert s_total(clean.p_tensor, clean.p_tensor) == 0.0
 
     def test_sp_nonnegative_and_visible_at_2em2(self, disp, clean):
-        P = greens_function(disp, NoiseModel(2e-2, seed=6)).p_tensor
+        P = next(greens_function(disp, [NoiseModel(2e-2, seed=6)])).p_tensor
         sp = s_total(P, clean.p_tensor)
         assert sp >= 0.0
         assert sp > 5e-3  # revival pattern visibly degraded
@@ -315,13 +335,13 @@ class TestNoiseSweep:
 
     @staticmethod
     def spy_on_greens(monkeypatch):
-        """The noise argument of every greens_function call, in order."""
+        """The block argument of every greens_function call, in order."""
         calls = []
         batched = greens_function
 
-        def spy(disp, noise=None, **kwargs):
-            calls.append(noise)
-            return batched(disp, noise, **kwargs)
+        def spy(disp, block=engine.NOISELESS):
+            calls.append(block)
+            return batched(disp, block)
 
         monkeypatch.setattr(poincare, "greens_function", spy)
         return calls
@@ -338,7 +358,7 @@ class TestNoiseSweep:
         nonzero = tuple(s for s in sigmas if s != 0)
         columns = [NoiseModel(tuple(sigmas), 8)] + [
             NoiseModel(nonzero, 8, stream_id=r) for r in range(1, 6)]
-        assert calls == [None, columns[:4], columns[4:]]
+        assert calls == [engine.NOISELESS, columns[:4], columns[4:]]
 
     @pytest.mark.parametrize("sigmas", [[1e-3, 0.0, 1e-2], [1e-2, 1e-3], [0.0]])
     def test_greens_are_realization_0(self, sigmas):
@@ -346,7 +366,7 @@ class TestNoiseSweep:
         noise = NoiseModel(sigmas, 4, diagonal=True)
         _, greens = noise_sweep_symmetry(disp, equivalence_classes(6, 2),
                                          noise, 2)
-        column = greens_function(disp, NoiseModel(tuple(sigmas), 4, diagonal=True))
+        column = greens_function(disp, [NoiseModel(tuple(sigmas), 4, diagonal=True)])
         assert list(greens) == sigmas
         for sigma, g in zip(sigmas, column):
             assert greens[sigma].tobytes() == g.matrix.tobytes()

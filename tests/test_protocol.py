@@ -132,7 +132,7 @@ def dense_kron_reference(model, noise):
     seq = circuit.compile_for_size(model.grid)
 
     def factors(salts, invert):
-        mats = [apply_noisy_sequence(seq, noise.substream(salts[k]), invert=invert)
+        mats = [apply_noisy_sequence(seq, [noise.substream(salts[k])], invert=invert)[0]
                 for k in range(model.d)]
         return reduce(np.kron, mats + [np.eye(model.l)])
 
