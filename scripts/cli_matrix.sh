@@ -80,6 +80,12 @@ run poincare-blocks poincare --N 33 --sigma 0,5e-3,2e-2 --realizations 7 \
     --seed 13 --workers "$workers" --out poincare-blocks
 run poincare-no-zero poincare --N 16 --gamma 3 --sigma 5e-3 --realizations 3 \
     --seed 7 --noise-on-diagonal --workers "$workers" --out poincare-no-zero
+# the benchmark's poincare workload: its realizations compose in blocks of
+# 21, 20 and 10 members, so the worker-count and base-commit diffs cover the
+# configuration whose timing the benchmark reports
+run poincare-bench poincare --N 33 --gamma 2 \
+    --sigma 0,1e-3,5e-3,1e-2,2e-2,5e-2 --realizations 10 --seed 3 \
+    --workers "$workers" --out poincare-bench
 run compile compile --N 33 --out compile
 run compile-n4 compile --n 4 --out compile-n4
 run verify verify compile/seq_generic_N33.json

@@ -20,9 +20,14 @@ Every product of gates runs through one kernel, `_apply_waves`: gates on
 disjoint sites form a wave, and each wave updates a batch-last array
 U[row, col, member] that holds many products at once.  A phase gate scales
 its row and a two-site gate [[a, b], [c, d]] writes a r0 + b r1 and
-c r0 + d r1 over its two rows, with one coefficient per member.  The kernel
-runs elementwise ufuncs only, no BLAS, so a member's bits do not depend on
-how many members share the pass or where it sits among them.
+c r0 + d r1 over its two rows, with one coefficient per member: the kernel
+gathers rows r0 and r1 of all of a wave's pairs at once, forms the two sums
+in place on them, and scatters both back.  It runs elementwise ufuncs only,
+no BLAS, so a member's bits do not depend on how many members share the
+pass or where it sits among them.  A pair gate's coefficient is the left
+operand of each of its products (`a * r0`, never `r0 * a`): numpy's SIMD
+complex multiply fuses a multiply-add, so the two orders can differ in the
+last bit.
 
 A sequence can be serialized to a versioned JSON document (schema
 ``qqft-seq/1``) for interchange with the command-line tools.
@@ -362,18 +367,31 @@ def _apply_waves(n_sites: int, plan: _WavePlan, factors: np.ndarray,
     """Products U[row, col, member] of the gates of `plan`, first wave first,
     one per last index of `factors` (phase gates, B) and `blocks` (pair
     gates, 2, 2, B), which stand in, in plan order, for the phase and
-    two-site gates; elementwise, as the module docstring describes."""
+    two-site gates; elementwise, as the module docstring describes.
+
+    A wave's pairs update their two rows apart, (k, n, B) views r0 and r1
+    of one gather, with no (k, 2, 2, n, B) tensor of all four products:
+    b10 r0 + b11 r1 forms in place on r1 and b00 r0 + b01 r1 on r0, with
+    b01 r1 taken before r1 is overwritten.  The block entry is the left
+    operand of every such product, as in the per-gate product
+    a * r0 + b * r1, to which each member is bit-identical."""
     U = np.repeat(np.eye(n_sites, dtype=complex)[..., None], factors.shape[-1],
                   axis=2)
     factors, blocks = factors[:, None], blocks[..., None, :]
     for ph, sites, pr, rows in plan.waves:
         if len(sites):
             U[sites] *= factors[ph]
-        if len(rows):  # terms[k, i, j] = block[i, j] * row j of pair k
-            old = U[rows]
-            terms = blocks[pr] * old[:, None]
-            U[rows] = np.add(terms[:, :, 0], terms[:, :, 1], out=old)
-            del old, terms  # before the next wave allocates its own
+        if len(rows):
+            b, rows = blocks[pr], rows.T
+            gathered = U[rows]      # (2, k, n, B): rows r0 and r1 of each pair
+            r0, r1 = gathered
+            x = b[:, 0, 1] * r1
+            np.multiply(b[:, 1, 1], r1, out=r1)
+            r1 += b[:, 1, 0] * r0
+            np.multiply(b[:, 0, 0], r0, out=r0)
+            r0 += x
+            U[rows] = gathered
+            del gathered, r0, r1, x  # before the next wave allocates its own
     return U
 
 

@@ -15,7 +15,6 @@ counts never change numeric results).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -92,12 +91,16 @@ class _Run:
         return path
 
     def write_csv(self, name: str, header, rows):
+        """Write a CSV of plain names, numbers and None (an empty cell),
+        none of which the excel dialect quotes: joined as `csv.writer`
+        prints them, without its overhead per cell.  `str`, not `repr`:
+        a numpy float's repr names its type."""
         with open(self.dir / name, "w", newline="") as fh:
             fh.write(f"# qqft/{__version__} config={self.digest}\r\n")
-            writer = csv.writer(fh)
-            writer.writerow(header)
+            fh.write(",".join(header) + "\r\n")
             for row in rows:
-                writer.writerow(["" if v is None else v for v in row])
+                fh.write(",".join("" if v is None else str(v) for v in row)
+                         + "\r\n")
         self.outputs.append(name)
 
     def finish(self, shown) -> int:

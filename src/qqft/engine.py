@@ -17,13 +17,13 @@ and 1, the spacetime crystal axis 0.
 
 Every composition takes its noise as a block: a sequence of NoiseModels,
 each adding one member per sigma, in order, such as a block of
-realizations of a sweep, one column of sigmas each.  `NOISELESS`, one
-member of sigma 0, is the noiseless block: a zero sigma draws only zeros,
-which keep every gate exact.  All members compose in one pass of the
-batch-last wave kernel `circuit._apply_waves`, whose arithmetic is
-elementwise, so each member is bit-identical to composing it alone,
-whatever the block.  `_noise_sweep` hands its measurement fixed blocks of
-`_BLOCK` consecutive realizations.
+realizations of a sweep, one column of sigmas each; an empty block gives
+no members.  `NOISELESS`, one member of sigma 0, is the noiseless block: a
+zero sigma draws only zeros, which keep every gate exact.  All members
+compose in one pass of the batch-last wave kernel `circuit._apply_waves`,
+whose arithmetic is elementwise, so each member is bit-identical to
+composing it alone, whatever the block.  `_noise_sweep` hands its
+measurement fixed blocks of `_BLOCK` consecutive realizations.
 """
 
 from __future__ import annotations
@@ -205,9 +205,10 @@ def _noisy_gates(seq: CircuitSequence, block, invert: bool) -> tuple:
     p_k = exp(-i (1 + delta) E_k).  A draw of exactly 0 keeps the gate
     exact."""
     steps, plan = np.arange(seq.depth), circuit._wave_plan(seq, invert)
-    # draws[step, member]: one delta call per model
-    draws = np.concatenate([m.delta(steps).reshape(np.size(m.sigma), seq.depth).T
-                            for m in block], axis=1)
+    # draws[step, member]: one delta call per model; an empty block has none
+    draws = np.concatenate([np.empty((seq.depth, 0))] + [
+        m.delta(steps).reshape(np.size(m.sigma), seq.depth).T for m in block],
+        axis=1)
     B = draws.shape[1]
     factors = np.broadcast_to(plan.factors[:, None], (len(plan.phase), B))
     blocks = np.broadcast_to(plan.blocks[..., None], (len(plan.pair), 2, 2, B))
@@ -268,7 +269,7 @@ def diagonal_scale(block) -> np.ndarray:
     noise block, from one draw (per sigma) of each model's diagonal
     substream; exactly 1.0 for a model whose `diagonal` is not set and for
     a zero sigma."""
-    return np.concatenate([np.broadcast_to(
+    return np.concatenate([np.empty(0)] + [np.broadcast_to(
         1.0 + m.substream(_SALT_DIAGONAL).delta(0) if m.diagonal else 1.0,
         np.size(m.sigma)) for m in block])
 

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import json
 import subprocess
 import sys
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from qqft import __version__, circuit, engine, poincare
-from qqft.cli import main
+from qqft.cli import _Run, main
 
 
 def read_rows(path):
@@ -119,6 +121,22 @@ class TestFlatband:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert sorted(manifest["outputs"]) == ["gap_width.csv",
                                                "phase_diagram.csv"]
+
+    def test_every_cell_parses_as_a_number(self, tmp_path):
+        # phi and M are numpy floats: a cell holds the number, not its repr
+        main(FLAT_ARGS + ["--out", str(tmp_path)])
+        for name in ("gap_width.csv", "phase_diagram.csv"):
+            with open(tmp_path / name, newline="") as fh:
+                fh.readline()
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows)
+            for v in (v for row in rows for v in row if v != ""):
+                float(v)            # raises on anything but a number
+        _, cells = read_rows(tmp_path / "phase_diagram.csv")
+        phis, ms = np.linspace(-np.pi, np.pi, 2), np.linspace(-6.0, 6.0, 2)
+        assert [(float(c[0]), float(c[1])) for c in cells] == \
+            [(phi, m) for phi in phis for m in ms]
+        assert all(c[3] == "" or int(c[3]) in (-1, 0, 1) for c in cells)
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -312,6 +330,26 @@ CONFIG_KEYS = {
 }
 RUN_ARGS = {"compile": ["compile", "--n", "3"], "flatband": FLAT_ARGS,
             "poincare": POIN_ARGS}
+
+
+class TestWriteCsv:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        header = ["a", "b", "c", "d"]
+        rows = [(0.1, np.float64(-np.pi), 3, None),
+                (-0.0, float("nan"), float("inf"), 5e-324),
+                (np.float64(-0.0), np.float64(np.nan), -np.inf, np.int64(-7)),
+                (None, None, 1e22, np.float64(1e-7))]
+        run = _Run(argparse.Namespace(command="test", out=str(tmp_path)))
+        run.write_csv("joined.csv", header, rows)
+        with open(tmp_path / "writer.csv", "w", newline="") as fh:
+            fh.write(f"# qqft/{__version__} config={run.digest}\r\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(["" if v is None else v for v in row])
+        assert (tmp_path / "joined.csv").read_bytes() == \
+            (tmp_path / "writer.csv").read_bytes()
+        assert run.outputs == ["joined.csv"]
 
 
 class TestManifest:

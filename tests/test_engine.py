@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,11 @@ MIXED_MEMBERS = (engine.NOISELESS[0],
                  NoiseModel(0.0, 5, stream_id=2, diagonal=True),
                  NoiseModel(1e-3, 5, stream_id=2, diagonal=True),
                  NoiseModel(5e-2, 5, stream_id=3))
+# the width of the Poincare benchmark's blocks: four columns of five sigmas,
+# three of the benchmark's nonzero sigmas and one that mixes exact gates in
+WIDE_BLOCK = tuple(NoiseModel((1e-3, 5e-3, 1e-2, 2e-2, 5e-2), 3, stream_id=r)
+                   for r in (1, 2, 3)) + (
+    NoiseModel((0.0, 5e-324, 1e-3, 2e-2, 0.3), 3, stream_id=4),)
 
 
 def scalar_draw_reference(noise, step):
@@ -473,6 +479,31 @@ class TestBlockContract:
         for V in pair:  # the noisy members differ from the clean ones
             assert V[0].tobytes() == V[1].tobytes() != V[2].tobytes()
             assert V[3].tobytes() not in (V[0].tobytes(), V[2].tobytes())
+
+    @pytest.mark.parametrize("N", [33, 16])     # generic and radix-2 routes
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_wide_block_matches_per_gate_reference(self, N, invert):
+        seq = circuit.compile_for_size(N)
+        U = apply_noisy_sequence(seq, WIDE_BLOCK, invert=invert)
+        members = [replace(m, sigma=s) for m in WIDE_BLOCK for s in m.sigma]
+        assert U.shape == (20, N, N) and len(members) == 20
+        for got, member in zip(U, members):
+            alone = apply_noisy_sequence(seq, [member], invert=invert)
+            assert got.tobytes() == alone.tobytes()
+            assert got.tobytes() == per_gate_reference(seq, member,
+                                                       invert).tobytes()
+
+    @pytest.mark.parametrize("seq", [circuit.build_generic_qqft(6),
+                                     circuit.build_radix2_qqft(3)])
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_empty_block_has_no_members(self, seq, invert):
+        n = seq.n_sites
+        assert apply_noisy_sequence(seq, [], invert=invert).shape == (0, n, n)
+
+    def test_empty_block_fourier_pair_and_diagonal_scale(self):
+        assert [V.shape for V in engine.fourier_pair(6, [], 1)] == [(0, 6, 6)] * 2
+        scales = engine.diagonal_scale([])
+        assert scales.shape == (0,) and scales.dtype == float
 
     # the block's tail too: its scales are not a palindrome
     @pytest.mark.parametrize("start", [0, 1])

@@ -272,6 +272,9 @@ class TestGreensFunction:
         G = [r.matrix.tobytes() for r in results]
         assert G[0] == G[1] and len(set(G[1:])) == 3
 
+    def test_empty_block_gives_no_propagators(self):
+        assert list(greens_function(build_dispersion(6, 2), [])) == []
+
     @pytest.mark.parametrize("case", [(6, 2), (16, 3), (33, 2)])
     @pytest.mark.parametrize("on_diagonal", [False, True])
     @pytest.mark.parametrize("column", [(0.0, 1e-3, 5e-2), (1e-3, 0.0, 5e-2),
