@@ -305,25 +305,30 @@ class SweepPoint:
         return float(x.std(ddof=1) / np.sqrt(len(x)))
 
 
-@lru_cache(maxsize=None)
-def _blas_thread_setters() -> tuple:
-    """`openblas_set_num_threads_local` of each OpenBLAS mapped into this
-    process (numpy and scipy bundle one each), looked up once per process."""
+def _openblas_libs() -> list:
+    """Each OpenBLAS mapped into this process (numpy and scipy bundle one
+    each), in path order."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
                             if "openblas" in line.rsplit("/", 1)[-1]})
     except OSError:
         paths = []
-    found = (getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
-             for path in paths)
-    setters = tuple(fn for fn in found if fn is not None)
-    for fn in setters:
-        fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+    return [ctypes.CDLL(path) for path in paths]
+
+
+@lru_cache(maxsize=None)
+def _pin_blas() -> None:
+    """Set every OpenBLAS of this process to one thread, once and for good:
+    after a fork, any setter call, even one that sets 1, restarts the helper
+    threads that the fork shut down, and they spin for tens of ms."""
+    setters = [fn for fn in (getattr(lib, "openblas_set_num_threads_local", None)
+                             for lib in _openblas_libs()) if fn is not None]
     if not setters:
         print("qqft: no OpenBLAS exports openblas_set_num_threads_local; "
               "BLAS threads are not pinned", file=sys.stderr)
-    return setters
+    for set_local in setters:
+        set_local(1)
 
 
 _worker_fn = None  # the sweep's task, set in each worker by _init_worker
@@ -331,13 +336,12 @@ _worker_fn = None  # the sweep's task, set in each worker by _init_worker
 
 def _init_worker(fn, parent_pid: int):
     # prctl(PR_SET_PDEATHSIG, SIGKILL): die with the parent, and exit now if
-    # the parent died before that took effect
+    # the parent died before that took effect.  No BLAS setter: the worker
+    # inherits the pin, and a setter call here would start helper threads
     global _worker_fn
     ctypes.CDLL(None).prctl(ctypes.c_int(1), ctypes.c_ulong(signal.SIGKILL))
     if os.getppid() != parent_pid:
         os._exit(1)
-    for set_local in _blas_thread_setters():
-        set_local(1)
     _worker_fn = fn
 
 
@@ -347,12 +351,14 @@ def _run(i):
 
 def _map_ordered(fn, count: int, workers: int) -> list:
     """[fn(0), ..., fn(count - 1)] in index order, each call on one BLAS
-    thread, so results never depend on `workers`.  On Linux, `workers > 1`
-    runs the calls in forked processes, which inherit `fn` and die with this
-    one; all are joined before the results return.  Elsewhere calls run
-    serially."""
+    thread, so results never depend on `workers`: the first call pins the
+    process to one BLAS thread for good (`_pin_blas`).  On Linux, `workers
+    > 1` runs the calls in forked processes, which inherit `fn` and the pin
+    and die with this one; all are joined before the results return.
+    Elsewhere calls run serially."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    _pin_blas()
     linux = sys.platform.startswith("linux")
     workers = min(workers, count, len(os.sched_getaffinity(0))) if linux else 1
     if workers > 1:
@@ -360,13 +366,7 @@ def _map_ordered(fn, count: int, workers: int) -> list:
                                  initializer=_init_worker,
                                  initargs=(fn, os.getpid())) as pool:
             return list(pool.map(_run, range(count)))
-    setters = _blas_thread_setters()
-    previous = [set_local(1) for set_local in setters]
-    try:
-        return [fn(i) for i in range(count)]
-    finally:
-        for set_local, n in zip(setters, previous):
-            set_local(n)
+    return [fn(i) for i in range(count)]
 
 
 def _noise_sweep(measure, names, noise: NoiseModel, n: int, workers: int) -> tuple:

@@ -7,9 +7,11 @@ import signal
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import child_pids, process_state
 from qqft import engine, haldane, poincare
@@ -21,13 +23,22 @@ needs_two_cores = pytest.mark.skipif(
     reason="worker processes need Linux and two cores")
 
 
+GETTERS = ("openblas_get_num_threads", "scipy_openblas_get_num_threads",
+           "scipy_openblas_get_num_threads64_")
+
+
 def blas_threads() -> list:
-    """Thread count of each OpenBLAS in this process, left unchanged."""
-    setters = engine._blas_thread_setters()
-    counts = [set_local(1) for set_local in setters]
-    for set_local, count in zip(setters, counts):
-        set_local(count)
-    return counts
+    """Thread count of each OpenBLAS in this process, read by its getter: a
+    setter call would itself start helper threads in a forked process."""
+    return [next(getattr(lib, name) for name in GETTERS if hasattr(lib, name))()
+            for lib in engine._openblas_libs()]
+
+
+def cpu_over_sleep(seconds: float = 0.2) -> float:
+    """CPU time of this process, all its threads, while it sleeps."""
+    before = time.process_time()
+    time.sleep(seconds)
+    return time.process_time() - before
 
 
 def assert_no_children():
@@ -58,18 +69,62 @@ class TestMapOrdered:
             engine._map_ordered(fn, 6, workers)
         assert_no_children()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_blas_thread_per_call_then_restored(self, workers):
-        before = blas_threads()
-        if not before:
-            pytest.skip("no OpenBLAS exports openblas_set_num_threads_local")
-        inside = engine._map_ordered(lambda i: blas_threads(), 4, workers)
-        assert inside == [[1] * len(before)] * 4
-        assert blas_threads() == before
-
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError, match="count must be >= 1"):
             engine._map_ordered(lambda i: i, 0, 2)
+
+
+class TestBlasPin:
+    """The first `_map_ordered` call pins every OpenBLAS to one thread before
+    any fork, for good; no worker calls a setter.  After a fork, a setter
+    call, even one that sets 1, starts helper threads that spin."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_blas_thread_in_calls_and_after(self, workers):
+        ones = [1] * len(engine._openblas_libs())
+        if not ones:
+            pytest.skip("no OpenBLAS in this process")
+        assert engine._map_ordered(lambda i: blas_threads(), 4, workers) == [ones] * 4
+        assert blas_threads() == ones
+
+    @needs_two_cores
+    def test_worker_starts_no_blas_thread(self):
+        H = np.random.default_rng(0).normal(size=(256, 256))
+        H = H + H.T
+
+        def task(i):
+            scipy.linalg.eigh(H)
+            return len(os.listdir("/proc/self/task")), cpu_over_sleep()
+
+        for threads, cpu in engine._map_ordered(task, 2, 2):
+            assert threads == 1
+            assert cpu < 0.03
+
+    @needs_two_cores
+    def test_serial_call_after_a_pool_starts_no_blas_thread(self):
+        engine._map_ordered(lambda i: i, 2, 2)
+        engine._map_ordered(lambda i: i, 1, 1)
+        assert cpu_over_sleep() < 0.03
+
+    def test_setters_called_once_per_process(self, monkeypatch):
+        libs = [lib for lib in engine._openblas_libs()
+                if hasattr(lib, "openblas_set_num_threads_local")]
+        if not libs:
+            pytest.skip("no OpenBLAS exports openblas_set_num_threads_local")
+        calls = []
+
+        def spy(lib):
+            def set_local(n):
+                calls.append((lib._name, n))
+                return lib.openblas_set_num_threads_local(n)
+            return SimpleNamespace(openblas_set_num_threads_local=set_local)
+
+        monkeypatch.setattr(engine, "_openblas_libs", lambda: [spy(lib) for lib in libs])
+        engine._pin_blas.cache_clear()  # as in a new process
+        seen = [engine._map_ordered(lambda i: len(calls), 3, workers)
+                for workers in (2, 1, 2)]
+        assert calls == [(lib._name, 1) for lib in libs]
+        assert seen == [[len(libs)] * 3] * 3  # no worker called a setter
 
 
 @needs_two_cores
