@@ -91,9 +91,9 @@ run compile-n4 compile --n 4 --out compile-n4
 run verify verify compile/seq_generic_N33.json
 # at phi = pi/2, M = 3 sits on a phase boundary and the 6 x 6 grid holds
 # the point where d vanishes, so the model cannot be flattened: that cell
-# counts its realization as a closed gap (a NaN Bott value and one stderr
-# line), while M = 4 is gapped.  Last, since a revision that still aborts
-# here has written every other run by then
+# counts both realizations of its block as closed gaps (a NaN Bott value
+# and one stderr line), while M = 4 is gapped.  Last, since a revision that
+# still aborts here has written every other run by then
 run flat-boundary flatband --grid 6 --sigma "" --phase-grid 2 \
     --phi-range 1.5707963267948966 1.5707963267948966 --m-range 3 4 \
-    --seed 5 --workers "$workers" --out flat-boundary
+    --phase-realizations 2 --seed 5 --workers "$workers" --out flat-boundary

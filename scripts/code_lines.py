@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Print the physical lines, the code lines and the settable values of each
-module of src/qqft.
+module of a source directory, by default this checkout's src/qqft.
 
 Code lines leave out docstrings, comments and blank lines: a line counts when
 it holds a token other than a comment, and that token is not part of a
@@ -11,11 +11,12 @@ function and method, nested ones included (`self` and `cls` left out), plus
 the fields that every dataclass's generated __init__ takes (a field declared
 `field(init=False)` is derived, not set).
 
-    python3 scripts/code_lines.py
+    python3 scripts/code_lines.py [SOURCE_DIR]
 """
 
 import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -83,9 +84,10 @@ def count(text: str):
 
 
 def main():
+    src = Path(sys.argv[1]) if len(sys.argv) > 1 else SRC
     total = [0, 0, 0]
     print(f"{'module':<14}{'lines':>7}{'code':>7}{'settable':>10}")
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(src.glob("*.py")):
         counts = count(path.read_text())
         total = [t + c for t, c in zip(total, counts)]
         print(f"{path.stem:<14}{counts[0]:>7}{counts[1]:>7}{counts[2]:>10}")

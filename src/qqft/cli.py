@@ -122,6 +122,13 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 def cmd_compile(args) -> int:
+    # at most engine.MAX_DIM sites, which `verify` recomposes; 2^n > MAX_DIM
+    # exactly when n >= MAX_DIM.bit_length(), so 2^n is never formed
+    if args.n is not None and args.n >= engine.MAX_DIM.bit_length():
+        raise SystemExit(f"error: --n {args.n} gives 2^{args.n} sites, which "
+                         f"exceeds {engine.MAX_DIM}")
+    if args.N is not None and args.N > engine.MAX_DIM:
+        raise SystemExit(f"error: --N {args.N} exceeds {engine.MAX_DIM} sites")
     if args.n is not None:
         seq = circuit.build_radix2_qqft(args.n)
         scaling = "N log N"
@@ -191,6 +198,10 @@ def cmd_flatband(args) -> int:
 
 def cmd_poincare(args) -> int:
     sigmas = _sigma_list(args.sigma)
+    # each propagator takes N^3 entries: at most those of a MAX_DIM evolution
+    if args.N ** 3 > engine.MAX_DIM ** 2:
+        raise SystemExit(f"error: --N {args.N} gives {args.N}^3 propagator "
+                         f"entries, which exceeds {engine.MAX_DIM}^2")
     try:
         disp = poincare.build_dispersion(args.N, args.gamma)
     except poincare.DispersionError as exc:

@@ -12,8 +12,9 @@ One realization's noise reaches a composite evolution only through the salt
 table below: the forward Fourier sequence along axis k draws from substream
 `_SALT_FORWARD[k]`, the inverse one from `_SALT_INVERSE[k]`, and the single
 draw on the diagonal step, taken only when the model's `diagonal` is set,
-from `_SALT_DIAGONAL`.  The flat band uses axes 0
-and 1, the spacetime crystal axis 0.
+from `_SALT_DIAGONAL`.  The flat band uses axes 0 and 1, the spacetime
+crystal axis 0; `fourier_pair` composes every axis of a block in one pass
+per direction.
 
 Every composition takes its noise as a block: a sequence of NoiseModels,
 each adding one member per sigma, in order, such as a block of
@@ -37,6 +38,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain, islice
 
 import numpy as np
 import scipy.linalg
@@ -75,22 +77,6 @@ def _mix64(*words: int) -> int:
     return h
 
 
-def _box_muller_factors(seed: int, stream_id: int, steps: np.ndarray) -> tuple:
-    """S = sqrt(-2 ln u1) and C = cos(2 pi u2) of the integer `steps` of one
-    stream, flattened: its draws without sigma."""
-    # = _mix64(seed, stream_id, step), one uint64 lane per step
-    x = _splitmix64(np.uint64(_mix64(seed, stream_id))
-                    ^ steps.astype(np.uint64).ravel())
-    u1 = ((x >> 11) + 1) / (1 << 53)       # in (0, 1]
-    u2 = (_splitmix64(x) >> 11) / (1 << 53)
-    # log and cos in `math`, whose last bits numpy's do not always match;
-    # the exact scalings and the correctly rounded sqrt agree in numpy
-    log_u1 = np.fromiter(map(math.log, u1.tolist()), float, len(u1))
-    S = np.sqrt(-2.0 * log_u1)
-    C = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), float, len(u2))
-    return S, C
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Multiplicative Gaussian noise on the gate generators.
@@ -121,14 +107,24 @@ class NoiseModel:
         """Gaussian draws, shaped sigma.shape + step.shape, for the integer
         Hamiltonian step(s) `step` (Box-Muller transform); a float for one.
 
-        Each draw is the same as drawing its step alone: sigma times
-        sigma-free factors, computed once for every sigma of a column.
+        Each draw is the same as drawing its step alone: sigma times the
+        sigma-free factors S = sqrt(-2 ln u1) and C = cos(2 pi u2) of its
+        step, computed once for every sigma of a column.
         """
         steps = np.asarray(step)
         if steps.dtype.kind not in "iu":
             raise TypeError(f"steps must be integers, got {steps.dtype}")
+        # = _mix64(seed, stream_id, step), one uint64 lane per step
+        x = _splitmix64(np.uint64(_mix64(self.seed, self.stream_id))
+                        ^ steps.astype(np.uint64).ravel())
+        u1 = ((x >> 11) + 1) / (1 << 53)       # in (0, 1]
+        u2 = (_splitmix64(x) >> 11) / (1 << 53)
+        # log and cos in `math`, whose last bits numpy's do not always match;
+        # the exact scalings and the correctly rounded sqrt agree in numpy
+        log_u1 = np.fromiter(map(math.log, u1.tolist()), float, len(u1))
+        S = np.sqrt(-2.0 * log_u1)
+        C = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), float, len(u2))
         sigma = np.asarray(self.sigma, dtype=float)
-        S, C = _box_muller_factors(self.seed, self.stream_id, steps)
         # (sigma * S) * C rounds as the scalar sigma * sqrt(..) * cos(..)
         draws = ((sigma[..., None] * S) * C).reshape(sigma.shape + steps.shape)
         return draws if draws.ndim else float(draws)
@@ -250,18 +246,20 @@ def apply_noisy_sequence(seq: CircuitSequence, block=NOISELESS,
     return np.ascontiguousarray(np.moveaxis(U, -1, 0))
 
 
-def fourier_pair(N: int, block, axis: int) -> tuple:
-    """(V_f, V_i): the compiled N-site Fourier transform and its inverse,
-    each of shape (members, N, N), one per member of the noise block.
+def fourier_pair(N: int, block, d: int) -> tuple:
+    """(V_f, V_i): the compiled N-site Fourier transform and its inverse
+    along axes 0..d-1, each of shape (d, members, N, N), one per axis and
+    member of the noise block.
 
-    Each direction composes with its own draws: every model of the block
-    is taken to the `axis` entries of the salt table.
+    Each direction composes every axis of every member in one pass, with
+    its own draws: axis k takes every model of the block to the k entries
+    of the salt table.
     """
     seq = compile_for_size(N)
-    return tuple(apply_noisy_sequence(seq, [m.substream(salt) for m in block],
-                                      invert=invert)
-                 for salt, invert in ((_SALT_FORWARD[axis], False),
-                                      (_SALT_INVERSE[axis], True)))
+    pair = (apply_noisy_sequence(seq, [m.substream(salts[k]) for k in range(d)
+                                       for m in block], invert=invert)
+            for salts, invert in ((_SALT_FORWARD, False), (_SALT_INVERSE, True)))
+    return tuple(V.reshape(d, len(V) // d, N, N) for V in pair)
 
 
 def diagonal_scale(block) -> np.ndarray:
@@ -381,11 +379,11 @@ def _noise_sweep(measure, names, noise: NoiseModel, n: int, workers: int) -> tup
 
     Realizations run in blocks of `_BLOCK` consecutive ones, the last block
     shorter.  `measure` takes a block, a list of column NoiseModels, and
-    returns, for each column, one row per sigma of it, one value per entry
-    of `names` first; values past those reach only `first`.  Each block is a
-    task of one `_map_ordered` call, on one BLAS thread, since BLAS results
-    can depend on the thread count.  Blocks are never sized by `workers`,
-    so no result depends on the worker count.
+    returns one row per member of it, one value per entry of `names`
+    first; values past those reach only `first`.  Each block is a task of
+    one `_map_ordered` call, on one BLAS thread, since BLAS results can
+    depend on the thread count.  Blocks are never sized by `workers`, so no
+    result depends on the worker count.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -398,7 +396,8 @@ def _noise_sweep(measure, names, noise: NoiseModel, n: int, workers: int) -> tup
                        for r in range(1, n) if noisy]
     blocks = [tasks[i:i + _BLOCK] for i in range(0, len(tasks), _BLOCK)]
     done = _map_ordered(lambda i: measure(blocks[i]), len(blocks), workers)
-    first, *rows = (rows for block in done for rows in block)
+    members = chain.from_iterable(done)  # one row per member, in task order
+    first, *rows = [list(islice(members, len(t.sigma))) for t in tasks]
     points, later = [], zip(*rows)  # the rows of r >= 1, nonzero sigmas
     for sigma, row in zip(noise.sigma, first):
         per_r = (row,) * n if sigma == 0 else (row, *next(later, ()))

@@ -226,6 +226,16 @@ def _bott_and_headroom(U: np.ndarray, T: float, l: int) -> tuple:
             float(np.pi - np.abs(theta).max()))
 
 
+def _warn_headroom(sweep: str, headroom: float, where: str) -> None:
+    """One stderr line for the point `where` of `sweep` when `headroom`, its
+    eigenphases' smallest distance to the branch cut, is below
+    `HEADROOM_MARGIN`."""
+    if headroom < HEADROOM_MARGIN:
+        print(f"{sweep}: eigenphases within {headroom:.3g} rad of the branch "
+              f"cut at {where} (margin {HEADROOM_MARGIN:g} rad); energies may "
+              "have wrapped", file=sys.stderr)
+
+
 def noise_sweep_gap_width(p: HaldaneParams, noise: NoiseModel,
                           n_realizations: int, grid: int = 16,
                           workers: int = 1) -> list:
@@ -237,24 +247,19 @@ def noise_sweep_gap_width(p: HaldaneParams, noise: NoiseModel,
     stderr."""
     model = momentum_model(p, grid)
 
-    def rows(column):  # sigma by sigma: the eigensolve dominates
-        specs = (extract_spectrum(build_protocol_unitary(
-            model, replace(column, sigma=s)), model.T, model.l) for s in column.sigma)
+    def measure(block):  # one row per member
+        # map, not a loop variable, so that each evolution goes before the
+        # next is built
+        specs = map(lambda U: extract_spectrum(U, model.T, model.l),
+                    build_protocol_unitary(model, block))
         return [(spec.band_gap, spec.band_width,
                  np.pi - model.T * np.abs(spec.energies).max()) for spec in specs]
-
-    def measure(block):
-        return list(map(rows, block))
 
     points = _noise_sweep(measure, ("gap", "width", "headroom"), noise,
                           n_realizations, workers)[0]
     for point in points:
-        headroom = point.samples["headroom"].min()
-        if headroom < HEADROOM_MARGIN:
-            print(f"gap sweep: eigenphases within {headroom:.3g} rad of the "
-                  f"branch cut at sigma={point.sigma:g} (margin "
-                  f"{HEADROOM_MARGIN:g} rad); energies may have wrapped",
-                  file=sys.stderr)
+        _warn_headroom("gap sweep", point.samples["headroom"].min(),
+                       f"sigma={point.sigma:g}")
     return points
 
 
@@ -265,7 +270,8 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,
     The Chern entry is None on phase boundaries.  Bott values are averaged
     over `realizations` noisy runs of the one-sigma model `noise`, which
     must start on stream 0: realization r of cell i draws from
-    `replace(noise, stream_id=r).substream(i)`.  A realization whose gap
+    `replace(noise, stream_id=r).substream(i)`, and a cell's realizations
+    compose as one block.  A realization whose gap
     closed (or whose model cannot be flattened, SingularPointError, since
     the grid holds a point where d vanishes), or whose eigenphases reached
     the branch cut (PhaseWrapError),
@@ -288,13 +294,13 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,
         except PhaseBoundaryError:
             chern = None
         model = momentum_model(p, grid)
+        evolutions = build_protocol_unitary(model, [
+            replace(noise, stream_id=r).substream(index) for r in range(realizations)])
         vals, failed = [], dict.fromkeys(_FAILED.values(), 0)
         headroom = np.pi
-        for r in range(realizations):
-            cell_noise = replace(noise, stream_id=r).substream(index)
+        for _ in range(realizations):  # the map goes on past a member that raised
             try:
-                U = build_protocol_unitary(model, cell_noise)
-                bott, room = _bott_and_headroom(U, model.T, model.l)
+                bott, room = _bott_and_headroom(next(evolutions), model.T, model.l)
             except tuple(_FAILED) as err:
                 vals.append(float("nan"))
                 failed[_FAILED[type(err)]] += 1
@@ -309,9 +315,5 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,
         if counts:
             print(f"phase diagram: {counts} of {realizations} "
                   f"realizations at phi={phi:g}, M={m:g}", file=sys.stderr)
-        if headroom < HEADROOM_MARGIN:
-            print(f"phase diagram: eigenphases within {headroom:.3g} rad of "
-                  f"the branch cut at phi={phi:g}, M={m:g} (margin "
-                  f"{HEADROOM_MARGIN:g} rad); energies may have wrapped",
-                  file=sys.stderr)
+        _warn_headroom("phase diagram", headroom, f"phi={phi:g}, M={m:g}")
     return [row[:4] for row in rows]

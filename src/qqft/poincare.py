@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -180,7 +180,7 @@ def greens_function(disp: Dispersion, block=engine.NOISELESS):
     so that one propagator at a time is in memory; the default `NOISELESS`
     gives the clean one.
     """
-    V_f, V_i = engine.fourier_pair(disp.n_sites, block, 0)
+    (V_f,), (V_i,) = engine.fourier_pair(disp.n_sites, block, 1)
     return map(_greens_one, repeat(disp), V_f, V_i,
                engine.diagonal_scale(block).tolist())
 
@@ -253,10 +253,9 @@ def noise_sweep_symmetry(disp: Dispersion, lattice: LorentzLattice,
     def measure(block):  # map lets each G go before the next is built
         # only realization 0, stream 0, keeps its G
         keep = [c.stream_id == 0 for c in block for _ in c.sigma]
-        rows = map(lambda g, k: (s_lorentz(g.p_tensor, lattice), s_total(
+        return list(map(lambda g, k: (s_lorentz(g.p_tensor, lattice), s_total(
             g.p_tensor, P_clean), g.matrix if k else None),
-            greens_function(disp, block), keep)
-        return [list(islice(rows, len(c.sigma))) for c in block]
+            greens_function(disp, block), keep))
 
     points, first = _noise_sweep(measure, ("sl", "sp"), noise, n_realizations,
                                  workers)

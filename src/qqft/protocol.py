@@ -172,42 +172,37 @@ class SpectrumResult:
         return float(self.band(0).max() - self.band(0).min())
 
 
-def _apply_kron(factors, X: np.ndarray) -> np.ndarray:
-    """(F_0 (x) ... (x) F_{d-1} (x) I) X without forming the Kronecker product.
+def build_protocol_unitary(model: MomentumModel, block=engine.NOISELESS):
+    """Compose (noisy) per-dimension Fourier sequences around the diagonal
+    step, once per member of the noise block `block` (see `engine`), in
+    order.
 
-    Rows of X are composite indices, row-major with the factor-0 coordinate
-    slowest; the identity acts on whatever row index is left (the orbital).
-    """
-    rows, lead = X.shape[0], 1
-    for F in factors:
-        X = np.matmul(F, X.reshape(lead, F.shape[0], -1))
-        lead *= F.shape[0]
-    return X.reshape(rows, -1)
-
-
-def build_protocol_unitary(model: MomentumModel,
-                           noise: engine.NoiseModel = engine.NOISELESS[0]) -> np.ndarray:
-    """Compose (noisy) per-dimension Fourier sequences around the diagonal step.
-
-    `noise` is one model of one sigma: the block `[noise]` of one member.
-    Every compiled sequence (one forward and one inverse per dimension) draws
-    from its own noise substream.  With sigma = 0 (the default) the result
-    equals V Omega_D V^dag exactly.  When `noise.diagonal` is set, one more
-    draw scales the whole diagonal generator.
+    Every compiled sequence (one forward and one inverse per dimension) of
+    every member draws from its own noise substream, and all of them
+    compose in one pass per direction.  A member of sigma 0 (the default
+    `NOISELESS`) equals V Omega_D V^dag exactly; one of a model whose
+    `diagonal` is set takes one more draw, which scales the whole diagonal
+    generator.  The result is an iterator of evolutions, each built when it
+    is reached, so that one dim x dim evolution at a time is in memory.
+    A member whose diagonal step raises (a model that cannot be flattened)
+    leaves the next member to be built by the next call.
     """
     if model.d not in (1, 2):
         raise ValueError(f"unsupported dimension d={model.d}")
     if model.dim > engine.MAX_DIM:
         raise ValueError(f"evolution dimension {model.dim} exceeds {engine.MAX_DIM}")
-    if np.ndim(noise.sigma):
-        raise ValueError("one evolution takes one sigma, not a column")
-    pairs = [engine.fourier_pair(model.grid, [noise], k) for k in range(model.d)]
-    forward = [V_f[0] for V_f, _ in pairs]
-    inverse = functools.reduce(np.kron, [V_i[0] for _, V_i in pairs])
-    blocks = engine.diagonal_momentum_blocks(model, engine.diagonal_scale([noise])[0])
-    # U_d V_i: entry ((p, a), (q, b)) is blocks[p, a, b] * inverse[p, q]
-    ud_vi = np.einsum("pab,pq->paqb", blocks, inverse)
-    return _apply_kron(forward, ud_vi.reshape(model.dim, model.dim))
+    V_f, V_i = engine.fourier_pair(model.grid, block, model.d)
+    scales = engine.diagonal_scale(block).tolist()
+
+    def evolution(i):  # member i: U_d V_i, then V_f one factor at a time
+        blocks = engine.diagonal_momentum_blocks(model, scales[i])
+        # entry ((p, a), (q, b)) of U_d V_i is blocks[p, a, b] V_i[p, q]
+        X = np.einsum("pab,pq->paqb", blocks, functools.reduce(np.kron, V_i[:, i]))
+        for k, F in enumerate(V_f[:, i]):  # F_k on the axis-k coordinate
+            X = np.matmul(F, X.reshape(model.grid ** k, model.grid, -1))
+        return X.reshape(model.dim, model.dim)
+
+    return map(evolution, range(len(scales)))
 
 
 def _checked_unitary(U) -> np.ndarray:

@@ -75,7 +75,7 @@ def test_criterion_2_generic_correctness():
 def test_criterion_3_flat_band_noiseless():
     p = haldane.HaldaneParams(phi=-np.pi / 2, M=0.0)
     model = haldane.momentum_model(p, grid=16)
-    U = protocol.build_protocol_unitary(model)
+    U, = protocol.build_protocol_unitary(model)
     spec = protocol.extract_spectrum(U, model.T, model.l)
     assert spec.band_width < 1e-9
     assert abs(spec.band_gap - 2 * p.target_norm) < 1e-9
@@ -114,7 +114,7 @@ def test_criterion_5_topology():
         p = haldane.HaldaneParams(phi=phi, M=0.0)
         assert haldane.chern_analytic(p) == expected
         model = haldane.momentum_model(p, grid=16)
-        U = protocol.build_protocol_unitary(model)
+        U, = protocol.build_protocol_unitary(model)
         b = haldane.bott_index(U, model.T, model.l)
         assert round(b) == expected and abs(b - round(b)) < 1e-6
 
@@ -128,7 +128,7 @@ def test_criterion_5_topology():
 
             def one(r):
                 noise = engine.NoiseModel(3e-2, seed=77, stream_id=r)
-                U = protocol.build_protocol_unitary(model, noise)
+                U, = protocol.build_protocol_unitary(model, [noise])
                 return round(haldane.bott_index(U, model.T, model.l))
 
             values = engine._map_ordered(one, n_real, WORKERS)

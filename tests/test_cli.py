@@ -170,16 +170,20 @@ class TestFlatband:
 
     def test_boundary_cell_counts_as_closed_gap(self, tmp_path, capsys):
         # M = 3 at phi = pi/2 is a phase boundary, and the 6 x 6 grid holds
-        # the point where d vanishes: the model cannot be flattened
-        args = ["flatband", "--grid", "6", "--sigma", "", "--phase-grid", "1",
-                "--phi-range", "1.5707963267948966", "1.5707963267948966",
-                "--m-range", "3", "3", "--out", str(tmp_path)]
-        assert main(args) == 0
-        _, cells = read_rows(tmp_path / "phase_diagram.csv")
-        assert len(cells) == 1 and cells[0][2] == "nan" and cells[0][3] == ""
-        assert capsys.readouterr().err.splitlines() == [
-            "phase diagram: gap closed in 1 of 1 realizations at "
-            "phi=1.5708, M=3"]
+        # the point where d vanishes: the model cannot be flattened, so every
+        # member of the cell's block raises and each counts
+        for r in (1, 3):
+            out = tmp_path / str(r)
+            args = ["flatband", "--grid", "6", "--sigma", "", "--phase-grid", "1",
+                    "--phi-range", "1.5707963267948966", "1.5707963267948966",
+                    "--m-range", "3", "3", "--phase-realizations", str(r),
+                    "--out", str(out)]
+            assert main(args) == 0
+            _, cells = read_rows(out / "phase_diagram.csv")
+            assert len(cells) == 1 and cells[0][2] == "nan" and cells[0][3] == ""
+            assert capsys.readouterr().err.splitlines() == [
+                f"phase diagram: gap closed in {r} of {r} realizations at "
+                "phi=1.5708, M=3"]
 
     def test_noise_on_diagonal_flag(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -405,6 +409,13 @@ class TestBadInput:
         (["flatband", "--phase-sigma", "-1"], "--phase-sigma must be >= 0"),
         (["compile", "--n", "0"], "--n must be >= 1"),
         (["compile", "--N", "1"], "--N must be >= 2"),
+        # more than engine.MAX_DIM sites, or more than MAX_DIM^2 propagator
+        # entries (N > 256), are refused before anything is built
+        (["compile", "--N", "4097"], "--N 4097 exceeds 4096 sites"),
+        (["compile", "--n", "13"], "--n 13 gives 2\\^13 sites, which exceeds"),
+        (["compile", "--n", "1000000000"], "which exceeds 4096"),
+        (["poincare", "--N", "257"], "--N 257 gives 257\\^3 .* exceeds 4096\\^2"),
+        (["poincare", "--N", "1000"], "exceeds"),
     ])
     def test_usage_error(self, tmp_path, args, message):
         out = tmp_path / "out"

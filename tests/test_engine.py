@@ -393,9 +393,10 @@ class TestApplyNoisySequence:
         apply_noisy_sequence(circuit.build_radix2_qqft(3), [column])
         assert calls == [column]
         calls.clear()
-        engine.fourier_pair(8, [column], 1)     # one call per direction
-        assert calls == [column.substream(engine._SALT_FORWARD[1]),
-                         column.substream(engine._SALT_INVERSE[1])]
+        engine.fourier_pair(8, [column], 2)     # one call per axis and direction
+        assert calls == [column.substream(salts[k])
+                         for salts in (engine._SALT_FORWARD, engine._SALT_INVERSE)
+                         for k in (0, 1)]
 
     def test_one_draw_call_per_sequence(self, monkeypatch):
         calls = []
@@ -470,15 +471,21 @@ class TestBlockContract:
     @pytest.mark.parametrize("N", [6, 8])    # generic and radix-2 routes
     @pytest.mark.parametrize("axis", [0, 1])
     def test_fourier_pair_members_in_order(self, N, axis):
-        pair = engine.fourier_pair(N, MIXED_BLOCK, axis)
+        # both axes of every member in one pass per direction: each (axis,
+        # member) is that axis of the member's own pair, with as few axes
+        # as reach it
+        pair = engine.fourier_pair(N, MIXED_BLOCK, 2)
         for i, member in enumerate(MIXED_MEMBERS):
-            alone = engine.fourier_pair(N, [member], axis)
+            alone = engine.fourier_pair(N, [member], axis + 1)
             for got, want in zip(pair, alone):     # forward, then inverse
-                assert got.shape == (len(MIXED_MEMBERS), N, N)
-                assert got[i].tobytes() == want.tobytes()
-        for V in pair:  # the noisy members differ from the clean ones
+                assert got.shape == (2, len(MIXED_MEMBERS), N, N)
+                assert want.shape == (axis + 1, 1, N, N)
+                assert got[axis, i].tobytes() == want[axis, 0].tobytes()
+        for V in pair[0][axis], pair[1][axis]:  # noisy members differ from clean
             assert V[0].tobytes() == V[1].tobytes() != V[2].tobytes()
             assert V[3].tobytes() not in (V[0].tobytes(), V[2].tobytes())
+        for V in pair:  # the two axes draw from their own streams
+            assert V[0, 2].tobytes() != V[1, 2].tobytes()
 
     @pytest.mark.parametrize("N", [33, 16])     # generic and radix-2 routes
     @pytest.mark.parametrize("invert", [False, True])
@@ -501,7 +508,8 @@ class TestBlockContract:
         assert apply_noisy_sequence(seq, [], invert=invert).shape == (0, n, n)
 
     def test_empty_block_fourier_pair_and_diagonal_scale(self):
-        assert [V.shape for V in engine.fourier_pair(6, [], 1)] == [(0, 6, 6)] * 2
+        for d in (1, 2):
+            assert [V.shape for V in engine.fourier_pair(6, [], d)] == [(d, 0, 6, 6)] * 2
         scales = engine.diagonal_scale([])
         assert scales.shape == (0,) and scales.dtype == float
 
@@ -523,14 +531,14 @@ class TestZeroSigmaIsStreamFree:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(seed=WORDS, stream=WORDS,
            N=st.sampled_from([3, 4, 6, 8]),    # generic and radix-2 routes
-           axis=st.sampled_from([0, 1]),
+           d=st.sampled_from([1, 2]),
            sigma=st.sampled_from([0.0, (0.0,), (0.0, 0.0)]))
-    @example(seed=1, stream=0, N=8, axis=0, sigma=0.0)    # draws a -0.0
-    def test_fourier_pair_same_on_every_stream(self, seed, stream, N, axis,
+    @example(seed=1, stream=0, N=8, d=1, sigma=0.0)    # draws a -0.0
+    def test_fourier_pair_same_on_every_stream(self, seed, stream, N, d,
                                                sigma):
-        clean = engine.fourier_pair(N, engine.NOISELESS, axis)
+        clean = engine.fourier_pair(N, engine.NOISELESS, d)
         for noise in (NoiseModel(sigma, seed, stream), NoiseModel(sigma, seed)):
-            pair = engine.fourier_pair(N, [noise], axis)
+            pair = engine.fourier_pair(N, [noise], d)
             for got, want in zip(pair, clean):     # forward, then inverse
                 want = np.broadcast_to(want, got.shape)
                 assert got.tobytes() == want.tobytes()

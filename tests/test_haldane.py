@@ -287,7 +287,7 @@ class TestBottIndex:
         return self.model_bott(momentum_model(params(phi, M), grid=self.grid()))
 
     def model_bott(self, model):
-        U = build_protocol_unitary(model)
+        U, = build_protocol_unitary(model)
         return bott_index(U, model.T, model.l)
 
     def test_matches_chern_in_clean_limit(self):
@@ -301,8 +301,8 @@ class TestBottIndex:
         model = momentum_model(params(-np.pi / 2, 0.0), grid=self.grid())
         hits = 0
         for r in range(6):
-            U = build_protocol_unitary(model, NoiseModel(3e-2, seed=17,
-                                                         stream_id=r))
+            U, = build_protocol_unitary(model, [NoiseModel(3e-2, seed=17,
+                                                           stream_id=r)])
             b = bott_index(U, model.T, model.l)
             assert abs(b - round(b)) < 0.1
             hits += round(b) == 1
@@ -343,7 +343,7 @@ class TestBottIndex:
                                  (np.pi / 2, 10.0)]))
     def test_matches_schur_reference(self, seed, lobe):
         model = momentum_model(params(*lobe), grid=self.grid())
-        U = build_protocol_unitary(model, NoiseModel(3e-2, seed=seed))
+        U, = build_protocol_unitary(model, [NoiseModel(3e-2, seed=seed)])
         b = bott_index(U, model.T, model.l)
         assert b == pytest.approx(schur_bott_reference(U, model.T, model.l),
                                   abs=1e-9)
@@ -405,7 +405,7 @@ class TestArctan2Route:
         # two eigenphases, each dim / 2 times: the large runs of equal sine
         # hold one theta each, so every residual passes at once
         model = momentum_model(params(*lobe), grid=grid)
-        U = build_protocol_unitary(model)
+        U, = build_protocol_unitary(model)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the cluster step was taken")
@@ -417,7 +417,7 @@ class TestArctan2Route:
         # fewer than half of the eigenphases are positive here, so the
         # occupied set is not theta > 0
         model = momentum_model(params(-np.pi / 2, 0.0), grid=16)
-        U = build_protocol_unitary(model, NoiseModel(3e-2, seed=1))
+        U, = build_protocol_unitary(model, [NoiseModel(3e-2, seed=1)])
         assert (np.angle(np.linalg.eigvals(U)) > 0).sum() == 235
         b = bott_index(U, model.T, model.l)
         assert b == pytest.approx(eig_bott_reference(U, model.T, model.l),
@@ -454,7 +454,7 @@ class TestArctan2Route:
         # Checked on one BLAS thread, as every sweep runs
         engine._pin_blas()
         model = momentum_model(params(-np.pi / 2, 0.0), grid=16)
-        U = build_protocol_unitary(model, NoiseModel(3e-2, seed=1))
+        U, = build_protocol_unitary(model, [NoiseModel(3e-2, seed=1)])
         n = len(U)
         rng = np.random.default_rng(1)
         G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -511,7 +511,7 @@ class TestNoiseSweep:
                                              n_realizations=2, grid=4)
         model = momentum_model(p, grid=4)
         for r, headroom in enumerate(noisy.samples["headroom"]):
-            U = build_protocol_unitary(model, NoiseModel(0.3, 5, stream_id=r))
+            U, = build_protocol_unitary(model, [NoiseModel(0.3, 5, stream_id=r)])
             theta = np.angle(np.linalg.eigvals(U))
             assert headroom == pytest.approx(np.pi - np.abs(theta).max(), abs=1e-9)
         # clean eigenphases are +-T |d| = +-1
@@ -564,17 +564,18 @@ class TestPhaseDiagram:
 
     def test_cell_streams_carry_the_model(self, monkeypatch):
         # realization r of cell i is replace(noise, stream_id=r).substream(i),
-        # so the diagonal switch travels with the model into every evolution
+        # and a cell's realizations are one block, so the diagonal switch
+        # travels with the model into every evolution
         calls = []
         real = haldane.build_protocol_unitary
         monkeypatch.setattr(haldane, "build_protocol_unitary",
-                            lambda model, noise: calls.append(noise) or real(model, noise))
+                            lambda model, block: calls.append(block) or real(model, block))
         noise = NoiseModel(3e-2, 5, diagonal=True)
         phase_diagram([-np.pi / 2, np.pi / 2], [0.0, 1.0], noise, grid=4,
                       realizations=2)
-        assert calls == [replace(noise, stream_id=r).substream(index)
-                         for index in range(4) for r in range(2)]
-        assert all(c.diagonal for c in calls)
+        assert calls == [[replace(noise, stream_id=r).substream(index)
+                          for r in range(2)] for index in range(4)]
+        assert all(c.diagonal for block in calls for c in block)
 
 
 class TestClosedGapCount:
@@ -596,9 +597,9 @@ class TestClosedGapCount:
                                         failures, nan, lines):
         phis, ms = [-np.pi / 2, np.pi / 2], [0.0, 1.0]
         cells = [(phi, m) for phi in phis for m in ms]
-        refused = [(build_protocol_unitary(
+        refused = [(*build_protocol_unitary(
             momentum_model(params(*cells[index]), 4),
-            replace(NoiseModel(1e-2, 3), stream_id=r).substream(index)), error)
+            [replace(NoiseModel(1e-2, 3), stream_id=r).substream(index)]), error)
             for (index, r), error in failures.items()]
         real = haldane._bott_and_headroom
 
@@ -629,7 +630,7 @@ class TestClosedGapCount:
 class TestPhaseDiagramHeadroom:
     def test_headroom_is_distance_to_branch_cut(self):
         model = momentum_model(params(-np.pi / 2, 1.0), grid=4)
-        U = build_protocol_unitary(model, NoiseModel(0.2, 5))
+        U, = build_protocol_unitary(model, [NoiseModel(0.2, 5)])
         bott, headroom = haldane._bott_and_headroom(U, model.T, model.l)
         assert bott == bott_index(U, model.T, model.l)
         theta = np.angle(np.linalg.eigvals(U))

@@ -39,7 +39,7 @@ def greens_reference(disp, block=engine.NOISELESS):
     time, P by np.roll: the reference for the batched greens_function."""
     N = disp.n_sites
     j = np.array(disp.j_table)
-    (V_f,), (V_i,) = engine.fourier_pair(N, block, 0)
+    ((V_f,),), ((V_i,),) = engine.fourier_pair(N, block, 1)
     scale, = engine.diagonal_scale(block).tolist()
     G = np.zeros((N, N), dtype=complex)
     P = np.zeros((N, N, N))

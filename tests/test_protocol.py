@@ -3,7 +3,6 @@ from functools import reduce
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qqft import circuit, engine, haldane, protocol
@@ -22,6 +21,7 @@ from qqft.protocol import (
     extract_spectrum,
     gate_time,
 )
+from test_engine import MIXED_BLOCK, MIXED_MEMBERS, diagonal_momentum_evolution
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SIGMAS = st.sampled_from([0.0, 1e-3, 2.5e-3, 5e-3, 3e-2])
@@ -46,19 +46,19 @@ class TestBuildProtocolUnitary:
     def test_zero_hamiltonian_gives_identity(self):
         model = MomentumModel(d=1, l=1, grid=8,
                               sampler=lambda m: np.zeros((1, 1)))
-        U = build_protocol_unitary(model)
+        U, = build_protocol_unitary(model)
         assert np.abs(U - np.eye(8)).max() < 1e-12
 
     def test_zero_hamiltonian_2d_two_orbitals(self):
         model = MomentumModel(d=2, l=2, grid=4,
                               sampler=lambda a, b: np.zeros((2, 2)))
-        U = build_protocol_unitary(model)
+        U, = build_protocol_unitary(model)
         assert np.abs(U - np.eye(32)).max() < 1e-12
 
     def test_eigenphases_are_diagonal_spectrum(self):
         energies = [0.9, -0.3, 1.7, 0.2, -1.1, 0.0, 0.4, 2.0]
         model = diagonal_model(energies, T=0.25)
-        U = build_protocol_unitary(model)
+        U, = build_protocol_unitary(model)
         got = np.sort(np.angle(np.linalg.eigvals(U)))
         expected = np.sort(np.angle(np.exp(-1j * 0.25 * np.array(energies))))
         assert np.abs(got - expected).max() < 1e-9
@@ -66,19 +66,19 @@ class TestBuildProtocolUnitary:
     def test_plane_wave_oracle_n4(self):
         energies = [0.5, -1.0, 2.2, 0.1]
         model = diagonal_model(energies, T=0.4)
-        U = build_protocol_unitary(model)
+        U, = build_protocol_unitary(model)
         assert np.abs(U - plane_wave_oracle(energies, 0.4)).max() < 1e-10
 
     def test_generic_grid_size(self):
         energies = [0.3, -0.7, 1.1]
         model = diagonal_model(energies, T=0.4)
-        U = build_protocol_unitary(model)
+        U, = build_protocol_unitary(model)
         assert np.abs(U - plane_wave_oracle(energies, 0.4)).max() < 1e-10
 
     def test_spectrum_invariant_under_conjugation(self):
         model = haldane.momentum_model(
             haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=4)
-        U = build_protocol_unitary(model)
+        U, = build_protocol_unitary(model)
         Ud = diagonal_momentum_evolution(model)
         got = np.sort(np.angle(np.linalg.eigvals(U)))
         expected = np.sort(np.angle(np.linalg.eigvals(Ud)))
@@ -88,28 +88,83 @@ class TestBuildProtocolUnitary:
         model = haldane.momentum_model(
             haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=4)
         for flag in (False, True):
-            U = build_protocol_unitary(model, NoiseModel(0.05, seed=3,
-                                                         diagonal=flag))
+            U, = build_protocol_unitary(model, [NoiseModel(0.05, seed=3,
+                                                           diagonal=flag)])
             assert unitarity_defect(U) < 1e-10
 
     def test_noise_on_diagonal_changes_result(self):
         model = haldane.momentum_model(
             haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=4)
         noise = NoiseModel(0.05, seed=3)
-        U_off = build_protocol_unitary(model, noise)
-        U_on = build_protocol_unitary(model, replace(noise, diagonal=True))
+        U_off, U_on = build_protocol_unitary(model, [noise, replace(noise, diagonal=True)])
         assert np.abs(U_on - U_off).max() > 1e-4
-
-    def test_sigma_column_rejected(self):
-        model = haldane.momentum_model(haldane.HaldaneParams(phi=0.5, M=0.0), 4)
-        with pytest.raises(ValueError, match="one sigma"):
-            build_protocol_unitary(model, engine.NoiseModel((0.0, 1e-3), seed=1))
 
     def test_unsupported_dimension(self):
         model = MomentumModel(d=3, l=1, grid=2,
                               sampler=lambda *m: np.zeros((1, 1)))
         with pytest.raises(ValueError):
             build_protocol_unitary(model)
+
+
+class TestEvolutionBlock:
+    """One evolution per member of the block, in order, each bit for bit
+    its own one-member block, from two kernel passes."""
+
+    @pytest.mark.parametrize("d,l,grid", [(1, 2, 6), (1, 1, 8), (2, 2, 4),
+                                          (2, 1, 3)])
+    def test_members_match_one_member_blocks(self, d, l, grid):
+        model = random_hermitian_model(d, l, grid)
+        got = list(build_protocol_unitary(model, MIXED_BLOCK))
+        assert len(got) == len(MIXED_MEMBERS)
+        for U, member in zip(got, MIXED_MEMBERS):
+            alone, = build_protocol_unitary(model, [member])
+            assert U.tobytes() == alone.tobytes()
+        # the clean member and the zero sigma with noise on the diagonal
+        # agree; every noisy member differs
+        assert got[0].tobytes() == got[1].tobytes()
+        assert len({U.tobytes() for U in got[1:]}) == 3
+
+    @pytest.mark.parametrize("d,grid", [(1, 8), (2, 4)])
+    @pytest.mark.parametrize("block", [engine.NOISELESS, MIXED_BLOCK,
+                                       [NoiseModel((1e-3, 2e-3, 0.0), 4)] * 3],
+                             ids=["noiseless", "mixed", "nine"])
+    def test_two_kernel_passes_per_build(self, monkeypatch, d, grid, block):
+        calls = []
+        apply = engine.apply_noisy_sequence
+        monkeypatch.setattr(engine, "apply_noisy_sequence",
+                            lambda *a, **k: calls.append(1) or apply(*a, **k))
+        model = random_hermitian_model(d, 1, grid)
+        assert len(list(build_protocol_unitary(model, block))) == sum(
+            np.size(m.sigma) for m in block)
+        assert len(calls) == 2
+
+    def test_evolutions_built_when_reached(self, monkeypatch):
+        built = []
+        blocks = engine.diagonal_momentum_blocks
+        monkeypatch.setattr(engine, "diagonal_momentum_blocks",
+                            lambda *a: built.append(1) or blocks(*a))
+        evolutions = build_protocol_unitary(random_hermitian_model(2, 2, 4),
+                                            MIXED_BLOCK)
+        assert built == []
+        next(evolutions)
+        assert built == [1]
+
+    def test_raising_member_leaves_the_next(self):
+        # a model that cannot be flattened raises in every member's diagonal
+        # step; each call raises, and the block ends after its last member
+        def sampler(a, b):
+            raise haldane.SingularPointError("d vanishes")
+
+        model = MomentumModel(d=2, l=2, grid=4, sampler=sampler)
+        evolutions = build_protocol_unitary(model, [NoiseModel(1e-2, 1, r)
+                                                    for r in range(3)])
+        for _ in range(3):
+            with pytest.raises(haldane.SingularPointError):
+                next(evolutions)
+        assert next(evolutions, None) is None
+
+    def test_empty_block_gives_no_evolutions(self):
+        assert list(build_protocol_unitary(random_hermitian_model(2, 2, 4), [])) == []
 
 
 def random_hermitian_model(d, l, grid, seed=0):
@@ -120,11 +175,6 @@ def random_hermitian_model(d, l, grid, seed=0):
     return MomentumModel(
         d=d, l=l, grid=grid, T=0.2,
         sampler=lambda *m: blocks[np.ravel_multi_index(m, (grid,) * d)])
-
-
-def diagonal_momentum_evolution(model, scale=1.0):
-    """The diagonal step as one dense block-diagonal matrix."""
-    return scipy.linalg.block_diag(*engine.diagonal_momentum_blocks(model, scale))
 
 
 def dense_kron_reference(model, noise):
@@ -160,7 +210,8 @@ class TestKroneckerAssembly:
                         )
         phases = np.exp(-1j * 0.5 * energies.ravel())
         expected = (oracle * phases) @ oracle.conj().T
-        assert np.abs(build_protocol_unitary(model) - expected).max() < 1e-12
+        U, = build_protocol_unitary(model)
+        assert np.abs(U - expected).max() < 1e-12
 
     def test_max_dimension_guard(self):
         def sampler(*m):
@@ -180,7 +231,7 @@ class TestKroneckerAssembly:
                                           seed, sigma):
         model = random_hermitian_model(d, l, grid)
         noise = NoiseModel(sigma, seed, stream_id=seed % 7, diagonal=diagonal)
-        got = build_protocol_unitary(model, noise)
+        got, = build_protocol_unitary(model, [noise])
         ref = dense_kron_reference(model, noise)
         assert np.abs(got - ref).max() < 1e-12
 
@@ -194,7 +245,7 @@ class TestExtractSpectrum:
     def test_flat_band_energies(self):
         p = haldane.HaldaneParams(phi=-np.pi / 2, M=0.0)
         model = haldane.momentum_model(p, grid=4)
-        U = build_protocol_unitary(model)
+        U, = build_protocol_unitary(model)
         spec = extract_spectrum(U, model.T, model.l)
         norm = p.target_norm
         assert np.abs(spec.band(0) + norm).max() < 1e-9
@@ -205,7 +256,7 @@ class TestExtractSpectrum:
     def test_round_trip_diagonal(self):
         energies = np.array([0.9, -0.3, 1.7, 0.2, -1.1, 0.0, 0.4, 2.0])
         model = diagonal_model(energies, T=0.25)
-        U = build_protocol_unitary(model)
+        U, = build_protocol_unitary(model)
         spec = extract_spectrum(U, 0.25, l=1)
         assert np.abs(spec.energies - np.sort(energies)).max() < 1e-9
 
@@ -245,7 +296,7 @@ class TestExtractSpectrum:
     def test_matches_general_eigensolver(self, grid, seed, sigma):
         model = haldane.momentum_model(
             haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=grid)
-        U = build_protocol_unitary(model, NoiseModel(sigma, seed))
+        U, = build_protocol_unitary(model, [NoiseModel(sigma, seed)])
         spec = extract_spectrum(U, model.T, model.l)
         ref = np.sort(-np.angle(np.linalg.eigvals(U)) / model.T)
         assert np.abs(spec.energies - ref).max() < 1e-12
@@ -366,7 +417,7 @@ class TestSineRoute:
         # caught: the spectrum and the Bott index refuse the same ones
         model = haldane.momentum_model(
             haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=grid)
-        U = build_protocol_unitary(model, NoiseModel(sigma, 3))
+        U, = build_protocol_unitary(model, [NoiseModel(sigma, 3)])
         n = len(U)
         rng = np.random.default_rng(1)
         G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -390,7 +441,7 @@ class TestSineRoute:
 
         model = haldane.momentum_model(
             haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=16)
-        U = build_protocol_unitary(model, NoiseModel(5e-3, 1))
+        U, = build_protocol_unitary(model, [NoiseModel(5e-3, 1)])
         monkeypatch.setattr(protocol, "_arctan2_phases", refuse)
         spec = extract_spectrum(U, model.T, model.l)
         assert spec.band_gap > 0

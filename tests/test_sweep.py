@@ -19,8 +19,8 @@ def sweep_reference(measure, names, noise, n, workers):
     afresh like every other realization."""
     sigmas = noise.sigma
 
-    def column(r):
-        return measure([replace(noise, stream_id=r)])[0]
+    def column(r):  # a block of one column: one row per sigma
+        return measure([replace(noise, stream_id=r)])
 
     columns = engine._map_ordered(column, n, workers) if sigmas else []
     points = [SweepPoint(sigma=sigma, samples=dict(zip(
@@ -83,8 +83,8 @@ def test_symmetry_sweep_matches_reference(monkeypatch, sigmas, on_diagonal,
     assert_same_greens(got[1], want[1])
 
 
-# the flat band measures a block column by column: every n and every
-# worker count once, not their product, which would take 18 s
+# the flat band's eigensolve dominates: every n and every worker count
+# once, not their product, which would take 18 s
 @pytest.mark.parametrize("n, workers", [(1, 3), (4, 1), (5, 2), (9, 3)])
 @pytest.mark.parametrize("on_diagonal", [False, True])
 @pytest.mark.parametrize("sigmas", SIGMA_LISTS)
@@ -108,9 +108,9 @@ def test_n33_column_matches_reference(monkeypatch):
 
 
 def draws(block):
-    """One row per sigma of each column: the sum of its draws, and the draws."""
-    return [[(float(x.sum()), x) for x in column.delta(np.arange(5))]
-            for column in block]
+    """One row per member of the block: the sum of its draws, and the draws."""
+    return [(float(x.sum()), x) for column in block
+            for x in column.delta(np.arange(5))]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
