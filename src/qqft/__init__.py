@@ -15,11 +15,7 @@ from .circuit import (
     sequence_to_json,
     sequence_to_unitary,
 )
-from .engine import (
-    NoiseModel,
-    apply_noisy_sequence,
-    gate_to_generator,
-)
+from .engine import NoiseModel, apply_noisy_sequence
 from .protocol import (
     MomentumModel,
     SpectrumResult,
@@ -43,7 +39,6 @@ __all__ = [
     "dft_matrix",
     "estimate_runtime",
     "extract_spectrum",
-    "gate_to_generator",
     "sequence_from_json",
     "sequence_to_json",
     "sequence_to_unitary",

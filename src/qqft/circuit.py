@@ -51,6 +51,9 @@ PHASE = "phase"
 
 _SWAP_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
+#: angles below this are dropped when a 2x2 unitary is split into gates
+_ANGLE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class GateSpec:
@@ -224,28 +227,28 @@ def build_radix2_qqft(n: int) -> CircuitSequence:
     return CircuitSequence(n_sites=N, gates=tuple(gates))
 
 
-def _two_site_factor(W: np.ndarray, tol: float = 1e-12) -> list:
+def _two_site_factor(W: np.ndarray) -> list:
     """Split a 2x2 unitary into [Mix, Phase, Phase] gates (application order).
 
     Any 2x2 unitary factors as diag(e^{i a}, e^{i b}) @ Mix(theta, phi); the
-    diagonal is emitted as trailing single-site phases.  Near-zero angles are
-    dropped.
+    diagonal is emitted as trailing single-site phases.  Angles below
+    `_ANGLE_TOL` are dropped.
     """
     a, b = abs(W[0, 0]), abs(W[1, 0])
     theta = math.atan2(b, a)
-    if b < tol:  # diagonal block: Mix(0, 0) = diag(1, -1)
+    if b < _ANGLE_TOL:  # diagonal block: Mix(0, 0) = diag(1, -1)
         parts = [(MIX, theta, 0.0)]
         top, bot = np.angle(W[0, 0]), np.angle(-W[1, 1])
-    elif a < tol:  # antidiagonal block: Mix(pi/2, phi) = [[0, e^{i phi}], [1, 0]]
+    elif a < _ANGLE_TOL:  # antidiagonal block: Mix(pi/2, phi) = [[0, e^{i phi}], [1, 0]]
         parts = [(MIX, theta, float(np.angle(W[0, 1])))]
         top, bot = 0.0, np.angle(W[1, 0])
     else:
         top = np.angle(W[0, 0])
         bot = np.angle(W[1, 0])
         parts = [(MIX, theta, float(np.angle(W[0, 1]) - top))]
-    if abs(top) > tol:
+    if abs(top) > _ANGLE_TOL:
         parts.append((PHASE, 0, float(top)))
-    if abs(bot) > tol:
+    if abs(bot) > _ANGLE_TOL:
         parts.append((PHASE, 1, float(bot)))
     return parts
 

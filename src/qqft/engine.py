@@ -162,17 +162,6 @@ def unitary_eig(U: np.ndarray):
     return _fold_phases(-np.angle(np.diag(T))), Z
 
 
-def hermitian_log_unitary(U: np.ndarray) -> np.ndarray:
-    """Principal-branch Hermitian generator H with exp(-i H) = U."""
-    E, Z = unitary_eig(U)
-    return (Z * E) @ Z.conj().T
-
-
-def gate_to_generator(gate) -> np.ndarray:
-    """Hermitian generator of a gate on its own 1- or 2-site block."""
-    return hermitian_log_unitary(gate_matrix(gate))
-
-
 @lru_cache(maxsize=64)
 def _gate_spectra(seq: CircuitSequence):
     """(layers, E, P) of the gates in `seq.gates` order: layer tags, the
@@ -270,20 +259,6 @@ def diagonal_scale(block) -> np.ndarray:
     return np.concatenate([np.empty(0)] + [np.broadcast_to(
         1.0 + m.substream(_SALT_DIAGONAL).delta(0) if m.diagonal else 1.0,
         np.size(m.sigma)) for m in block])
-
-
-def diagonal_momentum_blocks(model, scale: float = 1.0) -> np.ndarray:
-    """Blocks exp(-i H(m) T) of the diagonal step, shape (grid**d, l, l).
-
-    `model` provides T and `eigensystem`, the per-point eigenvalues and
-    eigenvectors of its Hermitian sampler blocks (see
-    `protocol.MomentumModel`), which are computed once per model.  Blocks are
-    ordered row-major in the grid coordinates; `scale` multiplies every
-    generator (used for noise on the diagonal step), so it only rescales the
-    cached phases.
-    """
-    w, Q = model.eigensystem
-    return (Q * np.exp(-1j * w * model.T * scale)[:, None, :]) @ Q.conj().swapaxes(1, 2)
 
 
 @dataclass

@@ -24,7 +24,6 @@ under gate noise.
 
 from __future__ import annotations
 
-import functools
 import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -130,18 +129,12 @@ def bz_grid(N: int) -> np.ndarray:
 
 def momentum_model(p: HaldaneParams, grid: int = 16,
                    T: float = T_DEFAULT) -> MomentumModel:
-    """Flattened two-band model on an N x N Brillouin-zone grid; builds
-    nothing of grid size until a block is asked for, and then every block
-    in one vectorized pass, kept for the other grid points."""
-
-    @functools.cache
-    def blocks():  # [a, b]: the block at the momentum bz_grid(grid)[a, b]
-        return bloch_matrix(flatten(d_vector(bz_grid(grid), p), p.target_norm))
-
-    def sampler(a, b):
-        return blocks()[a, b].copy()
-
-    return MomentumModel(d=2, l=2, grid=grid, sampler=sampler, T=T)
+    """Flattened two-band model on an N x N Brillouin-zone grid, block
+    [a N + b] at the momentum bz_grid(N)[a, b]; builds nothing of grid size
+    until its eigensystem is asked for, and then every block in one
+    vectorized pass."""
+    return MomentumModel(d=2, l=2, grid=grid, T=T, hamiltonian=lambda: bloch_matrix(
+        flatten(d_vector(bz_grid(grid), p), p.target_norm)).reshape(-1, 2, 2))
 
 
 def chern_analytic(p: HaldaneParams) -> int:
@@ -160,7 +153,7 @@ def chern_fhs(model: MomentumModel) -> int:
 
     Plaquette products of link overlaps of the lower-band eigenvectors of
     `model.eigensystem`, all plaquettes at once; the total flux is
-    quantized for a gapped sampler and is independent of the formula behind
+    quantized for a gapped model and is independent of the formula behind
     `chern_analytic`.
     """
     N = model.grid
@@ -178,8 +171,10 @@ def chern_fhs(model: MomentumModel) -> int:
     return int(round(c))
 
 
-def bott_index(U: np.ndarray, T: float, l: int) -> float:
-    """Real-space topological invariant of the lower-band projector.
+def bott_index(U: np.ndarray, T: float, l: int) -> tuple:
+    """(B, pi - max|theta|): the real-space topological invariant of the
+    lower-band projector, and the distance of U's eigenphases theta to the
+    branch cut.
 
     B = Im tr log(Vy Vx Vy^dag Vx^dag) / (2 pi) with Vx, Vy the
     position-phase operators exp(2 pi i X / N), exp(2 pi i Y / N) compressed
@@ -189,18 +184,12 @@ def bott_index(U: np.ndarray, T: float, l: int) -> float:
     of theta: not theta > 0, since noise moves the phases off centre.
     Eigenphases and eigenvectors come from the arctan2 route of `protocol`
     (one eigh of the Hermitian part of U, certified by residuals), after the
-    probe check of `extract_spectrum`.  Returns the real value before
+    probe check of `extract_spectrum`.  B is the real value before
     rounding.  Raises GapClosedError when the spectrum has no gap (below
     1e-8) at half filling, PhaseWrapError, like `extract_spectrum`, when an
     eigenphase sits within `protocol.WRAP_MARGIN` of the branch cut, and
     ValueError when U is not unitary.
     """
-    return _bott_and_headroom(U, T, l)[0]
-
-
-def _bott_and_headroom(U: np.ndarray, T: float, l: int) -> tuple:
-    """(`bott_index(U, T, l)`, pi - max|theta|): the Bott index and the
-    distance of U's eigenphases to the branch cut."""
     dim = U.shape[0]
     N = round(np.sqrt(dim / l))
     if N * N * l != dim:
@@ -300,7 +289,7 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,
         headroom = np.pi
         for _ in range(realizations):  # the map goes on past a member that raised
             try:
-                bott, room = _bott_and_headroom(next(evolutions), model.T, model.l)
+                bott, room = bott_index(next(evolutions), model.T, model.l)
             except tuple(_FAILED) as err:
                 vals.append(float("nan"))
                 failed[_FAILED[type(err)]] += 1

@@ -29,6 +29,9 @@ import numpy as np
 from . import engine
 from .engine import NoiseModel, _map_ordered, _noise_sweep
 
+#: the exact-cover search for orbit-cover dispersions stops at this many
+_MAX_ORBIT_COVERS = 64
+
 
 class DispersionError(ValueError):
     """No nontrivial Lorentz-compatible dispersion exists for (N, gamma)."""
@@ -47,11 +50,6 @@ class LorentzLattice:
     gamma: int
     classes: tuple            # tuple of tuples of (m, n) pairs
     class_of: np.ndarray      # [m, n] -> class index
-
-    @property
-    def matrix(self) -> np.ndarray:
-        g = self.gamma
-        return np.array([[g, 1], [g * g - 1, g]])
 
     @property
     def sizes(self) -> np.ndarray:
@@ -102,9 +100,10 @@ def _linear_dispersions(N: int, gamma: int) -> list:
             for c in range(1, N) if (c * c) % N == target]
 
 
-def _orbit_cover_dispersions(N: int, gamma: int, max_solutions: int = 64) -> list:
+def _orbit_cover_dispersions(N: int, gamma: int) -> list:
     """Exact-cover search: unions of boost orbits in (m, j) space whose
-    m-projection hits every momentum exactly once.  Bounded enumeration."""
+    m-projection hits every momentum exactly once; at most
+    `_MAX_ORBIT_COVERS` of them."""
     lattice = equivalence_classes(N, gamma)
     usable = [orbit for orbit in lattice.classes
               if len({m for m, _ in orbit}) == len(orbit)]
@@ -115,7 +114,7 @@ def _orbit_cover_dispersions(N: int, gamma: int, max_solutions: int = 64) -> lis
     solutions = []
 
     def backtrack(covered, chosen):
-        if len(solutions) >= max_solutions:
+        if len(solutions) >= _MAX_ORBIT_COVERS:
             return
         m = next((m for m in range(N) if m not in covered), N)
         if m == N:  # the chosen orbits hold each m once: j by m

@@ -98,17 +98,17 @@ class PhaseWrapError(ValueError):
 
 @dataclass(frozen=True)
 class MomentumModel:
-    """Sampler of the momentum-space Hamiltonian on a uniform grid.
+    """The momentum-space Hamiltonian on a uniform grid, as one stack.
 
-    sampler(m_1, ..., m_d) must return the l x l Hermitian block at grid
-    point m; the composite state index is row-major in the grid coordinates
-    with the orbital index fastest.
+    hamiltonian() must return every l x l Hermitian block at once, shape
+    (grid**d, l, l), row-major in the grid coordinates, as is the composite
+    state index, whose orbital index runs fastest.
     """
 
     d: int
     l: int
     grid: int
-    sampler: Callable[..., np.ndarray]
+    hamiltonian: Callable[[], np.ndarray]
     T: float = T_DEFAULT
 
     def __post_init__(self):
@@ -122,26 +122,34 @@ class MomentumModel:
     @functools.cached_property
     def eigensystem(self):
         """(w, Q): eigenvalues, shape (grid**d, l), and eigenvectors, shape
-        (grid**d, l, l), of the sampler blocks, row-major in the grid
-        coordinates.
+        (grid**d, l, l), of the Hamiltonian's blocks.
 
         Computed on first use and kept (the model is frozen, so the cache
-        cannot go stale): the sampler runs once per model.  Rejects blocks
-        of the wrong shape or that are not Hermitian, naming the first such
-        grid point.
+        cannot go stale): `hamiltonian` runs once per model.  Rejects a
+        stack of the wrong shape, and one with a block that is not
+        Hermitian, naming the first such grid point.
         """
-        points = list(np.ndindex((self.grid,) * self.d))
-        H = np.empty((len(points), self.l, self.l), dtype=complex)
-        for i, m in enumerate(points):
-            block = np.asarray(self.sampler(*m), dtype=complex)
-            if block.shape != H.shape[1:]:
-                raise ValueError(f"sampler block at {m} has shape {block.shape}")
-            H[i] = block
+        shape = (self.grid ** self.d, self.l, self.l)
+        H = np.asarray(self.hamiltonian(), dtype=complex)
+        if H.shape != shape:
+            raise ValueError(f"hamiltonian has shape {H.shape}, expected {shape}")
         skew = np.abs(H - H.conj().swapaxes(1, 2)).max(axis=(1, 2))
         bad = np.flatnonzero(skew > 1e-10 * np.maximum(1.0, np.abs(H).max(axis=(1, 2))))
         if len(bad):
-            raise ValueError(f"sampler block at {points[bad[0]]} is not Hermitian")
+            m = tuple(map(int, np.unravel_index(bad[0], (self.grid,) * self.d)))
+            raise ValueError(f"block at {m} is not Hermitian")
         return np.linalg.eigh(H)
+
+    def diagonal_blocks(self, scale: float) -> np.ndarray:
+        """Blocks exp(-i H(m) T scale) of the diagonal step, shape
+        (grid**d, l, l), in the order of the Hamiltonian's stack.
+
+        `scale` multiplies every generator (noise on the diagonal step), so
+        it only rescales the phases of the kept `eigensystem`.
+        """
+        w, Q = self.eigensystem
+        phases = np.exp(-1j * w * self.T * scale)
+        return (Q * phases[:, None, :]) @ Q.conj().swapaxes(1, 2)
 
 
 @dataclass
@@ -155,7 +163,6 @@ class SpectrumResult:
 
     energies: np.ndarray
     n_bands: int
-    T: float
 
     def band(self, index: int) -> np.ndarray:
         per = len(self.energies) // self.n_bands
@@ -195,7 +202,7 @@ def build_protocol_unitary(model: MomentumModel, block=engine.NOISELESS):
     scales = engine.diagonal_scale(block).tolist()
 
     def evolution(i):  # member i: U_d V_i, then V_f one factor at a time
-        blocks = engine.diagonal_momentum_blocks(model, scales[i])
+        blocks = model.diagonal_blocks(scales[i])
         # entry ((p, a), (q, b)) of U_d V_i is blocks[p, a, b] V_i[p, q]
         X = np.einsum("pab,pq->paqb", blocks, functools.reduce(np.kron, V_i[:, i]))
         for k, F in enumerate(V_f[:, i]):  # F_k on the axis-k coordinate
@@ -266,7 +273,7 @@ def extract_spectrum(U: np.ndarray, T: float, l: int) -> SpectrumResult:
     and ValueError when U is not unitary (see `_checked_unitary`).
     """
     theta = _sine_phases(_checked_unitary(U))
-    return SpectrumResult(energies=np.sort(-theta / T), n_bands=l, T=T)
+    return SpectrumResult(energies=np.sort(-theta / T), n_bands=l)
 
 
 def gate_time(j_over_recoil: float) -> float:

@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 from qqft import circuit, engine, haldane, poincare, protocol
+from test_engine import gate_to_generator
 from test_poincare import exact_greens
 
 WORKERS = 4
@@ -115,7 +116,7 @@ def test_criterion_5_topology():
         assert haldane.chern_analytic(p) == expected
         model = haldane.momentum_model(p, grid=16)
         U, = protocol.build_protocol_unitary(model)
-        b = haldane.bott_index(U, model.T, model.l)
+        b, _ = haldane.bott_index(U, model.T, model.l)
         assert round(b) == expected and abs(b - round(b)) < 1e-6
 
     n_real, needed = 20, 16  # >= 80%
@@ -129,7 +130,7 @@ def test_criterion_5_topology():
             def one(r):
                 noise = engine.NoiseModel(3e-2, seed=77, stream_id=r)
                 U, = protocol.build_protocol_unitary(model, [noise])
-                return round(haldane.bott_index(U, model.T, model.l))
+                return round(haldane.bott_index(U, model.T, model.l)[0])
 
             values = engine._map_ordered(one, n_real, WORKERS)
             hits = sum(v == clean_value for v in values)
@@ -207,7 +208,7 @@ def test_criterion_8_property_suites():
              circuit.GateSpec("mix", 0, theta=np.pi / 4, phi=0.7),
              circuit.GateSpec("phase", 0, lam=2.9)]
     for g in gates:
-        H = engine.gate_to_generator(g)
+        H = gate_to_generator(g)
         w, Q = np.linalg.eigh(H)
         U = (Q * np.exp(-1j * w)) @ Q.conj().T
         assert np.abs(U - circuit.gate_matrix(g)).max() < 1e-10

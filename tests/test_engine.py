@@ -11,9 +11,6 @@ from qqft.circuit import GateSpec, gate_matrix, sequence_to_unitary
 from qqft.engine import (
     NoiseModel,
     apply_noisy_sequence,
-    gate_to_generator,
-    diagonal_momentum_blocks,
-    hermitian_log_unitary,
     unitarity_defect,
     unitary_eig,
 )
@@ -263,8 +260,8 @@ class TestGateToGenerator:
             assert np.abs(_expmi(gate_to_generator(g)) - U).max() < 1e-10
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError):
-            hermitian_log_unitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not unitary"):
+            unitary_eig(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
 def _expmi(H):
@@ -559,21 +556,28 @@ class TestZeroSigmaIsStreamFree:
         assert draw == 0.0 and np.signbit(draw)
 
 
+def gate_to_generator(gate):
+    """Principal-branch Hermitian generator H with exp(-i H) = the gate's
+    matrix on its own 1- or 2-site block."""
+    E, Z = unitary_eig(gate_matrix(gate))
+    return (Z * E) @ Z.conj().T
+
+
 def diagonal_momentum_evolution(model, scale=1.0):
     """The diagonal step as one dense block-diagonal matrix."""
-    return scipy.linalg.block_diag(*diagonal_momentum_blocks(model, scale))
+    return scipy.linalg.block_diag(*model.diagonal_blocks(scale))
 
 
 class TestDiagonalMomentumEvolution:
     def test_zero_hamiltonian(self):
         model = MomentumModel(d=1, l=1, grid=4,
-                              sampler=lambda m: np.zeros((1, 1)), T=0.7)
+                              hamiltonian=lambda: np.zeros((4, 1, 1)), T=0.7)
         assert np.abs(diagonal_momentum_evolution(model) - np.eye(4)).max() == 0.0
 
     def test_scalar_blocks_give_diagonal_phases(self):
         energies = [0.3, -1.1, 0.7, 2.4]
         model = MomentumModel(d=1, l=1, grid=4,
-                              sampler=lambda m: np.array([[energies[m]]]),
+                              hamiltonian=lambda: np.reshape(energies, (4, 1, 1)),
                               T=0.5)
         U = diagonal_momentum_evolution(model)
         expected = np.diag(np.exp(-1j * 0.5 * np.array(energies)))
@@ -587,15 +591,16 @@ class TestDiagonalMomentumEvolution:
                np.array([[0, -1j], [1j, 0]], complex),
                np.array([[1, 0], [0, -1]], complex)]
         block = sum(di * s for di, s in zip(d, sig))
-        model = MomentumModel(d=1, l=2, grid=2, sampler=lambda m: block, T=0.3)
+        model = MomentumModel(d=1, l=2, grid=2, T=0.3,
+                              hamiltonian=lambda: np.array([block] * 2))
         U = diagonal_momentum_evolution(model)
         phases = np.sort(np.angle(np.linalg.eigvals(U[:2, :2])))
         assert np.allclose(phases, [-w0 * 0.3, w0 * 0.3], atol=1e-12)
 
     def test_non_hermitian_rejected(self):
         model = MomentumModel(d=1, l=2, grid=2,
-                              sampler=lambda m: np.array([[0, 1], [0, 0]],
-                                                         dtype=complex))
+                              hamiltonian=lambda: np.array([[[0, 1], [0, 0]]] * 2,
+                                                           dtype=complex))
         with pytest.raises(ValueError):
             diagonal_momentum_evolution(model)
 
@@ -604,24 +609,23 @@ class TestDiagonalMomentumEvolution:
         rng = np.random.default_rng(4)
         blocks = rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))
         blocks = blocks + blocks.conj().swapaxes(1, 2)
-        model = MomentumModel(d=2, l=2, grid=3, T=0.4,
-                              sampler=lambda a, b: blocks[3 * a + b])
+        model = MomentumModel(d=2, l=2, grid=3, T=0.4, hamiltonian=lambda: blocks)
         for scale in (1.0, 1.03, 1.0):
             fresh = []
             for H in blocks:
                 w, Q = np.linalg.eigh(H)
                 fresh.append((Q * np.exp(-1j * w * 0.4 * scale)) @ Q.conj().T)
-            got = diagonal_momentum_blocks(model, scale=scale)
+            got = model.diagonal_blocks(scale=scale)
             assert np.array_equal(got, np.array(fresh))
 
-    def test_sampler_runs_once_per_model(self):
+    def test_hamiltonian_runs_once_per_model(self):
         calls = []
 
-        def sampler(m):
-            calls.append(m)
-            return np.array([[float(m)]])
+        def hamiltonian():
+            calls.append(1)
+            return np.arange(4.0).reshape(4, 1, 1)
 
-        model = MomentumModel(d=1, l=1, grid=4, sampler=sampler)
+        model = MomentumModel(d=1, l=1, grid=4, hamiltonian=hamiltonian)
         for scale in (1.0, 1.1, 0.9):
-            diagonal_momentum_blocks(model, scale=scale)
-        assert calls == [0, 1, 2, 3]
+            model.diagonal_blocks(scale=scale)
+        assert calls == [1]

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -132,14 +133,6 @@ class TestModelBuild:
         proj_ref = np.einsum("pai,pbi->piab", Q_ref, Q_ref.conj())
         assert np.abs(proj - proj_ref).max() < 1e-13
 
-    def test_sampler_still_point_by_point(self):
-        p = params(np.pi / 3, 0.5)
-        model = momentum_model(p, 4)
-        H = blocks_loop(p, 4)
-        for a in range(4):
-            for b in range(4):
-                assert np.abs(model.sampler(a, b) - H[4 * a + b]).max() < 1e-14
-
     @pytest.mark.parametrize("grid", [3, 6])
     def test_dirac_point_on_the_grid_is_singular(self, grid):
         # M = 3 sqrt(3) t2 sin(phi) closes the gap at K, a grid point when 3
@@ -149,20 +142,21 @@ class TestModelBuild:
         with pytest.raises(SingularPointError):
             model.eigensystem
 
-    def test_bad_block_shape_names_its_point(self):
-        model = MomentumModel(
-            d=2, l=2, grid=4,
-            sampler=lambda a, b: np.eye(3) if (a, b) == (2, 1) else np.eye(2))
-        with pytest.raises(ValueError, match=r"block at \(2, 1\) has shape \(3, 3\)"):
-            model.eigensystem
+    def test_wrong_stack_shape_rejected(self):
+        for shape in [(4, 4, 2, 2), (16, 3, 3), (15, 2, 2), (16, 2)]:
+            model = MomentumModel(d=2, l=2, grid=4, hamiltonian=lambda: np.zeros(shape))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"hamiltonian has shape {shape}, expected (16, 2, 2)")):
+                model.eigensystem
 
     def test_non_hermitian_block_names_its_point(self):
-        def sampler(a, b):
-            return np.array([[0.0, 1.0], [0.0, 0.0]]) if (a, b) == (1, 3) else np.eye(2)
-
-        model = MomentumModel(d=2, l=2, grid=4, sampler=sampler)
-        with pytest.raises(ValueError, match=r"block at \(1, 3\) is not Hermitian"):
-            model.eigensystem
+        for d, point in [(2, (1, 3)), (1, (3,))]:
+            H = np.array([np.eye(2)] * 4 ** d)
+            H[np.ravel_multi_index(point, (4,) * d), 0, 1] = 1.0
+            model = MomentumModel(d=d, l=2, grid=4, hamiltonian=lambda: H)
+            with pytest.raises(ValueError,
+                               match=re.escape(f"block at {point} is not Hermitian")):
+                model.eigensystem
 
 
 class TestChernAnalytic:
@@ -183,10 +177,11 @@ def chern_fhs_loop(model):
     one plaquette per step of a double loop (the reference for the
     vectorized `chern_fhs`)."""
     N = model.grid
+    H = np.asarray(model.hamiltonian(), dtype=complex)
     vecs = np.zeros((N, N, model.l), dtype=complex)
     for a in range(N):
         for b in range(N):
-            _, Q = np.linalg.eigh(np.asarray(model.sampler(a, b), dtype=complex))
+            _, Q = np.linalg.eigh(H[a * N + b])
             vecs[a, b] = Q[:, 0]
     total = 0.0
     for a in range(N):
@@ -218,9 +213,8 @@ class TestChernFhs:
 
     def test_constant_map_is_trivial(self):
         from qqft.protocol import MomentumModel
-        model = MomentumModel(
-            d=2, l=2, grid=8,
-            sampler=lambda a, b: np.array([[1.0, 0.0], [0.0, -1.0]]))
+        model = MomentumModel(d=2, l=2, grid=8,
+                              hamiltonian=lambda: np.array([PAULI[2]] * 64))
         assert chern_fhs(model) == 0
 
     @pytest.mark.parametrize("phi,M", [
@@ -247,9 +241,9 @@ class TestChernFhs:
     def test_singular_plaquette_rejected(self):
         # lower-band vectors alternate between orthogonal states along rows
         from qqft.protocol import MomentumModel
-        model = MomentumModel(
-            d=2, l=2, grid=4,
-            sampler=lambda a, b: np.diag([1.0, -1.0]) * (-1.0) ** a)
+        sign = (-1.0) ** np.repeat(np.arange(4), 4)
+        model = MomentumModel(d=2, l=2, grid=4,
+                              hamiltonian=lambda: sign[:, None, None] * PAULI[2])
         with pytest.raises(GapClosedError, match="singular plaquette"):
             chern_fhs(model)
         with pytest.raises(GapClosedError, match="singular plaquette"):
@@ -288,7 +282,7 @@ class TestBottIndex:
 
     def model_bott(self, model):
         U, = build_protocol_unitary(model)
-        return bott_index(U, model.T, model.l)
+        return bott_index(U, model.T, model.l)[0]
 
     def test_matches_chern_in_clean_limit(self):
         assert self.clean_bott(-np.pi / 2, 0.0) == pytest.approx(1.0, abs=1e-6)
@@ -303,7 +297,7 @@ class TestBottIndex:
         for r in range(6):
             U, = build_protocol_unitary(model, [NoiseModel(3e-2, seed=17,
                                                            stream_id=r)])
-            b = bott_index(U, model.T, model.l)
+            b, _ = bott_index(U, model.T, model.l)
             assert abs(b - round(b)) < 0.1
             hits += round(b) == 1
         assert hits >= 5
@@ -313,7 +307,7 @@ class TestBottIndex:
         base = self.model_bott(model)
         shifted = self.model_bott(MomentumModel(
             d=2, l=2, grid=model.grid, T=model.T,
-            sampler=lambda a, b: model.sampler(a, b) + 1.7 * np.eye(2)))
+            hamiltonian=lambda: model.hamiltonian() + 1.7 * np.eye(2)))
         assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_gap_closed_refused(self):
@@ -344,7 +338,7 @@ class TestBottIndex:
     def test_matches_schur_reference(self, seed, lobe):
         model = momentum_model(params(*lobe), grid=self.grid())
         U, = build_protocol_unitary(model, [NoiseModel(3e-2, seed=seed)])
-        b = bott_index(U, model.T, model.l)
+        b, _ = bott_index(U, model.T, model.l)
         assert b == pytest.approx(schur_bott_reference(U, model.T, model.l),
                                   abs=1e-9)
 
@@ -419,7 +413,7 @@ class TestArctan2Route:
         model = momentum_model(params(-np.pi / 2, 0.0), grid=16)
         U, = build_protocol_unitary(model, [NoiseModel(3e-2, seed=1)])
         assert (np.angle(np.linalg.eigvals(U)) > 0).sum() == 235
-        b = bott_index(U, model.T, model.l)
+        b, _ = bott_index(U, model.T, model.l)
         assert b == pytest.approx(eig_bott_reference(U, model.T, model.l),
                                   abs=1e-9)
         assert round(b) == 1
@@ -430,7 +424,7 @@ class TestArctan2Route:
         # distance 2e-6
         phases = [np.pi - distance, 2.0, 1.0, 0.5, -0.5, -1.0, -2.0, -2.5]
         U = unitary_with_phases(phases, seed=3)
-        bott, headroom = haldane._bott_and_headroom(U, T=1.0, l=2)
+        bott, headroom = bott_index(U, T=1.0, l=2)
         assert headroom == pytest.approx(distance, abs=1e-12)
         assert bott == pytest.approx(eig_bott_reference(U, 1.0, 2), abs=1e-9)
 
@@ -474,8 +468,8 @@ class TestArctan2Route:
         assert np.abs(Z.conj().T @ Z - np.eye(n)).max() < orthogonality
         energies = extract_spectrum(V, model.T, model.l).energies
         assert np.abs(energies - np.sort(-ref / model.T)).max() < 1e-12
-        assert bott_index(V, model.T, model.l) == pytest.approx(
-            bott_index(U, model.T, model.l), abs=1e-9)
+        assert bott_index(V, model.T, model.l)[0] == pytest.approx(
+            bott_index(U, model.T, model.l)[0], abs=1e-9)
 
 
 class TestNoiseSweep:
@@ -601,16 +595,16 @@ class TestClosedGapCount:
             momentum_model(params(*cells[index]), 4),
             [replace(NoiseModel(1e-2, 3), stream_id=r).substream(index)]), error)
             for (index, r), error in failures.items()]
-        real = haldane._bott_and_headroom
+        real = haldane.bott_index
 
-        def bott_and_headroom(U, T, l):
+        def forced_bott_index(U, T, l):
             for V, error in refused:
                 if np.array_equal(U, V):
                     raise error("forced")
             return real(U, T, l)
 
         # forked workers inherit the patched module attribute
-        monkeypatch.setattr(haldane, "_bott_and_headroom", bott_and_headroom)
+        monkeypatch.setattr(haldane, "bott_index", forced_bott_index)
         rows = phase_diagram(phis, ms, NoiseModel(1e-2, 3), grid=4,
                              realizations=3, workers=workers)
         assert [len(row) for row in rows] == [4] * 4
@@ -631,8 +625,7 @@ class TestPhaseDiagramHeadroom:
     def test_headroom_is_distance_to_branch_cut(self):
         model = momentum_model(params(-np.pi / 2, 1.0), grid=4)
         U, = build_protocol_unitary(model, [NoiseModel(0.2, 5)])
-        bott, headroom = haldane._bott_and_headroom(U, model.T, model.l)
-        assert bott == bott_index(U, model.T, model.l)
+        _, headroom = bott_index(U, model.T, model.l)
         theta = np.angle(np.linalg.eigvals(U))
         assert headroom == pytest.approx(np.pi - np.abs(theta).max(), abs=1e-9)
 

@@ -38,20 +38,20 @@ def plane_wave_oracle(energies, T):
 
 
 def diagonal_model(energies, T):
-    return MomentumModel(d=1, l=1, grid=len(energies),
-                         sampler=lambda m: np.array([[energies[m]]]), T=T)
+    return MomentumModel(d=1, l=1, grid=len(energies), T=T,
+                         hamiltonian=lambda: np.reshape(energies, (-1, 1, 1)))
 
 
 class TestBuildProtocolUnitary:
     def test_zero_hamiltonian_gives_identity(self):
         model = MomentumModel(d=1, l=1, grid=8,
-                              sampler=lambda m: np.zeros((1, 1)))
+                              hamiltonian=lambda: np.zeros((8, 1, 1)))
         U, = build_protocol_unitary(model)
         assert np.abs(U - np.eye(8)).max() < 1e-12
 
     def test_zero_hamiltonian_2d_two_orbitals(self):
         model = MomentumModel(d=2, l=2, grid=4,
-                              sampler=lambda a, b: np.zeros((2, 2)))
+                              hamiltonian=lambda: np.zeros((16, 2, 2)))
         U, = build_protocol_unitary(model)
         assert np.abs(U - np.eye(32)).max() < 1e-12
 
@@ -101,7 +101,7 @@ class TestBuildProtocolUnitary:
 
     def test_unsupported_dimension(self):
         model = MomentumModel(d=3, l=1, grid=2,
-                              sampler=lambda *m: np.zeros((1, 1)))
+                              hamiltonian=lambda: np.zeros((8, 1, 1)))
         with pytest.raises(ValueError):
             build_protocol_unitary(model)
 
@@ -140,8 +140,8 @@ class TestEvolutionBlock:
 
     def test_evolutions_built_when_reached(self, monkeypatch):
         built = []
-        blocks = engine.diagonal_momentum_blocks
-        monkeypatch.setattr(engine, "diagonal_momentum_blocks",
+        blocks = MomentumModel.diagonal_blocks
+        monkeypatch.setattr(MomentumModel, "diagonal_blocks",
                             lambda *a: built.append(1) or blocks(*a))
         evolutions = build_protocol_unitary(random_hermitian_model(2, 2, 4),
                                             MIXED_BLOCK)
@@ -152,10 +152,10 @@ class TestEvolutionBlock:
     def test_raising_member_leaves_the_next(self):
         # a model that cannot be flattened raises in every member's diagonal
         # step; each call raises, and the block ends after its last member
-        def sampler(a, b):
+        def hamiltonian():
             raise haldane.SingularPointError("d vanishes")
 
-        model = MomentumModel(d=2, l=2, grid=4, sampler=sampler)
+        model = MomentumModel(d=2, l=2, grid=4, hamiltonian=hamiltonian)
         evolutions = build_protocol_unitary(model, [NoiseModel(1e-2, 1, r)
                                                     for r in range(3)])
         for _ in range(3):
@@ -172,9 +172,7 @@ def random_hermitian_model(d, l, grid, seed=0):
     shape = (grid ** d, l, l)
     blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     blocks = blocks + blocks.conj().swapaxes(1, 2)
-    return MomentumModel(
-        d=d, l=l, grid=grid, T=0.2,
-        sampler=lambda *m: blocks[np.ravel_multi_index(m, (grid,) * d)])
+    return MomentumModel(d=d, l=l, grid=grid, T=0.2, hamiltonian=lambda: blocks)
 
 
 def dense_kron_reference(model, noise):
@@ -199,7 +197,7 @@ class TestKroneckerAssembly:
         # row-major composite (x, y): brute-force 2D transform on a 2x2 grid
         energies = np.array([[0.9, -0.3], [1.7, 0.2]])
         model = MomentumModel(d=2, l=1, grid=2, T=0.5,
-                              sampler=lambda a, b: np.array([[energies[a, b]]]))
+                              hamiltonian=lambda: energies.reshape(4, 1, 1))
         oracle = np.zeros((4, 4), dtype=complex)
         for x in range(2):
             for y in range(2):
@@ -214,10 +212,10 @@ class TestKroneckerAssembly:
         assert np.abs(U - expected).max() < 1e-12
 
     def test_max_dimension_guard(self):
-        def sampler(*m):
-            raise AssertionError("sampler called for an oversized model")
+        def hamiltonian():
+            raise AssertionError("hamiltonian called for an oversized model")
 
-        model = MomentumModel(d=2, l=2, grid=46, sampler=sampler)
+        model = MomentumModel(d=2, l=2, grid=46, hamiltonian=hamiltonian)
         assert model.dim > MAX_DIM
         with pytest.raises(ValueError, match="exceeds"):
             build_protocol_unitary(model)
