@@ -89,6 +89,7 @@ run poincare-bench poincare --N 33 --gamma 2 \
 run compile compile --N 33 --out compile
 run compile-n4 compile --n 4 --out compile-n4
 run verify verify compile/seq_generic_N33.json
+run verify-n4 verify compile-n4/seq_radix2_n4.json
 # at phi = pi/2, M = 3 sits on a phase boundary and the 6 x 6 grid holds
 # the point where d vanishes, so the model cannot be flattened: that cell
 # counts both realizations of its block as closed gaps (a NaN Bott value

@@ -16,9 +16,16 @@ Both routes compose, first gate applied first, to the DFT matrix
 
 exactly (up to floating-point roundoff), with indices 0..N-1.
 
-Every product of gates runs through one kernel, `_apply_waves`: gates on
-disjoint sites form a wave, and each wave updates a batch-last array
-U[row, col, member] that holds many products at once.  A phase gate scales
+Every product of gates, exact or noisy, runs through one function,
+`_compose`: a sequence and a table of per-step draws delta in, one product
+per column of draws out, each gate of step s scaled to
+exp(-i (1 + delta_s) H) through its principal-branch generator H, so every
+noisy gate stays exactly unitary.  A draw of exactly 0 keeps its gate
+exact, and `sequence_to_unitary` is the table of one zero column.
+
+`_compose` runs one kernel, `_apply_waves`: gates on disjoint sites form a
+wave, and each wave updates a batch-last array U[row, col, member] that
+holds many products at once.  A phase gate scales
 its row and a two-site gate [[a, b], [c, d]] writes a r0 + b r1 and
 c r0 + d r1 over its two rows, with one coefficient per member: the kernel
 gathers rows r0 and r1 of all of a wave's pairs at once, forms the two sums
@@ -42,6 +49,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 SEQUENCE_SCHEMA = "qqft-seq/1"
 
@@ -79,6 +87,10 @@ class GateSpec:
     layer: int = 0
 
     def __post_init__(self):
+        if self.kind not in (SWAP, MIX, PHASE):
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if not isinstance(self.site, (int, np.integer)):
+            raise ValueError(f"gate site must be an integer, got {self.site!r}")
         for name in ("theta", "phi", "lam"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -105,9 +117,7 @@ def gate_matrix(gate: GateSpec) -> np.ndarray:
         c, s = math.cos(gate.theta), math.sin(gate.theta)
         e = complex(math.cos(gate.phi), math.sin(gate.phi))
         return np.array([[c, e * s], [s, -e * c]], dtype=complex)
-    if gate.kind == PHASE:
-        return np.array([[complex(math.cos(gate.lam), math.sin(gate.lam))]])
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    return np.array([[complex(math.cos(gate.lam), math.sin(gate.lam))]])
 
 
 @dataclass(frozen=True)
@@ -127,8 +137,8 @@ class CircuitSequence:
     depth: int = field(init=False)
 
     def __post_init__(self):
-        if self.n_sites < 1:
-            raise ValueError("n_sites must be positive")
+        if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 1:
+            raise ValueError(f"n_sites must be an integer >= 1, got {self.n_sites!r}")
         occupied = set()
         for g in self.gates:
             if not 0 <= g.site <= self.n_sites - g.span():
@@ -398,11 +408,67 @@ def _apply_waves(n_sites: int, plan: _WavePlan, factors: np.ndarray,
     return U
 
 
+def _fold_phases(E: np.ndarray) -> np.ndarray:
+    # principal branch (-pi, pi]; -pi folds to +pi so swap's generator
+    # carries eigenvalue +pi
+    return np.where(E <= -np.pi + 1e-12, E + 2 * np.pi, E)
+
+
+@lru_cache(maxsize=64)
+def _gate_spectra(seq: CircuitSequence):
+    """(layers, E, P) of the gates in `seq.gates` order: layer tags, the
+    principal-branch eigenphases (n, 2), gate = sum_k exp(-i E_k) P_k, and
+    the eigenprojectors P[:, k] = Z_k Z_k^dag (n, 2, 2, 2) of each gate's
+    Schur vectors Z_k, orthonormal even for degenerate eigenvalues.  A
+    phase gate's eigenphase is E[:, 0]; its other entries are unused."""
+    E = np.zeros((len(seq.gates), 2))
+    Z = np.zeros((len(seq.gates), 2, 2), dtype=complex)
+    for i, g in enumerate(seq.gates):
+        if g.kind == PHASE:  # -lam, reduced to [-pi, pi]
+            E[i, 0] = -g.lam + 2 * np.pi * np.round(g.lam / (2 * np.pi))
+        else:
+            T, Z[i] = scipy.linalg.schur(gate_matrix(g), output="complex")
+            E[i] = -np.angle(np.diag(T))
+    layers = np.array([g.layer for g in seq.gates], dtype=int)
+    # P[g, k, i, j] = Z[g, i, k] conj(Z[g, j, k])
+    P = np.moveaxis(Z[:, :, None, :] * Z.conj()[:, None, :, :], 3, 1)
+    return layers, _fold_phases(E), np.ascontiguousarray(P)
+
+
+def _compose(seq: CircuitSequence, draws: np.ndarray,
+             invert: bool = False) -> np.ndarray:
+    """Products U[row, col, member] of `seq`, or of its inverse (reversed
+    order, adjoint gates), one per column of the draw table `draws`
+    (depth, members): every gate of Hamiltonian step s of member j is
+    exp(-i (1 + draws[s, j]) H), H its principal-branch generator.
+
+    A noisy two-site gate is p_0 P_0 + p_1 P_1, its eigenprojectors P_k
+    weighted by the phases p_k = exp(-i (1 + delta) E_k).  A draw of
+    exactly 0 keeps the gate exact, and a table of zeros needs no spectra.
+    The inverse's step s is the forward step depth - 1 - s."""
+    plan, B = _wave_plan(seq, invert), draws.shape[1]
+    factors = np.broadcast_to(plan.factors[:, None], (len(plan.phase), B))
+    blocks = np.broadcast_to(plan.blocks[..., None], (len(plan.pair), 2, 2, B))
+    if draws.any():
+        layers, E, P = _gate_spectra(seq)
+        if invert:
+            layers, E = seq.depth - 1 - layers, _fold_phases(-E)
+        d = draws[layers[plan.phase]]
+        factors = np.where(d == 0.0, factors,
+                           np.exp(-1j * (1.0 + d) * E[plan.phase, 0, None]))
+        d, P = draws[layers[plan.pair]], P[plan.pair, ..., None]
+        p = -1j * (1.0 + d)[:, None] * E[plan.pair, :, None]
+        np.exp(p, out=p)
+        exact, blocks = blocks, P[:, 0] * p[:, None, None, 0]
+        blocks += P[:, 1] * p[:, None, None, 1]
+        # in place: np.where would allocate one more stack of blocks
+        np.copyto(blocks, exact, where=(d == 0.0)[:, None, None])
+    return _apply_waves(seq.n_sites, plan, factors, blocks)
+
+
 def sequence_to_unitary(seq: CircuitSequence) -> np.ndarray:
     """Dense product of all gates in application order (first gate first)."""
-    plan = _wave_plan(seq, False)
-    return _apply_waves(seq.n_sites, plan, plan.factors[:, None],
-                        plan.blocks[..., None])[..., 0]
+    return _compose(seq, np.zeros((seq.depth, 1)))[..., 0]
 
 
 def dft_distance(U: np.ndarray) -> float:
@@ -444,17 +510,14 @@ def sequence_from_json(text: str) -> CircuitSequence:
     gates = []
     try:
         for entry in doc["gates"]:
-            kind = entry["kind"]
-            if kind not in (SWAP, MIX, PHASE):
-                raise ValueError(f"unknown gate kind {kind!r}")
             gates.append(GateSpec(
-                kind, int(entry["site"]),
+                entry["kind"], entry["site"],
                 theta=float(entry.get("theta", 0.0)),
                 phi=float(entry.get("phi", 0.0)),
                 lam=float(entry.get("lambda", 0.0)),
-                layer=int(entry.get("layer", 0)),
+                layer=entry.get("layer", 0),
             ))
-        n_sites = int(doc["n_sites"])
+        n_sites = doc["n_sites"]
     except KeyError as exc:
         raise ValueError(f"sequence document has no key {exc}") from None
     return CircuitSequence(n_sites=n_sites, gates=tuple(gates))

@@ -1,12 +1,12 @@
-"""Dense unitary evolution with multiplicative Gaussian gate noise.
+"""Multiplicative Gaussian gate noise, and the sweeps that draw it.
 
 The noise model scales each Hamiltonian step of a compiled sequence,
 H[s] -> (1 + delta_s) H[s], with delta_s drawn from a Gaussian of standard
-deviation sigma.  Each gate is exponentiated through its Hermitian generator
-(principal-branch logarithm, eigenphases in (-pi, pi]), so every noisy factor
-stays exactly unitary.  Draws come from a counter-based stream keyed on
-(seed, stream_id, step): a realization is reproducible bit-exactly regardless
-of evaluation order or worker count.
+deviation sigma.  This module only draws: it turns a block of noise models
+into a table of draws, one row per step and one column per member, and
+`circuit._compose` composes the sequence under that table.  Draws come from
+a counter-based stream keyed on (seed, stream_id, step): a realization is
+reproducible bit-exactly regardless of evaluation order or worker count.
 
 One realization's noise reaches a composite evolution only through the salt
 table below: the forward Fourier sequence along axis k draws from substream
@@ -21,9 +21,9 @@ each adding one member per sigma, in order, such as a block of
 realizations of a sweep, one column of sigmas each; an empty block gives
 no members.  `NOISELESS`, one member of sigma 0, is the noiseless block: a
 zero sigma draws only zeros, which keep every gate exact.  All members
-compose in one pass of the batch-last wave kernel `circuit._apply_waves`,
-whose arithmetic is elementwise, so each member is bit-identical to
-composing it alone, whatever the block.  `_noise_sweep` hands its
+compose in one pass of the batch-last wave kernel of `circuit`, whose
+arithmetic is elementwise, so each member is bit-identical to composing it
+alone, whatever the block.  `_noise_sweep` hands its
 measurement fixed blocks of `_BLOCK` consecutive realizations.
 """
 
@@ -41,10 +41,8 @@ from functools import lru_cache
 from itertools import chain, islice
 
 import numpy as np
-import scipy.linalg
 
 from . import circuit
-from .circuit import CircuitSequence, compile_for_size, gate_matrix
 
 MAX_DIM = 4096
 
@@ -96,6 +94,11 @@ class NoiseModel:
     diagonal: bool = False
 
     def __post_init__(self):
+        for name in ("seed", "stream_id"):  # as Python ints, which _mix64 needs
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim > 1 or not np.all(np.isfinite(sigma) & (sigma >= 0)):
             raise ValueError(f"sigma must be finite and >= 0, a number or a "
@@ -137,86 +140,7 @@ class NoiseModel:
 NOISELESS = (NoiseModel(0.0, 0),)
 
 
-def unitarity_defect(U: np.ndarray) -> float:
-    """Max-norm deviation of U U^dag from the identity."""
-    d = U.shape[0]
-    return float(np.abs(U @ U.conj().T - np.eye(d)).max())
-
-
-def _fold_phases(E: np.ndarray) -> np.ndarray:
-    # principal branch (-pi, pi]; -pi folds to +pi so swap's generator
-    # carries eigenvalue +pi
-    return np.where(E <= -np.pi + 1e-12, E + 2 * np.pi, E)
-
-
-def unitary_eig(U: np.ndarray):
-    """Eigenphases E in (-pi, pi] and an orthonormal eigenbasis of a unitary.
-
-    Returns (E, Z) with U = Z diag(exp(-i E)) Z^dag.  Uses a complex Schur
-    decomposition, which keeps the basis orthonormal even for degenerate
-    eigenvalues; rejects non-unitary input.
-    """
-    if unitarity_defect(U) > 1e-10:
-        raise ValueError("matrix is not unitary")
-    T, Z = scipy.linalg.schur(np.asarray(U, dtype=complex), output="complex")
-    return _fold_phases(-np.angle(np.diag(T))), Z
-
-
-@lru_cache(maxsize=64)
-def _gate_spectra(seq: CircuitSequence):
-    """(layers, E, P) of the gates in `seq.gates` order: layer tags, the
-    eigenphases (n, 2) and the eigenprojectors P[:, k] = Z_k Z_k^dag
-    (n, 2, 2, 2) of each gate's eigenvectors Z_k.  A phase gate's eigenphase
-    is E[:, 0]; its other entries are unused."""
-    E = np.zeros((len(seq.gates), 2))
-    Z = np.zeros((len(seq.gates), 2, 2), dtype=complex)
-    for i, g in enumerate(seq.gates):
-        if g.kind == circuit.PHASE:
-            w = -g.lam
-            E[i, 0] = w - 2 * np.pi * np.round(w / (2 * np.pi))
-        else:
-            E[i], Z[i] = unitary_eig(gate_matrix(g))
-    layers = np.array([g.layer for g in seq.gates], dtype=int)
-    # P[g, k, i, j] = Z[g, i, k] conj(Z[g, j, k])
-    P = np.moveaxis(Z[:, :, None, :] * Z.conj()[:, None, :, :], 3, 1)
-    # folds the phase gates; the two-site eigenphases are folded already
-    return layers, _fold_phases(E), np.ascontiguousarray(P)
-
-
-def _noisy_gates(seq: CircuitSequence, block, invert: bool) -> tuple:
-    """(factors, blocks): the gates of `seq`'s wave plan for every member of
-    `block`, in the layout of `circuit._apply_waves`.  A noisy two-site gate
-    is p_0 P_0 + p_1 P_1, its eigenprojectors P_k weighted by the phases
-    p_k = exp(-i (1 + delta) E_k).  A draw of exactly 0 keeps the gate
-    exact."""
-    steps, plan = np.arange(seq.depth), circuit._wave_plan(seq, invert)
-    # draws[step, member]: one delta call per model; an empty block has none
-    draws = np.concatenate([np.empty((seq.depth, 0))] + [
-        m.delta(steps).reshape(np.size(m.sigma), seq.depth).T for m in block],
-        axis=1)
-    B = draws.shape[1]
-    factors = np.broadcast_to(plan.factors[:, None], (len(plan.phase), B))
-    blocks = np.broadcast_to(plan.blocks[..., None], (len(plan.pair), 2, 2, B))
-    if not draws.any():  # every gate is exact: no spectra needed
-        return factors, blocks
-    layers, E, P = _gate_spectra(seq)
-    if invert:
-        layers, E = seq.depth - 1 - layers, _fold_phases(-E)
-    draws = draws[layers]
-    d = draws[plan.phase]
-    factors = np.where(d == 0.0, factors,
-                       np.exp(-1j * (1.0 + d) * E[plan.phase, 0, None]))
-    d, P = draws[plan.pair], P[plan.pair, ..., None]
-    p = -1j * (1.0 + d)[:, None] * E[plan.pair, :, None]
-    np.exp(p, out=p)
-    noisy = P[:, 0] * p[:, None, None, 0]
-    noisy += P[:, 1] * p[:, None, None, 1]
-    # in place: np.where would allocate one more stack of blocks
-    np.copyto(noisy, blocks, where=(d == 0.0)[:, None, None])
-    return factors, noisy
-
-
-def apply_noisy_sequence(seq: CircuitSequence, block=NOISELESS,
+def apply_noisy_sequence(seq: circuit.CircuitSequence, block=NOISELESS,
                          invert: bool = False) -> np.ndarray:
     """Compose a sequence as prod_s exp(-i (1 + delta_s) H[s]), once per
     member of the noise block `block`, in shape (members, n, n).
@@ -228,10 +152,14 @@ def apply_noisy_sequence(seq: CircuitSequence, block=NOISELESS,
     `invert=True` composes the inverse sequence (reversed order, adjoint
     gates, each with its own principal-branch generator and its own draws).
     Each model of the block takes one `delta` call, and every member is
-    bit-identical to composing it alone (see `circuit._apply_waves`).
+    bit-identical to composing it alone (see `circuit._compose`).
     """
-    U = circuit._apply_waves(seq.n_sites, circuit._wave_plan(seq, invert),
-                             *_noisy_gates(seq, block, invert))
+    steps = np.arange(seq.depth)
+    # draws[step, member]: one delta call per model; an empty block has none
+    draws = np.concatenate([np.empty((seq.depth, 0))] + [
+        m.delta(steps).reshape(np.size(m.sigma), seq.depth).T for m in block],
+        axis=1)
+    U = circuit._compose(seq, draws, invert)
     return np.ascontiguousarray(np.moveaxis(U, -1, 0))
 
 
@@ -244,7 +172,7 @@ def fourier_pair(N: int, block, d: int) -> tuple:
     its own draws: axis k takes every model of the block to the k entries
     of the salt table.
     """
-    seq = compile_for_size(N)
+    seq = circuit.compile_for_size(N)
     pair = (apply_noisy_sequence(seq, [m.substream(salts[k]) for k in range(d)
                                        for m in block], invert=invert)
             for salts, invert in ((_SALT_FORWARD, False), (_SALT_INVERSE, True)))

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import NoiseModel, _map_ordered, _noise_sweep
-from .protocol import (T_DEFAULT, MomentumModel, PhaseWrapError, _arctan2_phases,
+from .protocol import (MomentumModel, PhaseWrapError, _arctan2_phases,
                        _checked_unitary, build_protocol_unitary, extract_spectrum)
 
 PAULI = (
@@ -76,23 +76,24 @@ _FAILED = {GapClosedError: "gap closed", SingularPointError: "gap closed",
            PhaseWrapError: "phase wrapped"}
 
 
+#: the hopping amplitudes t1 and t2 of the d-vector: t2 / t1 = 1 / sqrt(3)
+T1 = 1.0
+T2 = 1.0 / np.sqrt(3)
+
+#: norm of the flattened d-vector, rad/ms: a 2 pi x 1 kHz band norm
+TARGET_NORM = 2.0 * np.pi
+
+
 @dataclass(frozen=True)
 class HaldaneParams:
-    """Model parameters; t2/t1 defaults to 1/sqrt(3), target_norm to
-    2 pi rad/ms (a 2 pi x 1 kHz band norm)."""
+    """Model parameters: the Haldane flux phi and the sublattice offset M."""
 
     phi: float
     M: float
-    t1: float = 1.0
-    t2: float = 1.0 / np.sqrt(3)
-    target_norm: float = 2.0 * np.pi
 
     def __post_init__(self):
-        if not np.isfinite([self.phi, self.M, self.t1, self.t2,
-                            self.target_norm]).all():
+        if not np.isfinite([self.phi, self.M]).all():
             raise ValueError(f"parameters must be finite: {self}")
-        if self.t1 <= 0:
-            raise ValueError("t1 must be positive")
 
 
 def d_vector(k, p: HaldaneParams):
@@ -100,20 +101,20 @@ def d_vector(k, p: HaldaneParams):
     column of coefficients per row of a stack of momenta k."""
     k = np.asarray(k, dtype=float)
     kg1, kg2, kg3 = k @ G1, k @ G2, k @ G3
-    d1 = p.t1 * (1.0 + np.cos(kg2) + np.cos(kg3))
-    d2 = p.t1 * (np.sin(kg2) - np.sin(kg3))
-    d3 = p.M - 2.0 * p.t2 * np.sin(p.phi) * (np.sin(kg1) + np.sin(kg2) + np.sin(kg3))
+    d1 = T1 * (1.0 + np.cos(kg2) + np.cos(kg3))
+    d2 = T1 * (np.sin(kg2) - np.sin(kg3))
+    d3 = p.M - 2.0 * T2 * np.sin(p.phi) * (np.sin(kg1) + np.sin(kg2) + np.sin(kg3))
     return np.array([d1, d2, d3])
 
 
-def flatten(d, target_norm: float):
-    """Rescale d, or each column of d, to the requested norm; singular at
-    gap closings."""
+def flatten(d):
+    """Rescale d, or each column of d, to the norm `TARGET_NORM`; singular
+    at gap closings."""
     d = np.asarray(d, dtype=float)
     norm = np.linalg.norm(d, axis=0)
     if np.min(norm) < 1e-12:
         raise SingularPointError("d vanishes; the point sits on a phase boundary")
-    return d * (target_norm / norm)
+    return d * (TARGET_NORM / norm)
 
 
 def bloch_matrix(d) -> np.ndarray:
@@ -127,19 +128,18 @@ def bz_grid(N: int) -> np.ndarray:
     return (a * B_ROW + b * B_COL) / N
 
 
-def momentum_model(p: HaldaneParams, grid: int = 16,
-                   T: float = T_DEFAULT) -> MomentumModel:
+def momentum_model(p: HaldaneParams, grid: int = 16) -> MomentumModel:
     """Flattened two-band model on an N x N Brillouin-zone grid, block
     [a N + b] at the momentum bz_grid(N)[a, b]; builds nothing of grid size
     until its eigensystem is asked for, and then every block in one
     vectorized pass."""
-    return MomentumModel(d=2, l=2, grid=grid, T=T, hamiltonian=lambda: bloch_matrix(
-        flatten(d_vector(bz_grid(grid), p), p.target_norm)).reshape(-1, 2, 2))
+    return MomentumModel(d=2, l=2, grid=grid, hamiltonian=lambda: bloch_matrix(
+        flatten(d_vector(bz_grid(grid), p))).reshape(-1, 2, 2))
 
 
 def chern_analytic(p: HaldaneParams) -> int:
     """Sign-formula Chern number of the lower band in the clean limit."""
-    a = 3.0 * np.sqrt(3) * p.t2 * np.sin(p.phi)
+    a = 3.0 * np.sqrt(3) * T2 * np.sin(p.phi)
     lo, hi = p.M + a, p.M - a
     if abs(lo) < 1e-12 or abs(hi) < 1e-12:
         raise PhaseBoundaryError(

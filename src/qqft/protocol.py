@@ -102,7 +102,9 @@ class MomentumModel:
 
     hamiltonian() must return every l x l Hermitian block at once, shape
     (grid**d, l, l), row-major in the grid coordinates, as is the composite
-    state index, whose orbital index runs fastest.
+    state index, whose orbital index runs fastest.  The dimension d is 1
+    or 2, l >= 1, grid >= 2, and the evolution time T (ms) is finite and
+    > 0; each is checked when the model is built.
     """
 
     d: int
@@ -112,8 +114,14 @@ class MomentumModel:
     T: float = T_DEFAULT
 
     def __post_init__(self):
+        if self.d not in (1, 2):
+            raise ValueError(f"unsupported dimension d={self.d}")
+        if self.l < 1:
+            raise ValueError(f"l must be >= 1, got {self.l}")
         if self.grid < 2:
             raise ValueError("grid must be >= 2")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"T must be finite and > 0, got {self.T}")
 
     @property
     def dim(self) -> int:
@@ -194,8 +202,6 @@ def build_protocol_unitary(model: MomentumModel, block=engine.NOISELESS):
     A member whose diagonal step raises (a model that cannot be flattened)
     leaves the next member to be built by the next call.
     """
-    if model.d not in (1, 2):
-        raise ValueError(f"unsupported dimension d={model.d}")
     if model.dim > engine.MAX_DIM:
         raise ValueError(f"evolution dimension {model.dim} exceeds {engine.MAX_DIM}")
     V_f, V_i = engine.fourier_pair(model.grid, block, model.d)

@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from qqft import circuit, engine, haldane, poincare, protocol
-from test_engine import gate_to_generator
+from test_engine import gate_to_generator, unitarity_defect
 from test_poincare import exact_greens
 
 WORKERS = 4
@@ -79,10 +79,10 @@ def test_criterion_3_flat_band_noiseless():
     U, = protocol.build_protocol_unitary(model)
     spec = protocol.extract_spectrum(U, model.T, model.l)
     assert spec.band_width < 1e-9
-    assert abs(spec.band_gap - 2 * p.target_norm) < 1e-9
+    assert abs(spec.band_gap - 2 * haldane.TARGET_NORM) < 1e-9
     report(3, "flat band, noiseless",
            f"W = {spec.band_width:.2e}, G = {spec.band_gap:.12f} "
-           f"(target {2 * p.target_norm:.12f})")
+           f"(target {2 * haldane.TARGET_NORM:.12f})")
 
 
 def test_criterion_4_flat_band_noisy():
@@ -199,7 +199,7 @@ def test_criterion_8_property_suites():
             for r in range(3):
                 noise = engine.NoiseModel(sigma, seed=31, stream_id=r)
                 U, = engine.apply_noisy_sequence(seq, [noise])
-                worst_defect = max(worst_defect, engine.unitarity_defect(U))
+                worst_defect = max(worst_defect, unitarity_defect(U))
     assert worst_defect < 1e-10
 
     # generator round trip on all gate kinds

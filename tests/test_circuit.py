@@ -256,6 +256,24 @@ class TestSequenceToUnitary:
         with pytest.raises(ValueError, match=field):
             GateSpec("mix", 0, **{field: value})
 
+    @pytest.mark.parametrize("build", [
+        lambda: GateSpec("bogus", 0),
+        lambda: CircuitSequence(2, (GateSpec("teleport", 0),)),
+    ], ids=["gate", "sequence"])
+    def test_unknown_kind_rejected(self, build):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            build()
+
+    @pytest.mark.parametrize("n_sites", [0, 2.5, 2.0, "2"])
+    def test_bad_site_count_rejected(self, n_sites):
+        with pytest.raises(ValueError, match="n_sites must be an integer >= 1"):
+            CircuitSequence(n_sites)
+
+    @pytest.mark.parametrize("site", [1.0, 0.5, "0", None])
+    def test_non_integer_site_rejected(self, site):
+        with pytest.raises(ValueError, match="site must be an integer"):
+            GateSpec("swap", site)
+
 
 ROUTES = st.one_of(st.builds(build_generic_qqft, st.integers(2, 40)),
                    st.builds(build_radix2_qqft, st.integers(1, 5)))
@@ -303,6 +321,16 @@ class TestWavePlan:
     def test_kernel_matches_per_gate_product(self, seq):
         U = sequence_to_unitary(seq)
         assert U.tobytes() == compose(seq.gates, seq.n_sites).tobytes()
+
+    def test_compose_keeps_zero_draws_exact(self):
+        # one draw table: a zero column, then one noisy column twice
+        seq = build_generic_qqft(6)
+        draws = np.zeros((seq.depth, 3))
+        draws[::2, 1:] = 1e-2
+        U = circuit._compose(seq, draws)
+        assert U.shape == (6, 6, 3)
+        assert U[..., 0].tobytes() == sequence_to_unitary(seq).tobytes()
+        assert U[..., 1].tobytes() == U[..., 2].tobytes() != U[..., 0].tobytes()
 
     def test_equal_sequences_share_hash_and_cache_entry(self):
         seq = build_generic_qqft(7)
@@ -359,7 +387,7 @@ class TestJson:
     def test_unknown_kind_rejected(self):
         doc = json.loads(sequence_to_json(build_radix2_qqft(1)))
         doc["gates"][0]["kind"] = "teleport"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown gate kind 'teleport'"):
             sequence_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("drop,key", [
@@ -383,6 +411,16 @@ class TestJson:
             {"kind": "mix", "site": 0, "theta": 0.3, "phi": 0.0, "layer": 0},
             {"kind": "mix", "site": 1, "theta": 0.5, "phi": 0.0, "layer": 0}]}
         with pytest.raises(ValueError, match="layer 0.*site 1"):
+            sequence_from_json(json.dumps(doc))
+
+    # read as given: int() once truncated a layer of 0.5 to 0, 2.7 sites to 2
+    @pytest.mark.parametrize("key,value", [("site", 0.5), ("site", "0"),
+                                           ("layer", 0.5), ("n_sites", 2.7)])
+    def test_non_integer_index_rejected(self, key, value):
+        doc = {"schema": "qqft-seq/1", "n_sites": 2, "gates": [
+            {"kind": "swap", "site": 0, "layer": 0}]}
+        (doc if key == "n_sites" else doc["gates"][0])[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
             sequence_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("key,field", [("theta", "theta"), ("phi", "phi"),

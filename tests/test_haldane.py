@@ -38,7 +38,7 @@ def params(phi, M):
 
 
 class TestParams:
-    @pytest.mark.parametrize("field", ["phi", "M", "t1", "t2", "target_norm"])
+    @pytest.mark.parametrize("field", ["phi", "M"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, field, value):
         kwargs = {"phi": 0.5, "M": 0.0, field: value}
@@ -85,25 +85,25 @@ class TestDVector:
         assert abs(d[1]) < 1e-12
         # remaining mass at K: M - 3 sqrt(3) t2 sin(phi)
         p = params(0.4, 0.9)
-        expected = p.M - 3 * np.sqrt(3) * p.t2 * np.sin(p.phi)
+        expected = p.M - 3 * np.sqrt(3) * haldane.T2 * np.sin(p.phi)
         assert d[2] == pytest.approx(expected)
 
 
 class TestFlatten:
     def test_rescales_to_target(self):
-        got = flatten([3.0, 4.0, 0.0], 2 * np.pi)
+        got = flatten([3.0, 4.0, 0.0])
         assert got == pytest.approx(2 * np.pi * np.array([0.6, 0.8, 0.0]))
 
     def test_uniform_norm_on_grid(self):
         p = params(-np.pi / 2, 0.0)
         for k in bz_grid(8).reshape(-1, 2):
             d = d_vector(k, p)
-            assert np.linalg.norm(flatten(d, p.target_norm)) == pytest.approx(
-                p.target_norm, abs=1e-12)
+            assert np.linalg.norm(flatten(d)) == pytest.approx(
+                haldane.TARGET_NORM, abs=1e-12)
 
     def test_singular_point(self):
         with pytest.raises(SingularPointError):
-            flatten([0.0, 0.0, 0.0], 1.0)
+            flatten([0.0, 0.0, 0.0])
 
 
 def blocks_loop(p, grid):
@@ -113,7 +113,7 @@ def blocks_loop(p, grid):
     for a in range(grid):
         for b in range(grid):
             d = d_vector(bz_grid(grid)[a, b], p)
-            d = d * (p.target_norm / np.linalg.norm(d))
+            d = d * (haldane.TARGET_NORM / np.linalg.norm(d))
             H[a * grid + b] = sum(di * s for di, s in zip(d, PAULI))
     return H
 
@@ -232,7 +232,7 @@ class TestChernFhs:
            grid=st.sampled_from([3, 6, 8, 16]))
     def test_matches_loop_reference(self, phi, M, grid):
         # away from the boundaries M = +-3 sqrt(3) t2 sin(phi)
-        a = 3.0 * np.sqrt(3) * params(phi, M).t2 * np.sin(phi)
+        a = 3.0 * np.sqrt(3) * haldane.T2 * np.sin(phi)
         assume(min(abs(M + a), abs(M - a)) > 0.3)
         model = momentum_model(params(phi, M), grid)
         assert (chern_or_error(chern_fhs, model)
@@ -478,7 +478,7 @@ class TestNoiseSweep:
         [point] = noise_sweep_gap_width(p, NoiseModel((0.0,), 1),
                                         n_realizations=2, grid=4)
         assert point.mean("width") < 1e-9
-        assert point.mean("gap") == pytest.approx(2 * p.target_norm, abs=1e-9)
+        assert point.mean("gap") == pytest.approx(2 * haldane.TARGET_NORM, abs=1e-9)
 
     def test_trend_and_worker_invariance(self):
         p = params(-np.pi / 2, 0.0)

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qqft import circuit, engine, haldane, protocol
-from qqft.engine import (
-    MAX_DIM,
-    NoiseModel,
-    apply_noisy_sequence,
-    unitarity_defect,
-)
+from qqft.engine import MAX_DIM, NoiseModel, apply_noisy_sequence
 from qqft.protocol import (
     MomentumModel,
     PhaseWrapError,
@@ -21,7 +16,8 @@ from qqft.protocol import (
     extract_spectrum,
     gate_time,
 )
-from test_engine import MIXED_BLOCK, MIXED_MEMBERS, diagonal_momentum_evolution
+from test_engine import (MIXED_BLOCK, MIXED_MEMBERS, diagonal_momentum_evolution,
+                         unitarity_defect)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SIGMAS = st.sampled_from([0.0, 1e-3, 2.5e-3, 5e-3, 3e-2])
@@ -100,10 +96,21 @@ class TestBuildProtocolUnitary:
         assert np.abs(U_on - U_off).max() > 1e-4
 
     def test_unsupported_dimension(self):
-        model = MomentumModel(d=3, l=1, grid=2,
-                              hamiltonian=lambda: np.zeros((8, 1, 1)))
-        with pytest.raises(ValueError):
-            build_protocol_unitary(model)
+        with pytest.raises(ValueError, match="unsupported dimension d=3"):
+            MomentumModel(d=3, l=1, grid=2, hamiltonian=lambda: np.zeros((8, 1, 1)))
+
+
+class TestMomentumModel:
+    # T = 0 once gave gap inf and width nan, T < 0 a reversed spectrum and
+    # T = nan a "matrix is not finite" from the spectrum
+    @pytest.mark.parametrize("field,value", [
+        ("d", 0), ("d", 3), ("l", 0), ("l", -1), ("grid", 1),
+        ("T", 0.0), ("T", -0.1), ("T", np.nan), ("T", np.inf)])
+    def test_invariants_checked_at_construction(self, field, value):
+        kwargs = dict(d=1, l=1, grid=4, T=0.5,
+                      hamiltonian=lambda: np.zeros((4, 1, 1)))
+        with pytest.raises(ValueError, match=f"{field}(=| must)"):
+            MomentumModel(**{**kwargs, field: value})
 
 
 class TestEvolutionBlock:
@@ -245,7 +252,7 @@ class TestExtractSpectrum:
         model = haldane.momentum_model(p, grid=4)
         U, = build_protocol_unitary(model)
         spec = extract_spectrum(U, model.T, model.l)
-        norm = p.target_norm
+        norm = haldane.TARGET_NORM
         assert np.abs(spec.band(0) + norm).max() < 1e-9
         assert np.abs(spec.band(1) - norm).max() < 1e-9
         assert spec.band_width < 1e-9
