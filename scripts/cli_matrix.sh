@@ -49,6 +49,11 @@ run flat-grid4 flatband --grid 4 --realizations 3 --sigma 0,1e-3,5e-3 \
 run flat-grid8 flatband --grid 8 --realizations 4 --sigma 1e-3,0 \
     --phase-grid 2 --phase-realizations 2 --seed 3 \
     --workers "$workers" --out flat-grid8
+# a 6 x 6 grid takes the generic route: the 2D assembly with factors of a
+# size that is not a power of two
+run flat-grid6 flatband --grid 6 --realizations 3 --sigma 0,2e-3,1e-2 \
+    --phase-grid 2 --phase-realizations 2 --seed 7 \
+    --workers "$workers" --out flat-grid6
 # ranges given on the command line parse to lists, not the default tuples
 run flat-ranges flatband --grid 4 --realizations 2 --sigma 2e-3 \
     --phase-grid 2 --phi-range -1 1.5 --m-range -2 0.5 --seed 9 \

@@ -20,7 +20,6 @@ from .protocol import (
     MomentumModel,
     SpectrumResult,
     build_protocol_unitary,
-    estimate_runtime,
     extract_spectrum,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "build_radix2_qqft",
     "depth_formula",
     "dft_matrix",
-    "estimate_runtime",
     "extract_spectrum",
     "sequence_from_json",
     "sequence_to_json",

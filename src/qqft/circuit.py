@@ -97,6 +97,8 @@ class GateSpec:
                 raise ValueError(f"gate {name} must be finite, got {value}")
         if not isinstance(self.layer, (int, np.integer)) or self.layer < 0:
             raise ValueError(f"gate layer must be an integer >= 0, got {self.layer!r}")
+        for name in ("site", "layer"):  # as Python ints, which json can write
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def span(self) -> int:
         """Number of sites the gate touches (1 or 2)."""
@@ -139,6 +141,7 @@ class CircuitSequence:
     def __post_init__(self):
         if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 1:
             raise ValueError(f"n_sites must be an integer >= 1, got {self.n_sites!r}")
+        object.__setattr__(self, "n_sites", int(self.n_sites))  # as json can write
         occupied = set()
         for g in self.gates:
             if not 0 <= g.site <= self.n_sites - g.span():

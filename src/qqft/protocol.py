@@ -8,25 +8,31 @@ energies; with the default evolution time T = 1/(2 pi) ms and band norms of
 branch.
 
 Assembly never forms a dim x dim Kronecker product.  The noisy evolution is
-U = V_f U_d V_i with V_f = F_1 (x) ... (x) F_d (x) I_l and V_i likewise from
-the inverted sequences (grid x grid factors).  U_d is block diagonal, so the
-product U_d V_i is built entry by entry in O(dim^2), and V_f is applied one
-factor at a time on a reshaped array.  U is similar to the core
+U = V_f U_d V_i with V_f = F_1 (x) ... (x) F_d (x) I_l and V_i = G_1 (x) ...
+(x) G_d (x) I_l from the inverted sequences (grid x grid factors), and U_d
+block diagonal with l x l blocks.  In two dimensions the inner pair
+(F_2, G_2) first folds into the blocks, a tensor T[p1, (p2, a), (q2, b)] of
+grid^3 l^2 entries; in one, T is the blocks themselves.  One broadcast
+product Z[p1, x, q1, y] = G_1[p1, q1] T[p1, x, y] and one GEMM F_1 Z then
+write U in its final row-major layout, so an evolution allocates Z and U,
+2 dim^2 values, beyond its factors.  U is similar to the core
 C = U_d (V_i V_f) = V_f^-1 U V_f, whose Fourier part is the product of
 per-dimension grid x grid factors (the identity without noise).  Spectra
-are taken from U itself: applying V_f costs a few ms of a 512-dim
-realization whose eigensolve takes about 75.
+are taken from U itself.
 
 Eigenphases come from the Hermitian part of U: for unitary
 U = Z diag(exp(i theta)) Z^dag, S = (U - U^dag) / 2i = Z diag(sin theta) Z^dag.
 Since S is Hermitian by construction, unitarity is checked apart, on a
-fixed block of probe vectors.  The gap sweep first tries the sine route,
-theta = arcsin(eigvalsh(S)), valid while every |theta| < pi/2: one
-eigensolve without vectors.  A certificate of O(dim) accepts it: every
-cos(theta) = sqrt(1 - sin^2 theta) is at least `SINE_COS_MIN`, which bounds
-arcsin's error gain, and their sum matches Re tr U = sum cos(theta) within
-`SINE_COS_MIN`, which fails as soon as one phase has cos(theta) <=
--SINE_COS_MIN.
+fixed block of probe vectors.  Both routes form S with `_hermitian_part`:
+U^T copied in cache-sized tiles into one Fortran-ordered array, then the
+difference and the factor 1/2i in place, bit for bit (U^dag - U) 0.5j
+without a strided full-size pass or a second full-size temporary.  The gap
+sweep first tries the sine route, theta = arcsin(eigvalsh(S)), valid while
+every |theta| < pi/2: one eigensolve without vectors.  A certificate of
+O(dim) accepts it: every cos(theta) = sqrt(1 - sin^2 theta) is at least
+`SINE_COS_MIN`, which bounds arcsin's error gain, and their sum matches
+Re tr U = sum cos(theta) within `SINE_COS_MIN`, which fails as soon as one
+phase has cos(theta) <= -SINE_COS_MIN.
 
 The Bott index, and every spectrum that fails that certificate, take the
 arctan2 route: eigh(S) with vectors Z, cos theta_j = Re z_j^dag (U z_j)
@@ -64,7 +70,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from . import circuit, engine
+from . import engine
 
 #: default evolution time, ms
 T_DEFAULT = 1.0 / (2.0 * np.pi)
@@ -87,9 +93,6 @@ UNITARY_TOL = 1e-10
 #: step; eigh(S) mixes two vectors by about 1e-16 / (their sine gap), so
 #: columns further apart leave residuals far below the certificate's bound
 CLUSTER_GAP = 1e-4
-
-#: recoil energy of the reference lithium setup, angular frequency in rad/ms
-RECOIL_RAD_PER_MS = 2.0 * np.pi * 25.12
 
 
 class PhaseWrapError(ValueError):
@@ -206,14 +209,16 @@ def build_protocol_unitary(model: MomentumModel, block=engine.NOISELESS):
         raise ValueError(f"evolution dimension {model.dim} exceeds {engine.MAX_DIM}")
     V_f, V_i = engine.fourier_pair(model.grid, block, model.d)
     scales = engine.diagonal_scale(block).tolist()
+    g, n = model.grid, model.dim // model.grid  # n: rows per outer coordinate
 
-    def evolution(i):  # member i: U_d V_i, then V_f one factor at a time
-        blocks = model.diagonal_blocks(scales[i])
-        # entry ((p, a), (q, b)) of U_d V_i is blocks[p, a, b] V_i[p, q]
-        X = np.einsum("pab,pq->paqb", blocks, functools.reduce(np.kron, V_i[:, i]))
-        for k, F in enumerate(V_f[:, i]):  # F_k on the axis-k coordinate
-            X = np.matmul(F, X.reshape(model.grid ** k, model.grid, -1))
-        return X.reshape(model.dim, model.dim)
+    def evolution(i):  # member i: V_f U_d V_i from its per-axis factors
+        T = model.diagonal_blocks(scales[i])
+        if model.d == 2:  # fold axis 2 in: T[p1, (p2', a), (q2, b)]
+            T = np.matmul(V_f[1, i], (T.reshape(g, g, model.l, 1, model.l)
+                                      * V_i[1, i][:, None, :, None]).reshape(g, g, -1))
+        # Z[p1, x, q1, y] = G_1[p1, q1] T[p1, x, y]; F_1 Z has rows (p1', x)
+        Z = V_i[0, i][:, None, :, None] * T.reshape(g, n, 1, n)
+        return np.matmul(V_f[0, i], Z.reshape(g, -1)).reshape(model.dim, model.dim)
 
     return map(evolution, range(len(scales)))
 
@@ -232,14 +237,33 @@ def _checked_unitary(U) -> np.ndarray:
     return U
 
 
+def _hermitian_part(U: np.ndarray) -> np.ndarray:
+    """S = (U - U^dag) / 2i of a square complex U, Fortran-ordered and bit for
+    bit 0.5j * (U^dag - U), in one new array and no other full-size one.
+
+    The array B = S^T is first U^T, copied in tiles of 64 x 64 entries (64 KB
+    each) that stay in cache, where a strided full-size transpose does not.
+    Then, in place, Re B = Re U - Re B and Im B = -Im B - Im U give
+    conj(U) - U^T with the operands of U^dag - U, so signed zeros agree too,
+    and B *= 0.5j.
+    """
+    n = len(U)
+    B = np.empty((n, n), dtype=complex)
+    for i in range(0, n, 64):
+        for j in range(0, n, 64):
+            B[i:i + 64, j:j + 64] = U[j:j + 64, i:i + 64].T
+    np.subtract(U.real, B.real, out=B.real)
+    np.negative(B.imag, out=B.imag)
+    np.subtract(B.imag, U.imag, out=B.imag)
+    B *= 0.5j
+    return B.T
+
+
 def _sine_phases(U: np.ndarray):
     """Eigenphases theta of a unitary U: arcsin of the eigenvalues of
     S = (U - U^dag) / 2i while the sine route's certificate of the module
     docstring holds, else those of `_arctan2_phases`."""
-    S = U.conj().T          # becomes U^dag - U, then S
-    S -= U
-    S *= 0.5j
-    sin = scipy.linalg.eigvalsh(S, overwrite_a=True, check_finite=False)
+    sin = scipy.linalg.eigvalsh(_hermitian_part(U), overwrite_a=True, check_finite=False)
     cos = np.sqrt(1.0 - np.minimum(sin * sin, 1.0))
     if cos.min() < SINE_COS_MIN or abs(np.trace(U).real - cos.sum()) >= SINE_COS_MIN:
         return _arctan2_phases(U)[0]
@@ -251,10 +275,7 @@ def _arctan2_phases(U: np.ndarray):
     eigenbasis, theta_j belonging to column j of Z, by the arctan2 route of
     the module docstring.  Raises PhaseWrapError when any |theta| >=
     pi - WRAP_MARGIN."""
-    S = U.conj().T          # becomes U^dag - U, then S
-    S -= U
-    S *= 0.5j
-    sin, Z = scipy.linalg.eigh(S, overwrite_a=True, check_finite=False)
+    sin, Z = scipy.linalg.eigh(_hermitian_part(U), overwrite_a=True, check_finite=False)
     W = U @ Z
     theta = np.arctan2(sin, np.einsum("ij,ij->j", Z.conj(), W).real)
     bound = UNITARY_TOL * math.sqrt(len(U))
@@ -281,16 +302,3 @@ def extract_spectrum(U: np.ndarray, T: float, l: int) -> SpectrumResult:
     theta = _sine_phases(_checked_unitary(U))
     return SpectrumResult(energies=np.sort(-theta / T), n_bands=l)
 
-
-def gate_time(j_over_recoil: float) -> float:
-    """Single-step duration pi / (2 J) in ms for tunneling J = x * E_R."""
-    return math.pi / (2.0 * j_over_recoil * RECOIL_RAD_PER_MS)
-
-
-def estimate_runtime(n: int, j_over_recoil: float = 0.01) -> float:
-    """Wall-clock estimate (ms) of one radix-2 Fourier cycle on N = 2**n sites.
-
-    Calibration, not physics: depth x pi/(2J) reproduces the ~100 ms scale of
-    the reference 32-site lithium setup at J = 0.01 E_R.
-    """
-    return circuit.depth_formula(n) * gate_time(j_over_recoil)

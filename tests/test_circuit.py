@@ -373,6 +373,17 @@ class TestJson:
         assert sequence_to_unitary(again).tobytes() == \
             sequence_to_unitary(seq).tobytes()
 
+    # json.dumps refused a numpy integer in each of the three places
+    @pytest.mark.parametrize("site,layer,n_sites", [(np.int64(1), 0, 3),
+                                                    (1, np.int32(2), 3),
+                                                    (1, 0, np.uint8(3))])
+    def test_numpy_integers_written_as_ints(self, site, layer, n_sites):
+        seq = CircuitSequence(n_sites, (GateSpec("swap", site, layer=layer),))
+        doc = json.loads(sequence_to_json(seq))
+        assert doc["n_sites"] == 3
+        assert doc["gates"] == [{"kind": "swap", "site": 1, "layer": layer}]
+        assert sequence_from_json(sequence_to_json(seq)) == seq
+
     def test_schema_string(self):
         doc = json.loads(sequence_to_json(build_radix2_qqft(1)))
         assert doc["schema"] == "qqft-seq/1"

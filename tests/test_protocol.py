@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 
@@ -12,9 +13,7 @@ from qqft.protocol import (
     PhaseWrapError,
     T_DEFAULT,
     build_protocol_unitary,
-    estimate_runtime,
     extract_spectrum,
-    gate_time,
 )
 from test_engine import (MIXED_BLOCK, MIXED_MEMBERS, diagonal_momentum_evolution,
                          unitarity_defect)
@@ -228,7 +227,7 @@ class TestKroneckerAssembly:
             build_protocol_unitary(model)
 
     @pytest.mark.parametrize("d,l,grid", [(1, 1, 8), (1, 2, 3), (2, 1, 4),
-                                          (2, 2, 4)])
+                                          (2, 2, 4), (2, 2, 3), (2, 2, 16)])
     @pytest.mark.parametrize("diagonal", [False, True])
     @settings(max_examples=4, deadline=None, derandomize=True, database=None)
     @given(seed=SEEDS, sigma=SIGMAS)
@@ -239,6 +238,24 @@ class TestKroneckerAssembly:
         got, = build_protocol_unitary(model, [noise])
         ref = dense_kron_reference(model, noise)
         assert np.abs(got - ref).max() < 1e-12
+
+    def test_evolution_allocates_z_and_u(self):
+        # beyond its factors, an evolution holds the broadcast product Z and
+        # U (dim^2 values each) and the folded blocks T (grid^3 l^2 values,
+        # dim^2 / 16 here) at once; a third full-size array would not fit
+        model = haldane.momentum_model(
+            haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=16)
+        model.eigensystem  # kept by the model: built once, before tracing
+        evolutions = build_protocol_unitary(model, [NoiseModel(5e-3, 1)])
+        tracemalloc.start()
+        try:
+            U = next(evolutions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dim = model.dim
+        assert U.shape == (dim, dim)
+        assert peak <= (2 * dim ** 2 + dim ** 2 // 10) * 16
 
 
 class TestExtractSpectrum:
@@ -357,6 +374,30 @@ OFF_ZERO = st.floats(min_value=0.05, max_value=1.4).flatmap(
     lambda t: st.sampled_from([t, -t]))
 
 
+class TestHermitianPart:
+    @pytest.mark.parametrize("dim", [1, 2, 18, 64, 512])
+    def test_bit_for_bit_and_fortran_ordered(self, dim):
+        # at one tile an in-place pass on a view of U^T would overwrite U
+        U = unitary_with_phases(np.linspace(-3.0, 3.0, dim), seed=dim)
+        before = U.copy()
+        S = protocol._hermitian_part(U)
+        assert S.flags.f_contiguous
+        assert U.tobytes() == before.tobytes()
+        assert np.asfortranarray(S).tobytes() == \
+            np.asfortranarray(0.5j * (U.conj().T - U)).tobytes()
+
+    def test_signed_zeros_agree(self):
+        # imaginary parts that cancel exactly: conj(U - conj(U^T)) gives -0.0
+        # where U^dag - U gives +0.0, and the factor 0.5j moves that sign into
+        # real parts of S
+        rng = np.random.default_rng(4)
+        re, im = rng.choice([0.0, -0.0, 0.5, -0.5], size=(2, 40, 40))
+        U = re + 1j * im
+        S = protocol._hermitian_part(U)
+        assert np.asfortranarray(S).tobytes() == \
+            np.asfortranarray(0.5j * (U.conj().T - U)).tobytes()
+
+
 class TestSineRoute:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(theta=SINE_PHASES, seed=SEEDS)
@@ -451,18 +492,3 @@ class TestSineRoute:
         spec = extract_spectrum(U, model.T, model.l)
         assert spec.band_gap > 0
 
-
-class TestEstimateRuntime:
-    def test_reference_32_sites(self):
-        # depth 106 at a 0.995 ms step: about a tenth of a second
-        assert gate_time(0.01) == pytest.approx(0.9952, abs=1e-4)
-        assert estimate_runtime(5, 0.01) == pytest.approx(105.49, abs=0.01)
-
-    def test_doubling_j_halves_duration(self):
-        assert estimate_runtime(5, 0.02) == pytest.approx(
-            estimate_runtime(5, 0.01) / 2)
-
-    def test_n4(self):
-        # depth formula gives 43 steps at n = 4
-        assert estimate_runtime(4, 0.01) == pytest.approx(43 * gate_time(0.01))
-        assert estimate_runtime(4, 0.01) == pytest.approx(42.79, abs=0.01)
