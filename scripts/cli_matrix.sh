@@ -71,6 +71,10 @@ run poincare-n6 poincare --N 6 --realizations 3 --seed 5 --noise-on-diagonal \
     --workers "$workers" --out poincare-n6
 run poincare-n16 poincare --N 16 --gamma 3 --realizations 2 --sigma 0,5e-3 \
     --seed 5 --noise-on-diagonal --workers "$workers" --out poincare-n16
+# no linear table exists for N = 18, gamma = 2: an orbit-cover dispersion,
+# with a noiseless diagonal step, so every member takes the exact phase table
+run poincare-n18 poincare --N 18 --gamma 2 --sigma 0,5e-3 --realizations 3 \
+    --seed 5 --workers "$workers" --out poincare-n18
 run poincare-n33 poincare --N 33 --sigma 0,1e-3,5e-3,1e-2,2e-2,5e-2 \
     --realizations 4 --seed 11 --workers "$workers" --out poincare-n33
 # the clean reference taken from a zero sigma that comes last, and measured

@@ -93,8 +93,10 @@ class GateSpec:
             raise ValueError(f"gate site must be an integer, got {self.site!r}")
         for name in ("theta", "phi", "lam"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"gate {name} must be finite, got {value}")
+            if (not isinstance(value, (int, float, np.integer, np.floating))
+                    or not math.isfinite(value)):
+                raise ValueError(f"gate {name} must be a finite real, got {value!r}")
+            object.__setattr__(self, name, float(value))  # as json can write
         if not isinstance(self.layer, (int, np.integer)) or self.layer < 0:
             raise ValueError(f"gate layer must be an integer >= 0, got {self.layer!r}")
         for name in ("site", "layer"):  # as Python ints, which json can write
@@ -515,9 +517,9 @@ def sequence_from_json(text: str) -> CircuitSequence:
         for entry in doc["gates"]:
             gates.append(GateSpec(
                 entry["kind"], entry["site"],
-                theta=float(entry.get("theta", 0.0)),
-                phi=float(entry.get("phi", 0.0)),
-                lam=float(entry.get("lambda", 0.0)),
+                theta=entry.get("theta", 0.0),
+                phi=entry.get("phi", 0.0),
+                lam=entry.get("lambda", 0.0),
                 layer=entry.get("layer", 0),
             ))
         n_sites = doc["n_sites"]

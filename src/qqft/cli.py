@@ -208,7 +208,6 @@ def cmd_poincare(args) -> int:
         raise SystemExit(f"error: {exc}") from None
     run = _Run(args, sigmas=sigmas)
 
-    lattice = poincare.equivalence_classes(args.N, args.gamma)
     run.write_json("dispersion.json", {
         "schema": "qqft-dispersion/1",
         "artifact_version": __version__,
@@ -217,13 +216,13 @@ def cmd_poincare(args) -> int:
         "gamma": disp.gamma,
         "tau": 1.0,  # the period, the unit of time of every propagator
         "j": list(disp.j_table),
-        "n_classes": len(lattice.classes),
+        "n_classes": len(disp.lattice.classes),
     })
 
     # the propagators are the sweep's realization 0: stream 0 at every sigma
     noise = engine.NoiseModel(sigmas, args.seed, diagonal=args.noise_on_diagonal)
     points, greens = poincare.noise_sweep_symmetry(
-        disp, lattice, noise, args.realizations, workers=args.workers)
+        disp, noise, args.realizations, workers=args.workers)
     for sigma, g in greens.items():
         for part, array in (("re", g.real), ("im", g.imag)):
             # rows are the site offset n, columns the stroboscopic time m

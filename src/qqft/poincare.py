@@ -12,16 +12,17 @@ gamma = 2.
 
 The propagator matrix G[n, m] = -i [U(m tau)]_{n, 0} is built from
 U(m tau) = V^dag D^m V with V the compiled Fourier transform and
-D = diag(exp(-i E_k tau)); gate noise enters through independent streams for
-the forward and inverse sequences.  Symmetry breaking is quantified by the
-class-variance statistic `s_lorentz` and the clean-vs-noisy RMS `s_total`.
+D = diag(exp(-i E_k tau)), whose powers are the dispersion's phase table;
+gate noise enters through independent streams for the forward and inverse
+sequences.  Symmetry breaking is quantified by the class-variance statistic
+`s_lorentz`, over the boost lattice that `build_dispersion` builds once and
+keeps as `Dispersion.lattice`, and by the clean-vs-noisy RMS `s_total`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import repeat
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -46,12 +47,10 @@ def lorentz_map(m: int, n: int, gamma: int, N: int):
 class LorentzLattice:
     """Equivalence-class partition of the spacetime lattice under the boost."""
 
-    n_sites: int
-    gamma: int
     classes: tuple            # tuple of tuples of (m, n) pairs
     class_of: np.ndarray      # [m, n] -> class index
 
-    @property
+    @cached_property  # the lattice is frozen: computed once, on first use
     def sizes(self) -> np.ndarray:
         return np.array([len(c) for c in self.classes])
 
@@ -66,26 +65,34 @@ def equivalence_classes(N: int, gamma: int) -> LorentzLattice:
         for n0 in range(N):
             if class_of[m0, n0] >= 0:
                 continue
-            index = len(classes)
             orbit = []
             m, n = m0, n0
             while class_of[m, n] < 0:
-                class_of[m, n] = index
+                class_of[m, n] = len(classes)
                 orbit.append((m, n))
                 m, n = lorentz_map(m, n, gamma, N)
             classes.append(tuple(orbit))
-    return LorentzLattice(n_sites=N, gamma=gamma, classes=tuple(classes),
-                          class_of=class_of)
+    return LorentzLattice(classes=tuple(classes), class_of=class_of)
 
 
 @dataclass(frozen=True)
 class Dispersion:
     """Integer dispersion table: E_{k_m} = 2 pi j(m) / N, in units of
-    1 / tau with the period tau = 1."""
+    1 / tau with the period tau = 1, and its boost lattice (not compared)."""
 
     n_sites: int
     gamma: int
     j_table: tuple
+    lattice: LorentzLattice = field(compare=False, repr=False)
+
+    def phases(self, scale: float = 1.0) -> np.ndarray:
+        """[m, k] -> exp(-i scale E_k m tau); exact at scale 1 (j m mod N)."""
+        N = self.n_sites
+        j = np.array(self.j_table)
+        m = np.arange(N)[:, None]
+        if scale == 1.0:
+            return np.exp(-2j * np.pi * ((j * m) % N) / N)
+        return np.exp(-2j * np.pi * scale * j * m / N)
 
 
 def graph_is_invariant(j_table: Sequence[int], N: int, gamma: int) -> bool:
@@ -100,17 +107,15 @@ def _linear_dispersions(N: int, gamma: int) -> list:
             for c in range(1, N) if (c * c) % N == target]
 
 
-def _orbit_cover_dispersions(N: int, gamma: int) -> list:
-    """Exact-cover search: unions of boost orbits in (m, j) space whose
-    m-projection hits every momentum exactly once; at most
-    `_MAX_ORBIT_COVERS` of them."""
-    lattice = equivalence_classes(N, gamma)
+def _orbit_cover_dispersions(lattice: LorentzLattice) -> list:
+    """Exact-cover search: unions of boost orbits of `lattice`, read in
+    (m, j) space, whose m-projection hits every momentum exactly once; at
+    most `_MAX_ORBIT_COVERS` of them."""
+    N = len(lattice.class_of)
     usable = [orbit for orbit in lattice.classes
               if len({m for m, _ in orbit}) == len(orbit)]
-    by_m = [[] for _ in range(N)]
-    for i, orbit in enumerate(usable):
-        for m, _ in orbit:
-            by_m[m].append(i)
+    moms = [frozenset(m for m, _ in orbit) for orbit in usable]
+    by_m = [[i for i, ms in enumerate(moms) if m in ms] for m in range(N)]
     solutions = []
 
     def backtrack(covered, chosen):
@@ -122,10 +127,8 @@ def _orbit_cover_dispersions(N: int, gamma: int) -> list:
                 pair for i in chosen for pair in usable[i])))
             return
         for i in by_m[m]:
-            ms = {mm for mm, _ in usable[i]}
-            if ms & covered:
-                continue
-            backtrack(covered | ms, chosen + [i])
+            if not moms[i] & covered:
+                backtrack(covered | moms[i], chosen + [i])
 
     backtrack(frozenset(), [])
     return solutions
@@ -135,26 +138,25 @@ def build_dispersion(N: int, gamma: int) -> Dispersion:
     """Select a Lorentz-compatible dispersion.
 
     Linear candidates j = c m with c^2 = gamma^2 - 1 (mod N) are searched
-    first, then a bounded exact-cover over boost orbits.  The flat table
-    j = 0 (a static particle, which picks a rest frame) is rejected; odd
-    tables j(-m) = -j(m) are preferred so the noiseless propagator is purely
+    first, then a bounded exact-cover over the orbits of the boost lattice,
+    which is built once and kept as the result's `lattice`.  Both are
+    boost-closed: the boost maps (m, c m) to ((gamma + c) m, c (gamma + c) m)
+    and a cover is a union of orbits.  The flat table j = 0 (a static
+    particle, which picks a rest frame) is rejected; odd tables
+    j(-m) = -j(m) are preferred so the noiseless propagator is purely
     imaginary, and ties break to the lexicographically smallest table.
     """
-    candidates = _linear_dispersions(N, gamma)
+    lattice = equivalence_classes(N, gamma)
+    candidates = [t for t in (_linear_dispersions(N, gamma)
+                              or _orbit_cover_dispersions(lattice)) if any(t)]
     if not candidates:
-        candidates = _orbit_cover_dispersions(N, gamma)
-    candidates = [t for t in candidates
-                  if any(t) and graph_is_invariant(t, N, gamma)]
-    if not candidates:
-        sizes = sorted(equivalence_classes(N, gamma).sizes.tolist())
         raise DispersionError(
-            f"no nontrivial Lorentz-compatible dispersion for N={N}, "
-            f"gamma={gamma}; boost orbit sizes: {sizes}"
-        )
+            f"no nontrivial Lorentz-compatible dispersion for N={N}, gamma="
+            f"{gamma}; boost orbit sizes: {sorted(lattice.sizes.tolist())}")
     odd = [t for t in candidates
            if all(t[(-m) % N] == (-t[m]) % N for m in range(N))]
     pool = odd or candidates
-    return Dispersion(n_sites=N, gamma=gamma, j_table=min(pool))
+    return Dispersion(N, gamma, min(pool), lattice)
 
 
 @dataclass
@@ -174,32 +176,29 @@ def greens_function(disp: Dispersion, block=engine.NOISELESS):
     m periods; unitarity makes every (n1, m) slice sum to one even with
     noise, which reaches the diagonal step too for a model whose `diagonal`
     is set.  The Fourier pairs of every member, such as a block of
-    realizations at every sigma, compose in one pass per direction.  The
-    result is an iterator of GreensResults, each built when it is reached,
-    so that one propagator at a time is in memory; the default `NOISELESS`
-    gives the clean one.
+    realizations at every sigma, compose in one pass per direction, and
+    every member with a noiseless diagonal step shares one exact phase
+    table.  The result is an iterator of GreensResults, each built when it
+    is reached, so that one propagator at a time is in memory; the default
+    `NOISELESS` gives the clean one.
     """
     (V_f,), (V_i,) = engine.fourier_pair(disp.n_sites, block, 1)
-    return map(_greens_one, repeat(disp), V_f, V_i,
-               engine.diagonal_scale(block).tolist())
+    exact = disp.phases()
+    tables = (exact if scale == 1.0 else disp.phases(scale)
+              for scale in engine.diagonal_scale(block).tolist())
+    return map(_greens_one, tables, V_f, V_i)
 
 
-def _greens_one(disp: Dispersion, V_f: np.ndarray, V_i: np.ndarray,
-                scale: float) -> GreensResult:
-    """G and P from one Fourier pair; `scale` multiplies the diagonal
-    generator."""
-    N = disp.n_sites
-    j = np.array(disp.j_table)
-    m = np.arange(N)[:, None]
-    if scale == 1.0:
-        phases = np.exp(-2j * np.pi * ((j * m) % N) / N)
-    else:
-        phases = np.exp(-2j * np.pi * scale * j * m / N)
+def _greens_one(phases: np.ndarray, V_f: np.ndarray,
+                V_i: np.ndarray) -> GreensResult:
+    """G and P from one Fourier pair and the phase table [m, k] of D^m."""
+    N = len(phases)
     U = V_i @ (phases[:, :, None] * V_f)      # U[m] = U(m tau)
     U[0] = np.eye(N)
     G = -1j * U[:, :, 0].T
-    P = (np.abs(U) ** 2).reshape(-1)[_p_index(N)]
-    return GreensResult(matrix=G, p_tensor=P)
+    P = np.abs(U)
+    np.square(P, out=P)
+    return GreensResult(matrix=G, p_tensor=P.reshape(-1)[_p_index(N)])
 
 
 @lru_cache(maxsize=8)
@@ -235,13 +234,13 @@ def s_total(P_noisy: np.ndarray, P_clean: np.ndarray) -> float:
     return float(np.sqrt(np.mean((P_noisy - P_clean) ** 2)))
 
 
-def noise_sweep_symmetry(disp: Dispersion, lattice: LorentzLattice,
-                         noise: NoiseModel, n_realizations: int,
-                         workers: int = 1) -> tuple:
+def noise_sweep_symmetry(disp: Dispersion, noise: NoiseModel,
+                         n_realizations: int, workers: int = 1) -> tuple:
     """S_L and S_P versus noise strength, independent of the worker count:
     (points, greens), one `engine.SweepPoint` per sigma of the column `noise`
-    (see `engine._noise_sweep`) with samples "sl" and "sp", and {sigma: G}
-    of realization 0, which is `noise` itself.
+    (see `engine._noise_sweep`) with samples "sl" and "sp", S_L taken over
+    the classes of `disp.lattice`, and {sigma: G} of realization 0, which is
+    `noise` itself.
 
     The clean reference of `s_total` is the noiseless propagator, built once
     per call on one BLAS thread like every task; it is bit for bit the zero
@@ -252,7 +251,7 @@ def noise_sweep_symmetry(disp: Dispersion, lattice: LorentzLattice,
     def measure(block):  # map lets each G go before the next is built
         # only realization 0, stream 0, keeps its G
         keep = [c.stream_id == 0 for c in block for _ in c.sigma]
-        return list(map(lambda g, k: (s_lorentz(g.p_tensor, lattice), s_total(
+        return list(map(lambda g, k: (s_lorentz(g.p_tensor, disp.lattice), s_total(
             g.p_tensor, P_clean), g.matrix if k else None),
             greens_function(disp, block), keep))
 

@@ -144,9 +144,8 @@ def test_criterion_5_topology():
 
 def test_criterion_6_poincare_symmetry():
     disp = poincare.build_dispersion(33, 2)
-    lattice = poincare.equivalence_classes(33, 2)
     clean = next(poincare.greens_function(disp))
-    sl = poincare.s_lorentz(clean.p_tensor, lattice)
+    sl = poincare.s_lorentz(clean.p_tensor, disp.lattice)
     prob_dev = float(np.abs(clean.p_tensor.sum(axis=2) - 1).max())
     re_max = float(np.abs(clean.matrix.real).max())
     exact, = exact_greens(disp)
@@ -167,7 +166,7 @@ def _loglog_slope(sigmas, means, i, j):
 def test_criterion_7_poincare_noise_trend():
     sigmas = [0.0, 1e-3, 5e-3, 1e-2, 2e-2, 5e-2]
     points, _ = poincare.noise_sweep_symmetry(
-        poincare.build_dispersion(33, 2), poincare.equivalence_classes(33, 2),
+        poincare.build_dispersion(33, 2),
         engine.NoiseModel(sigmas, 5), 100, workers=WORKERS)
     for label, means, errs in (
         ("S_L", [p.mean("sl") for p in points], [p.stderr("sl") for p in points]),
@@ -224,10 +223,10 @@ def test_criterion_8_property_suites():
     b = haldane.noise_sweep_gap_width(p, noise, 6, grid=4, workers=3)
     assert np.array_equal(a[0].samples["gap"], b[0].samples["gap"])
     assert np.array_equal(a[0].samples["width"], b[0].samples["width"])
-    crystal = poincare.build_dispersion(6, 2), poincare.equivalence_classes(6, 2)
+    disp = poincare.build_dispersion(6, 2)
     noise = engine.NoiseModel((1e-2,), 13)
-    sa, _ = poincare.noise_sweep_symmetry(*crystal, noise, 5)
-    sb, _ = poincare.noise_sweep_symmetry(*crystal, noise, 5, workers=3)
+    sa, _ = poincare.noise_sweep_symmetry(disp, noise, 5)
+    sb, _ = poincare.noise_sweep_symmetry(disp, noise, 5, workers=3)
     assert np.array_equal(sa[0].samples["sl"], sb[0].samples["sl"])
     assert np.array_equal(sa[0].samples["sp"], sb[0].samples["sp"])
 

@@ -384,6 +384,19 @@ class TestJson:
         assert doc["gates"] == [{"kind": "swap", "site": 1, "layer": layer}]
         assert sequence_from_json(sequence_to_json(seq)) == seq
 
+    # json.dumps refused a numpy float32 angle, which is no Python float
+    def test_numpy_float_angle_written_as_float(self):
+        seq = CircuitSequence(2, (GateSpec("mix", 0, theta=np.float32(0.3)),))
+        doc = json.loads(sequence_to_json(seq))
+        assert doc["gates"][0]["theta"] == float(np.float32(0.3))
+        assert sequence_from_json(sequence_to_json(seq)) == seq
+
+    @pytest.mark.parametrize("field", ["theta", "phi", "lam"])
+    @pytest.mark.parametrize("value", ["0.3", 0.3j, None])
+    def test_non_real_angle_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"gate {field} must be a finite real,"):
+            GateSpec("mix", 0, **{field: value})
+
     def test_schema_string(self):
         doc = json.loads(sequence_to_json(build_radix2_qqft(1)))
         assert doc["schema"] == "qqft-seq/1"

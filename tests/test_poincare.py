@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qqft import circuit, engine, poincare
+from qqft import circuit, cli, engine, poincare
 from qqft.engine import NoiseModel
 from qqft.poincare import (
     DispersionError,
@@ -20,9 +20,8 @@ from test_engine import MIXED_BLOCK, MIXED_MEMBERS
 
 def symmetry_points(N, gamma, *args, **kwargs):
     """The SweepPoints of `noise_sweep_symmetry` for the (N, gamma) crystal."""
-    return noise_sweep_symmetry(build_dispersion(N, gamma),
-                                equivalence_classes(N, gamma),
-                                *args, **kwargs)[0]
+    return noise_sweep_symmetry(build_dispersion(N, gamma), *args,
+                                **kwargs)[0]
 
 
 def exact_greens(disp, block=engine.NOISELESS):
@@ -30,7 +29,7 @@ def exact_greens(disp, block=engine.NOISELESS):
     place of the compiled Fourier transform, one per member of `block`: the
     independent reference for the compiled route."""
     V_f = circuit.dft_matrix(disp.n_sites)
-    return [poincare._greens_one(disp, V_f, V_f.conj().T, scale)
+    return [poincare._greens_one(disp.phases(scale), V_f, V_f.conj().T)
             for scale in engine.diagonal_scale(block).tolist()]
 
 
@@ -86,8 +85,11 @@ class TestLorentzMap:
         assert lorentz_map(2, 3, 2, 33) == (7, 12)
 
     def test_matrix_determinant_is_one(self):
-        g = equivalence_classes(12, 3).gamma
-        assert round(np.linalg.det([[g, 1], [g * g - 1, g]])) == 1
+        # the columns of L are the images of (1, 0) and (0, 1), before mod N
+        for gamma in (2, 3, 6):
+            (a, c), (b, d) = (lorentz_map(1, 0, gamma, 1000),
+                              lorentz_map(0, 1, gamma, 1000))
+            assert a * d - b * c == 1
 
 
 class TestEquivalenceClasses:
@@ -155,9 +157,8 @@ class TestBuildDispersion:
         disp = build_dispersion(6, 3)
         assert disp.j_table == (0, 1, 1, 0, 5, 5)
         assert graph_is_invariant(disp.j_table, 6, 3)
-        lattice = equivalence_classes(6, 3)
         res, = exact_greens(disp)
-        assert s_lorentz(res.p_tensor, lattice) < 1e-12
+        assert s_lorentz(res.p_tensor, disp.lattice) < 1e-12
         assert np.abs(res.matrix.real).max() < 1e-12
 
     def test_failure_is_explicit(self):
@@ -166,6 +167,57 @@ class TestBuildDispersion:
             build_dispersion(5, 2)
         assert "orbit sizes" in str(err.value)
 
+    # the onset-table cases: linear tables and orbit covers, gamma 2 to 6
+    @pytest.mark.parametrize("N,gamma", [(33, 2), (6, 2), (8, 3), (18, 2),
+                                         (30, 2), (6, 3), (12, 3), (16, 3),
+                                         (32, 3), (35, 6)])
+    def test_every_candidate_is_boost_closed(self, N, gamma):
+        # build_dispersion does not filter by graph_is_invariant: both
+        # candidate families are closed under the boost by construction
+        candidates = (poincare._linear_dispersions(N, gamma)
+                      or poincare._orbit_cover_dispersions(
+                          equivalence_classes(N, gamma)))
+        assert candidates
+        assert all(graph_is_invariant(t, N, gamma) for t in candidates)
+
+    @staticmethod
+    def count_lattices(monkeypatch):
+        """One entry per `equivalence_classes` call."""
+        calls = []
+        build = equivalence_classes
+
+        def spy(N, gamma):
+            calls.append((N, gamma))
+            return build(N, gamma)
+
+        monkeypatch.setattr(poincare, "equivalence_classes", spy)
+        return calls
+
+    @pytest.mark.parametrize("N,gamma", [(33, 2), (16, 3), (5, 2)],
+                             ids=["linear", "orbit-cover", "none"])
+    def test_lattice_built_once(self, monkeypatch, N, gamma):
+        calls = self.count_lattices(monkeypatch)
+        try:
+            disp = build_dispersion(N, gamma)
+        except DispersionError:
+            disp = None
+        assert calls == [(N, gamma)]
+        if disp is not None:
+            assert disp.lattice.classes == equivalence_classes(N, gamma).classes
+
+    def test_cli_builds_lattice_once(self, monkeypatch, tmp_path):
+        calls = self.count_lattices(monkeypatch)
+        assert cli.main(["poincare", "--N", "16", "--gamma", "3",
+                         "--realizations", "2", "--sigma", "0,1e-2",
+                         "--out", str(tmp_path)]) == 0
+        assert calls == [(16, 3)]
+
+    def test_lattice_not_compared(self):
+        a, b = build_dispersion(33, 2), build_dispersion(33, 2)
+        assert a.lattice is not b.lattice
+        assert a == b and hash(a) == hash(b)
+        assert "lattice" not in repr(a)
+
 
 @pytest.fixture(scope="module")
 def disp():
@@ -173,8 +225,8 @@ def disp():
 
 
 @pytest.fixture(scope="module")
-def lattice():
-    return equivalence_classes(33, 2)
+def lattice(disp):
+    return disp.lattice
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +348,7 @@ class TestSymmetryMetrics:
         assert s_lorentz(clean.p_tensor, lattice) < 1e-10
 
     def test_sl_zero_for_classwise_constant(self, lattice):
-        N = lattice.n_sites
+        N = len(lattice.class_of)
         values = np.cos(np.arange(len(lattice.classes)))
         P = np.broadcast_to(values[lattice.class_of], (N, N, N)).copy()
         assert s_lorentz(P, lattice) < 1e-14
@@ -367,8 +419,7 @@ class TestNoiseSweep:
     def test_greens_are_realization_0(self, sigmas):
         disp = build_dispersion(6, 2)
         noise = NoiseModel(sigmas, 4, diagonal=True)
-        _, greens = noise_sweep_symmetry(disp, equivalence_classes(6, 2),
-                                         noise, 2)
+        _, greens = noise_sweep_symmetry(disp, noise, 2)
         column = greens_function(disp, [NoiseModel(tuple(sigmas), 4, diagonal=True)])
         assert list(greens) == sigmas
         for sigma, g in zip(sigmas, column):

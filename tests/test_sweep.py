@@ -32,7 +32,6 @@ def sweep_reference(measure, names, noise, n, workers):
 def symmetry_sweep(N, gamma, *args, **kwargs):
     """`noise_sweep_symmetry` for the (N, gamma) crystal: (points, greens)."""
     return poincare.noise_sweep_symmetry(poincare.build_dispersion(N, gamma),
-                                         poincare.equivalence_classes(N, gamma),
                                          *args, **kwargs)
 
 

@@ -138,7 +138,7 @@ class TestWorkerLifetime:
 
     def test_symmetry_sweep_joins_its_workers(self):
         points, _ = poincare.noise_sweep_symmetry(
-            poincare.build_dispersion(6, 2), poincare.equivalence_classes(6, 2),
+            poincare.build_dispersion(6, 2),
             engine.NoiseModel((0.0, 1e-2), 5), 3, workers=3)
         assert len(points) == 2
         assert_no_children()
