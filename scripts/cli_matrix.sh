@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Run a fixed set of qqft CLI configurations into OUTDIR with WORKERS worker
 # processes.  Each run gets its own subdirectory holding its output files,
-# stdout and stderr.  Outputs must not depend on the worker count, so the
-# trees of two worker counts, or of two commits, compare with `diff -r`:
+# stdout and stderr, and a file `status` with the exit status of a run that
+# failed.  A failing run does not stop the script, so that the trees hold
+# error paths too; the script exits with status 1 after the last run when a
+# run failed that should have succeeded, or the other way round.  Outputs
+# must not depend on the worker count, so the trees of two worker counts,
+# or of two commits, compare with `diff -r`:
 #
 #   scripts/cli_matrix.sh out1 1 && scripts/cli_matrix.sh out2 2
 #   diff -r out1 out2
@@ -36,11 +40,14 @@ mkdir -p "$out"
 # paths in the printed lines are relative to OUTDIR, so trees compare
 cd "$out"
 
-run() {  # NAME ARGS...: qqft ARGS --out NAME, with stdout and stderr kept
+# NAME ARGS...: qqft ARGS --out NAME, with stdout and stderr kept, and the
+# exit status in NAME/status when it is not 0
+run() {
     local name=$1
     shift
     mkdir -p "$name"
-    python -m qqft "$@" >"$name/stdout" 2>"$name/stderr"
+    rm -f "$name/status"
+    python -m qqft "$@" >"$name/stdout" 2>"$name/stderr" || echo $? >"$name/status"
 }
 
 run flat-grid4 flatband --grid 4 --realizations 3 --sigma 0,1e-3,5e-3 \
@@ -102,8 +109,25 @@ run verify-n4 verify compile-n4/seq_radix2_n4.json
 # at phi = pi/2, M = 3 sits on a phase boundary and the 6 x 6 grid holds
 # the point where d vanishes, so the model cannot be flattened: that cell
 # counts both realizations of its block as closed gaps (a NaN Bott value
-# and one stderr line), while M = 4 is gapped.  Last, since a revision that
-# still aborts here has written every other run by then
+# and one stderr line), while M = 4 is gapped
 run flat-boundary flatband --grid 6 --sigma "" --phase-grid 2 \
     --phi-range 1.5707963267948966 1.5707963267948966 --m-range 3 4 \
     --phase-realizations 2 --seed 5 --workers "$workers" --out flat-boundary
+# the same point in the gap sweep: the model cannot be flattened, so the
+# command stops with one error line and exit status 1, and writes no output
+run flat-singular flatband --phi 1.5707963267948966 --M 3 --grid 6 \
+    --phase-grid 0 --sigma 0,1e-3 --realizations 2 --workers "$workers" \
+    --out flat-singular
+
+# every run but flat-singular must succeed, and flat-singular must fail
+status=0
+for name in */; do
+    name=${name%/}
+    if [ -e "$name/status" ]; then failed=yes; else failed=no; fi
+    if [ "$name" = flat-singular ]; then expect=yes; else expect=no; fi
+    if [ "$failed" != "$expect" ]; then
+        echo "$0: $name: failed=$failed, expected failed=$expect" >&2
+        status=1
+    fi
+done
+exit "$status"

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -61,6 +62,17 @@ _SWAP_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 #: angles below this are dropped when a 2x2 unitary is split into gates
 _ANGLE_TOL = 1e-12
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    """`value` as a Python int, which json can write; ValueError for a bool,
+    for anything that is not an int or a numpy integer, and for a value
+    below `least`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -89,18 +101,13 @@ class GateSpec:
     def __post_init__(self):
         if self.kind not in (SWAP, MIX, PHASE):
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if not isinstance(self.site, (int, np.integer)):
-            raise ValueError(f"gate site must be an integer, got {self.site!r}")
+        object.__setattr__(self, "site", _integer(self.site, "gate site"))
+        object.__setattr__(self, "layer", _integer(self.layer, "gate layer", 0))
         for name in ("theta", "phi", "lam"):
             value = getattr(self, name)
-            if (not isinstance(value, (int, float, np.integer, np.floating))
-                    or not math.isfinite(value)):
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ValueError(f"gate {name} must be a finite real, got {value!r}")
             object.__setattr__(self, name, float(value))  # as json can write
-        if not isinstance(self.layer, (int, np.integer)) or self.layer < 0:
-            raise ValueError(f"gate layer must be an integer >= 0, got {self.layer!r}")
-        for name in ("site", "layer"):  # as Python ints, which json can write
-            object.__setattr__(self, name, int(getattr(self, name)))
 
     def span(self) -> int:
         """Number of sites the gate touches (1 or 2)."""
@@ -141,9 +148,7 @@ class CircuitSequence:
     depth: int = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 1:
-            raise ValueError(f"n_sites must be an integer >= 1, got {self.n_sites!r}")
-        object.__setattr__(self, "n_sites", int(self.n_sites))  # as json can write
+        object.__setattr__(self, "n_sites", _integer(self.n_sites, "n_sites", 1))
         occupied = set()
         for g in self.gates:
             if not 0 <= g.site <= self.n_sites - g.span():
@@ -169,8 +174,7 @@ def depth_formula(n: int) -> int:
     Evaluates (n + 2) 2**(n-1) - n - 1; the equivalent regrouping
     (2**(n-1) - 1) n + 2**n - 1 is exercised by the tests.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer(n, "n", 1)
     return (n + 2) * (1 << (n - 1)) - n - 1
 
 
@@ -216,11 +220,7 @@ def build_radix2_qqft(n: int) -> CircuitSequence:
     swap layers of R[q].  The composition equals `dft_matrix(N)` exactly and
     the number of layers equals `depth_formula(n)`.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError("n must be an integer")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    n = int(n)
+    n = _integer(n, "n", 1)
     N = 1 << n
     gates = []
     layer = 0
@@ -279,11 +279,7 @@ def build_generic_qqft(N: int) -> CircuitSequence:
     Every gate is its own Hamiltonian step, and the depth is bounded by
     2 N**2 with one fixed constant across sizes.
     """
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise ValueError("N must be an integer")
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    N = int(N)
+    N = _integer(N, "N", 2)
     U = dft_matrix(N)
     rotations = []
     for col in range(N - 1):

@@ -164,10 +164,16 @@ def cmd_verify(args) -> int:
 def cmd_flatband(args) -> int:
     sigmas = _sigma_list(args.sigma)
     params = haldane.HaldaneParams(phi=args.phi, M=args.M)
-    dim = haldane.momentum_model(params, args.grid).dim
-    if dim > engine.MAX_DIM:
+    model = haldane.momentum_model(params, args.grid)
+    if model.dim > engine.MAX_DIM:
         raise SystemExit(f"error: --grid {args.grid} gives evolution dimension "
-                         f"{dim}, which exceeds {engine.MAX_DIM}")
+                         f"{model.dim}, which exceeds {engine.MAX_DIM}")
+    if sigmas:  # the gap sweep flattens the model; the phase diagram copes
+        try:
+            model.eigensystem
+        except haldane.SingularPointError as exc:
+            raise SystemExit(f"error: --phi {args.phi:g} --M {args.M:g} "
+                             f"--grid {args.grid}: {exc}") from None
     run = _Run(args, sigmas=sigmas)
 
     noise = engine.NoiseModel(sigmas, args.seed, diagonal=args.noise_on_diagonal)

@@ -95,10 +95,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):  # as Python ints, which _mix64 needs
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, circuit._integer(getattr(self, name), name))
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim > 1 or not np.all(np.isfinite(sigma) & (sigma >= 0)):
             raise ValueError(f"sigma must be finite and >= 0, a number or a "
@@ -257,8 +254,7 @@ def _map_ordered(fn, count: int, workers: int) -> list:
     > 1` runs the calls in forked processes, which inherit `fn` and the pin
     and die with this one; all are joined before the results return.
     Elsewhere calls run serially."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = circuit._integer(count, "count", 1)
     _pin_blas()
     linux = sys.platform.startswith("linux")
     workers = min(workers, count, len(os.sched_getaffinity(0))) if linux else 1
@@ -288,8 +284,7 @@ def _noise_sweep(measure, names, noise: NoiseModel, n: int, workers: int) -> tup
     depend on the thread count.  Blocks are never sized by `workers`, so no
     result depends on the worker count.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = circuit._integer(n, "n", 1)
     if np.ndim(noise.sigma) != 1 or noise.stream_id != 0:
         raise ValueError(f"a sweep takes a column of sigmas on stream 0, got {noise}")
     if not noise.sigma:  # nothing to measure: no task, no pool

@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import circuit
 from .engine import NoiseModel, _map_ordered, _noise_sweep
 from .protocol import (MomentumModel, PhaseWrapError, _arctan2_phases,
                        _checked_unitary, build_protocol_unitary, extract_spectrum)
@@ -269,8 +270,7 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,
     headroom pi - max|theta| over the realizations with a Bott index falls
     below `HEADROOM_MARGIN` gets one more line.
     """
-    if realizations < 1:
-        raise ValueError(f"realizations must be >= 1, got {realizations}")
+    realizations = circuit._integer(realizations, "realizations", 1)
     if np.ndim(noise.sigma) or noise.stream_id != 0:
         raise ValueError(f"a phase diagram takes one sigma on stream 0, got {noise}")
     cells = [(phi, m) for phi in phis for m in ms]

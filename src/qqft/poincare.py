@@ -27,11 +27,14 @@ from typing import Sequence
 
 import numpy as np
 
-from . import engine
+from . import circuit, engine
 from .engine import NoiseModel, _map_ordered, _noise_sweep
 
 #: the exact-cover search for orbit-cover dispersions stops at this many
+#: covers, or after this many search nodes (up to about 20 microseconds
+#: each at N = 256)
 _MAX_ORBIT_COVERS = 64
+_MAX_ORBIT_NODES = 20_000
 
 
 class DispersionError(ValueError):
@@ -45,10 +48,11 @@ def lorentz_map(m: int, n: int, gamma: int, N: int):
 
 @dataclass(frozen=True)
 class LorentzLattice:
-    """Equivalence-class partition of the spacetime lattice under the boost."""
+    """Equivalence-class partition of the spacetime lattice under the boost;
+    equality and hash read the orbits, not their index array."""
 
     classes: tuple            # tuple of tuples of (m, n) pairs
-    class_of: np.ndarray      # [m, n] -> class index
+    class_of: np.ndarray = field(compare=False)  # [m, n] -> class index
 
     @cached_property  # the lattice is frozen: computed once, on first use
     def sizes(self) -> np.ndarray:
@@ -57,8 +61,7 @@ class LorentzLattice:
 
 def equivalence_classes(N: int, gamma: int) -> LorentzLattice:
     """Orbits of the boost on {(m, n)}; their sizes always sum to N^2."""
-    if gamma < 2:
-        raise ValueError("gamma must be an integer >= 2")
+    N, gamma = circuit._integer(N, "N", 1), circuit._integer(gamma, "gamma", 2)
     class_of = np.full((N, N), -1, dtype=int)
     classes = []
     for m0 in range(N):
@@ -110,27 +113,36 @@ def _linear_dispersions(N: int, gamma: int) -> list:
 def _orbit_cover_dispersions(lattice: LorentzLattice) -> list:
     """Exact-cover search: unions of boost orbits of `lattice`, read in
     (m, j) space, whose m-projection hits every momentum exactly once; at
-    most `_MAX_ORBIT_COVERS` of them."""
+    most `_MAX_ORBIT_COVERS` of them.  Sets of momenta are bitmasks, and
+    each step covers the lowest momentum left.  A search that visits
+    `_MAX_ORBIT_NODES` nodes stops there, and raises DispersionError if
+    it has found no nontrivial cover by then."""
     N = len(lattice.class_of)
     usable = [orbit for orbit in lattice.classes
               if len({m for m, _ in orbit}) == len(orbit)]
-    moms = [frozenset(m for m, _ in orbit) for orbit in usable]
-    by_m = [[i for i, ms in enumerate(moms) if m in ms] for m in range(N)]
-    solutions = []
+    moms = [sum(1 << m for m, _ in orbit) for orbit in usable]
+    by_m = [[i for i, ms in enumerate(moms) if ms >> m & 1] for m in range(N)]
+    solutions, nodes, every_m = [], 0, (1 << N) - 1
 
     def backtrack(covered, chosen):
-        if len(solutions) >= _MAX_ORBIT_COVERS:
+        nonlocal nodes
+        nodes += 1
+        if len(solutions) >= _MAX_ORBIT_COVERS or nodes > _MAX_ORBIT_NODES:
             return
-        m = next((m for m in range(N) if m not in covered), N)
-        if m == N:  # the chosen orbits hold each m once: j by m
+        if covered == every_m:  # the chosen orbits hold each m once: j by m
             solutions.append(tuple(j for _, j in sorted(
                 pair for i in chosen for pair in usable[i])))
             return
+        m = (~covered & (covered + 1)).bit_length() - 1  # lowest zero bit
         for i in by_m[m]:
             if not moms[i] & covered:
                 backtrack(covered | moms[i], chosen + [i])
 
-    backtrack(frozenset(), [])
+    backtrack(0, [])
+    if nodes > _MAX_ORBIT_NODES and not any(map(any, solutions)):
+        raise DispersionError(
+            f"no nontrivial Lorentz-compatible dispersion found for N={N}: the "
+            f"orbit-cover search stopped after {_MAX_ORBIT_NODES} nodes")
     return solutions
 
 

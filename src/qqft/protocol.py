@@ -70,7 +70,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from . import engine
+from . import circuit, engine
 
 #: default evolution time, ms
 T_DEFAULT = 1.0 / (2.0 * np.pi)
@@ -106,8 +106,8 @@ class MomentumModel:
     hamiltonian() must return every l x l Hermitian block at once, shape
     (grid**d, l, l), row-major in the grid coordinates, as is the composite
     state index, whose orbital index runs fastest.  The dimension d is 1
-    or 2, l >= 1, grid >= 2, and the evolution time T (ms) is finite and
-    > 0; each is checked when the model is built.
+    or 2, l >= 1 and grid >= 2 are integers, and the evolution time T (ms)
+    is finite and > 0; each is checked when the model is built.
     """
 
     d: int
@@ -117,12 +117,11 @@ class MomentumModel:
     T: float = T_DEFAULT
 
     def __post_init__(self):
-        if self.d not in (1, 2):
+        for name, least in (("d", 1), ("l", 1), ("grid", 2)):
+            value = circuit._integer(getattr(self, name), name, least)
+            object.__setattr__(self, name, value)
+        if self.d > 2:
             raise ValueError(f"unsupported dimension d={self.d}")
-        if self.l < 1:
-            raise ValueError(f"l must be >= 1, got {self.l}")
-        if self.grid < 2:
-            raise ValueError("grid must be >= 2")
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"T must be finite and > 0, got {self.T}")
 

@@ -76,6 +76,9 @@ class TestDepthFormula:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             depth_formula(0)
+        for n in (True, 2.0):  # and anything that is not an integer
+            with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                depth_formula(n)
 
 
 def swap_layer_gates(p, n):
@@ -228,6 +231,8 @@ class TestSequenceToUnitary:
         lambda: GateSpec("mix", 1, theta=0.5, layer=-1),
         # a fractional tag once gave depth 1.5, which no draw could index
         lambda: GateSpec("mix", 1, theta=0.5, layer=0.5),
+        # a bool is an int to Python, not a layer tag
+        lambda: GateSpec("mix", 1, theta=0.5, layer=True),
         # the sequence the tag once let through: both gates touch site 1,
         # and a draw indexed by layer -1 is the last step's
         lambda: CircuitSequence(3, (GateSpec("mix", 0, theta=0.3),
@@ -236,10 +241,10 @@ class TestSequenceToUnitary:
             "schema": "qqft-seq/1", "n_sites": 3, "gates": [
                 {"kind": "mix", "site": 0, "theta": 0.3, "layer": 0},
                 {"kind": "mix", "site": 1, "theta": 0.5, "layer": -1}]})),
-    ], ids=["gate", "fraction", "sequence", "json"])
+    ], ids=["gate", "fraction", "bool", "sequence", "json"])
     def test_bad_layer_tag_rejected(self, build):
         with pytest.raises(ValueError,
-                           match=r"layer must be an integer >= 0, got (-1|0\.5)$"):
+                           match=r"layer must be an integer >= 0, got (-1|0\.5|True)$"):
             build()
 
     @pytest.mark.parametrize("layers,depth", [((), 0), ((0,), 1), ((2, 0), 3),
@@ -264,12 +269,12 @@ class TestSequenceToUnitary:
         with pytest.raises(ValueError, match="unknown gate kind"):
             build()
 
-    @pytest.mark.parametrize("n_sites", [0, 2.5, 2.0, "2"])
+    @pytest.mark.parametrize("n_sites", [0, 2.5, 2.0, "2", True])
     def test_bad_site_count_rejected(self, n_sites):
         with pytest.raises(ValueError, match="n_sites must be an integer >= 1"):
             CircuitSequence(n_sites)
 
-    @pytest.mark.parametrize("site", [1.0, 0.5, "0", None])
+    @pytest.mark.parametrize("site", [1.0, 0.5, "0", None, True])
     def test_non_integer_site_rejected(self, site):
         with pytest.raises(ValueError, match="site must be an integer"):
             GateSpec("swap", site)

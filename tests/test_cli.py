@@ -416,6 +416,11 @@ class TestBadInput:
         (["compile", "--n", "1000000000"], "which exceeds 4096"),
         (["poincare", "--N", "257"], "--N 257 gives 257\\^3 .* exceeds 4096\\^2"),
         (["poincare", "--N", "1000"], "exceeds"),
+        # a gap sweep of a model that cannot be flattened: d vanishes at a
+        # point of the 6 x 6 grid
+        (["flatband", "--phi", "1.5707963267948966", "--M", "3", "--grid", "6",
+          "--phase-grid", "0", "--sigma", "0,1e-3", "--realizations", "2"],
+         "d vanishes"),
     ])
     def test_usage_error(self, tmp_path, args, message):
         out = tmp_path / "out"

@@ -221,7 +221,8 @@ class TestNoiseModel:
             NoiseModel(0.1, seed=1).delta(step)
 
     @pytest.mark.parametrize("field,value", [("seed", 1.5), ("stream_id", 2.0),
-                                             ("seed", "1"), ("stream_id", None)])
+                                             ("seed", "1"), ("stream_id", None),
+                                             ("seed", True), ("stream_id", True)])
     def test_rejects_non_integer_seed_and_stream(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             NoiseModel(0.1, **{"seed": 1, "stream_id": 0, field: value})

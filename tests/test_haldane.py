@@ -520,9 +520,11 @@ class TestNoiseSweep:
         assert capsys.readouterr().err == ""
 
     def test_zero_realizations_rejected(self):
-        with pytest.raises(ValueError):
-            noise_sweep_gap_width(params(-np.pi / 2, 0.0), NoiseModel((1e-3,), 1),
-                                  n_realizations=0, grid=4)
+        for n in (0, 2.0, True):  # True once ran as one realization
+            with pytest.raises(ValueError):
+                noise_sweep_gap_width(params(-np.pi / 2, 0.0),
+                                      NoiseModel((1e-3,), 1), n_realizations=n,
+                                      grid=4)
 
     @pytest.mark.parametrize("noise", [NoiseModel(1e-3, 1),
                                        NoiseModel((1e-3,), 1, stream_id=2)])
@@ -546,9 +548,10 @@ class TestPhaseDiagram:
         assert cells[0][3] is None
 
     def test_zero_realizations_rejected(self):
-        with pytest.raises(ValueError):
-            phase_diagram([-np.pi / 2], [0.0], NoiseModel(1e-3, 1), grid=4,
-                          realizations=0)
+        for n in (0, 2.5, True):  # True once ran as one realization
+            with pytest.raises(ValueError):
+                phase_diagram([-np.pi / 2], [0.0], NoiseModel(1e-3, 1), grid=4,
+                              realizations=n)
 
     @pytest.mark.parametrize("noise", [NoiseModel((1e-3,), 1),
                                        NoiseModel(1e-3, 1, stream_id=2)])

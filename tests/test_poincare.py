@@ -123,6 +123,17 @@ class TestEquivalenceClasses:
     def test_rejects_small_gamma(self):
         with pytest.raises(ValueError):
             equivalence_classes(9, 1)
+        # and an N or gamma that is not an integer, which once ended in a
+        # bare TypeError (or, for N = True, in a 1 x 1 lattice)
+        for N, gamma in ((33.0, 2), (9, 2.0), (True, 2)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                equivalence_classes(N, gamma)
+
+    def test_lattices_compare_by_orbits(self):
+        # the generated __eq__ once compared the class_of arrays and raised
+        assert equivalence_classes(6, 2) == equivalence_classes(6, 2)
+        assert hash(equivalence_classes(6, 2)) == hash(equivalence_classes(6, 2))
+        assert equivalence_classes(6, 2) != equivalence_classes(6, 3)
 
 
 class TestBuildDispersion:
@@ -166,6 +177,15 @@ class TestBuildDispersion:
         with pytest.raises(DispersionError) as err:
             build_dispersion(5, 2)
         assert "orbit sizes" in str(err.value)
+
+    def test_search_stop_is_explicit(self, monkeypatch):
+        # (16, 3) finds its first nontrivial cover after more than 8 search
+        # nodes, and (5, 2) ends its search without a cover within 8
+        monkeypatch.setattr(poincare, "_MAX_ORBIT_NODES", 8)
+        with pytest.raises(DispersionError, match="search stopped after 8 nodes"):
+            build_dispersion(16, 3)
+        with pytest.raises(DispersionError, match="orbit sizes"):
+            build_dispersion(5, 2)
 
     # the onset-table cases: linear tables and orbit covers, gamma 2 to 6
     @pytest.mark.parametrize("N,gamma", [(33, 2), (6, 2), (8, 3), (18, 2),

@@ -104,6 +104,8 @@ class TestMomentumModel:
     # T = nan a "matrix is not finite" from the spectrum
     @pytest.mark.parametrize("field,value", [
         ("d", 0), ("d", 3), ("l", 0), ("l", -1), ("grid", 1),
+        # grid = 4.0 once failed only when compiled, l = 1.5 gave dim 6.0
+        ("d", 1.0), ("l", 1.5), ("grid", 4.0),
         ("T", 0.0), ("T", -0.1), ("T", np.nan), ("T", np.inf)])
     def test_invariants_checked_at_construction(self, field, value):
         kwargs = dict(d=1, l=1, grid=4, T=0.5,

@@ -144,9 +144,10 @@ def test_blocks_of_consecutive_realizations(n):
 
 @pytest.mark.parametrize("sigmas", [[0.0], [1e-3], [0.0, 1e-3], []])
 def test_zero_realizations_rejected(sigmas):
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        engine._noise_sweep(lambda block: [], ("x",), NoiseModel(sigmas, 1),
-                            0, workers=1)
+    for n in (0, 2.0, True):  # True once ran as one realization
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            engine._noise_sweep(lambda block: [], ("x",), NoiseModel(sigmas, 1),
+                                n, workers=1)
 
 
 def test_empty_sigma_list_runs_no_task():

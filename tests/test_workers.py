@@ -70,8 +70,9 @@ class TestMapOrdered:
         assert_no_children()
 
     def test_zero_count_rejected(self):
-        with pytest.raises(ValueError, match="count must be >= 1"):
-            engine._map_ordered(lambda i: i, 0, 2)
+        for count in (0, 1.0, True):  # True once ran as one call
+            with pytest.raises(ValueError, match="count must be an integer >= 1"):
+                engine._map_ordered(lambda i: i, count, 2)
 
 
 class TestBlasPin:
