@@ -23,18 +23,27 @@ exp(-i (1 + delta_s) H) through its principal-branch generator H, so every
 noisy gate stays exactly unitary.  A draw of exactly 0 keeps its gate
 exact, and `sequence_to_unitary` is the table of one zero column.
 
-`_compose` runs one kernel, `_apply_waves`: gates on disjoint sites form a
-wave, and each wave updates a batch-last array U[row, col, member] that
-holds many products at once.  A phase gate scales
-its row and a two-site gate [[a, b], [c, d]] writes a r0 + b r1 and
+`_compose` runs one kernel, `_apply_waves`, on fused blocks: each gate
+takes its own draw, exact or noisy, and then every single-site phase folds
+into the 2 x 2 block of the next two-site gate on its site (the last one
+when none follows).  Two-site blocks on disjoint sites form a wave, and
+each wave updates a batch-last array U[row, col, member] that holds many
+products at once.  A block [[a, b], [c, d]] writes a r0 + b r1 and
 c r0 + d r1 over its two rows, with one coefficient per member: the kernel
-gathers rows r0 and r1 of all of a wave's pairs at once, forms the two sums
-in place on them, and scatters both back.  It runs elementwise ufuncs only,
-no BLAS, so a member's bits do not depend on how many members share the
-pass or where it sits among them.  A pair gate's coefficient is the left
-operand of each of its products (`a * r0`, never `r0 * a`): numpy's SIMD
-complex multiply fuses a multiply-add, so the two orders can differ in the
-last bit.
+gathers rows r0 and r1 of all of a wave's blocks at once, forms the two
+sums in place on them, and scatters both back.  The generic N = 33
+sequence composes as 528 blocks in 63 waves, not 1040 gates in 95.  Waves
+are a compute schedule, not Hamiltonian steps: the steps, and the noise
+draws, are the layer tags, so a packing of gates into physical steps must
+come from the tags.
+
+The kernel runs elementwise ufuncs only, no BLAS, so a member's bits do
+not depend on how many members share the pass or where it sits among
+them.  A block entry is the left operand of each of its products
+(`a * r0`, never `r0 * a`): numpy's SIMD complex multiply fuses a
+multiply-add, so the two orders can differ in the last bit.  For the same
+reason no product writes over one of its operands where it could run on
+a single element (see `_fold`).
 
 A sequence can be serialized to a versioned JSON document (schema
 ``qqft-seq/1``) for interchange with the command-line tools.
@@ -317,95 +326,144 @@ def compile_for_size(N: int) -> CircuitSequence:
 
 
 class _WavePlan(NamedTuple):
-    """The gates of one sequence direction grouped into waves.
+    """One direction of a sequence as fused two-site blocks in waves.
 
-    `phase` and `pair` index `seq.gates`: the single-site and the two-site
-    gates, wave by wave and in application order within a wave.  Wave w
-    covers `phase[ph]` on rows `sites` and `pair[pr]` on row pairs `rows`
-    (shape (k, 2)), for `(ph, sites, pr, rows) = waves[w]`.  `factors` and
-    `blocks` are those gates' exact phases and 2 x 2 blocks in the same
-    order, adjoint for the inverse direction.
+    `pair` indexes the two-site gates of `seq.gates`, wave by wave and in
+    application order within a wave: wave w covers `pair[pr]` on row pairs
+    `rows` (shape (k, 2)), for `(pr, rows) = waves[w]`.  `phase` indexes
+    the single-site gates.  `blocks` and `factors` are those gates' exact
+    2 x 2 blocks and phases in the same order, adjoint for the inverse
+    direction.
+
+    Each phase gate folds into one slot: column `cols[1]` of block
+    `cols[0]` when a two-site gate follows it on its site (the next one),
+    else row `rows[1]` of block `rows[0]` (the last one before it), else,
+    on a site that no two-site gate touches, that site's row of the product
+    (`orphans`).  `phase` lists the column slots, the row slots and the
+    orphan sites in that order, each slot's phases together in application
+    order; `rounds[r]` holds the slots with more than r phases and the
+    positions in `phase` of their r-th ones.
     """
 
-    phase: np.ndarray
     pair: np.ndarray
+    phase: np.ndarray
     waves: tuple
-    factors: np.ndarray
     blocks: np.ndarray
+    factors: np.ndarray
+    rounds: tuple
+    cols: tuple
+    rows: tuple
+    orphans: np.ndarray
 
 
 @lru_cache(maxsize=64)
 def _wave_plan(seq: CircuitSequence, invert: bool) -> _WavePlan:
-    """Wave schedule of `seq`, or of its inverse (reversed gate order).
+    """Fused wave schedule of `seq`, or of its inverse (reversed gate order).
 
-    A gate joins wave 1 + (the latest wave of an earlier gate on any of its
-    sites).  Gates in one wave therefore act on disjoint sites, and every
-    gate follows each earlier gate it shares a site with, so composing wave
-    by wave only reorders row updates on disjoint data: the product is the
-    per-gate one bit for bit.  Layer tags are untouched.
+    A two-site gate joins wave 1 + (the latest wave of an earlier two-site
+    gate on either of its sites).  Gates in one wave therefore act on
+    disjoint sites, and every two-site gate follows each earlier one it
+    shares a site with.  A phase gate between two of them on its site
+    folds into the later one, a trailing phase into the earlier one, so the
+    waves hold two-site blocks only.  Layer tags are untouched: the waves
+    are a compute schedule, not a count of Hamiltonian steps.
     """
-    order = range(len(seq.gates))
-    last = [-1] * seq.n_sites
-    waves = []
+    gates, n = seq.gates, seq.n_sites
+    order = range(len(gates))
+    last, held, prev = [-1] * n, [[] for _ in range(n)], [None] * n
+    pairs, wave_of, cols = [], [], {}
     for i in (reversed(order) if invert else order):
-        g = seq.gates[i]
-        sites = range(g.site, g.site + g.span())
-        w = 1 + max(last[s] for s in sites)
-        for s in sites:
-            last[s] = w
-        if w == len(waves):
-            waves.append(([], []))
-        waves[w][g.kind != PHASE].append(i)
-    phase = np.array([i for ph, _ in waves for i in ph], dtype=int)
-    pair = np.array([i for _, pr in waves for i in pr], dtype=int)
-    site = np.array([g.site for g in seq.gates], dtype=int)
-    spans, n_ph, n_pr = [], 0, 0
-    for ph, pr in waves:
-        spans.append((slice(n_ph, n_ph + len(ph)), site[ph],
-                      slice(n_pr, n_pr + len(pr)),
-                      site[pr][:, None] + np.arange(2)))
-        n_ph += len(ph)
-        n_pr += len(pr)
-    factors = np.array([gate_matrix(seq.gates[i])[0, 0] for i in phase],
+        g = gates[i]
+        if g.kind == PHASE:
+            held[g.site].append(i)
+            continue
+        wave_of.append(1 + max(last[g.site], last[g.site + 1]))
+        for side, s in enumerate((g.site, g.site + 1)):
+            last[s], prev[s] = wave_of[-1], (len(pairs), side)
+            if held[s]:
+                cols[prev[s]], held[s] = held[s], []
+        pairs.append(i)
+    rows = {prev[s]: held[s] for s in range(n) if held[s] and prev[s] is not None}
+    orphans = {s: held[s] for s in range(n) if held[s] and prev[s] is None}
+    by_wave = sorted(range(len(pairs)), key=wave_of.__getitem__)
+    pos = np.empty(len(pairs), dtype=int)   # application order -> plan order
+    pos[by_wave] = np.arange(len(pairs))
+    pair = np.array(pairs, dtype=int)[by_wave]
+    site = np.array([g.site for g in gates], dtype=int)
+    edges = np.cumsum([0, *np.bincount(np.array(wave_of, dtype=int))]).tolist()
+    waves = tuple((slice(a, b), site[pair[a:b]][:, None] + np.arange(2))
+                  for a, b in zip(edges, edges[1:]))
+    slots = [*cols.values(), *rows.values(), *orphans.values()]
+    phase = np.array([i for held in slots for i in held], dtype=int)
+    heads = np.cumsum([0] + [len(held) for held in slots])[:-1]
+    sizes = np.array([len(held) for held in slots], dtype=int)
+    rounds = tuple((np.flatnonzero(sizes > r), heads[sizes > r] + r)
+                   for r in range(max(sizes, default=0)))
+    slot_index = (lambda keys: (pos[[a for a, _ in keys]],
+                                np.array([side for _, side in keys], dtype=int)))
+    factors = np.array([gate_matrix(gates[i])[0, 0] for i in phase],
                        dtype=complex)
-    blocks = np.array([gate_matrix(seq.gates[i]) for i in pair],
+    blocks = np.array([gate_matrix(gates[i]) for i in pair],
                       dtype=complex).reshape(-1, 2, 2)
     if invert:
         factors = factors.conj()
         blocks = np.ascontiguousarray(blocks.conj().swapaxes(1, 2))
-    return _WavePlan(phase, pair, tuple(spans), factors, blocks)
+    return _WavePlan(pair, phase, waves, blocks, factors, rounds,
+                     slot_index(list(cols)), slot_index(list(rows)),
+                     np.array(list(orphans), dtype=int))
 
 
-def _apply_waves(n_sites: int, plan: _WavePlan, factors: np.ndarray,
-                 blocks: np.ndarray) -> np.ndarray:
-    """Products U[row, col, member] of the gates of `plan`, first wave first,
-    one per last index of `factors` (phase gates, B) and `blocks` (pair
-    gates, 2, 2, B), which stand in, in plan order, for the phase and
-    two-site gates; elementwise, as the module docstring describes.
+def _fold(plan: _WavePlan, blocks: np.ndarray, factors: np.ndarray):
+    """(blocks, orphan factors): the phase gates' `factors` (phases, B)
+    folded into the two-site `blocks` (pairs, 2, 2, B), in place, as
+    `plan` assigns them; each block entry is the left operand.  A slot's
+    phases multiply first, earlier phase on the left; a block takes its
+    column factors before its row factors.  Blocks without phases keep
+    their bits.  No product writes over an operand: numpy runs an in-place
+    multiply of one element through its scalar loop, whose last bit can
+    differ from the SIMD loop's, so one member alone would differ."""
+    if not len(factors):
+        return blocks, factors
+    (_, heads), *later = plan.rounds
+    acc = factors[heads]
+    for slots, positions in later:
+        acc[slots] = acc[slots] * factors[positions]
+    (a, c), n_col, n_row = plan.cols, len(plan.cols[0]), len(plan.rows[0])
+    blocks[a, :, c] = blocks[a, :, c] * acc[:n_col, None]
+    blocks[plan.rows] = blocks[plan.rows] * acc[n_col:n_col + n_row, None]
+    return blocks, acc[n_col + n_row:]
+
+
+def _apply_waves(n_sites: int, plan: _WavePlan, blocks: np.ndarray,
+                 orphans: np.ndarray, members: int) -> np.ndarray:
+    """Products U[row, col, member] of the fused blocks of `plan`, first
+    wave first, one per member: `blocks` (pairs, 2, 2, B) and the orphan
+    factors `orphans` (sites, B) stand in, in plan order, for the fused
+    two-site blocks and the rows that no block touches, with B = members
+    or 1 for one shared by all; elementwise, as the module docstring
+    describes.
 
     A wave's pairs update their two rows apart, (k, n, B) views r0 and r1
     of one gather, with no (k, 2, 2, n, B) tensor of all four products:
     b10 r0 + b11 r1 forms in place on r1 and b00 r0 + b01 r1 on r0, with
     b01 r1 taken before r1 is overwritten.  The block entry is the left
-    operand of every such product, as in the per-gate product
+    operand of every such product, as in the per-block product
     a * r0 + b * r1, to which each member is bit-identical."""
-    U = np.repeat(np.eye(n_sites, dtype=complex)[..., None], factors.shape[-1],
-                  axis=2)
-    factors, blocks = factors[:, None], blocks[..., None, :]
-    for ph, sites, pr, rows in plan.waves:
-        if len(sites):
-            U[sites] *= factors[ph]
-        if len(rows):
-            b, rows = blocks[pr], rows.T
-            gathered = U[rows]      # (2, k, n, B): rows r0 and r1 of each pair
-            r0, r1 = gathered
-            x = b[:, 0, 1] * r1
-            np.multiply(b[:, 1, 1], r1, out=r1)
-            r1 += b[:, 1, 0] * r0
-            np.multiply(b[:, 0, 0], r0, out=r0)
-            r0 += x
-            U[rows] = gathered
-            del gathered, r0, r1, x  # before the next wave allocates its own
+    U = np.repeat(np.eye(n_sites, dtype=complex)[..., None], members, axis=2)
+    if len(orphans):  # no block touches these rows: scale them once
+        U[plan.orphans] = U[plan.orphans] * orphans[:, None]
+    blocks = blocks[..., None, :]
+    for pr, rows in plan.waves:
+        b, rows = blocks[pr], rows.T
+        gathered = U[rows]          # (2, k, n, B): rows r0 and r1 of each pair
+        r0, r1 = gathered
+        x = b[:, 0, 1] * r1
+        np.multiply(b[:, 1, 1], r1, out=r1)
+        r1 += b[:, 1, 0] * r0
+        np.multiply(b[:, 0, 0], r0, out=r0)
+        r0 += x
+        U[rows] = gathered
+        del gathered, r0, r1, x  # before the next wave allocates its own
     return U
 
 
@@ -436,6 +494,31 @@ def _gate_spectra(seq: CircuitSequence):
     return layers, _fold_phases(E), np.ascontiguousarray(P)
 
 
+def _noisy_gates(seq: CircuitSequence, plan: _WavePlan,
+                 draws: np.ndarray, invert: bool) -> tuple:
+    """(blocks, factors) of `plan`'s two-site and phase gates, one per
+    column of `draws` (see `_compose`), before any phase folds in.
+
+    A noisy two-site gate is p_0 P_0 + p_1 P_1, its eigenprojectors P_k
+    weighted by the phases p_k = exp(-i (1 + delta) E_k).  A draw of
+    exactly 0 keeps the gate exact.  A function of its own so that its
+    temporaries go before the fold and the waves allocate theirs."""
+    layers, E, P = _gate_spectra(seq)
+    if invert:
+        layers, E = seq.depth - 1 - layers, _fold_phases(-E)
+    d = draws[layers[plan.phase]]
+    factors = np.where(d == 0.0, plan.factors[:, None],
+                       np.exp(-1j * (1.0 + d) * E[plan.phase, 0, None]))
+    d, P = draws[layers[plan.pair]], P[plan.pair, ..., None]
+    p = -1j * (1.0 + d)[:, None] * E[plan.pair, :, None]
+    np.exp(p, out=p)
+    blocks = P[:, 0] * p[:, None, None, 0]
+    blocks += P[:, 1] * p[:, None, None, 1]
+    # in place: np.where would allocate one more stack of blocks
+    np.copyto(blocks, plan.blocks[..., None], where=(d == 0.0)[:, None, None])
+    return blocks, factors
+
+
 def _compose(seq: CircuitSequence, draws: np.ndarray,
              invert: bool = False) -> np.ndarray:
     """Products U[row, col, member] of `seq`, or of its inverse (reversed
@@ -443,28 +526,14 @@ def _compose(seq: CircuitSequence, draws: np.ndarray,
     (depth, members): every gate of Hamiltonian step s of member j is
     exp(-i (1 + draws[s, j]) H), H its principal-branch generator.
 
-    A noisy two-site gate is p_0 P_0 + p_1 P_1, its eigenprojectors P_k
-    weighted by the phases p_k = exp(-i (1 + delta) E_k).  A draw of
-    exactly 0 keeps the gate exact, and a table of zeros needs no spectra.
-    The inverse's step s is the forward step depth - 1 - s."""
-    plan, B = _wave_plan(seq, invert), draws.shape[1]
-    factors = np.broadcast_to(plan.factors[:, None], (len(plan.phase), B))
-    blocks = np.broadcast_to(plan.blocks[..., None], (len(plan.pair), 2, 2, B))
-    if draws.any():
-        layers, E, P = _gate_spectra(seq)
-        if invert:
-            layers, E = seq.depth - 1 - layers, _fold_phases(-E)
-        d = draws[layers[plan.phase]]
-        factors = np.where(d == 0.0, factors,
-                           np.exp(-1j * (1.0 + d) * E[plan.phase, 0, None]))
-        d, P = draws[layers[plan.pair]], P[plan.pair, ..., None]
-        p = -1j * (1.0 + d)[:, None] * E[plan.pair, :, None]
-        np.exp(p, out=p)
-        exact, blocks = blocks, P[:, 0] * p[:, None, None, 0]
-        blocks += P[:, 1] * p[:, None, None, 1]
-        # in place: np.where would allocate one more stack of blocks
-        np.copyto(blocks, exact, where=(d == 0.0)[:, None, None])
-    return _apply_waves(seq.n_sites, plan, factors, blocks)
+    The inverse's step s is the forward step depth - 1 - s.  Each gate
+    takes its own draw, and then the phase gates fold into the blocks
+    (`_fold`).  A table of zeros needs no spectra: every gate is exact."""
+    plan = _wave_plan(seq, invert)
+    # the exact blocks are copied: `_fold` writes in place
+    gates = (_noisy_gates(seq, plan, draws, invert) if draws.any() else
+             (plan.blocks[..., None].copy(), plan.factors[:, None]))
+    return _apply_waves(seq.n_sites, plan, *_fold(plan, *gates), draws.shape[1])
 
 
 def sequence_to_unitary(seq: CircuitSequence) -> np.ndarray:

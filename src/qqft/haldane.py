@@ -235,6 +235,7 @@ def noise_sweep_gap_width(p: HaldaneParams, noise: NoiseModel,
     to the branch cut), independent of the worker count.  Each sigma whose
     smallest headroom falls below `HEADROOM_MARGIN` gets one line on
     stderr."""
+    n_realizations = circuit._integer(n_realizations, "n_realizations", 1)
     model = momentum_model(p, grid)
 
     def measure(block):  # one row per member

@@ -14,16 +14,19 @@ The propagator matrix G[n, m] = -i [U(m tau)]_{n, 0} is built from
 U(m tau) = V^dag D^m V with V the compiled Fourier transform and
 D = diag(exp(-i E_k tau)), whose powers are the dispersion's phase table;
 gate noise enters through independent streams for the forward and inverse
-sequences.  Symmetry breaking is quantified by the class-variance statistic
-`s_lorentz`, over the boost lattice that `build_dispersion` builds once and
-keeps as `Dispersion.lattice`, and by the clean-vs-noisy RMS `s_total`.
+sequences.  D^m is one phase per distinct value of the dispersion
+(`Dispersion.levels`), so every U(m tau) is a sum over those values, one
+product of the phase table with their stack of V^dag V blocks.  Symmetry
+breaking is quantified by the class-variance statistic `s_lorentz`, over
+the boost lattice that `build_dispersion` builds once and keeps as
+`Dispersion.lattice`, and by the clean-vs-noisy RMS `s_total`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -88,20 +91,23 @@ class Dispersion:
     j_table: tuple
     lattice: LorentzLattice = field(compare=False, repr=False)
 
-    def phases(self, scale: float = 1.0) -> np.ndarray:
-        """[m, k] -> exp(-i scale E_k m tau); exact at scale 1 (j m mod N)."""
-        N = self.n_sites
+    @cached_property  # frozen: computed once, on first use
+    def levels(self) -> tuple:
+        """(values, groups): the distinct j of the table, ascending, and for
+        each the momenta k with j(k) equal to it."""
         j = np.array(self.j_table)
+        values = np.array(sorted(set(self.j_table)))
+        return values, tuple(np.flatnonzero(j == v) for v in values)
+
+    def phases(self, scale: float = 1.0) -> np.ndarray:
+        """[m, i] -> exp(-i scale E m tau) on the i-th distinct value of
+        `levels`; exact at scale 1 (j m mod N)."""
+        N = self.n_sites
+        j = self.levels[0]
         m = np.arange(N)[:, None]
         if scale == 1.0:
             return np.exp(-2j * np.pi * ((j * m) % N) / N)
         return np.exp(-2j * np.pi * scale * j * m / N)
-
-
-def graph_is_invariant(j_table: Sequence[int], N: int, gamma: int) -> bool:
-    """Whether {(m, j(m))} is closed under the boost acting on (m, j)."""
-    graph = {(m, j_table[m] % N) for m in range(N)}
-    return all(lorentz_map(m, j, gamma, N) in graph for m, j in graph)
 
 
 def _linear_dispersions(N: int, gamma: int) -> list:
@@ -164,7 +170,9 @@ def build_dispersion(N: int, gamma: int) -> Dispersion:
     if not candidates:
         raise DispersionError(
             f"no nontrivial Lorentz-compatible dispersion for N={N}, gamma="
-            f"{gamma}; boost orbit sizes: {sorted(lattice.sizes.tolist())}")
+            f"{gamma}; boost orbit sizes (counts): " + ", ".join(
+                f"{size} ({count})" for size, count in
+                zip(*np.unique(lattice.sizes, return_counts=True))))
     odd = [t for t in candidates
            if all(t[(-m) % N] == (-t[m]) % N for m in range(N))]
     pool = odd or candidates
@@ -184,28 +192,35 @@ def greens_function(disp: Dispersion, block=engine.NOISELESS):
     one per member of the noise block `block` (see `engine`), in order.
 
     U(m tau) = V^dag D^m V; m = 0 applies no gates, so that column is exactly
-    a delta.  P[n1, m, n] is the probability of hopping from n1 to n1 + n in
-    m periods; unitarity makes every (n1, m) slice sum to one even with
-    noise, which reaches the diagonal step too for a model whose `diagonal`
-    is set.  The Fourier pairs of every member, such as a block of
-    realizations at every sigma, compose in one pass per direction, and
-    every member with a noiseless diagonal step shares one exact phase
-    table.  The result is an iterator of GreensResults, each built when it
-    is reached, so that one propagator at a time is in memory; the default
-    `NOISELESS` gives the clean one.
+    a delta.  D^m takes one phase per distinct value j of the dispersion,
+    so U(m tau) = sum_j D^m_j A_j with A_j = V^dag[:, k in j] V[k in j, :]:
+    one product of the [m, j] phase table with the stack of A_j, 11 values
+    at (N, gamma) = (33, 2).  P[n1, m, n] is the probability of hopping
+    from n1 to n1 + n in m periods; unitarity makes every (n1, m) slice
+    sum to one even with noise, which reaches the diagonal step too for a
+    model whose `diagonal` is set.  The Fourier pairs of every member, such
+    as a block of realizations at every sigma, compose in one pass per
+    direction, and every member with a noiseless diagonal step shares one
+    exact phase table.  The result is an iterator of GreensResults, each
+    built when it is reached, so that one propagator at a time is in
+    memory; the default `NOISELESS` gives the clean one.
     """
     (V_f,), (V_i,) = engine.fourier_pair(disp.n_sites, block, 1)
     exact = disp.phases()
     tables = (exact if scale == 1.0 else disp.phases(scale)
               for scale in engine.diagonal_scale(block).tolist())
-    return map(_greens_one, tables, V_f, V_i)
+    return map(_greens_one, tables, V_f, V_i, repeat(disp.levels[1]))
 
 
-def _greens_one(phases: np.ndarray, V_f: np.ndarray,
-                V_i: np.ndarray) -> GreensResult:
-    """G and P from one Fourier pair and the phase table [m, k] of D^m."""
+def _greens_one(phases: np.ndarray, V_f: np.ndarray, V_i: np.ndarray,
+                groups: tuple) -> GreensResult:
+    """G and P from one Fourier pair and the phase table [m, i] of D^m on
+    the momenta groups[i], which share one phase."""
     N = len(phases)
-    U = V_i @ (phases[:, :, None] * V_f)      # U[m] = U(m tau)
+    # U[m] = U(m tau) = sum_i phases[m, i] A_i, in one expression so that
+    # the stack of A_i is freed before P is built
+    U = (phases @ np.stack([V_i[:, k] @ V_f[k] for k in groups]).reshape(
+        len(groups), -1)).reshape(N, N, N)
     U[0] = np.eye(N)
     G = -1j * U[:, :, 0].T
     P = np.abs(U)
@@ -258,6 +273,7 @@ def noise_sweep_symmetry(disp: Dispersion, noise: NoiseModel,
     per call on one BLAS thread like every task; it is bit for bit the zero
     member of any column.
     """
+    n_realizations = circuit._integer(n_realizations, "n_realizations", 1)
     P_clean = _map_ordered(lambda _: next(greens_function(disp)).p_tensor, 1, 1)[0]
 
     def measure(block):  # map lets each G go before the next is built

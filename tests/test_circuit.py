@@ -45,20 +45,60 @@ def rotation_perm_oracle(p, n):
     return P
 
 
-def compose(gates, N):
-    """Per-gate product, first gate first, in the kernel's elementwise form:
-    [[a, b], [c, d]] writes a r0 + b r1 and c r0 + d r1 over rows r0, r1.
-    The reference for the wave kernel."""
-    U = np.eye(N, dtype=complex)
-    for g in gates:
-        block, j = circuit.gate_matrix(g), g.site
+def fold_phases(gates, mats):
+    """The two-site gates of `gates`, taken in the given order, as
+    [(site, block)], each phase gate folded in the way the kernel folds it,
+    and {site: factor} for the phases on sites that no two-site gate
+    touches.  mats[i] is the matrix of gates[i]; a phase gate's is taken
+    as a (1,) array, so that every product below runs in numpy's array
+    loops.
+
+    A phase scales its site's column of the next two-site block on that
+    site or, when none follows, its row of the last one.  Phases waiting
+    for one slot multiply first, the earlier one on the left, and the
+    block entry is the left operand of each product.  No product writes
+    over its operand, as in the kernel."""
+    held, last, pairs = {}, {}, []
+    for g, m in zip(gates, mats):
         if g.kind == circuit.PHASE:
-            U[j, :] *= block[0, 0]
+            m = np.reshape(m, 1)
+            held[g.site] = held[g.site] * m if g.site in held else m
+            continue
+        block = np.array(m, dtype=complex)
+        for side in (0, 1):
+            if g.site + side in held:
+                block[:, side] = block[:, side] * held.pop(g.site + side)
+            last[g.site + side] = (block, side)
+        pairs.append((g.site, block))
+    orphans = {}
+    for site, factor in held.items():
+        if site in last:
+            block, side = last[site]
+            block[side, :] = block[side, :] * factor
         else:
-            r0, r1 = U[j].copy(), U[j + 1].copy()
-            U[j] = block[0, 0] * r0 + block[0, 1] * r1
-            U[j + 1] = block[1, 0] * r0 + block[1, 1] * r1
+            orphans[site] = factor
+    return pairs, orphans
+
+
+def apply_blocks(pairs, orphans, N):
+    """The product of `fold_phases`'s output, block by block, in the
+    kernel's elementwise form: [[a, b], [c, d]] writes a r0 + b r1 and
+    c r0 + d r1 over rows r0, r1."""
+    U = np.eye(N, dtype=complex)
+    for j, block in pairs:
+        r0, r1 = U[j].copy(), U[j + 1].copy()
+        U[j] = block[0, 0] * r0 + block[0, 1] * r1
+        U[j + 1] = block[1, 0] * r0 + block[1, 1] * r1
+    for site, factor in orphans.items():
+        U[site, :] = U[site, :] * factor
     return U
+
+
+def compose(gates, N):
+    """Per-gate product, first gate first, with the phases folded into the
+    two-site blocks: the reference for the wave kernel."""
+    mats = [circuit.gate_matrix(g) for g in gates]
+    return apply_blocks(*fold_phases(gates, mats), N)
 
 
 class TestDepthFormula:
@@ -282,47 +322,98 @@ class TestSequenceToUnitary:
 
 ROUTES = st.one_of(st.builds(build_generic_qqft, st.integers(2, 40)),
                    st.builds(build_radix2_qqft, st.integers(1, 5)))
+ANGLES = st.floats(min_value=-4.0, max_value=4.0)
+
+
+@st.composite
+def free_sequences(draw):
+    """Short sequences of any gates, one per layer: they hold what the two
+    routes do not, such as several phases in a row, trailing phases and
+    sites that no two-site gate touches."""
+    n = draw(st.integers(1, 5))
+    gates = []
+    for layer in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from([circuit.PHASE] if n == 1 else
+                                    [circuit.PHASE, circuit.MIX, circuit.SWAP]))
+        site = draw(st.integers(0, n - (1 if kind == circuit.PHASE else 2)))
+        gates.append(GateSpec(kind, site, theta=draw(ANGLES), phi=draw(ANGLES),
+                              lam=draw(ANGLES), layer=layer))
+    return CircuitSequence(n, tuple(gates))
+
+
+SEQUENCES = st.one_of(ROUTES, free_sequences())
+
+
+def plan_slots(plan):
+    """{phase gate: its slot}, ("col" or "row", two-site gate, side) or
+    ("orphan", site), and {slot: its phase gates in rank order}, read from
+    the plan's rounds."""
+    slots = ([("col", plan.pair[a], side) for a, side in zip(*plan.cols)]
+             + [("row", plan.pair[a], side) for a, side in zip(*plan.rows)]
+             + [("orphan", site) for site in plan.orphans])
+    held = {slot: [] for slot in slots}
+    for r, (ranked, positions) in enumerate(plan.rounds):
+        for k, q in zip(ranked.tolist(), positions.tolist()):
+            assert len(held[slots[k]]) == r
+            held[slots[k]].append(plan.phase[q])
+    return {i: slot for slot, ids in held.items() for i in ids}, held
 
 
 class TestWavePlan:
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(seq=ROUTES, invert=st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seq=SEQUENCES, invert=st.booleans())
     def test_invariants(self, seq, invert):
-        plan = circuit._wave_plan(seq, invert)
+        gates, plan = seq.gates, circuit._wave_plan(seq, invert)
+        order = list(range(len(gates)))[::-1 if invert else 1]
         wave_of = {}
-        for w, (ph, sites, pr, rows) in enumerate(plan.waves):
-            members = list(plan.phase[ph]) + list(plan.pair[pr])
-            assert members
-            touched = [s for i in members for s in
-                       range(seq.gates[i].site,
-                             seq.gates[i].site + seq.gates[i].span())]
-            assert len(touched) == len(set(touched))       # disjoint sites
-            assert list(sites) == [seq.gates[i].site for i in plan.phase[ph]]
-            assert rows.tolist() == [[seq.gates[i].site, seq.gates[i].site + 1]
+        for w, (pr, rows) in enumerate(plan.waves):
+            assert len(plan.pair[pr])
+            assert len(set(rows.ravel())) == rows.size      # disjoint sites
+            assert rows.tolist() == [[gates[i].site, gates[i].site + 1]
                                      for i in plan.pair[pr]]
-            for i in members:
+            for i in plan.pair[pr]:
                 assert i not in wave_of
                 wave_of[i] = w
-        assert sorted(wave_of) == list(range(len(seq.gates)))
-        order = sorted(wave_of, reverse=invert)
+        pairs = [i for i in order if gates[i].kind != circuit.PHASE]
+        assert sorted(wave_of) == sorted(pairs) and len(plan.pair) == len(pairs)
         last = {}
-        for i in order:                 # each gate after every earlier gate
-            g = seq.gates[i]            # that shares one of its sites
-            for s in range(g.site, g.site + g.span()):
+        for i in pairs:                 # each two-site gate after every earlier
+            for s in (gates[i].site, gates[i].site + 1):  # one on its sites
                 if s in last:
                     assert wave_of[last[s]] < wave_of[i]
                 last[s] = i
+        # each phase in the slot of the next two-site gate on its site, else
+        # of the last one, else its site's row; a slot's phases in order
+        slot_of, held = plan_slots(plan)
+        phases = [i for i in order if gates[i].kind == circuit.PHASE]
+        assert sorted(slot_of) == sorted(phases) == sorted(plan.phase)
+        for k, i in enumerate(order):
+            if gates[i].kind != circuit.PHASE:
+                continue
+            s = gates[i].site
+            on_site = [j for j in pairs if s - 1 <= gates[j].site <= s]
+            later = [j for j in on_site if order.index(j) > k]
+            want = (("col", later[0], s - gates[later[0]].site) if later else
+                    ("row", on_site[-1], s - gates[on_site[-1]].site) if on_site
+                    else ("orphan", s))
+            assert slot_of[i] == want
+        for ids in held.values():
+            assert ids == sorted(ids, key=order.index)
 
     @pytest.mark.parametrize("seq,gates,waves", [
-        (build_generic_qqft(33), 1040, 95),
-        (build_radix2_qqft(4), 188, 39),
+        (build_generic_qqft(33), 1040, 63),     # 528 blocks, 512 phases fold
+        (build_radix2_qqft(4), 188, 39),        # no phase gates
     ])
     def test_wave_counts(self, seq, gates, waves):
         assert len(seq.gates) == gates
-        assert len(circuit._wave_plan(seq, False).waves) == waves
+        blocks = sum(g.kind != circuit.PHASE for g in seq.gates)
+        assert blocks == (528 if seq.n_sites == 33 else gates)
+        for invert in (False, True):
+            plan = circuit._wave_plan(seq, invert)
+            assert (len(plan.pair), len(plan.waves)) == (blocks, waves)
 
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-    @given(seq=ROUTES)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seq=SEQUENCES)
     def test_kernel_matches_per_gate_product(self, seq):
         U = sequence_to_unitary(seq)
         assert U.tobytes() == compose(seq.gates, seq.n_sites).tobytes()

@@ -10,6 +10,7 @@ from qqft import circuit, engine
 from qqft.circuit import GateSpec, gate_matrix, sequence_to_unitary
 from qqft.engine import NoiseModel, apply_noisy_sequence
 from qqft.protocol import MomentumModel
+from test_circuit import apply_blocks, fold_phases, free_sequences
 
 
 WORDS = st.integers(min_value=0, max_value=2**64 - 1)
@@ -60,14 +61,17 @@ def per_gate_reference(seq, noise, invert=False, matmul=False):
     own scalar draw: the reference for the wave kernel.
 
     In the kernel's elementwise form, a noisy two-site gate is
-    p_0 P_0 + p_1 P_1 over its eigenprojectors P_k = Z_k Z_k^dag, and a
-    block [[a, b], [c, d]] writes a r0 + b r1 and c r0 + d r1 over its rows.
-    `matmul=True` takes the textbook form instead, (Z * p) @ Z^dag and
-    `block @ rows`, which agrees with the kernel up to roundoff only.
+    p_0 P_0 + p_1 P_1 over its eigenprojectors P_k = Z_k Z_k^dag, each
+    phase gate folds into a two-site block as the kernel folds it
+    (`test_circuit.fold_phases`), and a block [[a, b], [c, d]] writes
+    a r0 + b r1 and c r0 + d r1 over its rows.  `matmul=True` takes the
+    textbook form instead, (Z * p) @ Z^dag and `block @ rows` gate by gate,
+    with no folding, which agrees with the kernel up to roundoff only.
     """
-    U = np.eye(seq.n_sites, dtype=complex)
-    for g in (reversed(seq.gates) if invert else seq.gates):
-        block, j = gate_matrix(g), g.site
+    gates = list(reversed(seq.gates) if invert else seq.gates)
+    mats = []
+    for g in gates:
+        block = gate_matrix(g)
         step = seq.depth - 1 - g.layer if invert else g.layer
         delta = scalar_draw_reference(noise, step) if noise.sigma != 0.0 else 0.0
         if g.kind == circuit.PHASE:
@@ -79,25 +83,27 @@ def per_gate_reference(seq, noise, invert=False, matmul=False):
                 E = circuit._fold_phases(np.array([w]))
                 w = circuit._fold_phases(-E) if invert else E
                 factor = np.exp(-1j * (1.0 + delta) * w[0])
-            U[j, :] *= factor
-            continue
-        if delta == 0.0:
-            blk = block.conj().T if invert else block
+            mats.append(factor)
+        elif delta == 0.0:
+            mats.append(block.conj().T if invert else block)
         else:
             E, Z = unitary_eig(block)
             w = circuit._fold_phases(-E) if invert else E
             p = np.exp(-1j * (1.0 + delta) * w)
             if matmul:
-                blk = (Z * p) @ Z.conj().T
+                mats.append((Z * p) @ Z.conj().T)
             else:
                 P = [np.outer(Z[:, k], Z[:, k].conj()) for k in (0, 1)]
-                blk = P[0] * p[0] + P[1] * p[1]
-        if matmul:
-            U[j: j + 2, :] = blk @ U[j: j + 2, :]
+                mats.append(P[0] * p[0] + P[1] * p[1])
+    if not matmul:
+        return apply_blocks(*fold_phases(gates, mats), seq.n_sites)
+    U = np.eye(seq.n_sites, dtype=complex)
+    for g, m in zip(gates, mats):
+        j = g.site
+        if g.kind == circuit.PHASE:
+            U[j, :] *= m
         else:
-            r0, r1 = U[j].copy(), U[j + 1].copy()
-            U[j] = blk[0, 0] * r0 + blk[0, 1] * r1
-            U[j + 1] = blk[1, 0] * r0 + blk[1, 1] * r1
+            U[j: j + 2, :] = m @ U[j: j + 2, :]
     return U
 
 
@@ -167,13 +173,12 @@ class TestNoiseModel:
         assert np.array(singles, dtype=float).tobytes() == draws.tobytes()
 
     def test_matches_scalar_draws_where_numpy_log_differs(self):
-        # numpy's log misses math.log's last bit for a few arguments in a
-        # thousand; 4000 steps hold such arguments, so a numpy log in the
-        # draws would show here
+        # numpy's AVX-512 log misses math.log's last bit for a few arguments
+        # in a thousand, 16 of the u1 of these 4000 steps, so a numpy log in
+        # the draws would show here on a machine where numpy's log runs
+        # AVX-512.  Its AVX2 and baseline logs agree with math.log on all
+        # 4000: the draws are asserted on every path all the same
         noise, steps = NoiseModel(1.0, seed=9, stream_id=4), range(4000)
-        u1 = np.array([((engine._mix64(9, 4, s) >> 11) + 1) / (1 << 53)
-                       for s in steps])
-        assert (np.log(u1) != [math.log(u) for u in u1]).any()
         expected = [scalar_draw_reference(noise, s) for s in steps]
         assert noise.delta(np.arange(4000)).tobytes() == \
             np.array(expected).tobytes()
@@ -302,10 +307,11 @@ class TestApplyNoisySequence:
             U, = apply_noisy_sequence(seq, [NoiseModel(sigma, seed=11, stream_id=r)])
             assert unitarity_defect(U) < 1e-10
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seq=st.one_of(
                st.builds(circuit.build_generic_qqft, st.integers(2, 40)),
-               st.builds(circuit.build_radix2_qqft, st.integers(1, 5))),
+               st.builds(circuit.build_radix2_qqft, st.integers(1, 5)),
+               free_sequences()),
            # 5e-324 underflows most draws to exactly 0, which keeps a gate exact
            sigma=st.sampled_from([0.0, 5e-324, 1e-3, 2e-2, 0.3]),
            seed=WORDS, stream=WORDS, invert=st.booleans())
@@ -331,10 +337,11 @@ class TestApplyNoisySequence:
         want = per_gate_reference(seq, noise, invert, matmul=True)
         assert np.abs(U - want).max() < 1e-13
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seq=st.one_of(
                st.builds(circuit.build_generic_qqft, st.integers(2, 40)),
-               st.builds(circuit.build_radix2_qqft, st.integers(1, 5))),
+               st.builds(circuit.build_radix2_qqft, st.integers(1, 5)),
+               free_sequences()),
            column=SIGMA_COLUMNS, seed=WORDS, stream=WORDS,
            invert=st.booleans())
     @example(seq=circuit.build_generic_qqft(33), column=[0.0, 5e-324, 0.3, 0.3],

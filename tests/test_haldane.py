@@ -526,6 +526,12 @@ class TestNoiseSweep:
                                       NoiseModel((1e-3,), 1), n_realizations=n,
                                       grid=4)
 
+    def test_realization_count_error_names_the_parameter(self):
+        with pytest.raises(ValueError, match=r"^n_realizations must be an "
+                           r"integer >= 1, got 2\.0$"):
+            noise_sweep_gap_width(params(-np.pi / 2, 0.0), NoiseModel((1e-3,), 1),
+                                  n_realizations=2.0, grid=4)
+
     @pytest.mark.parametrize("noise", [NoiseModel(1e-3, 1),
                                        NoiseModel((1e-3,), 1, stream_id=2)])
     def test_scalar_sigma_or_nonzero_stream_rejected(self, noise):

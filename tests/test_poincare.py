@@ -8,7 +8,6 @@ from qqft.poincare import (
     DispersionError,
     build_dispersion,
     equivalence_classes,
-    graph_is_invariant,
     greens_function,
     lorentz_map,
     noise_sweep_symmetry,
@@ -29,33 +28,51 @@ def exact_greens(disp, block=engine.NOISELESS):
     place of the compiled Fourier transform, one per member of `block`: the
     independent reference for the compiled route."""
     V_f = circuit.dft_matrix(disp.n_sites)
-    return [poincare._greens_one(disp.phases(scale), V_f, V_f.conj().T)
+    return [poincare._greens_one(disp.phases(scale), V_f, V_f.conj().T,
+                                 disp.levels[1])
             for scale in engine.diagonal_scale(block).tolist()]
+
+
+def graph_is_invariant(j_table, N, gamma):
+    """Whether {(m, j(m))} is closed under the boost acting on (m, j)."""
+    graph = {(m, j_table[m] % N) for m in range(N)}
+    return all(lorentz_map(m, j, gamma, N) in graph for m, j in graph)
 
 
 def greens_reference(disp, block=engine.NOISELESS):
     """G and P of the one member of `block`, one stroboscopic time m at a
-    time, P by np.roll: the reference for the batched greens_function."""
+    time, P by np.roll, twice: from U(m tau) of the grouped product
+    sum_j D^m_j A_j, taken in one product over every m as greens_function
+    takes it (the reference for its indexing), and from the per-momentum
+    sum V^dag D^m V."""
     N = disp.n_sites
     j = np.array(disp.j_table)
+    values = sorted(set(disp.j_table))
     ((V_f,),), ((V_i,),) = engine.fourier_pair(N, block, 1)
     scale, = engine.diagonal_scale(block).tolist()
-    G = np.zeros((N, N), dtype=complex)
-    P = np.zeros((N, N, N))
-    for m in range(N):
-        if m == 0:
-            U = np.eye(N, dtype=complex)
-        else:
-            if scale == 1.0:
-                phases = np.exp(-2j * np.pi * ((j * m) % N) / N)
-            else:
-                phases = np.exp(-2j * np.pi * scale * j * m / N)
-            U = V_i @ (phases[:, None] * V_f)
-        G[:, m] = -1j * U[:, 0]
-        prob = np.abs(U) ** 2
-        for n1 in range(N):
-            P[n1, m, :] = np.roll(prob[:, n1], -n1)
-    return G, P
+    m = np.arange(N)[:, None]
+
+    def table(j):
+        if scale == 1.0:
+            return np.exp(-2j * np.pi * ((j * m) % N) / N)
+        return np.exp(-2j * np.pi * scale * j * m / N)
+
+    A = np.stack([V_i[:, j == v] @ V_f[j == v] for v in values])
+    grouped = (table(np.array(values)) @ A.reshape(len(values), -1)).reshape(
+        N, N, N)
+    phases = table(j)
+    out = []
+    for U_of in (lambda m: grouped[m], lambda m: V_i @ (phases[m][:, None] * V_f)):
+        G = np.zeros((N, N), dtype=complex)
+        P = np.zeros((N, N, N))
+        for m in range(N):
+            U = np.eye(N, dtype=complex) if m == 0 else U_of(m)
+            G[:, m] = -1j * U[:, 0]
+            prob = np.abs(U) ** 2
+            for n1 in range(N):
+                P[n1, m, :] = np.roll(prob[:, n1], -n1)
+        out.append((G, P))
+    return out
 
 
 def brute_force_orbits(N, gamma):
@@ -177,6 +194,15 @@ class TestBuildDispersion:
         with pytest.raises(DispersionError) as err:
             build_dispersion(5, 2)
         assert "orbit sizes" in str(err.value)
+
+    def test_failure_counts_orbits_per_size(self):
+        # one count per orbit size, so the line stays short as N grows: it
+        # listed all 1087 orbit sizes, 4429 characters, at N = 161
+        with pytest.raises(DispersionError) as err:
+            build_dispersion(161, 4)
+        assert str(err.value).endswith(
+            "boost orbit sizes (counts): 1 (1), 6 (8), 24 (1078)")
+        assert len(str(err.value)) < 200
 
     def test_search_stop_is_explicit(self, monkeypatch):
         # (16, 3) finds its first nontrivial cover after more than 8 search
@@ -300,9 +326,12 @@ class TestGreensFunction:
         block = ([NoiseModel(sigma, seed=seed, diagonal=on_diagonal)]
                  if sigma > 0 else engine.NOISELESS)
         result, = greens_function(disp, block)
-        G, P = greens_reference(disp, block)
+        (G, P), (G_k, P_k) = greens_reference(disp, block)
         assert result.matrix.tobytes() == G.tobytes()
         assert result.p_tensor.tobytes() == P.tobytes()
+        # the grouped sum is the per-momentum one up to roundoff
+        assert np.abs(result.matrix - G_k).max() < 1e-13
+        assert np.abs(result.p_tensor - P_k).max() < 1e-13
 
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(case=st.sampled_from([(33, 2), (16, 3), (6, 3)]),
@@ -457,6 +486,11 @@ class TestNoiseSweep:
     def test_zero_realizations_rejected(self):
         with pytest.raises(ValueError):
             symmetry_points(6, 2, NoiseModel((1e-2,), 1), 0)
+
+    def test_realization_count_error_names_the_parameter(self):
+        with pytest.raises(ValueError, match=r"^n_realizations must be an "
+                           r"integer >= 1, got 2\.0$"):
+            symmetry_points(6, 2, NoiseModel((1e-2,), 1), 2.0)
 
     @pytest.mark.parametrize("noise", [NoiseModel(1e-2, 1),
                                        NoiseModel((1e-2,), 1, stream_id=3)])
