@@ -20,7 +20,9 @@ Every product of gates, exact or noisy, runs through one function,
 `_compose`: a sequence and a table of per-step draws delta in, one product
 per column of draws out, each gate of step s scaled to
 exp(-i (1 + delta_s) H) through its principal-branch generator H, so every
-noisy gate stays exactly unitary.  A draw of exactly 0 keeps its gate
+noisy gate stays exactly unitary.  The generators of all two-site gates
+come from one closed form in numpy (`_pair_spectra`), with no LAPACK call,
+so composing loads no SciPy.  A draw of exactly 0 keeps its gate
 exact, and `sequence_to_unitary` is the table of one zero column.
 
 `_compose` runs one kernel, `_apply_waves`, on fused blocks: each gate
@@ -59,7 +61,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 SEQUENCE_SCHEMA = "qqft-seq/1"
 
@@ -473,25 +474,52 @@ def _fold_phases(E: np.ndarray) -> np.ndarray:
     return np.where(E <= -np.pi + 1e-12, E + 2 * np.pi, E)
 
 
+def _pair_spectra(G: np.ndarray) -> tuple:
+    """(E, P): the principal-branch eigenphases (n, 2), G = sum_k
+    exp(-i E_k) P_k, and the orthogonal eigenprojectors P[:, k] =
+    z_k z_k^dag (n, 2, 2, 2) of a stack of 2 x 2 unitaries G (n, 2, 2).
+
+    A unitary G is normal, and its traceless part K = G - tr(G) I / 2 =
+    [[k, b], [c, -k]] squares to s^2 I, s^2 = k^2 + bc, which carries no
+    cancellation even when the eigenvalues tr(G)/2 +- s nearly coincide.
+    z_0 is the null vector of K - s I taken from its larger row, z_1 =
+    (-conj z_0[1], conj z_0[0]) spans the orthogonal complement, and
+    E_k = -arg(z_k^dag G z_k), the Rayleigh quotient, folded to (-pi, pi].
+    An exactly degenerate G (K = 0) takes the identity basis.  All of the
+    stack at once, in numpy alone: no LAPACK call.
+    """
+    k, b, c = 0.5 * (G[:, 0, 0] - G[:, 1, 1]), G[:, 0, 1], G[:, 1, 0]
+    s = np.sqrt(k * k + b * c)
+    # null vectors of the rows (k - s, b) and (c, -k - s) of K - s I
+    rows = np.stack([np.stack([b, s - k], axis=1), np.stack([k + s, c], axis=1)])
+    norms = np.linalg.norm(rows, axis=2)
+    v, norm = rows[norms.argmax(axis=0), np.arange(len(G))], norms.max(axis=0)
+    Z = np.zeros_like(G)
+    Z[:, 0, 0] = Z[:, 1, 1] = 1.0  # the identity basis of a degenerate G
+    split = norm > 0
+    Z[split, :, 0] = v[split] / norm[split, None]
+    Z[split, 0, 1], Z[split, 1, 1] = -Z[split, 1, 0].conj(), Z[split, 0, 0].conj()
+    E = -np.angle(np.einsum("gik,gij,gjk->gk", Z.conj(), G, Z))
+    # P[g, k, i, j] = Z[g, i, k] conj(Z[g, j, k])
+    P = np.moveaxis(Z[:, :, None, :] * Z.conj()[:, None, :, :], 3, 1)
+    return _fold_phases(E), P
+
+
 @lru_cache(maxsize=64)
 def _gate_spectra(seq: CircuitSequence):
     """(layers, E, P) of the gates in `seq.gates` order: layer tags, the
-    principal-branch eigenphases (n, 2), gate = sum_k exp(-i E_k) P_k, and
-    the eigenprojectors P[:, k] = Z_k Z_k^dag (n, 2, 2, 2) of each gate's
-    Schur vectors Z_k, orthonormal even for degenerate eigenvalues.  A
-    phase gate's eigenphase is E[:, 0]; its other entries are unused."""
-    E = np.zeros((len(seq.gates), 2))
-    Z = np.zeros((len(seq.gates), 2, 2), dtype=complex)
-    for i, g in enumerate(seq.gates):
-        if g.kind == PHASE:  # -lam, reduced to [-pi, pi]
-            E[i, 0] = -g.lam + 2 * np.pi * np.round(g.lam / (2 * np.pi))
-        else:
-            T, Z[i] = scipy.linalg.schur(gate_matrix(g), output="complex")
-            E[i] = -np.angle(np.diag(T))
-    layers = np.array([g.layer for g in seq.gates], dtype=int)
-    # P[g, k, i, j] = Z[g, i, k] conj(Z[g, j, k])
-    P = np.moveaxis(Z[:, :, None, :] * Z.conj()[:, None, :, :], 3, 1)
-    return layers, _fold_phases(E), np.ascontiguousarray(P)
+    principal-branch eigenphases (n, 2) and the eigenprojectors
+    (n, 2, 2, 2) of `_pair_spectra`, from one pass over all two-site gates.
+    A phase gate's eigenphase is E[:, 0]; its other entries are unused."""
+    gates = seq.gates
+    two = np.array([g.kind != PHASE for g in gates], dtype=bool)
+    lam = np.array([g.lam for g in gates if g.kind == PHASE])
+    E = np.zeros((len(gates), 2))
+    P = np.zeros((len(gates), 2, 2, 2), dtype=complex)
+    E[~two, 0] = _fold_phases(-lam + 2 * np.pi * np.round(lam / (2 * np.pi)))
+    G = np.array([gate_matrix(g) for g in gates if g.kind != PHASE], dtype=complex)
+    E[two], P[two] = _pair_spectra(G.reshape(-1, 2, 2))
+    return np.array([g.layer for g in gates], dtype=int), E, P
 
 
 def _noisy_gates(seq: CircuitSequence, plan: _WavePlan,

@@ -215,18 +215,38 @@ def _openblas_libs() -> list:
     return [ctypes.CDLL(path) for path in paths]
 
 
-@lru_cache(maxsize=None)
 def _pin_blas() -> None:
-    """Set every OpenBLAS of this process to one thread, once and for good:
-    after a fork, any setter call, even one that sets 1, restarts the helper
-    threads that the fork shut down, and they spin for tens of ms."""
-    setters = [fn for fn in (getattr(lib, "openblas_set_num_threads_local", None)
-                             for lib in _openblas_libs()) if fn is not None]
-    if not setters:
-        print("qqft: no OpenBLAS exports openblas_set_num_threads_local; "
-              "BLAS threads are not pinned", file=sys.stderr)
-    for set_local in setters:
-        set_local(1)
+    """Set every OpenBLAS of this process to one thread, each once and for
+    good: after a fork, any setter call, even one that sets 1, restarts the
+    helper threads that the fork shut down, and they spin for tens of ms.
+    A library that maps after an earlier sweep, such as SciPy's when a
+    flat-band model follows a Poincare sweep, is pinned by the next call.
+    A new library comes with the modules that load it, so /proc/self/maps
+    is read only when sys.modules has changed size since the last read."""
+    _pin_mapped(len(sys.modules))
+
+
+#: names of the OpenBLAS libraries pinned in this process; a forked worker
+#: inherits it
+_PINNED = set()
+
+
+@lru_cache(maxsize=None)
+def _pin_mapped(modules: int) -> None:
+    # `modules`, the size of sys.modules, only keys the cache: one scan each
+    for lib in _openblas_libs():
+        set_local = getattr(lib, "openblas_set_num_threads_local", None)
+        if set_local is not None and lib._name not in _PINNED:
+            _PINNED.add(lib._name)
+            set_local(1)
+    if not _PINNED:
+        _warn_unpinned()
+
+
+@lru_cache(maxsize=None)
+def _warn_unpinned() -> None:  # once per process
+    print("qqft: no OpenBLAS exports openblas_set_num_threads_local; "
+          "BLAS threads are not pinned", file=sys.stderr)
 
 
 _worker_fn = None  # the sweep's task, set in each worker by _init_worker
@@ -249,11 +269,11 @@ def _run(i):
 
 def _map_ordered(fn, count: int, workers: int) -> list:
     """[fn(0), ..., fn(count - 1)] in index order, each call on one BLAS
-    thread, so results never depend on `workers`: the first call pins the
-    process to one BLAS thread for good (`_pin_blas`).  On Linux, `workers
-    > 1` runs the calls in forked processes, which inherit `fn` and the pin
-    and die with this one; all are joined before the results return.
-    Elsewhere calls run serially."""
+    thread, so results never depend on `workers`: each call first pins
+    every OpenBLAS mapped so far to one thread for good (`_pin_blas`).  On
+    Linux, `workers > 1` runs the calls in forked processes, which inherit
+    `fn` and the pin and die with this one; all are joined before the
+    results return.  Elsewhere calls run serially."""
     count = circuit._integer(count, "count", 1)
     _pin_blas()
     linux = sys.platform.startswith("linux")

@@ -15,11 +15,10 @@ The Brillouin zone is sampled on an N x N grid uniform in the two reciprocal
 directions conjugate to (g2, g3); grid axes are ordered (row, col) with the
 row index slow, so real-space coordinates are X = column, Y = row.
 
-Topology is checked along two independent routes: the sign formula
+Topology is read two ways: the sign formula
 C = -[sgn(M + 3 sqrt(3) t2 sin phi) - sgn(M - 3 sqrt(3) t2 sin phi)] / 2 and
-a lattice field-strength (plaquette Berry flux) integration, plus the
-real-space Bott index of the engineered evolution, which stays quantized
-under gate noise.
+the real-space Bott index of the engineered evolution, which stays
+quantized under gate noise.
 """
 
 from __future__ import annotations
@@ -149,29 +148,6 @@ def chern_analytic(p: HaldaneParams) -> int:
     return int(-0.5 * (np.sign(lo) - np.sign(hi)))
 
 
-def chern_fhs(model: MomentumModel) -> int:
-    """Lattice field-strength Chern number of the lower band.
-
-    Plaquette products of link overlaps of the lower-band eigenvectors of
-    `model.eigensystem`, all plaquettes at once; the total flux is
-    quantized for a gapped model and is independent of the formula behind
-    `chern_analytic`.
-    """
-    N = model.grid
-    u = model.eigensystem[1][:, :, 0].reshape(N, N, model.l)
-    # the corners (a, b), (a + 1, b), (a + 1, b + 1), (a, b + 1), in order
-    loop = [u, np.roll(u, -1, 0), np.roll(u, (-1, -1), (0, 1)), np.roll(u, -1, 1)]
-    plaq = np.prod([np.einsum("abi,abi->ab", v.conj(), w)
-                    for v, w in zip(loop, loop[1:] + loop[:1])], axis=0)
-    singular = np.argwhere(np.abs(plaq) < 1e-12)
-    if len(singular):
-        raise GapClosedError("singular plaquette at ({}, {})".format(*singular[0]))
-    c = np.angle(plaq).sum() / (2.0 * np.pi)
-    if abs(c - round(c)) > 0.1:
-        raise GapClosedError(f"non-integer lattice Chern number {c}")
-    return int(round(c))
-
-
 def bott_index(U: np.ndarray, T: float, l: int) -> tuple:
     """(B, pi - max|theta|): the real-space topological invariant of the
     lower-band projector, and the distance of U's eigenphases theta to the
@@ -274,16 +250,17 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,
     realizations = circuit._integer(realizations, "realizations", 1)
     if np.ndim(noise.sigma) or noise.stream_id != 0:
         raise ValueError(f"a phase diagram takes one sigma on stream 0, got {noise}")
-    cells = [(phi, m) for phi in phis for m in ms]
+    cells = [HaldaneParams(phi=phi, M=m) for phi in phis for m in ms]
+    # built here, not in the workers: building a model loads SciPy, whose
+    # OpenBLAS the sweep pins before it forks
+    models = [momentum_model(p, grid) for p in cells]
 
     def one(index):
-        phi, m = cells[index]
-        p = HaldaneParams(phi=phi, M=m)
+        p, model = cells[index], models[index]
         try:
             chern = chern_analytic(p)
         except PhaseBoundaryError:
             chern = None
-        model = momentum_model(p, grid)
         evolutions = build_protocol_unitary(model, [
             replace(noise, stream_id=r).substream(index) for r in range(realizations)])
         vals, failed = [], dict.fromkeys(_FAILED.values(), 0)
@@ -297,7 +274,7 @@ def phase_diagram(phis: Sequence[float], ms: Sequence[float], noise: NoiseModel,
             else:
                 vals.append(bott)
                 headroom = min(headroom, room)
-        return phi, m, float(np.mean(vals)), chern, failed, headroom
+        return p.phi, p.M, float(np.mean(vals)), chern, failed, headroom
 
     rows = _map_ordered(one, len(cells), workers)
     for phi, m, _, _, failed, headroom in rows:

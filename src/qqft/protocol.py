@@ -68,7 +68,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import circuit, engine
 
@@ -99,6 +98,17 @@ class PhaseWrapError(ValueError):
     """Eigenphases reached the branch cut; the evolution time is too long."""
 
 
+@functools.cache
+def _linalg():
+    """scipy.linalg, imported on first use: the flat-band eigensolvers are
+    the only code that needs SciPy, so compiling, verifying and the
+    spacetime crystal never load it.  Building a `MomentumModel` calls
+    this too, so that a sweep loads SciPy, and its OpenBLAS, in the
+    process that starts it, before any worker forks."""
+    import scipy.linalg
+    return scipy.linalg
+
+
 @dataclass(frozen=True)
 class MomentumModel:
     """The momentum-space Hamiltonian on a uniform grid, as one stack.
@@ -124,6 +134,7 @@ class MomentumModel:
             raise ValueError(f"unsupported dimension d={self.d}")
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"T must be finite and > 0, got {self.T}")
+        _linalg()
 
     @property
     def dim(self) -> int:
@@ -262,7 +273,7 @@ def _sine_phases(U: np.ndarray):
     """Eigenphases theta of a unitary U: arcsin of the eigenvalues of
     S = (U - U^dag) / 2i while the sine route's certificate of the module
     docstring holds, else those of `_arctan2_phases`."""
-    sin = scipy.linalg.eigvalsh(_hermitian_part(U), overwrite_a=True, check_finite=False)
+    sin = _linalg().eigvalsh(_hermitian_part(U), overwrite_a=True, check_finite=False)
     cos = np.sqrt(1.0 - np.minimum(sin * sin, 1.0))
     if cos.min() < SINE_COS_MIN or abs(np.trace(U).real - cos.sum()) >= SINE_COS_MIN:
         return _arctan2_phases(U)[0]
@@ -274,7 +285,7 @@ def _arctan2_phases(U: np.ndarray):
     eigenbasis, theta_j belonging to column j of Z, by the arctan2 route of
     the module docstring.  Raises PhaseWrapError when any |theta| >=
     pi - WRAP_MARGIN."""
-    sin, Z = scipy.linalg.eigh(_hermitian_part(U), overwrite_a=True, check_finite=False)
+    sin, Z = _linalg().eigh(_hermitian_part(U), overwrite_a=True, check_finite=False)
     W = U @ Z
     theta = np.arctan2(sin, np.einsum("ij,ij->j", Z.conj(), W).real)
     bound = UNITARY_TOL * math.sqrt(len(U))
@@ -282,7 +293,7 @@ def _arctan2_phases(U: np.ndarray):
     if bad.any():  # every run of near-equal sines (eigh sorts them) that fails
         run_of = np.concatenate(([0], np.cumsum(np.diff(sin) > CLUSTER_GAP)))
         c = np.flatnonzero(np.isin(run_of, run_of[bad]))
-        T, Q = scipy.linalg.schur(Z[:, c].conj().T @ W[:, c], output="complex")
+        T, Q = _linalg().schur(Z[:, c].conj().T @ W[:, c], output="complex")
         Z[:, c], theta[c] = Z[:, c] @ Q, np.angle(np.diag(T))
     if np.abs(theta).max() >= np.pi - WRAP_MARGIN:
         raise PhaseWrapError("eigenphase at the branch cut; choose a shorter evolution time")

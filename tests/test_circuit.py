@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qqft import circuit
@@ -357,6 +358,89 @@ def plan_slots(plan):
             assert len(held[slots[k]]) == r
             held[slots[k]].append(plan.phase[q])
     return {i: slot for slot, ids in held.items() for i in ids}, held
+
+
+def unitary(phases, seed):
+    """Q diag(exp(-i phases)) Q^dag for a Haar-random 2 x 2 unitary Q."""
+    z = np.random.default_rng(seed).normal(size=(2, 2, 2)).view(complex)[..., 0]
+    Q, R = np.linalg.qr(z)
+    Q = Q * (np.diag(R) / np.abs(np.diag(R)))
+    return (Q * np.exp(-1j * np.asarray(phases))) @ Q.conj().T
+
+
+def check_pair_spectra(G, E, P):
+    """E and P of the 2 x 2 unitaries G against the spectral theorem and
+    against a complex Schur form.  E lies in (-pi, pi], up to the 1e-12
+    by which `_fold_phases` may carry a phase near -pi past +pi."""
+    G = np.asarray(G, dtype=complex).reshape(-1, 2, 2)
+    eye = np.eye(2)
+    assert np.abs(np.einsum("gk,gkij->gij", np.exp(-1j * E), P) - G).max() < 2e-15
+    assert np.abs(P - P.conj().swapaxes(-1, -2)).max() < 1e-15
+    assert np.abs(P @ P - P).max() < 1e-15
+    assert np.abs(P[:, 0] @ P[:, 1]).max() < 1e-15
+    assert np.abs(P.sum(axis=1) - eye).max() < 1e-15
+    assert ((-np.pi < E) & (E <= np.pi + 1e-12)).all()
+    for g, e in zip(G, E):
+        T, Z = scipy.linalg.schur(g, output="complex")
+        assert np.abs((Z * np.diag(T)) @ Z.conj().T - g).max() < 2e-15
+        got, want = np.exp(-1j * e), np.diag(T)
+        assert min(np.abs(got - want).max(), np.abs(got[::-1] - want).max()) < 2e-15
+
+
+class TestPairSpectra:
+    """The closed-form eigenphases and eigenprojectors of `circuit._pair_spectra`."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(phases=st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_unitaries(self, phases, seed):
+        G = unitary(phases, seed)[None]
+        check_pair_spectra(G, *circuit._pair_spectra(G))
+
+    @pytest.mark.parametrize("G,E", [
+        (np.eye(2), [0.0, 0.0]),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), [0.0, np.pi]),
+        (-np.eye(2), [np.pi, np.pi]),
+        (np.array([[0.0, 1j], [1j, 0.0]]), [-np.pi / 2, np.pi / 2]),
+    ], ids=["identity", "swap", "minus-identity", "i-swap"])
+    def test_exact_gates(self, G, E):
+        got_E, P = circuit._pair_spectra(np.asarray(G, dtype=complex)[None])
+        check_pair_spectra(G, got_E, P)
+        assert sorted(got_E[0]) == pytest.approx(E, abs=1e-15)
+        if G[0, 1] == 0:  # degenerate: the identity basis
+            assert np.array_equal(P[0], [np.diag([1, 0]), np.diag([0, 1])])
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(phase=st.floats(-np.pi, np.pi), seed=st.integers(0, 2**32 - 1))
+    def test_eigenvalue_minus_one(self, phase, seed):
+        G = unitary([np.pi, phase], seed)[None]
+        E, P = circuit._pair_spectra(G)
+        check_pair_spectra(G, E, P)
+        assert np.abs(np.exp(-1j * E) + 1).min() < 1e-15
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(phase=st.floats(-np.pi, np.pi), exponent=st.floats(-14.0, -9.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_near_degenerate_pairs(self, phase, exponent, seed):
+        G = unitary([phase, phase + 10.0 ** exponent], seed)[None]
+        check_pair_spectra(G, *circuit._pair_spectra(G))
+
+    @pytest.mark.parametrize("theta", [5e-10, 1e-12, 5e-15, 0.0])
+    def test_near_degenerate_gates(self, theta):
+        # Mix(theta, pi) is the rotation by theta, with eigenphases +-theta
+        seq = CircuitSequence(2, (GateSpec("mix", 0, theta=theta, phi=np.pi),))
+        _, E, P = circuit._gate_spectra(seq)
+        check_pair_spectra(circuit.gate_matrix(seq.gates[0]), E, P)
+
+    @pytest.mark.parametrize("seq", [build_generic_qqft(N) for N in range(2, 41)]
+                             + [build_radix2_qqft(n) for n in range(1, 7)],
+                             ids=[f"generic-{N}" for N in range(2, 41)]
+                             + [f"radix2-{n}" for n in range(1, 7)])
+    def test_compiled_gates(self, seq):
+        two = [i for i, g in enumerate(seq.gates) if g.kind != circuit.PHASE]
+        _, E, P = circuit._gate_spectra(seq)
+        check_pair_spectra([circuit.gate_matrix(seq.gates[i]) for i in two],
+                           E[two], P[two])
 
 
 class TestWavePlan:

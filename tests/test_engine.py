@@ -61,16 +61,20 @@ def per_gate_reference(seq, noise, invert=False, matmul=False):
     own scalar draw: the reference for the wave kernel.
 
     In the kernel's elementwise form, a noisy two-site gate is
-    p_0 P_0 + p_1 P_1 over its eigenprojectors P_k = Z_k Z_k^dag, each
-    phase gate folds into a two-site block as the kernel folds it
-    (`test_circuit.fold_phases`), and a block [[a, b], [c, d]] writes
-    a r0 + b r1 and c r0 + d r1 over its rows.  `matmul=True` takes the
-    textbook form instead, (Z * p) @ Z^dag and `block @ rows` gate by gate,
-    with no folding, which agrees with the kernel up to roundoff only.
+    p_0 P_0 + p_1 P_1 over the eigenphases and eigenprojectors P_k that
+    `circuit._gate_spectra` gives the kernel, each phase gate folds into a
+    two-site block as the kernel folds it (`test_circuit.fold_phases`), and
+    a block [[a, b], [c, d]] writes a r0 + b r1 and c r0 + d r1 over its
+    rows.  `matmul=True` takes the textbook form instead, (Z * p) @ Z^dag
+    from a complex Schur form and `block @ rows` gate by gate, with no
+    folding, which agrees with the kernel up to roundoff only.
     """
-    gates = list(reversed(seq.gates) if invert else seq.gates)
+    order = range(len(seq.gates))
+    order = list(reversed(order) if invert else order)
+    gates = [seq.gates[i] for i in order]
+    _, spectra, projectors = circuit._gate_spectra(seq)
     mats = []
-    for g in gates:
+    for i, g in zip(order, gates):
         block = gate_matrix(g)
         step = seq.depth - 1 - g.layer if invert else g.layer
         delta = scalar_draw_reference(noise, step) if noise.sigma != 0.0 else 0.0
@@ -86,15 +90,15 @@ def per_gate_reference(seq, noise, invert=False, matmul=False):
             mats.append(factor)
         elif delta == 0.0:
             mats.append(block.conj().T if invert else block)
-        else:
+        elif matmul:
             E, Z = unitary_eig(block)
             w = circuit._fold_phases(-E) if invert else E
+            mats.append((Z * np.exp(-1j * (1.0 + delta) * w)) @ Z.conj().T)
+        else:
+            E, P = spectra[i], projectors[i]
+            w = circuit._fold_phases(-E) if invert else E
             p = np.exp(-1j * (1.0 + delta) * w)
-            if matmul:
-                mats.append((Z * p) @ Z.conj().T)
-            else:
-                P = [np.outer(Z[:, k], Z[:, k].conj()) for k in (0, 1)]
-                mats.append(P[0] * p[0] + P[1] * p[1])
+            mats.append(P[0] * p[0] + P[1] * p[1])
     if not matmul:
         return apply_blocks(*fold_phases(gates, mats), seq.n_sites)
     U = np.eye(seq.n_sites, dtype=complex)

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -70,4 +71,46 @@ class TestTrees:
 
     def test_usage(self, tmp_path, capsys):
         assert tree_diff.main([str(tmp_path)]) == 2
+        assert "usage" in capsys.readouterr().err
+
+
+class TestTolerance:
+    def trees(self, tmp_path, old_files, new_files):
+        return (str(write(tmp_path / "old", old_files)),
+                str(write(tmp_path / "new", new_files)))
+
+    @pytest.mark.parametrize("new,status", [
+        ("0.1,12.5000000000001\n", 0),   # 1e-13 apart
+        ("0.1,12.5\n", 0),               # identical
+        ("0.1,12.50000000001\n", 1),     # 1e-11 apart
+        ("0.1,nan\n", 1),                # text where a number was
+    ])
+    def test_exit_status(self, tmp_path, capsys, new, status):
+        old, new = self.trees(tmp_path, {"run/gap.csv": "0.1,12.5\n"},
+                              {"run/gap.csv": new})
+        assert tree_diff.main(["--tol", "1e-12", old, new]) == status
+        out, err = capsys.readouterr()
+        assert ("differ beyond --tol 1e-12" in err) == bool(status)
+
+    def test_without_tol_always_zero(self, tmp_path, capsys):
+        old, new = self.trees(tmp_path, {"a.csv": "1.0\n"}, {"a.csv": "2.0\n"})
+        assert tree_diff.main([old, new]) == 0
+
+    def test_file_in_one_tree_only(self, tmp_path, capsys):
+        old, new = self.trees(tmp_path, {"a.csv": "1.0\n"},
+                              {"a.csv": "1.0\n", "b.csv": "1.0\n"})
+        assert tree_diff.main(["--tol", "1", old, new]) == 1
+        assert "1 of 1 differing files" in capsys.readouterr().err
+
+    def test_largest_difference_per_file(self, tmp_path):
+        old, new = self.trees(tmp_path, {"a": "x=1 y=2\n", "b": "z\n"},
+                              {"a": "x=1.5 y=2.25\n", "b": "w\n"})
+        assert tree_diff.differences(Path(old), Path(new)) == [
+            ("a: max |difference| 0.5 over 2 of 2 numbers", 0.5),
+            ("b: non-numeric difference at line 1: 'z' vs 'w'", math.inf)]
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "x"])
+    def test_bad_tol_is_a_usage_error(self, tmp_path, capsys, tol):
+        old, new = self.trees(tmp_path, {"a": "1\n"}, {"a": "1\n"})
+        assert tree_diff.main(["--tol", tol, old, new]) == 2
         assert "usage" in capsys.readouterr().err
