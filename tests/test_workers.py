@@ -160,6 +160,54 @@ class TestBlasPin:
         assert capsys.readouterr().err.count("BLAS threads are not pinned") == 1
 
 
+@needs_two_cores
+class TestWorkerLifetime:
+    def test_phase_diagram_joins_its_workers(self):
+        cells = haldane.phase_diagram([-np.pi / 2, np.pi / 2], [0.0, 1.0],
+                                      engine.NoiseModel(1e-2, 3), grid=4,
+                                      workers=2)
+        assert len(cells) == 4
+        assert_no_children()
+
+    def test_symmetry_sweep_joins_its_workers(self):
+        points, _ = poincare.noise_sweep_symmetry(
+            poincare.build_dispersion(6, 2),
+            engine.NoiseModel((0.0, 1e-2), 5), 3, workers=3)
+        assert len(points) == 2
+        assert_no_children()
+
+    def test_cli_joins_its_workers(self, tmp_path, capsys):
+        assert main(["flatband", "--grid", "4", "--realizations", "2",
+                     "--sigma", "0,1e-3", "--phase-grid", "2", "--seed", "5",
+                     "--workers", "2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert_no_children()
+
+    def test_killed_parent_leaves_no_worker(self, tmp_path):
+        # 16 Bott cells at grid 16 keep two workers busy for seconds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qqft", "flatband", "--sigma", "",
+             "--phase-grid", "4", "--workers", "2", "--out", str(tmp_path)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            workers = []
+            while len(workers) < 2:
+                assert proc.poll() is None, "run ended before its workers showed"
+                assert time.monotonic() < deadline, "workers never showed"
+                time.sleep(0.02)
+                workers = child_pids(proc.pid)
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        states = [process_state(pid) for pid in workers]
+        while any(s is not None and s[0] != "Z" for s in states):
+            assert time.monotonic() < deadline, f"workers left: {states}"
+            time.sleep(0.05)
+            states = [process_state(pid) for pid in workers]
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
