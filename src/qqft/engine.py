@@ -25,6 +25,12 @@ compose in one pass of the batch-last wave kernel of `circuit`, whose
 arithmetic is elementwise, so each member is bit-identical to composing it
 alone, whatever the block.  `_noise_sweep` hands its
 measurement fixed blocks of `_BLOCK` consecutive realizations.
+
+Every sweep runs its tasks through `_map_ordered`, which pins each OpenBLAS
+to one thread and sets glibc's malloc policy once per process
+(`_keep_freed_memory`): arrays up to 32 MiB come from the heap, and the
+heap keeps what is freed, so that the next block reuses the pages of the
+last one instead of faulting them in again.
 """
 
 from __future__ import annotations
@@ -249,6 +255,33 @@ def _warn_unpinned() -> None:  # once per process
           "BLAS threads are not pinned", file=sys.stderr)
 
 
+#: glibc's mallopt parameters, and the values `_keep_freed_memory` sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 1 << 30
+
+
+@lru_cache(maxsize=None)
+def _keep_freed_memory() -> bool:
+    """Keep the memory of freed arrays in this process; whether glibc took
+    the policy.  By default glibc serves a buffer above 128 KiB-1 MiB by a
+    fresh mmap and trims the freed top of its heap, so each block of a
+    sweep faults its temporaries in again: about 2000 minor page faults per
+    Poincare sweep (N = 33, ten realizations) and 5700 per flat-band gap
+    sweep.  Buffers up to `_MMAP_THRESHOLD` (32 MiB, glibc's ceiling, above
+    every N = 33 and dim-512 array) now come from the heap, and the heap
+    keeps up to `_TRIM_THRESHOLD` of freed memory; the same sweeps then
+    take a handful of faults, and peak RSS does not move.  Larger arrays,
+    up to MAX_DIM, still map and unmap.  Nothing happens off Linux or
+    without mallopt; a forked worker inherits the policy."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if not sys.platform.startswith("linux") or mallopt is None:
+        return False
+    return all(mallopt(ctypes.c_int(param), ctypes.c_int(value)) == 1
+               for param, value in ((_M_MMAP_THRESHOLD, _MMAP_THRESHOLD),
+                                    (_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)))
+
+
 _worker_fn = None  # the sweep's task, set in each worker by _init_worker
 
 
@@ -270,12 +303,14 @@ def _run(i):
 def _map_ordered(fn, count: int, workers: int) -> list:
     """[fn(0), ..., fn(count - 1)] in index order, each call on one BLAS
     thread, so results never depend on `workers`: each call first pins
-    every OpenBLAS mapped so far to one thread for good (`_pin_blas`).  On
-    Linux, `workers > 1` runs the calls in forked processes, which inherit
-    `fn` and the pin and die with this one; all are joined before the
-    results return.  Elsewhere calls run serially."""
+    every OpenBLAS mapped so far to one thread for good (`_pin_blas`), and
+    keeps freed memory in the process (`_keep_freed_memory`).  On Linux,
+    `workers > 1` runs the calls in forked processes, which inherit `fn`,
+    the pin and the malloc policy and die with this one; all are joined
+    before the results return.  Elsewhere calls run serially."""
     count = circuit._integer(count, "count", 1)
     _pin_blas()
+    _keep_freed_memory()
     linux = sys.platform.startswith("linux")
     workers = min(workers, count, len(os.sched_getaffinity(0))) if linux else 1
     if workers > 1:

@@ -1,4 +1,7 @@
+import ctypes
 import math
+import platform
+import resource
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from qqft import circuit, engine
+from qqft import circuit, engine, poincare
 from qqft.circuit import GateSpec, gate_matrix, sequence_to_unitary
 from qqft.engine import NoiseModel, apply_noisy_sequence
 from qqft.protocol import MomentumModel
@@ -656,3 +659,25 @@ class TestDiagonalMomentumEvolution:
         for scale in (1.0, 1.1, 0.9):
             model.diagonal_blocks(scale=scale)
         assert calls == [1]
+
+
+GLIBC_MALLOPT = (platform.libc_ver()[0] == "glibc"
+                 and hasattr(ctypes.CDLL(None), "mallopt"))
+
+
+@pytest.mark.skipif(not GLIBC_MALLOPT, reason="needs glibc's mallopt")
+class TestFreedMemoryStaysInProcess:
+    """`engine._keep_freed_memory`: a sweep's freed arrays stay in the
+    heap, so a repeated sweep reuses them instead of faulting pages in
+    again (about 2000 minor faults per Poincare sweep without it)."""
+
+    def test_policy_taken(self):
+        assert engine._keep_freed_memory()
+
+    def test_repeated_poincare_sweep_takes_few_faults(self):
+        disp = poincare.build_dispersion(33, 2)
+        noise = NoiseModel((0.0, 1e-3, 5e-3, 1e-2, 2e-2, 5e-2), seed=3)
+        poincare.noise_sweep_symmetry(disp, noise, 10)  # warm-up
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        poincare.noise_sweep_symmetry(disp, noise, 10)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
