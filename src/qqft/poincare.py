@@ -16,10 +16,12 @@ D = diag(exp(-i E_k tau)), whose powers are the dispersion's phase table;
 gate noise enters through independent streams for the forward and inverse
 sequences.  D^m is one phase per distinct value of the dispersion
 (`Dispersion.levels`), so every U(m tau) is a sum over those values, one
-product of the phase table with their stack of V^dag V blocks.  Symmetry
-breaking is quantified by the class-variance statistic `s_lorentz`, over
-the boost lattice that `build_dispersion` builds once and keeps as
-`Dispersion.lattice`, and by the clean-vs-noisy RMS `s_total`.
+product of the phase table with their stack of V^dag V blocks.  The
+hopping probabilities are |U|^2 = Re(U)^2 + Im(U)^2, two squares and a sum
+with no square root in between.  Symmetry breaking is quantified by the
+class-variance statistic `s_lorentz`, over the boost lattice that
+`build_dispersion` builds once and keeps as `Dispersion.lattice`, and by
+the clean-vs-noisy RMS `s_total`.
 """
 
 from __future__ import annotations
@@ -215,16 +217,20 @@ def greens_function(disp: Dispersion, block=engine.NOISELESS):
 def _greens_one(phases: np.ndarray, V_f: np.ndarray, V_i: np.ndarray,
                 groups: tuple) -> GreensResult:
     """G and P from one Fourier pair and the phase table [m, i] of D^m on
-    the momenta groups[i], which share one phase."""
+    the momenta groups[i], which share one phase; P = Re(U)^2 + Im(U)^2."""
     N = len(phases)
+    # momenta in group order, so that each A_i multiplies contiguous slices
+    perm = np.concatenate(groups)
+    V_i, V_f = V_i[:, perm], V_f[perm]
+    ends = np.cumsum([len(k) for k in groups]).tolist()
     # U[m] = U(m tau) = sum_i phases[m, i] A_i, in one expression so that
     # the stack of A_i is freed before P is built
-    U = (phases @ np.stack([V_i[:, k] @ V_f[k] for k in groups]).reshape(
-        len(groups), -1)).reshape(N, N, N)
+    U = (phases @ np.stack([V_i[:, a:b] @ V_f[a:b] for a, b in zip(
+        [0] + ends, ends)]).reshape(len(groups), -1)).reshape(N, N, N)
     U[0] = np.eye(N)
     G = -1j * U[:, :, 0].T
-    P = np.abs(U)
-    np.square(P, out=P)
+    P = np.square(U.real)
+    P += np.square(U.imag)
     return GreensResult(matrix=G, p_tensor=P.reshape(-1)[_p_index(N)])
 
 
@@ -250,7 +256,7 @@ def s_lorentz(P: np.ndarray, lattice: LorentzLattice) -> float:
         cls.ravel(), weights=P.mean(axis=0).ravel(), minlength=len(counts)
     ) / counts
     dev = P - class_mean[cls][None, :, :]
-    return float(np.sqrt(np.mean(dev ** 2)))
+    return float(np.sqrt(np.mean(np.square(dev, out=dev))))
 
 
 def s_total(P_noisy: np.ndarray, P_clean: np.ndarray) -> float:
@@ -258,7 +264,8 @@ def s_total(P_noisy: np.ndarray, P_clean: np.ndarray) -> float:
     symmetry breaking)."""
     if P_noisy.shape != P_clean.shape:
         raise ValueError("probability tensors differ in shape")
-    return float(np.sqrt(np.mean((P_noisy - P_clean) ** 2)))
+    dev = P_noisy - P_clean
+    return float(np.sqrt(np.mean(np.square(dev, out=dev))))
 
 
 def noise_sweep_symmetry(disp: Dispersion, noise: NoiseModel,

@@ -41,10 +41,10 @@ def graph_is_invariant(j_table, N, gamma):
 
 def greens_reference(disp, block=engine.NOISELESS):
     """G and P of the one member of `block`, one stroboscopic time m at a
-    time, P by np.roll, twice: from U(m tau) of the grouped product
-    sum_j D^m_j A_j, taken in one product over every m as greens_function
-    takes it (the reference for its indexing), and from the per-momentum
-    sum V^dag D^m V."""
+    time, P = Re(U)^2 + Im(U)^2 by np.roll, twice: from U(m tau) of the
+    grouped product sum_j D^m_j A_j, taken in one product over every m as
+    greens_function takes it (the reference for its indexing), and from the
+    per-momentum sum V^dag D^m V."""
     N = disp.n_sites
     j = np.array(disp.j_table)
     values = sorted(set(disp.j_table))
@@ -68,7 +68,7 @@ def greens_reference(disp, block=engine.NOISELESS):
         for m in range(N):
             U = np.eye(N, dtype=complex) if m == 0 else U_of(m)
             G[:, m] = -1j * U[:, 0]
-            prob = np.abs(U) ** 2
+            prob = U.real ** 2 + U.imag ** 2
             for n1 in range(N):
                 P[n1, m, :] = np.roll(prob[:, n1], -n1)
         out.append((G, P))
@@ -372,6 +372,27 @@ class TestGreensFunction:
             assert got.p_tensor.tobytes() == alone.p_tensor.tobytes()
         G = [r.matrix.tobytes() for r in results]
         assert G[0] == G[1] and len(set(G[1:])) == 3
+
+    @pytest.mark.parametrize("case", [(33, 2), (18, 2)])
+    def test_p_tensor_matches_dense_oracle(self, case):
+        # P[n1, m, n] = |(V_i D^m V_f)[(n1 + n) % N, n1]|^2 from one dense
+        # product per m, in long double so that the oracle's own roundoff
+        # stays well below the bound; m = 0 applies no gates
+        disp = build_dispersion(*case)
+        N = disp.n_sites
+        block = [NoiseModel(2e-2, seed=5)]
+        got, = greens_function(disp, block)
+        ((V_f,),), ((V_i,),) = engine.fourier_pair(N, block, 1)
+        V_f, V_i = V_f.astype(np.clongdouble), V_i.astype(np.clongdouble)
+        j, n = np.array(disp.j_table), np.arange(N)
+        P = np.empty((N, N, N), dtype=np.longdouble)
+        for m in range(N):
+            D = np.exp(-2j * np.pi * ((j * m) % N) / N)
+            U = np.eye(N) if m == 0 else V_i @ (D[:, None] * V_f)
+            for n1 in range(N):
+                P[n1, m] = np.abs(U[(n1 + n) % N, n1]) ** 2
+        assert np.abs(got.p_tensor - P).max() < 1e-15
+        assert np.abs(got.p_tensor.sum(axis=2) - 1).max() < 1e-12
 
     def test_empty_block_gives_no_propagators(self):
         assert list(greens_function(build_dispersion(6, 2), [])) == []
