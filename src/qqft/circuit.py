@@ -470,8 +470,9 @@ def _apply_waves(n_sites: int, plan: _WavePlan, blocks: np.ndarray,
 
 def _fold_phases(E: np.ndarray) -> np.ndarray:
     # principal branch (-pi, pi]; -pi folds to +pi so swap's generator
-    # carries eigenvalue +pi
-    return np.where(E <= -np.pi + 1e-12, E + 2 * np.pi, E)
+    # carries eigenvalue +pi, and a phase within 1e-12 above -pi folds to
+    # pi, not past it
+    return np.minimum(np.where(E <= -np.pi + 1e-12, E + 2 * np.pi, E), np.pi)
 
 
 def _pair_spectra(G: np.ndarray) -> tuple:
