@@ -67,20 +67,21 @@ class LorentzLattice:
 def equivalence_classes(N: int, gamma: int) -> LorentzLattice:
     """Orbits of the boost on {(m, n)}; their sizes always sum to N^2."""
     N, gamma = circuit._integer(N, "N", 1), circuit._integer(gamma, "gamma", 2)
-    class_of = np.full((N, N), -1, dtype=int)
-    classes = []
-    for m0 in range(N):
-        for n0 in range(N):
-            if class_of[m0, n0] >= 0:
-                continue
-            orbit = []
-            m, n = m0, n0
-            while class_of[m, n] < 0:
-                class_of[m, n] = len(classes)
-                orbit.append((m, n))
-                m, n = lorentz_map(m, n, gamma, N)
-            classes.append(tuple(orbit))
-    return LorentzLattice(classes=tuple(classes), class_of=class_of)
+    # the walk runs on Python ints and a flat list, owner[m * N + n] the
+    # class of (m, n), with the steps of `lorentz_map` written out
+    owner, classes, boost = [-1] * (N * N), [], gamma * gamma - 1
+    for start in range(N * N):
+        if owner[start] >= 0:
+            continue
+        orbit = []
+        m, n = divmod(start, N)
+        while owner[m * N + n] < 0:
+            owner[m * N + n] = len(classes)
+            orbit.append((m, n))
+            m, n = (gamma * m + n) % N, (boost * m + gamma * n) % N
+        classes.append(tuple(orbit))
+    return LorentzLattice(classes=tuple(classes),
+                          class_of=np.array(owner).reshape(N, N))
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,25 @@ class TestEquivalenceClasses:
         expected = sorted(sorted(c) for c in brute_force_orbits(9, 2))
         assert got == expected
 
+    @pytest.mark.parametrize("N,gamma", [(33, 2), (18, 2), (16, 3), (6, 3)])
+    def test_matches_plain_walk(self, N, gamma):
+        # orbits started at each unseen (m, n) in row-major order, walked by
+        # lorentz_map: the same classes, in the same order, and class_of
+        seen, classes = {}, []
+        for start in ((m, n) for m in range(N) for n in range(N)):
+            orbit, pt = [], start
+            while pt not in seen:
+                seen[pt] = len(classes)
+                orbit.append(pt)
+                pt = lorentz_map(*pt, gamma, N)
+            if orbit:
+                classes.append(tuple(orbit))
+        lattice = equivalence_classes(N, gamma)
+        assert lattice.classes == tuple(classes)
+        assert lattice.class_of.shape == (N, N)
+        assert lattice.class_of.tolist() == [[seen[m, n] for n in range(N)]
+                                             for m in range(N)]
+
     def test_rejects_small_gamma(self):
         with pytest.raises(ValueError):
             equivalence_classes(9, 1)
