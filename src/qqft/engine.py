@@ -271,13 +271,18 @@ def _keep_freed_memory() -> bool:
     sweep.  Buffers up to `_MMAP_THRESHOLD` (32 MiB, glibc's ceiling, above
     every N = 33 and dim-512 array) now come from the heap, and the heap
     keeps up to `_TRIM_THRESHOLD` of freed memory; the same sweeps then
-    take a handful of faults, and peak RSS does not move.  Larger arrays,
-    up to MAX_DIM, still map and unmap.  Nothing happens off Linux or
-    without mallopt; a forked worker inherits the policy."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if not sys.platform.startswith("linux") or mallopt is None:
+    take a handful of faults, and peak RSS grows by about 0.3 MB (0.7 %)
+    on a 33-site CLI call and not measurably on the flat band.  Larger
+    arrays, up to MAX_DIM, still map and unmap.  Nothing happens off Linux
+    or without mallopt; a forked worker inherits the policy."""
+    if not sys.platform.startswith("linux"):
         return False
-    return all(mallopt(ctypes.c_int(param), ctypes.c_int(value)) == 1
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # mallopt returns 1 on success and 0 on error
+    return all(mallopt(param, value) == 1
                for param, value in ((_M_MMAP_THRESHOLD, _MMAP_THRESHOLD),
                                     (_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)))
 

@@ -223,11 +223,11 @@ def _greens_one(phases: np.ndarray, V_f: np.ndarray, V_i: np.ndarray,
     # momenta in group order, so that each A_i multiplies contiguous slices
     perm = np.concatenate(groups)
     V_i, V_f = V_i[:, perm], V_f[perm]
-    ends = np.cumsum([len(k) for k in groups]).tolist()
+    bounds = np.cumsum([0] + [len(k) for k in groups]).tolist()
     # U[m] = U(m tau) = sum_i phases[m, i] A_i, in one expression so that
     # the stack of A_i is freed before P is built
     U = (phases @ np.stack([V_i[:, a:b] @ V_f[a:b] for a, b in zip(
-        [0] + ends, ends)]).reshape(len(groups), -1)).reshape(N, N, N)
+        bounds, bounds[1:])]).reshape(len(groups), -1)).reshape(N, N, N)
     U[0] = np.eye(N)
     G = -1j * U[:, :, 0].T
     P = np.square(U.real)

@@ -455,8 +455,8 @@ class TestPairSpectra:
         # every eigenphase, of phase gates too, and of the inverse gates as
         # the kernel folds them; a phase just above -pi once folded past +pi
         _, E, _ = circuit._gate_spectra(seq)
-        for E in (E, circuit._fold_phases(-E)):
-            assert ((-np.pi < E) & (E <= np.pi)).all()
+        for phases in (E, circuit._fold_phases(-E)):
+            assert ((-np.pi < phases) & (phases <= np.pi)).all()
 
 
 class TestWavePlan:
