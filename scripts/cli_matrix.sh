@@ -4,7 +4,8 @@
 # stdout and stderr, and a file `status` with the exit status of a run that
 # failed.  A failing run does not stop the script, so that the trees hold
 # error paths too; the script exits with status 1 after the last run when a
-# run failed that should have succeeded, or the other way round.  Outputs
+# run failed that is not in its list of error-path runs, or one in that
+# list succeeded.  Outputs
 # must not depend on the worker count, so the trees of two worker counts,
 # or of two commits, compare with `diff -r`:
 #
@@ -118,13 +119,23 @@ run flat-boundary flatband --grid 6 --sigma "" --phase-grid 2 \
 run flat-singular flatband --phi 1.5707963267948966 --M 3 --grid 6 \
     --phase-grid 0 --sigma 0,1e-3 --realizations 2 --workers "$workers" \
     --out flat-singular
+# bounds that the library checks when its objects are built: a grid whose
+# evolution exceeds engine.MAX_DIM, and a boost with gamma < 2; each stops
+# with one error line and writes no output file
+run flat-grid46 flatband --grid 46 --workers "$workers" --out flat-grid46
+run poincare-gamma1 poincare --gamma 1 --workers "$workers" \
+    --out poincare-gamma1
 
-# every run but flat-singular must succeed, and flat-singular must fail
+# the runs that must fail; every other run must succeed
+must_fail=" flat-singular flat-grid46 poincare-gamma1 "
 status=0
 for name in */; do
     name=${name%/}
     if [ -e "$name/status" ]; then failed=yes; else failed=no; fi
-    if [ "$name" = flat-singular ]; then expect=yes; else expect=no; fi
+    case "$must_fail" in
+        *" $name "*) expect=yes ;;
+        *) expect=no ;;
+    esac
     if [ "$failed" != "$expect" ]; then
         echo "$0: $name: failed=$failed, expected failed=$expect" >&2
         status=1

@@ -10,6 +10,15 @@ Every output embeds the artifact version and a digest of the run
 configuration; rerunning a command with the same configuration and seed
 reproduces every output byte-exactly (files carry no timestamps, and worker
 counts never change numeric results).
+
+The library owns the bounds of its inputs: each command builds its library
+objects and runs its sweeps first, and `_reported` turns what they raise on
+bad input into one `error:` line.  Only then does `_Run` create the output
+directory, so a run that fails leaves none.  The CLI checks only what no
+library call sees before the work starts: `--workers`, the phase diagram's
+`--phase-grid` and `--phase-realizations` (the diagram starts after the
+whole gap sweep), `--tol`, the sigma text and its file tags, and the size
+of a compiled or verified sequence.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,8 +46,6 @@ def _sigma_list(text: str):
         sigmas = [float(s) + 0.0 for s in text.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise SystemExit(f"error: --sigma: {exc}") from None
-    if not all(math.isfinite(s) and s >= 0 for s in sigmas):
-        raise SystemExit("error: --sigma values must be finite and >= 0")
     # output file names carry the tag, so two sigmas must not share one
     if len({_sigma_tag(s) for s in sigmas}) < len(sigmas):
         raise SystemExit("error: --sigma values must differ in their first "
@@ -49,25 +57,24 @@ def _sigma_tag(sigma: float) -> str:
     return f"{sigma:g}".replace(".", "p").replace("-", "m")
 
 
-# least value of each bounded argument; one left unset (None) is not checked
-_LEAST = {"n": 1, "N": 2, "gamma": 2, "grid": 2, "phase_grid": 0,
-          "realizations": 1, "phase_realizations": 1, "workers": 1,
-          "phase_sigma": 0}
+# least value of each argument that no library call checks before the work
+# starts; one that a command does not take is not checked
+_LEAST = {"workers": 1, "phase_grid": 0, "phase_realizations": 1}
 
 
-def _check_arguments(args):
-    for name, value in vars(args).items():
-        flag = "--" + name.replace("_", "-")
-        if (isinstance(value, (float, list, tuple))
-                and not np.isfinite(value).all()):
-            raise SystemExit(f"error: {flag} must be finite")
-        least = _LEAST.get(name)
-        if least is not None and value is not None and value < least:
-            raise SystemExit(f"error: {flag} must be >= {least}")
+@contextmanager
+def _reported(where: str = ""):
+    """Turn what the library raises on bad input, a ValueError (such as
+    SingularPointError or DispersionError) or an OSError, into the one
+    `error:` line, with `where` before its message."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: {where}{exc}") from None
 
 
 class _Run:
-    """The output directory of one run, created once every check has passed.
+    """The output directory of one run, created once its results are in.
 
     Its config is every parsed argument that can change an output (all but
     `--out` and `--workers`), with parsed values such as `sigmas` in place
@@ -129,14 +136,15 @@ def cmd_compile(args) -> int:
                          f"exceeds {engine.MAX_DIM}")
     if args.N is not None and args.N > engine.MAX_DIM:
         raise SystemExit(f"error: --N {args.N} exceeds {engine.MAX_DIM} sites")
-    if args.n is not None:
-        seq = circuit.build_radix2_qqft(args.n)
-        scaling = "N log N"
-        name = f"seq_radix2_n{args.n}.json"
-    else:
-        seq = circuit.build_generic_qqft(args.N)
-        scaling = "N^2"
-        name = f"seq_generic_N{args.N}.json"
+    with _reported():
+        if args.n is not None:
+            seq = circuit.build_radix2_qqft(args.n)
+            scaling = "N log N"
+            name = f"seq_radix2_n{args.n}.json"
+        else:
+            seq = circuit.build_generic_qqft(args.N)
+            scaling = "N^2"
+            name = f"seq_generic_N{args.N}.json"
     run = _Run(args)
     doc = json.loads(circuit.sequence_to_json(seq))
     doc.update(artifact_version=__version__, config_digest=run.digest)
@@ -147,10 +155,10 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
+    if not math.isfinite(args.tol):
+        raise SystemExit("error: --tol must be finite")
+    with _reported(f"{args.sequence}: "):
         seq = circuit.sequence_from_json(Path(args.sequence).read_text())
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: {args.sequence}: {exc}") from None
     if seq.n_sites > engine.MAX_DIM:
         raise SystemExit(f"error: {args.sequence}: {seq.n_sites} sites "
                          f"exceed {engine.MAX_DIM}")
@@ -163,22 +171,26 @@ def cmd_verify(args) -> int:
 
 def cmd_flatband(args) -> int:
     sigmas = _sigma_list(args.sigma)
-    params = haldane.HaldaneParams(phi=args.phi, M=args.M)
-    model = haldane.momentum_model(params, args.grid)
-    if model.dim > engine.MAX_DIM:
-        raise SystemExit(f"error: --grid {args.grid} gives evolution dimension "
-                         f"{model.dim}, which exceeds {engine.MAX_DIM}")
-    if sigmas:  # the gap sweep flattens the model; the phase diagram copes
-        try:
-            model.eigensystem
-        except haldane.SingularPointError as exc:
-            raise SystemExit(f"error: --phi {args.phi:g} --M {args.M:g} "
-                             f"--grid {args.grid}: {exc}") from None
+    with _reported():
+        # every object first, so that bad input fails before a sweep runs;
+        # the ends of the ranges too, which the manifest records even when
+        # no diagram is drawn
+        params = haldane.HaldaneParams(phi=args.phi, M=args.M)
+        noise = engine.NoiseModel(sigmas, args.seed, diagonal=args.noise_on_diagonal)
+        phase_noise = replace(noise, sigma=args.phase_sigma)
+        for end in zip(args.phi_range, args.m_range):
+            haldane.HaldaneParams(*end)
+        points = haldane.noise_sweep_gap_width(
+            params, noise, args.realizations, grid=args.grid,
+            workers=args.workers)
+        if args.phase_grid > 0:
+            phis = np.linspace(*args.phi_range, args.phase_grid)
+            ms = np.linspace(*args.m_range, args.phase_grid)
+            cells = haldane.phase_diagram(
+                phis, ms, phase_noise, grid=args.grid,
+                realizations=args.phase_realizations, workers=args.workers)
     run = _Run(args, sigmas=sigmas)
 
-    noise = engine.NoiseModel(sigmas, args.seed, diagonal=args.noise_on_diagonal)
-    points = haldane.noise_sweep_gap_width(params, noise, args.realizations,
-                                           grid=args.grid, workers=args.workers)
     rows = [(p.sigma, p.mean("gap"), p.mean("width"), p.stderr("gap"),
              p.stderr("width")) for p in points]
     run.write_csv("gap_width.csv",
@@ -190,12 +202,6 @@ def cmd_flatband(args) -> int:
               f"W/G={width / gap:.4f}")
 
     if args.phase_grid > 0:
-        phis = np.linspace(args.phi_range[0], args.phi_range[1],
-                           args.phase_grid)
-        ms = np.linspace(args.m_range[0], args.m_range[1], args.phase_grid)
-        cells = haldane.phase_diagram(
-            phis, ms, replace(noise, sigma=args.phase_sigma), grid=args.grid,
-            realizations=args.phase_realizations, workers=args.workers)
         run.write_csv("phase_diagram.csv", ["phi", "M", "bott", "chern"], cells)
         print(f"phase diagram: {len(cells)} cells at sigma={args.phase_sigma:g}")
 
@@ -204,14 +210,12 @@ def cmd_flatband(args) -> int:
 
 def cmd_poincare(args) -> int:
     sigmas = _sigma_list(args.sigma)
-    # each propagator takes N^3 entries: at most those of a MAX_DIM evolution
-    if args.N ** 3 > engine.MAX_DIM ** 2:
-        raise SystemExit(f"error: --N {args.N} gives {args.N}^3 propagator "
-                         f"entries, which exceeds {engine.MAX_DIM}^2")
-    try:
+    with _reported():
         disp = poincare.build_dispersion(args.N, args.gamma)
-    except poincare.DispersionError as exc:
-        raise SystemExit(f"error: {exc}") from None
+        # the propagators are the sweep's realization 0: stream 0 at every sigma
+        noise = engine.NoiseModel(sigmas, args.seed, diagonal=args.noise_on_diagonal)
+        points, greens = poincare.noise_sweep_symmetry(
+            disp, noise, args.realizations, workers=args.workers)
     run = _Run(args, sigmas=sigmas)
 
     run.write_json("dispersion.json", {
@@ -224,11 +228,6 @@ def cmd_poincare(args) -> int:
         "j": list(disp.j_table),
         "n_classes": len(disp.lattice.classes),
     })
-
-    # the propagators are the sweep's realization 0: stream 0 at every sigma
-    noise = engine.NoiseModel(sigmas, args.seed, diagonal=args.noise_on_diagonal)
-    points, greens = poincare.noise_sweep_symmetry(
-        disp, noise, args.realizations, workers=args.workers)
     for sigma, g in greens.items():
         for part, array in (("re", g.real), ("im", g.imag)):
             # rows are the site offset n, columns the stroboscopic time m
@@ -306,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _check_arguments(args)
+    for name, least in _LEAST.items():
+        if getattr(args, name, least) < least:
+            raise SystemExit(f"error: --{name.replace('_', '-')} must be "
+                             f">= {least}")
     return args.func(args)
 
 

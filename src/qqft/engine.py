@@ -30,7 +30,9 @@ Every sweep runs its tasks through `_map_ordered`, which pins each OpenBLAS
 to one thread and sets glibc's malloc policy once per process
 (`_keep_freed_memory`): arrays up to 32 MiB come from the heap, and the
 heap keeps what is freed, so that the next block reuses the pages of the
-last one instead of faulting them in again.
+last one instead of faulting them in again.  `protocol.build_protocol_unitary`
+and `poincare.greens_function` set the same policy, so that a library
+caller that runs no sweep takes it too.
 """
 
 from __future__ import annotations

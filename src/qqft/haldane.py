@@ -109,9 +109,13 @@ def d_vector(k, p: HaldaneParams):
 
 def flatten(d):
     """Rescale d, or each column of d, to the norm `TARGET_NORM`; singular
-    at gap closings."""
+    at gap closings.  ValueError for a d whose norm overflows (from about
+    1.3e154, the square root of the largest float, as for |M| that large)."""
     d = np.asarray(d, dtype=float)
-    norm = np.linalg.norm(d, axis=0)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(d, axis=0)
+    if not np.isfinite(norm).all():
+        raise ValueError("d is too large to flatten: its norm overflows")
     if np.min(norm) < 1e-12:
         raise SingularPointError("d vanishes; the point sits on a phase boundary")
     return d * (TARGET_NORM / norm)

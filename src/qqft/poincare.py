@@ -166,7 +166,12 @@ def build_dispersion(N: int, gamma: int) -> Dispersion:
     particle, which picks a rest frame) is rejected; odd tables
     j(-m) = -j(m) are preferred so the noiseless propagator is purely
     imaginary, and ties break to the lexicographically smallest table.
+    N is at most 256, since a propagator takes N^3 entries, at most those
+    of an `engine.MAX_DIM` evolution.
     """
+    if circuit._integer(N, "N", 1) ** 3 > engine.MAX_DIM ** 2:
+        raise ValueError(f"N={N} gives {N}^3 propagator entries, which "
+                         f"exceeds {engine.MAX_DIM}^2")
     lattice = equivalence_classes(N, gamma)
     candidates = [t for t in (_linear_dispersions(N, gamma)
                               or _orbit_cover_dispersions(lattice)) if any(t)]
@@ -206,8 +211,10 @@ def greens_function(disp: Dispersion, block=engine.NOISELESS):
     direction, and every member with a noiseless diagonal step shares one
     exact phase table.  The result is an iterator of GreensResults, each
     built when it is reached, so that one propagator at a time is in
-    memory; the default `NOISELESS` gives the clean one.
+    memory; the default `NOISELESS` gives the clean one.  The call sets the
+    malloc policy of `engine._keep_freed_memory`, as a sweep does.
     """
+    engine._keep_freed_memory()
     (V_f,), (V_i,) = engine.fourier_pair(disp.n_sites, block, 1)
     exact = disp.phases()
     tables = (exact if scale == 1.0 else disp.phases(scale)

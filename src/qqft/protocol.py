@@ -116,7 +116,8 @@ class MomentumModel:
     hamiltonian() must return every l x l Hermitian block at once, shape
     (grid**d, l, l), row-major in the grid coordinates, as is the composite
     state index, whose orbital index runs fastest.  The dimension d is 1
-    or 2, l >= 1 and grid >= 2 are integers, and the evolution time T (ms)
+    or 2, l >= 1 and grid >= 2 are integers, the evolution dimension
+    grid**d * l is at most `engine.MAX_DIM`, and the evolution time T (ms)
     is finite and > 0; each is checked when the model is built.
     """
 
@@ -132,6 +133,9 @@ class MomentumModel:
             object.__setattr__(self, name, value)
         if self.d > 2:
             raise ValueError(f"unsupported dimension d={self.d}")
+        if self.dim > engine.MAX_DIM:
+            raise ValueError(f"grid={self.grid} gives evolution dimension "
+                             f"{self.dim}, which exceeds {engine.MAX_DIM}")
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"T must be finite and > 0, got {self.T}")
         _linalg()
@@ -213,10 +217,10 @@ def build_protocol_unitary(model: MomentumModel, block=engine.NOISELESS):
     generator.  The result is an iterator of evolutions, each built when it
     is reached, so that one dim x dim evolution at a time is in memory.
     A member whose diagonal step raises (a model that cannot be flattened)
-    leaves the next member to be built by the next call.
+    leaves the next member to be built by the next call.  The call sets
+    the malloc policy of `engine._keep_freed_memory`, as a sweep does.
     """
-    if model.dim > engine.MAX_DIM:
-        raise ValueError(f"evolution dimension {model.dim} exceeds {engine.MAX_DIM}")
+    engine._keep_freed_memory()
     V_f, V_i = engine.fourier_pair(model.grid, block, model.d)
     scales = engine.diagonal_scale(block).tolist()
     g, n = model.grid, model.dim // model.grid  # n: rows per outer coordinate

@@ -155,7 +155,10 @@ class TestFlatband:
 
     @pytest.mark.parametrize("flag", ["--realizations", "--phase-realizations"])
     def test_zero_realizations_is_usage_error(self, tmp_path, flag):
-        with pytest.raises(SystemExit, match=f"error: {flag}"):
+        # the gap sweep checks its count; the CLI checks the phase diagram's
+        message = {"--realizations": "n_realizations must be an integer >= 1",
+                   "--phase-realizations": "--phase-realizations must be >= 1"}
+        with pytest.raises(SystemExit, match=f"error: {message[flag]}"):
             main(FLAT_ARGS + ["--out", str(tmp_path), flag, "0"])
         assert not (tmp_path / "run_manifest.json").exists()
 
@@ -268,7 +271,8 @@ class TestPoincare:
         assert ra[1] != rb[1] and ra[2] != rb[2]
 
     def test_zero_realizations_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit, match="error: --realizations"):
+        with pytest.raises(SystemExit,
+                           match="error: n_realizations must be an integer >= 1"):
             main(POIN_ARGS + ["--out", str(tmp_path), "--realizations", "0"])
 
     def test_minus_zero_runs_as_zero(self, tmp_path):
@@ -380,47 +384,86 @@ class TestManifest:
 class TestBadInput:
     """Bad input fails with one clear line before any output is written."""
 
+    # a case whose message once named the flag, before the library owned
+    # its bound, keeps the id it had then
     @pytest.mark.parametrize("args,message", [
-        (["poincare", "--N", "0"], "--N must be >= 2"),
-        (["poincare", "--N", "1"], "--N must be >= 2"),
+        pytest.param(["poincare", "--N", "0"], "N must be an integer >= 1, got 0",
+                     id="args0---N must be >= 2"),
+        pytest.param(["poincare", "--N", "1"],
+                     "no nontrivial Lorentz-compatible dispersion for N=1",
+                     id="args1---N must be >= 2"),
         (["poincare", "--N", "4"], "no nontrivial Lorentz-compatible dispersion"),
-        (["poincare", "--gamma", "1"], "--gamma must be >= 2"),
-        (["poincare", "--sigma", "nan"], "--sigma values must be finite"),
+        pytest.param(["poincare", "--gamma", "1"],
+                     "gamma must be an integer >= 2, got 1",
+                     id="args3---gamma must be >= 2"),
+        pytest.param(["poincare", "--sigma", "nan"], "sigma must be finite and >= 0",
+                     id="args4---sigma values must be finite"),
         (["poincare", "--sigma", "1e-3,abc"], "--sigma: could not convert"),
-        (["poincare", "--sigma", "0,-1e-3"], "--sigma values must be finite and >= 0"),
+        pytest.param(["poincare", "--sigma", "0,-1e-3"],
+                     "sigma must be finite and >= 0",
+                     id="args6---sigma values must be finite and >= 0"),
         (["poincare", "--workers", "0"], "--workers must be >= 1"),
         (["poincare", "--workers", "-3"], "--workers must be >= 1"),
         (["flatband", "--workers", "0"], "--workers must be >= 1"),
         (["flatband", "--workers", "-3"], "--workers must be >= 1"),
         (["flatband", "--phase-grid", "-1"], "--phase-grid must be >= 0"),
-        (["flatband", "--grid", "1"], "--grid must be >= 2"),
-        (["flatband", "--sigma", "inf"], "--sigma values must be finite"),
-        (["flatband", "--phase-sigma", "nan"], "--phase-sigma must be finite"),
+        pytest.param(["flatband", "--grid", "1"],
+                     "grid must be an integer >= 2, got 1",
+                     id="args12---grid must be >= 2"),
+        pytest.param(["flatband", "--sigma", "inf"], "sigma must be finite and >= 0",
+                     id="args13---sigma values must be finite"),
+        pytest.param(["flatband", "--phase-sigma", "nan"],
+                     "sigma must be finite and >= 0, .* got nan",
+                     id="args14---phase-sigma must be finite"),
         (["poincare", "--sigma", "0,0"], "--sigma values must differ"),
         (["poincare", "--sigma", "1e-3,0.001"], "--sigma values must differ"),
         (["flatband", "--sigma", "0.001,0.0010000001"], "--sigma values must differ"),
-        (["flatband", "--grid", "46"], "exceeds"),
-        (["flatband", "--phi", "nan"], "--phi must be finite"),
-        (["flatband", "--M", "inf"], "--M must be finite"),
-        (["flatband", "--phi-range", "nan", "1"], "--phi-range must be finite"),
-        (["flatband", "--m-range", "0", "inf"], "--m-range must be finite"),
+        pytest.param(["flatband", "--grid", "46"],
+                     "grid=46 gives evolution dimension 4232, which exceeds 4096",
+                     id="args18-exceeds"),
+        pytest.param(["flatband", "--phi", "nan"],
+                     "parameters must be finite: HaldaneParams\\(phi=nan",
+                     id="args19---phi must be finite"),
+        pytest.param(["flatband", "--M", "inf"],
+                     "parameters must be finite: .*M=inf",
+                     id="args20---M must be finite"),
+        pytest.param(["flatband", "--phi-range", "nan", "1"],
+                     "parameters must be finite: HaldaneParams\\(phi=nan, M=-6.0\\)",
+                     id="args21---phi-range must be finite"),
+        pytest.param(["flatband", "--m-range", "0", "inf"],
+                     "parameters must be finite: .*M=inf",
+                     id="args22---m-range must be finite"),
         (["poincare", "--sigma", "0,-0"], "--sigma values must differ"),
         (["flatband", "--sigma=-0,0"], "--sigma values must differ"),
-        (["flatband", "--phase-sigma", "-1"], "--phase-sigma must be >= 0"),
-        (["compile", "--n", "0"], "--n must be >= 1"),
-        (["compile", "--N", "1"], "--N must be >= 2"),
+        pytest.param(["flatband", "--phase-sigma", "-1"],
+                     "sigma must be finite and >= 0, .* got -1.0",
+                     id="args25---phase-sigma must be >= 0"),
+        pytest.param(["compile", "--n", "0"], "n must be an integer >= 1, got 0",
+                     id="args26---n must be >= 1"),
+        pytest.param(["compile", "--N", "1"], "N must be an integer >= 2, got 1",
+                     id="args27---N must be >= 2"),
         # more than engine.MAX_DIM sites, or more than MAX_DIM^2 propagator
         # entries (N > 256), are refused before anything is built
         (["compile", "--N", "4097"], "--N 4097 exceeds 4096 sites"),
         (["compile", "--n", "13"], "--n 13 gives 2\\^13 sites, which exceeds"),
         (["compile", "--n", "1000000000"], "which exceeds 4096"),
-        (["poincare", "--N", "257"], "--N 257 gives 257\\^3 .* exceeds 4096\\^2"),
+        pytest.param(["poincare", "--N", "257"],
+                     "N=257 gives 257\\^3 propagator entries, which exceeds 4096\\^2",
+                     id="args31---N 257 gives 257\\^3 .* exceeds 4096\\^2"),
         (["poincare", "--N", "1000"], "exceeds"),
         # a gap sweep of a model that cannot be flattened: d vanishes at a
         # point of the 6 x 6 grid
         (["flatband", "--phi", "1.5707963267948966", "--M", "3", "--grid", "6",
           "--phase-grid", "0", "--sigma", "0,1e-3", "--realizations", "2"],
          "d vanishes"),
+        (["flatband", "--realizations", "0"],
+         "n_realizations must be an integer >= 1, got 0"),
+        (["flatband", "--phase-realizations", "0"],
+         "--phase-realizations must be >= 1"),
+        # |d| overflows from |M| of about 1.3e154: the flattened model
+        # would be 0
+        (["flatband", "--M", "1e308", "--grid", "4", "--realizations", "1",
+          "--phase-grid", "0"], "d is too large to flatten: its norm overflows"),
     ])
     def test_usage_error(self, tmp_path, args, message):
         out = tmp_path / "out"

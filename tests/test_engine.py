@@ -14,6 +14,7 @@ from qqft.circuit import GateSpec, gate_matrix, sequence_to_unitary
 from qqft.engine import NoiseModel, apply_noisy_sequence
 from qqft.protocol import MomentumModel
 from test_circuit import apply_blocks, fold_phases, free_sequences
+from test_workers import run_fresh
 
 
 WORDS = st.integers(min_value=0, max_value=2**64 - 1)
@@ -673,6 +674,20 @@ class TestFreedMemoryStaysInProcess:
 
     def test_policy_taken(self):
         assert engine._keep_freed_memory()
+
+    @pytest.mark.parametrize("call", [
+        "next(poincare.greens_function(poincare.build_dispersion(6, 2)))",
+        "next(protocol.build_protocol_unitary(protocol.MomentumModel("
+        "d=1, l=1, grid=4, hamiltonian=lambda: np.ones((4, 1, 1)))))"])
+    def test_library_call_without_sweep_takes_policy(self, call):
+        out = run_fresh(f"""
+            import numpy as np
+            from qqft import engine, poincare, protocol
+            before = engine._keep_freed_memory.cache_info().currsize
+            {call}
+            print(before, engine._keep_freed_memory.cache_info().currsize)
+        """)
+        assert out.split() == ["0", "1"]
 
     def test_repeated_poincare_sweep_takes_few_faults(self):
         disp = poincare.build_dispersion(33, 2)

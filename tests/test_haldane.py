@@ -45,8 +45,11 @@ class TestParams:
             HaldaneParams(**kwargs)
 
     def test_lazy_in_grid_size(self):
-        # the CLI reads the dimension of an oversized grid before refusing it
-        assert haldane.momentum_model(params(0.5, 0.0), 10**6).dim == 2 * 10**12
+        # an oversized grid is refused when the model is built, before
+        # anything of grid size is
+        with pytest.raises(ValueError, match="grid=1000000 gives evolution "
+                                             "dimension 2000000000000, which"):
+            haldane.momentum_model(params(0.5, 0.0), 10**6)
 
 
 class TestGeometry:
@@ -103,6 +106,13 @@ class TestFlatten:
     def test_singular_point(self):
         with pytest.raises(SingularPointError):
             flatten([0.0, 0.0, 0.0])
+
+    def test_norm_overflow(self):
+        # |d| overflows from about 1.3e154, and the flattened d would be 0
+        assert np.linalg.norm(flatten([0.0, 0.0, 1e154])) == pytest.approx(
+            haldane.TARGET_NORM)
+        with pytest.raises(ValueError, match="its norm overflows"):
+            flatten([[0.0, 0.0], [0.0, 0.0], [1.0, 1e155]])
 
 
 def blocks_loop(p, grid):

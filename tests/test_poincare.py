@@ -214,6 +214,12 @@ class TestBuildDispersion:
             build_dispersion(5, 2)
         assert "orbit sizes" in str(err.value)
 
+    def test_rejects_propagators_above_max_dim(self):
+        # N^3 entries per propagator: at most MAX_DIM^2, so N <= 256
+        with pytest.raises(ValueError, match="N=257 gives 257\\^3 propagator "
+                                             "entries, which exceeds 4096\\^2"):
+            build_dispersion(257, 2)
+
     def test_failure_counts_orbits_per_size(self):
         # one count per orbit size, so the line stays short as N grows: it
         # listed all 1087 orbit sizes, 4429 characters, at N = 161
