@@ -28,8 +28,13 @@ U^T copied in cache-sized tiles into one Fortran-ordered array, then the
 difference and the factor 1/2i in place, bit for bit (U^dag - U) 0.5j
 without a strided full-size pass or a second full-size temporary.  The gap
 sweep first tries the sine route, theta = arcsin(eigvalsh(S)), valid while
-every |theta| < pi/2: one eigensolve without vectors.  A certificate of
-O(dim) accepts it: every cos(theta) = sqrt(1 - sin^2 theta) is at least
+every |theta| < pi/2: one eigensolve without vectors.  That solve is
+LAPACK's two-stage reduction, zheevd_2stage (dense to band by BLAS-3, then
+bulge chasing), which SciPy does not wrap but its OpenBLAS exports
+through LAPACKE: `_two_stage` looks it up once per process, by a fixed
+list of (symbol, lapack_int) pairs in the mapped OpenBLAS libraries, and
+where none exports it the solve is `scipy.linalg.eigvalsh`.  A
+certificate of O(dim) accepts it: every cos(theta) = sqrt(1 - sin^2 theta) is at least
 `SINE_COS_MIN`, which bounds arcsin's error gain, and their sum matches
 Re tr U = sum cos(theta) within `SINE_COS_MIN`, which fails as soon as one
 phase has cos(theta) <= -SINE_COS_MIN.
@@ -62,6 +67,7 @@ corresponds to 2 pi x 1 kHz); times are in ms.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -273,11 +279,64 @@ def _hermitian_part(U: np.ndarray) -> np.ndarray:
     return B.T
 
 
+#: LAPACKE's two-stage Hermitian eigenvalue driver, as the OpenBLAS of
+#: SciPy and numpy export it, in the order `_two_stage` tries them, each
+#: with its lapack_int: LP64, then ILP64
+_TWO_STAGE = (("scipy_LAPACKE_zheevd_2stage", ctypes.c_int32),
+              ("scipy_LAPACKE_zheevd_2stage64_", ctypes.c_int64))
+
+#: LAPACKE's matrix_layout for column-major (Fortran-ordered) arrays
+_LAPACK_COL_MAJOR = 102
+
+
+@functools.cache
+def _two_stage():
+    """LAPACKE zheevd_2stage, argtypes declared, from the first entry of
+    `_TWO_STAGE` that a library of `engine._openblas_libs()` exports; None
+    where none does (MKL, Accelerate, older wheels).  Looked up once per
+    process, after SciPy has loaded, so the choice never depends on what
+    the process imported or called before."""
+    _linalg()
+    libs = engine._openblas_libs()
+    for name, lapack_int in _TWO_STAGE:
+        for lib in libs:
+            solve = getattr(lib, name, None)
+            if solve is not None:
+                # (matrix_layout, jobz, uplo, n, a, lda, w)
+                solve.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                                  lapack_int, ctypes.c_void_p, lapack_int,
+                                  ctypes.c_void_p)
+                solve.restype = lapack_int
+                return solve
+    return None
+
+
+def _eigvalsh(S: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Fortran-ordered complex Hermitian S, from
+    its lower triangle, by LAPACK's two-stage reduction (`_two_stage`);
+    where no library exports it, by `scipy.linalg.eigvalsh`.  S may be
+    overwritten.  Raises LinAlgError when LAPACK reports a failure."""
+    solve = _two_stage()
+    if solve is None:
+        return _linalg().eigvalsh(S, overwrite_a=True, check_finite=False)
+    S = np.asfortranarray(S, dtype=complex)  # no copy for the S of `_hermitian_part`
+    n = len(S)
+    w = np.empty(n)
+    info = solve(_LAPACK_COL_MAJOR, b"N", b"L", n, S.ctypes.data, max(n, 1),
+                 w.ctypes.data)
+    if info:
+        raise np.linalg.LinAlgError(f"zheevd_2stage failed: info = {info}")
+    return w
+
+
 def _sine_phases(U: np.ndarray):
     """Eigenphases theta of a unitary U: arcsin of the eigenvalues of
     S = (U - U^dag) / 2i while the sine route's certificate of the module
-    docstring holds, else those of `_arctan2_phases`."""
-    sin = _linalg().eigvalsh(_hermitian_part(U), overwrite_a=True, check_finite=False)
+    docstring holds, else those of `_arctan2_phases`.  The eigenvalues come
+    from `_eigvalsh`: LAPACK's two-stage reduction (dense to band by BLAS-3,
+    then bulge chasing), looked up once in a fixed order, or
+    `scipy.linalg.eigvalsh` where no library exports it."""
+    sin = _eigvalsh(_hermitian_part(U))
     cos = np.sqrt(1.0 - np.minimum(sin * sin, 1.0))
     if cos.min() < SINE_COS_MIN or abs(np.trace(U).real - cos.sum()) >= SINE_COS_MIN:
         return _arctan2_phases(U)[0]

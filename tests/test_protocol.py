@@ -1,9 +1,12 @@
+import ctypes
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qqft import circuit, engine, haldane, protocol
@@ -493,3 +496,96 @@ class TestSineRoute:
         spec = extract_spectrum(U, model.T, model.l)
         assert spec.band_gap > 0
 
+
+
+@pytest.fixture
+def no_two_stage(monkeypatch):
+    """A process whose OpenBLAS exports no two-stage driver: `_two_stage`
+    looks up again, finds no library, and the sine route falls back to
+    `scipy.linalg.eigvalsh`.  The next lookup after the test finds the
+    real one again."""
+    monkeypatch.setattr(engine, "_openblas_libs", lambda: [])
+    protocol._two_stage.cache_clear()
+    yield
+    protocol._two_stage.cache_clear()
+
+
+def flat_band_unitary(sigma, grid=16):
+    """One realization (seed 1) of the default flat band at `sigma`."""
+    model = haldane.momentum_model(
+        haldane.HaldaneParams(phi=-np.pi / 2, M=0.0), grid=grid)
+    U, = build_protocol_unitary(model, [NoiseModel(sigma, 1)])
+    return U, model
+
+
+class TestTwoStage:
+    @pytest.fixture(autouse=True)
+    def needs_routine(self):
+        if protocol._two_stage() is None:
+            pytest.skip("no mapped library exports zheevd_2stage")
+
+    @staticmethod
+    def agree(U):
+        S = protocol._hermitian_part(U)
+        ref = scipy.linalg.eigvalsh(S)
+        got = protocol._eigvalsh(S)
+        assert np.all(np.diff(got) >= 0)
+        assert np.abs(got - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 18, 64, 512])
+    def test_matches_scipy_eigvalsh(self, dim):
+        self.agree(unitary_with_phases(np.linspace(-1.4, 1.4, dim), seed=dim))
+
+    @pytest.mark.parametrize("sigma", [0.0, 5e-3])
+    def test_matches_scipy_eigvalsh_on_the_flat_band(self, sigma):
+        # the clean grid-16 band has two sines, each 256-fold degenerate
+        U, _ = flat_band_unitary(sigma)
+        self.agree(U)
+
+    def test_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_two_stage", lambda: lambda *args: 1)
+        S = protocol._hermitian_part(unitary_with_phases([0.1, 0.2], seed=0))
+        with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
+            protocol._eigvalsh(S)
+
+
+class TestTwoStageLookup:
+    @staticmethod
+    def fake_libs(*exports):
+        def routine():
+            pass
+        return [SimpleNamespace(**{name: routine for name in names})
+                for names in exports]
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_lp64_symbol_first_in_any_library_order(self, monkeypatch, order):
+        lp64, ilp64 = (name for name, _ in protocol._TWO_STAGE)
+        libs = self.fake_libs([ilp64], [lp64])[::order]
+        monkeypatch.setattr(engine, "_openblas_libs", lambda: libs)
+        protocol._two_stage.cache_clear()
+        try:
+            assert protocol._two_stage() is getattr(libs[order == 1], lp64)
+            assert protocol._two_stage().argtypes[3] is ctypes.c_int32
+        finally:
+            protocol._two_stage.cache_clear()
+
+    def test_ilp64_symbol_declares_int64(self, monkeypatch):
+        _, ilp64 = (name for name, _ in protocol._TWO_STAGE)
+        libs = self.fake_libs([ilp64])
+        monkeypatch.setattr(engine, "_openblas_libs", lambda: libs)
+        protocol._two_stage.cache_clear()
+        try:
+            solve = protocol._two_stage()
+            assert solve.argtypes[3] is solve.argtypes[5] is ctypes.c_int64
+            assert solve.restype is ctypes.c_int64
+        finally:
+            protocol._two_stage.cache_clear()
+
+    def test_without_the_routine_spectrum_is_scipys(self, no_two_stage):
+        U, model = flat_band_unitary(5e-3)
+        spec = extract_spectrum(U, model.T, model.l)
+        assert protocol._two_stage() is None
+        sin = scipy.linalg.eigvalsh(protocol._hermitian_part(U), overwrite_a=True,
+                                    check_finite=False)
+        ref = np.sort(-np.arcsin(sin) / model.T)
+        assert spec.energies.tobytes() == ref.tobytes()

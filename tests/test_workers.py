@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg
 
 from conftest import child_pids, process_state
-from qqft import engine, haldane, poincare
+from qqft import engine, haldane, poincare, protocol
 from qqft.cli import main
 
 CORES = len(os.sched_getaffinity(0))
@@ -97,11 +97,18 @@ class TestBlasPin:
 
     @needs_two_cores
     def test_worker_starts_no_blas_thread(self):
-        H = np.random.default_rng(0).normal(size=(256, 256))
+        rng = np.random.default_rng(0)
+        H = rng.normal(size=(256, 256))
         H = H + H.T
+        # a unitary whose phases the sine route takes: its LAPACK two-stage
+        # solve runs in the pinned OpenBLAS too
+        Q, _ = np.linalg.qr(rng.normal(size=(256, 256))
+                            + 1j * rng.normal(size=(256, 256)))
+        U = (Q * np.exp(1j * np.linspace(-1.4, 1.4, 256))) @ Q.conj().T
 
         def task(i):
             scipy.linalg.eigh(H)
+            protocol._sine_phases(U)
             return len(os.listdir("/proc/self/task")), cpu_over_sleep()
 
         for threads, cpu in engine._map_ordered(task, 2, 2):
