@@ -34,10 +34,11 @@ bulge chasing), which SciPy does not wrap but its OpenBLAS exports
 through LAPACKE: `_two_stage` looks it up once per process, by a fixed
 list of (symbol, lapack_int) pairs in the mapped OpenBLAS libraries, and
 where none exports it the solve is `scipy.linalg.eigvalsh`.  A
-certificate of O(dim) accepts it: every cos(theta) = sqrt(1 - sin^2 theta) is at least
-`SINE_COS_MIN`, which bounds arcsin's error gain, and their sum matches
-Re tr U = sum cos(theta) within `SINE_COS_MIN`, which fails as soon as one
-phase has cos(theta) <= -SINE_COS_MIN.
+certificate of O(dim) accepts the sines: every
+cos(theta) = sqrt(1 - sin^2 theta) is at least `SINE_COS_MIN`, which
+bounds arcsin's error gain, and their sum matches Re tr U = sum cos(theta)
+within `SINE_COS_MIN`, which fails as soon as one phase has
+cos(theta) <= -SINE_COS_MIN.
 
 The Bott index, and every spectrum that fails that certificate, take the
 arctan2 route: eigh(S) with vectors Z, cos theta_j = Re z_j^dag (U z_j)

@@ -499,15 +499,20 @@ class TestSineRoute:
 
 
 @pytest.fixture
-def no_two_stage(monkeypatch):
-    """A process whose OpenBLAS exports no two-stage driver: `_two_stage`
-    looks up again, finds no library, and the sine route falls back to
-    `scipy.linalg.eigvalsh`.  The next lookup after the test finds the
-    real one again."""
-    monkeypatch.setattr(engine, "_openblas_libs", lambda: [])
+def lookup_in(monkeypatch):
+    """Look `_two_stage` up again, in the given libraries; the first lookup
+    after the test finds this process's own again."""
+    def lookup(libs):
+        monkeypatch.setattr(engine, "_openblas_libs", lambda: libs)
+        protocol._two_stage.cache_clear()
+        return protocol._two_stage()
+    yield lookup
     protocol._two_stage.cache_clear()
-    yield
-    protocol._two_stage.cache_clear()
+
+
+def exporting(*names):
+    """A stand-in library that exports `names`, each its own routine."""
+    return SimpleNamespace(**{name: lambda *args: 0 for name in names})
 
 
 def flat_band_unitary(sigma, grid=16):
@@ -550,41 +555,25 @@ class TestTwoStage:
 
 
 class TestTwoStageLookup:
-    @staticmethod
-    def fake_libs(*exports):
-        def routine():
-            pass
-        return [SimpleNamespace(**{name: routine for name in names})
-                for names in exports]
+    LP64, ILP64 = (name for name, _ in protocol._TWO_STAGE)
 
-    @pytest.mark.parametrize("order", [1, -1])
-    def test_lp64_symbol_first_in_any_library_order(self, monkeypatch, order):
-        lp64, ilp64 = (name for name, _ in protocol._TWO_STAGE)
-        libs = self.fake_libs([ilp64], [lp64])[::order]
-        monkeypatch.setattr(engine, "_openblas_libs", lambda: libs)
-        protocol._two_stage.cache_clear()
-        try:
-            assert protocol._two_stage() is getattr(libs[order == 1], lp64)
-            assert protocol._two_stage().argtypes[3] is ctypes.c_int32
-        finally:
-            protocol._two_stage.cache_clear()
+    @pytest.mark.parametrize("lp64_first", [True, False])
+    def test_lp64_symbol_wins_in_any_library_order(self, lookup_in, lp64_first):
+        lp64, ilp64 = exporting(self.LP64), exporting(self.ILP64)
+        solve = lookup_in([lp64, ilp64] if lp64_first else [ilp64, lp64])
+        assert solve is getattr(lp64, self.LP64)
+        assert solve.argtypes[3] is solve.argtypes[5] is solve.restype is ctypes.c_int32
 
-    def test_ilp64_symbol_declares_int64(self, monkeypatch):
-        _, ilp64 = (name for name, _ in protocol._TWO_STAGE)
-        libs = self.fake_libs([ilp64])
-        monkeypatch.setattr(engine, "_openblas_libs", lambda: libs)
-        protocol._two_stage.cache_clear()
-        try:
-            solve = protocol._two_stage()
-            assert solve.argtypes[3] is solve.argtypes[5] is ctypes.c_int64
-            assert solve.restype is ctypes.c_int64
-        finally:
-            protocol._two_stage.cache_clear()
+    def test_ilp64_symbol_declares_int64(self, lookup_in):
+        lib = exporting(self.ILP64)
+        solve = lookup_in([lib])
+        assert solve is getattr(lib, self.ILP64)
+        assert solve.argtypes[3] is solve.argtypes[5] is solve.restype is ctypes.c_int64
 
-    def test_without_the_routine_spectrum_is_scipys(self, no_two_stage):
+    def test_without_the_routine_spectrum_is_scipys(self, lookup_in):
+        assert lookup_in([]) is None
         U, model = flat_band_unitary(5e-3)
         spec = extract_spectrum(U, model.T, model.l)
-        assert protocol._two_stage() is None
         sin = scipy.linalg.eigvalsh(protocol._hermitian_part(U), overwrite_a=True,
                                     check_finite=False)
         ref = np.sort(-np.arcsin(sin) / model.T)
