@@ -497,7 +497,6 @@ class TestSineRoute:
         assert spec.band_gap > 0
 
 
-
 @pytest.fixture
 def lookup_in(monkeypatch):
     """Look `_two_stage` up again, in the given libraries; the first lookup
