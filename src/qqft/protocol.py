@@ -31,8 +31,8 @@ sweep first tries the sine route, theta = arcsin(eigvalsh(S)), valid while
 every |theta| < pi/2: one eigensolve without vectors.  That solve is
 LAPACK's two-stage reduction, zheevd_2stage (dense to band by BLAS-3, then
 bulge chasing), which SciPy does not wrap but its OpenBLAS exports
-through LAPACKE: `_two_stage` looks it up once per process, by a fixed
-list of (symbol, lapack_int) pairs in the mapped OpenBLAS libraries, and
+through LAPACKE: `_two_stage` looks it up once per process, by one fixed
+LP64 symbol in the mapped OpenBLAS libraries, in their fixed order, and
 where none exports it the solve is `scipy.linalg.eigvalsh`.  A
 certificate of O(dim) accepts the sines: every
 cos(theta) = sqrt(1 - sin^2 theta) is at least `SINE_COS_MIN`, which
@@ -280,11 +280,9 @@ def _hermitian_part(U: np.ndarray) -> np.ndarray:
     return B.T
 
 
-#: LAPACKE's two-stage Hermitian eigenvalue driver, as the OpenBLAS of
-#: SciPy and numpy export it, in the order `_two_stage` tries them, each
-#: with its lapack_int: LP64, then ILP64
-_TWO_STAGE = (("scipy_LAPACKE_zheevd_2stage", ctypes.c_int32),
-              ("scipy_LAPACKE_zheevd_2stage64_", ctypes.c_int64))
+#: LAPACKE's two-stage Hermitian eigenvalue driver, as SciPy's OpenBLAS
+#: exports it, with a 32-bit lapack_int (LP64)
+_TWO_STAGE = "scipy_LAPACKE_zheevd_2stage"
 
 #: LAPACKE's matrix_layout for column-major (Fortran-ordered) arrays
 _LAPACK_COL_MAJOR = 102
@@ -292,23 +290,21 @@ _LAPACK_COL_MAJOR = 102
 
 @functools.cache
 def _two_stage():
-    """LAPACKE zheevd_2stage, argtypes declared, from the first entry of
-    `_TWO_STAGE` that a library of `engine._openblas_libs()` exports; None
-    where none does (MKL, Accelerate, older wheels).  Looked up once per
-    process, after SciPy has loaded, so the choice never depends on what
-    the process imported or called before."""
+    """LAPACKE zheevd_2stage (`_TWO_STAGE`), argtypes declared, from the
+    first library of `engine._openblas_libs()` that exports it; None where
+    none does (MKL, Accelerate, older wheels).  Looked up once per process,
+    after SciPy has loaded, so the choice never depends on what the process
+    imported or called before."""
     _linalg()
-    libs = engine._openblas_libs()
-    for name, lapack_int in _TWO_STAGE:
-        for lib in libs:
-            solve = getattr(lib, name, None)
-            if solve is not None:
-                # (matrix_layout, jobz, uplo, n, a, lda, w)
-                solve.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char,
-                                  lapack_int, ctypes.c_void_p, lapack_int,
-                                  ctypes.c_void_p)
-                solve.restype = lapack_int
-                return solve
+    for lib in engine._openblas_libs():
+        solve = getattr(lib, _TWO_STAGE, None)
+        if solve is not None:
+            # (matrix_layout, jobz, uplo, n, a, lda, w)
+            solve.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                              ctypes.c_int32, ctypes.c_void_p, ctypes.c_int32,
+                              ctypes.c_void_p)
+            solve.restype = ctypes.c_int32
+            return solve
     return None
 
 

@@ -554,20 +554,11 @@ class TestTwoStage:
 
 
 class TestTwoStageLookup:
-    LP64, ILP64 = (name for name, _ in protocol._TWO_STAGE)
-
-    @pytest.mark.parametrize("lp64_first", [True, False])
-    def test_lp64_symbol_wins_in_any_library_order(self, lookup_in, lp64_first):
-        lp64, ilp64 = exporting(self.LP64), exporting(self.ILP64)
-        solve = lookup_in([lp64, ilp64] if lp64_first else [ilp64, lp64])
-        assert solve is getattr(lp64, self.LP64)
+    def test_found_in_a_later_library_with_int32_types(self, lookup_in):
+        lib = exporting(protocol._TWO_STAGE)
+        solve = lookup_in([exporting(), lib])
+        assert solve is getattr(lib, protocol._TWO_STAGE)
         assert solve.argtypes[3] is solve.argtypes[5] is solve.restype is ctypes.c_int32
-
-    def test_ilp64_symbol_declares_int64(self, lookup_in):
-        lib = exporting(self.ILP64)
-        solve = lookup_in([lib])
-        assert solve is getattr(lib, self.ILP64)
-        assert solve.argtypes[3] is solve.argtypes[5] is solve.restype is ctypes.c_int64
 
     def test_without_the_routine_spectrum_is_scipys(self, lookup_in):
         assert lookup_in([]) is None
