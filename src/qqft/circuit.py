@@ -20,10 +20,14 @@ Every product of gates, exact or noisy, runs through one function,
 `_compose`: a sequence and a table of per-step draws delta in, one product
 per column of draws out, each gate of step s scaled to
 exp(-i (1 + delta_s) H) through its principal-branch generator H, so every
-noisy gate stays exactly unitary.  The generators of all two-site gates
-come from one closed form in numpy (`_pair_spectra`), with no LAPACK call,
-so composing loads no SciPy.  A draw of exactly 0 keeps its gate
-exact, and `sequence_to_unitary` is the table of one zero column.
+noisy gate stays exactly unitary.  Each direction of a sequence, forward
+or inverse, is one cached `_wave_plan`, which holds every gate's step,
+exact block and generator in the order the kernel takes them.  The
+generators of all two-site gates come from one closed form in numpy
+(`_pair_spectra`), with no LAPACK call, so composing loads no SciPy.  A
+draw of exactly 0 selects its gate's exact block or phase, so
+`sequence_to_unitary`, the table of one zero column, takes the same path
+as a noisy product.
 
 `_compose` runs one kernel, `_apply_waves`, on fused blocks: each gate
 takes its own draw, exact or noisy, and then every single-site phase folds
@@ -169,7 +173,7 @@ class CircuitSequence:
                 occupied.add((g.layer, site))
         object.__setattr__(self, "depth",
                            1 + max((g.layer for g in self.gates), default=-1))
-        # hashed once: the per-sequence caches look a sequence up on every
+        # hashed once: the plan cache looks a sequence up on every
         # composition, and hashing all its gates again each time costs about
         # 0.4 ms at N = 33
         object.__setattr__(self, "_hash", hash((self.n_sites, self.gates)))
@@ -327,14 +331,17 @@ def compile_for_size(N: int) -> CircuitSequence:
 
 
 class _WavePlan(NamedTuple):
-    """One direction of a sequence as fused two-site blocks in waves.
+    """One direction of a sequence as fused two-site blocks in waves, with
+    every datum a composition needs, all in plan order.
 
     `pair` indexes the two-site gates of `seq.gates`, wave by wave and in
     application order within a wave: wave w covers `pair[pr]` on row pairs
     `rows` (shape (k, 2)), for `(pr, rows) = waves[w]`.  `phase` indexes
     the single-site gates.  `blocks` and `factors` are those gates' exact
-    2 x 2 blocks and phases in the same order, adjoint for the inverse
-    direction.
+    2 x 2 blocks and phases, `steps` and `phase_steps` their Hamiltonian
+    steps, `E` (pairs, 2) and `P` (pairs, 2, 2, 2) the two-site gates'
+    principal-branch eigenphases and eigenprojectors (`_pair_spectra`),
+    and `phase_E` the phase gates' eigenphases.
 
     Each phase gate folds into one slot: column `cols[1]` of block
     `cols[0]` when a two-site gate follows it on its site (the next one),
@@ -351,6 +358,11 @@ class _WavePlan(NamedTuple):
     waves: tuple
     blocks: np.ndarray
     factors: np.ndarray
+    steps: np.ndarray
+    phase_steps: np.ndarray
+    E: np.ndarray
+    P: np.ndarray
+    phase_E: np.ndarray
     rounds: tuple
     cols: tuple
     rows: tuple
@@ -359,7 +371,10 @@ class _WavePlan(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _wave_plan(seq: CircuitSequence, invert: bool) -> _WavePlan:
-    """Fused wave schedule of `seq`, or of its inverse (reversed gate order).
+    """Fused wave schedule of `seq`, or of its inverse: reversed gate
+    order, adjoint gates, the step depth - 1 - s for forward step s, and
+    the eigenphases negated and folded, each gate on its own principal
+    branch.  This is the one place that knows what the inverse is.
 
     A two-site gate joins wave 1 + (the latest wave of an earlier two-site
     gate on either of its sites).  Gates in one wave therefore act on
@@ -402,14 +417,20 @@ def _wave_plan(seq: CircuitSequence, invert: bool) -> _WavePlan:
                    for r in range(max(sizes, default=0)))
     slot_index = (lambda keys: (pos[[a for a, _ in keys]],
                                 np.array([side for _, side in keys], dtype=int)))
+    layer = np.array([g.layer for g in gates], dtype=int)
+    lam = np.array([gates[i].lam for i in phase], dtype=float)
+    phase_E = _fold_phases(-lam + 2 * np.pi * np.round(lam / (2 * np.pi)))
     factors = np.array([gate_matrix(gates[i])[0, 0] for i in phase],
                        dtype=complex)
     blocks = np.array([gate_matrix(gates[i]) for i in pair],
                       dtype=complex).reshape(-1, 2, 2)
+    E, P = _pair_spectra(blocks)
     if invert:
-        factors = factors.conj()
+        layer, factors = seq.depth - 1 - layer, factors.conj()
+        E, phase_E = _fold_phases(-E), _fold_phases(-phase_E)
         blocks = np.ascontiguousarray(blocks.conj().swapaxes(1, 2))
-    return _WavePlan(pair, phase, waves, blocks, factors, rounds,
+    return _WavePlan(pair, phase, waves, blocks, factors, layer[pair],
+                     layer[phase], E, P, phase_E, rounds,
                      slot_index(list(cols)), slot_index(list(rows)),
                      np.array(list(orphans), dtype=int))
 
@@ -436,13 +457,12 @@ def _fold(plan: _WavePlan, blocks: np.ndarray, factors: np.ndarray):
 
 
 def _apply_waves(n_sites: int, plan: _WavePlan, blocks: np.ndarray,
-                 orphans: np.ndarray, members: int) -> np.ndarray:
+                 orphans: np.ndarray) -> np.ndarray:
     """Products U[row, col, member] of the fused blocks of `plan`, first
     wave first, one per member: `blocks` (pairs, 2, 2, B) and the orphan
     factors `orphans` (sites, B) stand in, in plan order, for the fused
-    two-site blocks and the rows that no block touches, with B = members
-    or 1 for one shared by all; elementwise, as the module docstring
-    describes.
+    two-site blocks and the rows that no block touches, one column per
+    member; elementwise, as the module docstring describes.
 
     A wave's pairs update their two rows apart, (k, n, B) views r0 and r1
     of one gather, with no (k, 2, 2, n, B) tensor of all four products:
@@ -450,7 +470,7 @@ def _apply_waves(n_sites: int, plan: _WavePlan, blocks: np.ndarray,
     b01 r1 taken before r1 is overwritten.  The block entry is the left
     operand of every such product, as in the per-block product
     a * r0 + b * r1, to which each member is bit-identical."""
-    U = np.repeat(np.eye(n_sites, dtype=complex)[..., None], members, axis=2)
+    U = np.repeat(np.eye(n_sites, dtype=complex)[..., None], blocks.shape[-1], axis=2)
     if len(orphans):  # no block touches these rows: scale them once
         U[plan.orphans] = U[plan.orphans] * orphans[:, None]
     blocks = blocks[..., None, :]
@@ -506,25 +526,7 @@ def _pair_spectra(G: np.ndarray) -> tuple:
     return _fold_phases(E), P
 
 
-@lru_cache(maxsize=64)
-def _gate_spectra(seq: CircuitSequence):
-    """(layers, E, P) of the gates in `seq.gates` order: layer tags, the
-    principal-branch eigenphases (n, 2) and the eigenprojectors
-    (n, 2, 2, 2) of `_pair_spectra`, from one pass over all two-site gates.
-    A phase gate's eigenphase is E[:, 0]; its other entries are unused."""
-    gates = seq.gates
-    two = np.array([g.kind != PHASE for g in gates], dtype=bool)
-    lam = np.array([g.lam for g in gates if g.kind == PHASE])
-    E = np.zeros((len(gates), 2))
-    P = np.zeros((len(gates), 2, 2, 2), dtype=complex)
-    E[~two, 0] = _fold_phases(-lam + 2 * np.pi * np.round(lam / (2 * np.pi)))
-    G = np.array([gate_matrix(g) for g in gates if g.kind != PHASE], dtype=complex)
-    E[two], P[two] = _pair_spectra(G.reshape(-1, 2, 2))
-    return np.array([g.layer for g in gates], dtype=int), E, P
-
-
-def _noisy_gates(seq: CircuitSequence, plan: _WavePlan,
-                 draws: np.ndarray, invert: bool) -> tuple:
+def _noisy_gates(plan: _WavePlan, draws: np.ndarray) -> tuple:
     """(blocks, factors) of `plan`'s two-site and phase gates, one per
     column of `draws` (see `_compose`), before any phase folds in.
 
@@ -532,14 +534,11 @@ def _noisy_gates(seq: CircuitSequence, plan: _WavePlan,
     weighted by the phases p_k = exp(-i (1 + delta) E_k).  A draw of
     exactly 0 keeps the gate exact.  A function of its own so that its
     temporaries go before the fold and the waves allocate theirs."""
-    layers, E, P = _gate_spectra(seq)
-    if invert:
-        layers, E = seq.depth - 1 - layers, _fold_phases(-E)
-    d = draws[layers[plan.phase]]
+    d = draws[plan.phase_steps]
     factors = np.where(d == 0.0, plan.factors[:, None],
-                       np.exp(-1j * (1.0 + d) * E[plan.phase, 0, None]))
-    d, P = draws[layers[plan.pair]], P[plan.pair, ..., None]
-    p = -1j * (1.0 + d)[:, None] * E[plan.pair, :, None]
+                       np.exp(-1j * (1.0 + d) * plan.phase_E[:, None]))
+    d, P = draws[plan.steps], plan.P[..., None]
+    p = -1j * (1.0 + d)[:, None] * plan.E[..., None]
     np.exp(p, out=p)
     blocks = P[:, 0] * p[:, None, None, 0]
     blocks += P[:, 1] * p[:, None, None, 1]
@@ -555,14 +554,11 @@ def _compose(seq: CircuitSequence, draws: np.ndarray,
     (depth, members): every gate of Hamiltonian step s of member j is
     exp(-i (1 + draws[s, j]) H), H its principal-branch generator.
 
-    The inverse's step s is the forward step depth - 1 - s.  Each gate
-    takes its own draw, and then the phase gates fold into the blocks
-    (`_fold`).  A table of zeros needs no spectra: every gate is exact."""
+    `_wave_plan` says what step and generator each gate of a direction
+    takes.  Each gate takes its own draw, and then the phase gates fold
+    into the blocks (`_fold`)."""
     plan = _wave_plan(seq, invert)
-    # the exact blocks are copied: `_fold` writes in place
-    gates = (_noisy_gates(seq, plan, draws, invert) if draws.any() else
-             (plan.blocks[..., None].copy(), plan.factors[:, None]))
-    return _apply_waves(seq.n_sites, plan, *_fold(plan, *gates), draws.shape[1])
+    return _apply_waves(seq.n_sites, plan, *_fold(plan, *_noisy_gates(plan, draws)))
 
 
 def sequence_to_unitary(seq: CircuitSequence) -> np.ndarray:
@@ -608,7 +604,11 @@ def sequence_from_json(text: str) -> CircuitSequence:
         )
     gates = []
     try:
-        for entry in doc["gates"]:
+        if not isinstance(doc["gates"], list):
+            raise ValueError(f"sequence field 'gates' is {doc['gates']!r}, not a list")
+        for k, entry in enumerate(doc["gates"]):
+            if not isinstance(entry, dict):
+                raise ValueError(f"sequence field 'gates[{k}]' is {entry!r}, not an object")
             gates.append(GateSpec(
                 entry["kind"], entry["site"],
                 theta=entry.get("theta", 0.0),

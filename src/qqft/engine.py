@@ -30,9 +30,9 @@ Every sweep runs its tasks through `_map_ordered`, which pins each OpenBLAS
 to one thread and sets glibc's malloc policy once per process
 (`_keep_freed_memory`): arrays up to 32 MiB come from the heap, and the
 heap keeps what is freed, so that the next block reuses the pages of the
-last one instead of faulting them in again.  `protocol.build_protocol_unitary`
-and `poincare.greens_function` set the same policy, so that a library
-caller that runs no sweep takes it too.
+last one instead of faulting them in again.  `fourier_pair`, through which
+every evolution and propagator is composed, sets the same policy, so that
+a library caller that runs no sweep takes it too.
 """
 
 from __future__ import annotations
@@ -175,8 +175,10 @@ def fourier_pair(N: int, block, d: int) -> tuple:
 
     Each direction composes every axis of every member in one pass, with
     its own draws: axis k takes every model of the block to the k entries
-    of the salt table.
+    of the salt table.  The call sets the malloc policy of
+    `_keep_freed_memory`, as a sweep does.
     """
+    _keep_freed_memory()
     seq = circuit.compile_for_size(N)
     pair = (apply_noisy_sequence(seq, [m.substream(salts[k]) for k in range(d)
                                        for m in block], invert=invert)

@@ -211,10 +211,9 @@ def greens_function(disp: Dispersion, block=engine.NOISELESS):
     direction, and every member with a noiseless diagonal step shares one
     exact phase table.  The result is an iterator of GreensResults, each
     built when it is reached, so that one propagator at a time is in
-    memory; the default `NOISELESS` gives the clean one.  The call sets the
-    malloc policy of `engine._keep_freed_memory`, as a sweep does.
+    memory; the default `NOISELESS` gives the clean one.  The Fourier pair
+    sets the malloc policy of `engine._keep_freed_memory`, as a sweep does.
     """
-    engine._keep_freed_memory()
     (V_f,), (V_i,) = engine.fourier_pair(disp.n_sites, block, 1)
     exact = disp.phases()
     tables = (exact if scale == 1.0 else disp.phases(scale)

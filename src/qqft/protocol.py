@@ -224,10 +224,10 @@ def build_protocol_unitary(model: MomentumModel, block=engine.NOISELESS):
     generator.  The result is an iterator of evolutions, each built when it
     is reached, so that one dim x dim evolution at a time is in memory.
     A member whose diagonal step raises (a model that cannot be flattened)
-    leaves the next member to be built by the next call.  The call sets
-    the malloc policy of `engine._keep_freed_memory`, as a sweep does.
+    leaves the next member to be built by the next call.  The Fourier
+    pairs set the malloc policy of `engine._keep_freed_memory`, as a sweep
+    does.
     """
-    engine._keep_freed_memory()
     V_f, V_i = engine.fourier_pair(model.grid, block, model.d)
     scales = engine.diagonal_scale(block).tolist()
     g, n = model.grid, model.dim // model.grid  # n: rows per outer coordinate

@@ -394,6 +394,18 @@ def check_pair_spectra(G, E, P):
         assert min(np.abs(got - w).max(), np.abs(got[::-1] - w).max()) < t
 
 
+def gate_spectra(G):
+    """(E, P) of one 2 x 2 unitary G, from `_pair_spectra` of it alone, as a
+    stack of one: the per-gate reference for the spectra of a plan."""
+    return circuit._pair_spectra(np.asarray(G, dtype=complex)[None])
+
+
+COMPILED = ([build_generic_qqft(N) for N in range(2, 41)]
+            + [build_radix2_qqft(n) for n in range(1, 7)])
+COMPILED_IDS = ([f"generic-{N}" for N in range(2, 41)]
+                + [f"radix2-{n}" for n in range(1, 7)])
+
+
 class TestPairSpectra:
     """The closed-form eigenphases and eigenprojectors of `circuit._pair_spectra`."""
 
@@ -435,28 +447,24 @@ class TestPairSpectra:
     @pytest.mark.parametrize("theta", [5e-10, 1e-12, 5e-15, 0.0])
     def test_near_degenerate_gates(self, theta):
         # Mix(theta, pi) is the rotation by theta, with eigenphases +-theta
-        seq = CircuitSequence(2, (GateSpec("mix", 0, theta=theta, phi=np.pi),))
-        _, E, P = circuit._gate_spectra(seq)
-        check_pair_spectra(circuit.gate_matrix(seq.gates[0]), E, P)
+        G = circuit.gate_matrix(GateSpec("mix", 0, theta=theta, phi=np.pi))
+        check_pair_spectra(G, *gate_spectra(G))
 
-    @pytest.mark.parametrize("seq", [build_generic_qqft(N) for N in range(2, 41)]
-                             + [build_radix2_qqft(n) for n in range(1, 7)],
-                             ids=[f"generic-{N}" for N in range(2, 41)]
-                             + [f"radix2-{n}" for n in range(1, 7)])
+    @pytest.mark.parametrize("seq", COMPILED, ids=COMPILED_IDS)
     def test_compiled_gates(self, seq):
-        two = [i for i, g in enumerate(seq.gates) if g.kind != circuit.PHASE]
-        _, E, P = circuit._gate_spectra(seq)
-        check_pair_spectra([circuit.gate_matrix(seq.gates[i]) for i in two],
-                           E[two], P[two])
+        G = [circuit.gate_matrix(g) for g in seq.gates if g.kind != circuit.PHASE]
+        E, P = zip(*map(gate_spectra, G))
+        check_pair_spectra(G, np.concatenate(E), np.concatenate(P))
 
     @pytest.mark.parametrize("seq", [build_generic_qqft(33), build_radix2_qqft(4)],
                              ids=["generic-33", "radix2-4"])
     def test_phases_on_principal_branch(self, seq):
-        # every eigenphase, of phase gates too, and of the inverse gates as
-        # the kernel folds them; a phase just above -pi once folded past +pi
-        _, E, _ = circuit._gate_spectra(seq)
-        for phases in (E, circuit._fold_phases(-E)):
-            assert ((-np.pi < phases) & (phases <= np.pi)).all()
+        # every eigenphase, of phase gates too, in both directions as the
+        # kernel takes them; a phase just above -pi once folded past +pi
+        for invert in (False, True):
+            plan = circuit._wave_plan(seq, invert)
+            for phases in (plan.E, plan.phase_E):
+                assert ((-np.pi < phases) & (phases <= np.pi)).all()
 
 
 class TestWavePlan:
@@ -517,6 +525,26 @@ class TestWavePlan:
     def test_kernel_matches_per_gate_product(self, seq):
         U = sequence_to_unitary(seq)
         assert U.tobytes() == compose(seq.gates, seq.n_sites).tobytes()
+
+    @pytest.mark.parametrize("seq", COMPILED, ids=COMPILED_IDS)
+    def test_plan_spectra_match_each_gate_alone(self, seq):
+        # the kernel's steps and generators, in plan order, are each
+        # gate's own: `_pair_spectra` of a stack of one, bit for bit
+        for invert in (False, True):
+            plan = circuit._wave_plan(seq, invert)
+            E, P = map(np.concatenate, zip(*(
+                gate_spectra(circuit.gate_matrix(seq.gates[i])) for i in plan.pair)))
+            lam = np.array([seq.gates[i].lam for i in plan.phase])
+            phase_E = circuit._fold_phases(-lam + 2 * np.pi * np.round(lam / (2 * np.pi)))
+            if invert:
+                E, phase_E = circuit._fold_phases(-E), circuit._fold_phases(-phase_E)
+            assert plan.E.tobytes() == E.tobytes()
+            assert plan.P.tobytes() == P.tobytes()
+            assert plan.phase_E.tobytes() == phase_E.tobytes()
+            for steps, ids in ((plan.steps, plan.pair), (plan.phase_steps, plan.phase)):
+                layers = np.array([seq.gates[i].layer for i in ids], dtype=int)
+                want = seq.depth - 1 - layers if invert else layers
+                assert steps.tolist() == want.tolist()
 
     def test_compose_keeps_zero_draws_exact(self):
         # one draw table: a zero column, then one noisy column twice

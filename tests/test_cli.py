@@ -82,7 +82,11 @@ class TestVerify:
         ('{"schema": "qqft-seq/1", "n_sites": 3, "gates": '
          '[{"kind": "mix", "site": 0, "theta": 0.3}, '
          '{"kind": "mix", "site": 1, "theta": 0.5, "layer": -1}]}',
-         "layer must be an integer >= 0, got -1")])
+         "layer must be an integer >= 0, got -1"),
+        ('{"schema": "qqft-seq/1", "n_sites": 2, "gates": 5}',
+         "sequence field 'gates' is 5, not a list"),
+        ('{"schema": "qqft-seq/1", "n_sites": 2, "gates": [["swap", 0]]}',
+         r"sequence field 'gates\[0\]' is \['swap', 0\], not an object")])
     def test_bad_file_is_one_error_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "seq.json"
         if text is not None:

@@ -13,7 +13,7 @@ from qqft import circuit, engine, poincare
 from qqft.circuit import GateSpec, gate_matrix, sequence_to_unitary
 from qqft.engine import NoiseModel, apply_noisy_sequence
 from qqft.protocol import MomentumModel
-from test_circuit import apply_blocks, fold_phases, free_sequences
+from test_circuit import apply_blocks, fold_phases, free_sequences, gate_spectra
 from test_workers import run_fresh
 
 
@@ -65,20 +65,17 @@ def per_gate_reference(seq, noise, invert=False, matmul=False):
     own scalar draw: the reference for the wave kernel.
 
     In the kernel's elementwise form, a noisy two-site gate is
-    p_0 P_0 + p_1 P_1 over the eigenphases and eigenprojectors P_k that
-    `circuit._gate_spectra` gives the kernel, each phase gate folds into a
+    p_0 P_0 + p_1 P_1 over the eigenphases and eigenprojectors P_k of the
+    gate alone (`test_circuit.gate_spectra`), each phase gate folds into a
     two-site block as the kernel folds it (`test_circuit.fold_phases`), and
     a block [[a, b], [c, d]] writes a r0 + b r1 and c r0 + d r1 over its
     rows.  `matmul=True` takes the textbook form instead, (Z * p) @ Z^dag
     from a complex Schur form and `block @ rows` gate by gate, with no
     folding, which agrees with the kernel up to roundoff only.
     """
-    order = range(len(seq.gates))
-    order = list(reversed(order) if invert else order)
-    gates = [seq.gates[i] for i in order]
-    _, spectra, projectors = circuit._gate_spectra(seq)
+    gates = seq.gates[::-1] if invert else seq.gates
     mats = []
-    for i, g in zip(order, gates):
+    for g in gates:
         block = gate_matrix(g)
         step = seq.depth - 1 - g.layer if invert else g.layer
         delta = scalar_draw_reference(noise, step) if noise.sigma != 0.0 else 0.0
@@ -99,7 +96,7 @@ def per_gate_reference(seq, noise, invert=False, matmul=False):
             w = circuit._fold_phases(-E) if invert else E
             mats.append((Z * np.exp(-1j * (1.0 + delta) * w)) @ Z.conj().T)
         else:
-            E, P = spectra[i], projectors[i]
+            (E,), (P,) = gate_spectra(block)
             w = circuit._fold_phases(-E) if invert else E
             p = np.exp(-1j * (1.0 + delta) * w)
             mats.append(P[0] * p[0] + P[1] * p[1])
@@ -402,15 +399,6 @@ class TestApplyNoisySequence:
     def test_empty_batch(self):
         seq = circuit.build_generic_qqft(5)
         assert apply_noisy_sequence(seq, [NoiseModel((), seed=1)]).shape == (0, 5, 5)
-
-    def test_noiseless_batch_leaves_gate_spectra_cold(self):
-        seq = circuit.build_generic_qqft(11)
-        circuit._gate_spectra.cache_clear()
-        U = apply_noisy_sequence(seq, [NoiseModel((0.0, 0.0), seed=1)], invert=True)
-        clean = apply_noisy_sequence(seq, invert=True)
-        assert U.tobytes() == np.concatenate([clean, clean]).tobytes()
-        apply_noisy_sequence(seq, [NoiseModel(0.0, seed=1)])
-        assert circuit._gate_spectra.cache_info().currsize == 0
 
     def test_one_draw_call_per_column(self, monkeypatch):
         calls = []

@@ -30,6 +30,7 @@ from qqft.haldane import (
 )
 from qqft.protocol import (MomentumModel, PhaseWrapError, build_protocol_unitary,
                            extract_spectrum)
+from test_protocol import unitary_with_phases
 
 
 def params(phi, M):
@@ -296,13 +297,6 @@ def schur_bott_reference(U, T, l):
     Vy = occ.conj().T @ (py[:, None] * occ)
     loop = Vy @ Vx @ Vy.conj().T @ Vx.conj().T
     return float(np.angle(np.linalg.eigvals(loop)).sum() / (2.0 * np.pi))
-
-
-def unitary_with_phases(phases, seed=0):
-    rng = np.random.default_rng(seed)
-    n = len(phases)
-    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return (Q * np.exp(1j * np.asarray(phases))) @ Q.conj().T
 
 
 class TestBottIndex:

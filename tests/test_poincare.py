@@ -438,6 +438,32 @@ class TestGreensFunction:
         assert zero.p_tensor.tobytes() == clean.p_tensor.tobytes()
 
 
+class TestCleanPropagatorIsAPermutation:
+    """The clean propagator of a linear dispersion is a permutation, so P is
+    0 or 1 and noise moves it only at second order in sigma; an orbit cover's
+    clean P is spread, and moves at first order.
+
+    Margins: a linear dispersion's P lies within 1e-14 of {0, 1}, and was
+    measured at most 1.33e-15, 7.5 times below that bound.  An orbit
+    cover's lies more than 0.2 from it, and was measured at least 0.249,
+    at (30, 2), 0.049 above that bound; a bound of 0.25 would fail there."""
+
+    @staticmethod
+    def distance_from_0_or_1(N, gamma):
+        P = next(greens_function(build_dispersion(N, gamma))).p_tensor
+        return np.minimum(np.abs(P), np.abs(P - 1)).max()
+
+    # measured at most 1.33e-15, at (33, 2)
+    @pytest.mark.parametrize("case", [(33, 2), (6, 2), (8, 3)])
+    def test_linear_dispersion_gives_0_or_1(self, case):
+        assert self.distance_from_0_or_1(*case) <= 1e-14
+
+    # measured 0.323, 0.250 and 0.249
+    @pytest.mark.parametrize("case", [(18, 2), (16, 3), (30, 2)])
+    def test_orbit_cover_does_not(self, case):
+        assert self.distance_from_0_or_1(*case) > 0.2
+
+
 class TestSymmetryMetrics:
     def test_sl_zero_without_noise(self, lattice, clean):
         assert s_lorentz(clean.p_tensor, lattice) < 1e-10
